@@ -242,7 +242,7 @@ def recall_eval_fn(split, part="validation", k=20, threads=1):
     return run
 
 
-def write_recommendations_tsv(recs, path, score_fn=None, n_items=None):
+def write_recommendations_tsv(recs, path, score_fn=None):
     """Dump `user item rank score` rows, users ascending, ranks ascending."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for u in sorted(recs):

@@ -118,39 +118,32 @@ class ModelData:
 
 # ------------------------------------------------------------ graph builders
 
-def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatrix:
-    """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
+def _bipartite(n_users, n_items, pairs, dtype):
+    """Sym-normalized user-item adjacency plus each entry's source pair."""
     pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.shape[0] == 0:
+    m = pairs.shape[0]
+    if m == 0:
         raise ValueError("cannot build adjacency from zero interactions")
     n = n_users + n_items
     rows = np.concatenate([pairs[:, 0], pairs[:, 1] + n_users])
     cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
-    ones = np.ones(rows.size, dtype=dtype)
-    return sym_normalize(SparseMatrix((n, n), rows, cols, ones, dtype=dtype))
+    order = np.argsort(rows * n + cols)  # SparseMatrix's stored order
+    ones = np.ones(2 * m, dtype=dtype)
+    adj = sym_normalize(SparseMatrix((n, n), rows, cols, ones, dtype=dtype))
+    return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
+
+
+def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatrix:
+    """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
+    return _bipartite(n_users, n_items, pairs, dtype)[0]
 
 
 def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
-    """Edge structure for per-edge reweighting.
+    """bipartite_adjacency plus, per stored entry, its source pair index.
 
-    Returns (structure, entry_pair, base) where structure holds both
-    directions of every train edge, entry_pair maps each stored entry back
-    to its source pair index, and base carries the sym-normalized values
-    as an (nnz, 1) column.
+    Returns (adj, entry_pair); adj.vals are the base values to reweight.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    m = pairs.shape[0]
-    if m == 0:
-        raise ValueError("cannot build structure from zero interactions")
-    n = n_users + n_items
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1] + n_users])
-    cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
-    entry_pair = np.concatenate([np.arange(m), np.arange(m)])
-    order = np.lexsort((cols, rows))
-    structure = SparseMatrix((n, n), rows[order], cols[order],
-                             np.ones(2 * m, dtype=dtype), dtype=dtype)
-    base = sym_normalize(structure).vals.astype(dtype)[:, None]
-    return structure, entry_pair[order], base
+    return _bipartite(n_users, n_items, pairs, dtype)
 
 
 def knn_graph(feats: np.ndarray, k: int) -> np.ndarray:
@@ -187,7 +180,6 @@ class ItemItemGraph:
     k: int
     blend: float              # share of the initial graph in the final blend
     weights: dict = None      # fixed merge weights; None = learned downstream
-    frozen: bool = True
 
     def merged(self) -> np.ndarray:
         """Weighted sum across modalities using the fixed weights."""
@@ -205,24 +197,16 @@ class ItemItemGraph:
 
 # ------------------------------------------------------- tape-level helpers
 
-def lightgcn_propagate(tape: Tape, adj: SparseMatrix, h0: Tensor, layers: int) -> Tensor:
-    """Mean of h0..hL under repeated normalized neighborhood averaging."""
+def lightgcn_propagate(tape: Tape, hop, h0: Tensor, layers: int) -> Tensor:
+    """Mean of h0..hL where h_{l+1} = hop(h_l), one neighborhood product.
+
+    `hop` carries the graph, for example `lambda h: tape.spmm(adj, h)`.
+    """
     if layers == 0:
         return h0
     acc, h = h0, h0
     for _ in range(layers):
-        h = tape.spmm(adj, h)
-        acc = tape.add(acc, h)
-    return tape.scale(acc, 1.0 / (layers + 1))
-
-
-def lightgcn_propagate_weighted(tape, structure, vals, h0, layers):
-    """lightgcn_propagate with edge values supplied as an (nnz, 1) tensor."""
-    if layers == 0:
-        return h0
-    acc, h = h0, h0
-    for _ in range(layers):
-        h = tape.spmm_weighted(structure, vals, h)
+        h = hop(h)
         acc = tape.add(acc, h)
     return tape.scale(acc, 1.0 / (layers + 1))
 

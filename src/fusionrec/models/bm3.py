@@ -49,7 +49,8 @@ class BM3(RecommenderModel):
 
     def _representations(self, tape, train):
         h0 = tape.row_concat([self.user_emb, self.item_emb])
-        h = lightgcn_propagate(tape, self.adj, h0, self.config.layers)
+        h = lightgcn_propagate(tape, lambda x: tape.spmm(self.adj, x), h0,
+                               self.config.layers)
         n_u = self.data.n_users
         users = tape.row_gather(h, np.arange(n_u))
         items = tape.row_gather(h, n_u + np.arange(self.data.n_items))

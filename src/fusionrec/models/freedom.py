@@ -101,7 +101,8 @@ class FREEDOM(RecommenderModel):
             else self.full_adj
         n_u, n_i = self.data.n_users, self.data.n_items
         h0 = tape.row_concat([self.user_emb, self.item_emb])
-        z = lightgcn_propagate(tape, adj, h0, self.config.layers)
+        z = lightgcn_propagate(tape, lambda x: tape.spmm(adj, x), h0,
+                               self.config.layers)
         users = tape.row_gather(z, np.arange(n_u))
         z_items = tape.row_gather(z, n_u + np.arange(n_i))
         h = self.item_emb

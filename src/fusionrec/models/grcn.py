@@ -20,11 +20,7 @@ import numpy as np
 
 from ..schema import Coordinate, Early, PipelineSpec
 from ..tensor import constant
-from .base import (
-    RecommenderModel,
-    bipartite_structure,
-    lightgcn_propagate_weighted,
-)
+from .base import RecommenderModel, bipartite_structure, lightgcn_propagate
 
 log = logging.getLogger(__name__)
 
@@ -42,10 +38,10 @@ class GRCN(RecommenderModel):
     def _build(self, rng):
         d = self.config.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
-        self.structure, self.entry_pair, base = bipartite_structure(
+        self.structure, self.entry_pair = bipartite_structure(
             n_u, n_i, self.data.pairs, dtype=self.dtype
         )
-        self.base_vals = constant(base, dtype=self.dtype)
+        self.base_vals = constant(self.structure.vals[:, None], dtype=self.dtype)
         self.id_emb = self._param("rho", "id_emb", rng, (n_u + n_i, d))
         self.pref = {}
         self.proj = {}
@@ -90,14 +86,16 @@ class GRCN(RecommenderModel):
         vals = self.refined_edge_values(tape)
         layers = self.config.layers
         n_u, n_i = self.data.n_users, self.data.n_items
-        outs = [lightgcn_propagate_weighted(tape, self.structure, vals,
-                                            self.id_emb, layers)]
+
+        def hop(h):
+            return tape.spmm_weighted(self.structure, vals, h)
+
+        outs = [lightgcn_propagate(tape, hop, self.id_emb, layers)]
         for m in self.data.modalities:
             h0 = tape.row_concat([
                 self.pref[m], tape.matmul(self.feats[m], self.proj[m])
             ])
-            outs.append(lightgcn_propagate_weighted(tape, self.structure,
-                                                    vals, h0, layers))
+            outs.append(lightgcn_propagate(tape, hop, h0, layers))
         final = outs[0] if len(outs) == 1 else tape.concat(outs)
         users = tape.row_gather(final, np.arange(n_u))
         items = tape.row_gather(final, n_u + np.arange(n_i))

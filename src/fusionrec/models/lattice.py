@@ -33,8 +33,7 @@ def lattice_build(features: dict, k: int, blend: float,
     if not features:
         raise ValueError("lattice_build needs at least one modality")
     matrices = {m: knn_graph(f, k) for m, f in sorted(features.items())}
-    return ItemItemGraph(matrices=matrices, k=k, blend=blend,
-                         weights=weights, frozen=True)
+    return ItemItemGraph(matrices=matrices, k=k, blend=blend, weights=weights)
 
 
 class LATTICE(RecommenderModel):

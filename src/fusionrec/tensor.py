@@ -4,6 +4,11 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises immediately instead of letting the value propagate.
+
+Every sparse product and every scatter is one CSR product: spmm and
+spmm_weighted run on a SparseMatrix's cached CSR views in both directions,
+and row_gather's backward on a CSR of its indices. Each output row adds its
+terms in CSR data order, which is the order of the stored entries.
 """
 
 from __future__ import annotations
@@ -90,15 +95,28 @@ def constant(data, dtype=np.float32):
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
+def _csr_product(a, x, vals=None):
+    """a @ x in x's dtype, each row summed from zero in data order.
+
+    `vals`, given in a's data order, replace a's stored values.
+    """
+    data = (a.data if vals is None else vals).astype(x.dtype, copy=False)
+    return scipy.sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape) @ x
+
+
 class SparseMatrix:
     """Immutable sparse matrix in coordinate form.
 
     Triples are stored sorted lexicographically by (row, col) with unique
-    coordinates; values may be any finite float. A CSR view is cached for
-    matvec work.
+    coordinates; values may be any finite float. Every product with the
+    matrix goes through two cached CSR views: csr() for the matrix and
+    csr_t() for its transpose. scipy's conversion keeps the given order
+    within a row, so the stored (row, col) order is the CSR data order:
+    csr().data is `vals` as stored and csr_t().data is vals[t_perm()], and
+    live per-entry values can reuse either structure.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals", "_csr_cache", "_csc_cache")
+    __slots__ = ("shape", "rows", "cols", "vals", "_csr_cache", "_t_cache")
 
     def __init__(self, shape, rows, cols, vals, dtype=np.float32):
         n, m = int(shape[0]), int(shape[1])
@@ -125,7 +143,7 @@ class SparseMatrix:
         self.cols = cols
         self.vals = vals
         self._csr_cache = None
-        self._csc_cache = None
+        self._t_cache = None
 
     @classmethod
     def from_dense(cls, arr, dtype=np.float32):
@@ -150,17 +168,19 @@ class SparseMatrix:
         return self._csr_cache
 
     def csr_t(self):
-        if self._csc_cache is None:
-            self._csc_cache = scipy.sparse.csr_matrix(
-                (self.vals, (self.cols, self.rows)), shape=(self.shape[1], self.shape[0])
+        """CSR view of the transpose; its data is vals[t_perm()]."""
+        if self._t_cache is None:
+            shape_t = (self.shape[1], self.shape[0])
+            self._t_cache = (
+                scipy.sparse.csr_matrix((self.vals, (self.cols, self.rows)), shape=shape_t),
+                np.argsort(self.cols, kind="stable"),
             )
-        return self._csc_cache
+        return self._t_cache[0]
 
-    def transpose(self):
-        return SparseMatrix(
-            (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals,
-            dtype=self.vals.dtype,
-        )
+    def t_perm(self):
+        """Order of the stored entries in csr_t()'s data."""
+        self.csr_t()
+        return self._t_cache[1]
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -175,13 +195,12 @@ def sym_normalize(m: SparseMatrix) -> SparseMatrix:
     """
     if m.vals.size and m.vals.min() < 0:
         raise ValueError("sym_normalize needs nonnegative entries")
-    row_deg = np.zeros(m.shape[0], dtype=np.float64)
-    col_deg = np.zeros(m.shape[1], dtype=np.float64)
-    np.add.at(row_deg, m.rows, m.vals.astype(np.float64))
-    np.add.at(col_deg, m.cols, m.vals.astype(np.float64))
+    vals = m.vals.astype(np.float64)
+    row_deg = np.bincount(m.rows, weights=vals, minlength=m.shape[0])
+    col_deg = np.bincount(m.cols, weights=vals, minlength=m.shape[1])
     scale = 1.0 / np.sqrt(row_deg[m.rows] * col_deg[m.cols])
-    vals = (m.vals.astype(np.float64) * scale).astype(m.vals.dtype)
-    return SparseMatrix(m.shape, m.rows, m.cols, vals, dtype=m.vals.dtype)
+    return SparseMatrix(m.shape, m.rows, m.cols, (vals * scale).astype(m.vals.dtype),
+                        dtype=m.vals.dtype)
 
 
 def _check_binary_shapes(name, a, b):
@@ -305,19 +324,17 @@ class Tape:
         return self._record("matmul", out, (a, b), bwd)
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
-        """Sparse-dense product m @ x. The sparse operand is a constant."""
+        """Sparse-dense product m @ x. The sparse operand is a constant.
+
+        Forward m.csr() @ x, backward m.csr_t() @ g, in the dense dtype.
+        """
         self._check_operand(x)
         if m.shape[1] != x.rows:
             raise ValueError(f"spmm: inner dims differ, {m.shape} x {x.shape}")
-        vals = m.vals.astype(x.data.dtype, copy=False)
-        out = np.zeros((m.shape[0], x.cols), dtype=x.data.dtype)
-        np.add.at(out, m.rows, vals[:, None] * x.data[m.cols])
-        rows, cols = m.rows, m.cols
+        out = _csr_product(m.csr(), x.data)
 
         def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, cols, vals[:, None] * g[rows])
-            return (gx,)
+            return (_csr_product(m.csr_t(), g),)
 
         return self._record("spmm", out, (x,), bwd)
 
@@ -325,7 +342,9 @@ class Tape:
         """Like spmm but edge values come from an (nnz, 1) tensor.
 
         Gradients flow into both the edge values and the dense operand; the
-        coordinate structure itself is fixed.
+        coordinate structure itself is fixed. Row i of `vals` is the i-th
+        stored (row, col) entry, which is also csr()'s i-th data entry, so
+        the spmm products run on the cached views with live values.
         """
         self._check_operand(vals)
         self._check_operand(x)
@@ -337,16 +356,13 @@ class Tape:
             raise ValueError(
                 f"spmm_weighted: inner dims differ, {structure.shape} x {x.shape}"
             )
-        rows, cols = structure.rows, structure.cols
-        v = vals.data
-        out = np.zeros((structure.shape[0], x.cols), dtype=x.data.dtype)
-        np.add.at(out, rows, v * x.data[cols])
+        v = vals.data[:, 0]
         xd = x.data
+        out = _csr_product(structure.csr(), xd, v)
 
         def bwd(g):
-            gv = (g[rows] * xd[cols]).sum(axis=1, keepdims=True)
-            gx = np.zeros_like(xd)
-            np.add.at(gx, cols, v * g[rows])
+            gv = (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
+            gx = _csr_product(structure.csr_t(), g, v[structure.t_perm()])
             return gv, gx
 
         return self._record("spmm_weighted", out, (vals, x), bwd)
@@ -581,9 +597,10 @@ class Tape:
         shape = a.shape
 
         def bwd(g):
-            ga = np.zeros(shape, dtype=g.dtype)
-            np.add.at(ga, idx, g)
-            return (ga,)
+            ones = np.ones(idx.size, dtype=g.dtype)
+            scatter = scipy.sparse.csr_matrix((ones, (idx, np.arange(idx.size))),
+                                              shape=(shape[0], idx.size))
+            return (_csr_product(scatter, g),)
 
         return self._record("row_gather", out, (a,), bwd)
 
@@ -673,6 +690,3 @@ class Tape:
         bn = self.l2_normalize(b)
         return self.rowsum(self.mul(an, bn))
 
-
-def backward(tape: Tape, loss: Tensor):
-    tape.backward(loss)

