@@ -11,7 +11,6 @@ ascending item id.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,15 +35,16 @@ class PopularityProfile:
 
     @classmethod
     def from_train(cls, train_pairs, n_items, head_fraction=0.2):
-        counts = np.zeros(n_items, dtype=np.int64)
-        for _, i in train_pairs:
-            counts[int(i)] += 1
+        items = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)[:, 1]
+        counts = np.bincount(items, minlength=n_items)
+        if counts.size > n_items:
+            raise IndexError(f"train item id {items.max()} >= n_items {n_items}")
         n_train = int(counts.sum())
         if n_train == 0:
             raise ValueError("empty train set has no popularity profile")
-        order = sorted(range(n_items), key=lambda i: (-counts[i], i))
+        order = np.lexsort((np.arange(n_items), -counts))
         head_size = math.ceil(head_fraction * n_items)
-        short = set(order[:head_size])
+        short = set(order[:head_size].tolist())
         return cls(n_items, counts, n_train, short,
                    set(range(n_items)) - short, head_fraction)
 
@@ -66,13 +66,42 @@ class MetricReport:
         return self.values[(metric, k)]
 
 
+TOPK_BLOCK = 512  # rows per top-k block: index arrays never span every row
+
+
+def topk_rows(scores, k):
+    """(n_rows, k) ids of each row's k best columns, by descending score,
+    ties (-inf included) by ascending id.
+
+    TOPK_BLOCK rows at a time, np.partition finds each row's k-th largest
+    value; the columns above it are kept and the columns equal to it fill the
+    remaining slots in id order. A stable sort by descending score follows.
+    """
+    n, m = scores.shape
+    if not 0 < k <= m:
+        raise ValueError(f"k={k} must be in [1, {m}]")
+    out = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, TOPK_BLOCK):
+        block = scores[lo:lo + TOPK_BLOCK]
+        kth = np.partition(block, m - k, axis=1)[:, m - k:m - k + 1]
+        above, tie = block > kth, block == kth
+        fill = k - above.sum(axis=1, keepdims=True)
+        cols = np.nonzero(above | (tie & (np.cumsum(tie, axis=1) <= fill)))[1]
+        cols = cols.reshape(-1, k)
+        order = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1,
+                           kind="stable")
+        out[lo:lo + TOPK_BLOCK] = np.take_along_axis(cols, order, axis=1)
+    return out
+
+
 def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     """Top-k item lists per user.
 
-    score_fn(users) returns a (len(users), n_items) matrix. Items in
-    exclude[u] (the user's train items) are removed from the candidate set.
-    Ties break deterministically by ascending item id. k must not exceed the
-    smallest candidate set.
+    score_fn(users) returns a (len(users), n_items) matrix; it is called once,
+    whatever `threads` is. Items in exclude[u] (the user's train items) are
+    set to -inf on a float64 copy, never in score_fn's array. Ties break by
+    ascending item id. k must not exceed the smallest candidate set. `threads`
+    spreads the blocks of TOPK_BLOCK users over a thread pool.
     """
     users = list(users)
     if not users:
@@ -83,28 +112,18 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
                 f"user {u} has only {n_items - len(exclude.get(u, ()))} "
                 f"candidates, cannot rank top-{k}"
             )
+    scores = np.asarray(score_fn(users))
 
-    def rank_chunk(chunk):
-        scores = np.asarray(score_fn(chunk), dtype=np.float64)
-        out = {}
-        for row, u in enumerate(chunk):
-            s = scores[row].copy()
-            banned = exclude.get(u)
-            if banned:
-                s[sorted(banned)] = -np.inf
-            # sort by descending score, then ascending id
-            order = np.lexsort((np.arange(n_items), -s))
-            out[u] = order[:k].tolist()
-        return out
+    def rank_block(lo):
+        block = scores[lo:lo + TOPK_BLOCK].astype(np.float64)
+        for row, u in enumerate(users[lo:lo + TOPK_BLOCK]):
+            block[row, list(exclude.get(u, ()))] = -np.inf
+        return topk_rows(block, k)
 
-    if threads <= 1 or len(users) < 2 * threads:
-        return rank_chunk(users)
-    chunks = [users[i::threads] for i in range(threads)]
-    merged = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(rank_chunk, chunks):
-            merged.update(part)
-    return merged
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        top = np.concatenate(list(pool.map(rank_block,
+                                           range(0, len(users), TOPK_BLOCK))))
+    return {u: top[row].tolist() for row, u in enumerate(users)}
 
 
 def _per_user_mean(values):
@@ -214,9 +233,7 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
     Users evaluated are those with at least one interaction in the requested
     part; candidates are all catalog items minus the user's train items.
     """
-    relevant = {}
-    for u, i in getattr(split, part):
-        relevant.setdefault(int(u), set()).add(int(i))
+    relevant = split.user_positives(part)
     users = sorted(relevant)
     exclude = split.user_positives("train")
     k_max = max(cutoffs)
@@ -228,9 +245,7 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
 
 def recall_eval_fn(split, part="validation", k=20, threads=1):
     """Callable(model) -> Recall@k on the given part, for model selection."""
-    relevant = {}
-    for u, i in getattr(split, part):
-        relevant.setdefault(int(u), set()).add(int(i))
+    relevant = split.user_positives(part)
     users = sorted(relevant)
     exclude = split.user_positives("train")
 
@@ -243,12 +258,15 @@ def recall_eval_fn(split, part="validation", k=20, threads=1):
 
 
 def write_recommendations_tsv(recs, path, score_fn=None):
-    """Dump `user item rank score` rows, users ascending, ranks ascending."""
+    """Dump `user item rank score` rows, users ascending, ranks ascending.
+
+    score_fn is called once, on sorted(recs): evaluate_model ranks with the
+    same call on the same users, so the scores are the ranking pass's.
+    """
+    users = sorted(recs)
+    scores = None if score_fn is None else np.asarray(score_fn(users))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in sorted(recs):
-            scores = None
-            if score_fn is not None:
-                scores = np.asarray(score_fn([u]))[0]
+        for row, u in enumerate(users):
             for rank, item in enumerate(recs[u], start=1):
-                s = float(scores[item]) if scores is not None else float("nan")
+                s = float(scores[row, item]) if scores is not None else float("nan")
                 fh.write(f"{u}\t{item}\t{rank}\t{s:.6f}\n")

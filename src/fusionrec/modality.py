@@ -229,13 +229,3 @@ class MultimodalStore:
     def extract(self, item_index, modality):
         return self.matrix(modality)[item_index]
 
-
-def store_from_synthetic(syn, item_ids=None, missing="error") -> MultimodalStore:
-    """Wrap a generate_synthetic bundle's true factors as a store."""
-    ids = list(item_ids) if item_ids is not None else list(syn.dataset.item_ids)
-    feats = [
-        ModalityFeatures(m, syn.features[m].shape[1], list(syn.dataset.item_ids),
-                         syn.features[m])
-        for m in sorted(syn.features)
-    ]
-    return MultimodalStore(ids, feats, missing=missing)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ..evaluation import topk_rows
 from ..tensor import SparseMatrix, Tape, Tensor, parameter, sym_normalize
 from ..schema import ParameterSet, PipelineSpec, validate
 from .. import training as tr
@@ -161,12 +162,10 @@ def knn_graph(feats: np.ndarray, k: int) -> np.ndarray:
     unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
     sim = unit @ unit.T
     np.fill_diagonal(sim, -np.inf)
-    ids = np.arange(n)
-    graph = np.zeros((n, n), dtype=np.float64)
-    for r in range(n):
-        keep = np.lexsort((ids, -sim[r]))[:k]
-        graph[r, keep] = sim[r, keep]
-    np.maximum(graph, 0.0, out=graph)
+    keep = topk_rows(sim, k)
+    graph = np.zeros_like(sim)
+    np.put_along_axis(graph, keep,
+                      np.maximum(np.take_along_axis(sim, keep, axis=1), 0.0), axis=1)
     sums = graph.sum(axis=1, keepdims=True)
     np.divide(graph, sums, out=graph, where=sums > 0)
     return graph
@@ -282,6 +281,7 @@ class RecommenderModel:
         """Dense score block (len(users), n_items), gradient-free."""
         tape = Tape()
         users_rep, items_rep = self._representations(tape, train=False)
+        tape.reset()
         u = users_rep.data[np.asarray(users, dtype=np.int64)]
         return u @ items_rep.data.T
 

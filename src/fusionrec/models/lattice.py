@@ -16,6 +16,7 @@ gradient checks differentiate a fixed function.
 
 import numpy as np
 
+from ..evaluation import topk_rows
 from ..schema import Coordinate, Early, PipelineSpec, early_fuse
 from ..tensor import constant
 from .base import ItemItemGraph, RecommenderModel, knn_graph
@@ -76,14 +77,10 @@ class LATTICE(RecommenderModel):
 
     def _topk_mask(self, sims: np.ndarray) -> np.ndarray:
         """0/1 support of the k best off-diagonal entries per row."""
-        n = sims.shape[0]
         scored = sims.copy()
         np.fill_diagonal(scored, -np.inf)
-        ids = np.arange(n)
         mask = np.zeros_like(scored)
-        for r in range(n):
-            keep = np.lexsort((ids, -scored[r]))[:self.config.knn_k]
-            mask[r, keep] = 1.0
+        np.put_along_axis(mask, topk_rows(scored, self.config.knn_k), 1.0, axis=1)
         return mask
 
     def _learned_graph(self, tape, m):

@@ -149,9 +149,6 @@ class ParameterSet:
         for t in self._owned.values():
             t.zero_grad()
 
-    def n_parameters(self):
-        return sum(t.data.size for t in self._owned.values())
-
 
 # ----------------------------------------------------------- stage operators
 
@@ -322,11 +319,6 @@ class PipelineModel:
     def params(self) -> ParameterSet:
         return self._p
 
-    def set_weights(self, **named):
-        for name, value in named.items():
-            t = self._p.named()[name]
-            t.data[...] = np.asarray(value, dtype=self.dtype)
-
     def _item_blocks(self, tape, items):
         return [tape.row_gather(Tensor(self.feats[m], dtype=self.dtype), items)
                 for m in self.modalities]
@@ -370,36 +362,29 @@ class PipelineModel:
         return loss
 
     def score_users(self, users) -> np.ndarray:
-        """(len(users), n_items) score matrix from current parameters."""
+        """(len(users), n_items) score matrix from current parameters.
+
+        Late fusion goes through late_fuse, each modality's score matrix
+        flattened into one score column.
+        """
         users = np.asarray(users, dtype=np.int64)
         tape = Tape()
-        all_items = np.arange(self.n_items)
-        blocks = self._item_blocks(tape, all_items)
+        blocks = self._item_blocks(tape, np.arange(self.n_items))
         rep, fus = self.spec.representation, self.spec.fusion
-        u = self.user_emb.data[users]
         if isinstance(rep, Joint):
-            item_mat = joint_represent(tape, blocks, self.joint_w).data
-            return u @ item_mat.T
-        projected = coordinate_represent(
-            tape, blocks, [self.proj[m] for m in self.modalities])
-        if isinstance(fus, Early):
-            fused = early_fuse(tape, projected, fus.op, self.fuse_logits)
-            return u @ fused.data.T
-        per_mod = np.stack([u @ p.data.T for p in projected])  # (M, |u|, n_items)
-        op = fus.op
-        if op == "sum":
-            return per_mod.sum(axis=0)
-        if op == "mean":
-            return per_mod.mean(axis=0)
-        if op == "max":
-            return per_mod.max(axis=0)
-        w = _softmax_np(self.fuse_logits.data)[0]
-        return np.tensordot(w, per_mod, axes=(0, 0))
-
-
-def _softmax_np(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+            items = [joint_represent(tape, blocks, self.joint_w)]
+        else:
+            items = coordinate_represent(
+                tape, blocks, [self.proj[m] for m in self.modalities])
+            if isinstance(fus, Early):
+                items = [early_fuse(tape, items, fus.op, self.fuse_logits)]
+        scores = [self.user_emb.data[users] @ i.data.T for i in items]
+        if isinstance(fus, Late):
+            cols = [Tensor(s.reshape(-1, 1), dtype=self.dtype) for s in scores]
+            fused = late_fuse(tape, cols, fus.op, self.fuse_logits)
+            scores = [fused.data.reshape(users.size, self.n_items)]
+        tape.reset()
+        return scores[0]
 
 
 # ----------------------------------------------------------- training loop

@@ -236,7 +236,8 @@ class Tape:
 
     Results belong to the tape that made them; using one after reset() (or on
     a different tape) raises. Leaves (parameters, constants) are tape-free and
-    may appear anywhere.
+    may appear anywhere. backward() and reset() drop the recorded nodes, so a
+    replayed or reset tape holds nothing and no cycle through it keeps arrays.
     """
 
     def __init__(self):
@@ -306,6 +307,7 @@ class Tape:
         for t, g in grads.values():
             if t.requires_grad:
                 t._accumulate_grad(g)
+        self._nodes.clear()
 
     # -- primitives -------------------------------------------------------
 
@@ -317,9 +319,11 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data
         ad, bd = a.data, b.data
+        # a constant leaf's gradient reaches no parameter: skip it
+        ga, gb = (t.requires_grad or t._tape is not None for t in (a, b))
 
         def bwd(g):
-            return g @ bd.T, ad.T @ g
+            return (g @ bd.T if ga else None), (ad.T @ g if gb else None)
 
         return self._record("matmul", out, (a, b), bwd)
 
@@ -563,9 +567,10 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
+        ga, gb = (t.requires_grad or t._tape is not None for t in (a, b))
 
         def bwd(g):
-            return g @ bd, g.T @ ad
+            return (g @ bd if ga else None), (g.T @ ad if gb else None)
 
         return self._record("matmul_nt", out, (a, b), bwd)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusionrec import evaluation as E
 
@@ -103,6 +103,21 @@ class FixedScorer:
         return self.matrix[list(users)]
 
 
+class CountingScorer(FixedScorer):
+    """Records each call; asked for every row, it returns its own matrix."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = []
+
+    def __call__(self, users):
+        users = list(users)
+        out = self.matrix if users == list(range(len(self.matrix))) \
+            else self.matrix[users]
+        self.calls.append((users, out))
+        return out
+
+
 def test_rank_topk_excludes_train_items():
     scores = [[9.0, 8.0, 7.0, 6.0]]
     recs = E.rank_topk(FixedScorer(scores), [0], 2, {0: {0}}, 4)
@@ -123,11 +138,65 @@ def test_rank_topk_k_too_large_rejected():
 
 def test_rank_topk_threads_agree():
     rng = np.random.default_rng(0)
-    scores = rng.standard_normal((40, 30))
-    exclude = {u: {int(rng.integers(30))} for u in range(40)}
-    single = E.rank_topk(FixedScorer(scores), range(40), 5, exclude, 30, threads=1)
-    multi = E.rank_topk(FixedScorer(scores), range(40), 5, exclude, 30, threads=4)
-    assert single == multi
+    # 40 users fit one block; the larger set spans three
+    for n_users in (40, 2 * E.TOPK_BLOCK + 40):
+        scores = rng.standard_normal((n_users, 30))
+        exclude = {u: {int(rng.integers(30))} for u in range(n_users)}
+        original = scores.copy()
+        single = E.rank_topk(FixedScorer(scores), range(n_users), 5, exclude, 30,
+                             threads=1)
+        scorer = CountingScorer(scores)  # hands rank_topk its own array
+        multi = E.rank_topk(scorer, range(n_users), 5, exclude, 30, threads=4)
+        assert single == multi
+        assert len(scorer.calls) == 1
+        np.testing.assert_array_equal(scores, original)
+        for u, banned in exclude.items():
+            original[u, list(banned)] = -np.inf
+        assert multi == dict(enumerate(topk_ref(original, 5).tolist()))
+
+
+def topk_ref(scores, k):
+    """Per-row lexsort: descending score, ties by ascending column id."""
+    ids = np.arange(scores.shape[1])
+    return np.array([np.lexsort((ids, -row))[:k] for row in scores]).reshape(-1, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40),
+       n_cols=st.integers(1, 25), levels=st.integers(1, 6),
+       inf_share=st.sampled_from([0.0, 0.2, 0.8, 1.0]),
+       k_is_finite_count=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(seed=1, n_rows=2 * E.TOPK_BLOCK + 7, n_cols=20, levels=3, inf_share=0.2,
+         k_is_finite_count=True, dtype=np.float64)
+@example(seed=2, n_rows=E.TOPK_BLOCK + 1, n_cols=9, levels=2, inf_share=0.5,
+         k_is_finite_count=False, dtype=np.float32)
+def test_topk_rows_matches_lexsort_oracle(seed, n_rows, n_cols, levels,
+                                          inf_share, k_is_finite_count, dtype):
+    # integer scores from a few levels tie heavily, -inf cells tie too
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-levels, levels, size=(n_rows, n_cols)).astype(dtype)
+    scores[rng.random(scores.shape) < inf_share] = -np.inf
+    finite = int(np.isfinite(scores[rng.integers(n_rows)]).sum())
+    k = finite if k_is_finite_count and finite else int(rng.integers(1, n_cols + 1))
+    got = E.topk_rows(scores, k)
+    assert got.shape == (n_rows, k)
+    np.testing.assert_array_equal(got, topk_ref(scores, k))
+
+
+def test_write_recommendations_scores_once_from_one_call(tmp_path):
+    rng = np.random.default_rng(4)
+    scorer = CountingScorer(rng.standard_normal((5, 8)).astype(np.float32))
+    recs = {3: [1, 2], 0: [4], 1: [0, 7]}
+    path = tmp_path / "recommendations.tsv"
+    E.write_recommendations_tsv(recs, path, score_fn=scorer)
+    assert len(scorer.calls) == 1
+    users, scores = scorer.calls[0]
+    assert users == [0, 1, 3]
+    want = [f"{u}\t{i}\t{r}\t{float(scores[row, i]):.6f}"
+            for row, u in enumerate(users)
+            for r, i in enumerate(recs[u], start=1)]
+    assert path.read_text().splitlines() == want
 
 
 # ---------------------------------------------------------------- oracle sweep

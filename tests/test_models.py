@@ -1,6 +1,8 @@
 """Model tests: hand-computed cases, structural collapses, gradient checks."""
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -542,3 +544,43 @@ def test_models_survive_short_training():
         assert np.isfinite(result.trace[-1].loss)
         scores = model.score_users(range(data.n_users))
         assert np.isfinite(scores).all()
+
+
+def test_spent_tapes_are_freed_without_gc(monkeypatch):
+    """A replayed training tape and a scoring tape die with their last
+    reference: no reference cycle leaves them to the cyclic collector."""
+    from fusionrec import schema
+    from fusionrec.models import base
+
+    refs = []
+
+    class TrackedTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(base, "Tape", TrackedTape)
+    monkeypatch.setattr(schema, "Tape", TrackedTape)
+    data = small_data(n_users=6, n_items=10, seed=17)
+    batch = fixed_batch(data)
+    rng = np.random.default_rng(0)
+    gc.disable()
+    try:
+        for tag in CLASSIFICATION:
+            model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2),
+                                data, seed=9)
+            if hasattr(model, "on_epoch_start"):
+                model.on_epoch_start(rng, 1)
+            tape = TrackedTape()
+            tape.backward(tr.total_loss(tape, model, batch, rng, 1e-4))
+            del tape
+            model.score_users(range(data.n_users))
+            assert len(refs) == 2
+            assert [r() for r in refs] == [None, None], tag
+            refs.clear()
+        spec = schema.PipelineSpec(Coordinate(4), Late("weighted_sum"),
+                                   data.modalities)
+        schema.PipelineModel(spec, data.n_users, data.features).score_users([0, 1])
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()

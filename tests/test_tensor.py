@@ -204,6 +204,17 @@ def test_double_backward_rejected():
         t.backward(y)
 
 
+def test_matmul_skips_gradients_of_constant_leaves():
+    t = T.Tape()
+    w = p64(np.ones((4, 2)))
+    h = t.matmul(T.constant(np.ones((3, 4)), dtype=np.float64), w)
+    t.matmul_nt(h, T.constant(np.ones((5, 2)), dtype=np.float64))
+    g_const, g_w = t._nodes[0].bwd(np.ones((3, 2)))
+    g_h, g_const_nt = t._nodes[1].bwd(np.ones((3, 5)))
+    assert g_const is None and g_const_nt is None
+    assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
+
+
 def test_stale_tensor_after_reset_rejected():
     t = T.Tape()
     x = p64([[1.0]])
