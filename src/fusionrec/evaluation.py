@@ -94,18 +94,21 @@ def topk_rows(scores, k):
     return out
 
 
-def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
+def rank_topk(score_fn, users, k, exclude, n_items, threads=1,
+              with_scores=False):
     """Top-k item lists per user.
 
     score_fn(users) returns a (len(users), n_items) matrix; it is called once,
     whatever `threads` is. Items in exclude[u] (the user's train items) are
     set to -inf on a float64 copy, never in score_fn's array. Ties break by
     ascending item id. k must not exceed the smallest candidate set. `threads`
-    spreads the blocks of TOPK_BLOCK users over a thread pool.
+    spreads the blocks of TOPK_BLOCK users over a thread pool. With
+    `with_scores`, returns (lists, scores): scores[u] holds the k entries of
+    score_fn's matrix behind u's list, in rank order.
     """
     users = list(users)
     if not users:
-        return {}
+        return ({}, {}) if with_scores else {}
     for u in users:
         if n_items - len(exclude.get(u, ())) < k:
             raise ValueError(
@@ -123,7 +126,11 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         top = np.concatenate(list(pool.map(rank_block,
                                            range(0, len(users), TOPK_BLOCK))))
-    return {u: top[row].tolist() for row, u in enumerate(users)}
+    recs = {u: top[row].tolist() for row, u in enumerate(users)}
+    if not with_scores:
+        return recs
+    picked = np.take_along_axis(scores, top, axis=1)
+    return recs, {u: picked[row] for row, u in enumerate(users)}
 
 
 def _per_user_mean(values):
@@ -232,15 +239,18 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
 
     Users evaluated are those with at least one interaction in the requested
     part; candidates are all catalog items minus the user's train items.
+    Returns (report, (recs, scores)), scores from the ranking pass as in
+    rank_topk(with_scores=True).
     """
     relevant = split.user_positives(part)
     users = sorted(relevant)
     exclude = split.user_positives("train")
     k_max = max(cutoffs)
-    recs = rank_topk(model.score_users, users, k_max, exclude,
-                     split.dataset.n_items, threads=threads)
+    recs, scores = rank_topk(model.score_users, users, k_max, exclude,
+                             split.dataset.n_items, threads=threads,
+                             with_scores=True)
     profile = PopularityProfile.from_train(split.train, split.dataset.n_items)
-    return evaluate_lists(recs, relevant, profile, cutoffs), recs
+    return evaluate_lists(recs, relevant, profile, cutoffs), (recs, scores)
 
 
 def recall_eval_fn(split, part="validation", k=20, threads=1):
@@ -257,16 +267,14 @@ def recall_eval_fn(split, part="validation", k=20, threads=1):
     return run
 
 
-def write_recommendations_tsv(recs, path, score_fn=None):
+def write_recommendations_tsv(recs, path, scores=None):
     """Dump `user item rank score` rows, users ascending, ranks ascending.
 
-    score_fn is called once, on sorted(recs): evaluate_model ranks with the
-    same call on the same users, so the scores are the ranking pass's.
+    scores[u] lists the scores of recs[u] in rank order, as rank_topk's
+    with_scores hands them out; without them the score column is nan.
     """
-    users = sorted(recs)
-    scores = None if score_fn is None else np.asarray(score_fn(users))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, u in enumerate(users):
+        for u in sorted(recs):
             for rank, item in enumerate(recs[u], start=1):
-                s = float(scores[row, item]) if scores is not None else float("nan")
+                s = float(scores[u][rank - 1]) if scores is not None else float("nan")
                 fh.write(f"{u}\t{item}\t{rank}\t{s:.6f}\n")

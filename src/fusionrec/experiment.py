@@ -16,7 +16,6 @@ import io
 import json
 import os
 import string
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -267,7 +266,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 class RunManifest:
     """Everything needed to audit a run, minus anything non-deterministic.
 
-    Written before the training loop starts and treated as immutable after;
+    Written before cmd_train trains anything and treated as immutable after;
     wall-clock numbers go to timings.json next to it instead so manifest
     bytes stay reproducible.
     """
@@ -379,33 +378,36 @@ def cmd_tune(config: ExperimentConfig, split: ds.Split,
 def cmd_train(config: ExperimentConfig, split: ds.Split,
               store: MultimodalStore, run_dir, chosen: tr.GridResult = None,
               threads=1):
-    """Train one model, writing manifest, trace, and checkpoint."""
-    trainer = config.trainer
+    """Write manifest, trace, timings and checkpoint for one trained model.
+
+    A tuned `chosen` hands over the winning grid run's model and TrainResult,
+    which are written as they are: retraining that configuration with the
+    same seed would repeat the run exactly. Only without one does the model
+    train here, at the trainer's own lr and reg.
+    """
     chosen_dict = {}
     if chosen is not None:
-        trainer = replace(trainer, lr=chosen.lr, reg=chosen.reg)
         chosen_dict = {"lr": chosen.lr, "reg": chosen.reg,
                        "config_index": chosen.config_index,
                        "best_epoch": chosen.best_epoch,
                        "best_value": chosen.best_value}
-    mdata = ModelData.from_split(split, store)
-    tdata = tr.TrainData.from_split(split)
-    model = build_model(config.model, mdata, seed=trainer.seed)
+        model, result = chosen.model, chosen.result
     manifest = RunManifest(
         config=config_to_dict(config),
-        seed=trainer.seed,
+        seed=config.trainer.seed,
         version=__version__,
         stats=asdict(ds.stats(split.dataset)),
         chosen=chosen_dict,
     )
     manifest.write(run_dir)
-    eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
-    t0 = time.perf_counter()
-    result = train_loop(model.spec, model, tdata, trainer, eval_fn=eval_fn)
-    manifest.timings = {
-        "train_seconds": time.perf_counter() - t0,
-        "epochs": len(result.trace),
-    }
+    if chosen is None:
+        mdata = ModelData.from_split(split, store)
+        model = build_model(config.model, mdata, seed=config.trainer.seed)
+        eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
+        result = train_loop(model.spec, model, tr.TrainData.from_split(split),
+                            config.trainer, eval_fn=eval_fn)
+    manifest.timings = {"train_seconds": result.seconds,
+                        "epochs": len(result.trace)}
     manifest.write_timings(run_dir)
     with open(os.path.join(run_dir, "trace.tsv"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -424,8 +426,8 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
         mdata = ModelData.from_split(split, store)
         model = build_model(config.model, mdata, seed=config.trainer.seed)
         load_checkpoint(model, os.path.join(run_dir, "checkpoint"))
-    report, recs = ev.evaluate_model(model, split, part="test",
-                                     cutoffs=config.cutoffs, threads=threads)
+    report, (recs, scores) = ev.evaluate_model(
+        model, split, part="test", cutoffs=config.cutoffs, threads=threads)
     os.makedirs(run_dir, exist_ok=True)
     values = {f"{metric}@{k}": report.get(metric, k)
               for k in config.cutoffs for metric in ev.METRIC_ORDER}
@@ -442,8 +444,7 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
             for metric in ev.METRIC_ORDER:
                 fh.write(f"{metric}\t{k}\t{report.get(metric, k)!r}\n")
     ev.write_recommendations_tsv(
-        recs, os.path.join(run_dir, "recommendations.tsv"),
-        score_fn=model.score_users)
+        recs, os.path.join(run_dir, "recommendations.tsv"), scores)
     md, _ = render_report([(config.model.tag, report)], config.cutoffs)
     with open(os.path.join(run_dir, "report.md"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -451,17 +452,25 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
     return report
 
 
-def run_single(config: ExperimentConfig, threads=1, tune=True):
-    """prepare -> tune -> train best -> evaluate, one model."""
-    split, store = cmd_prepare(config)
+def _run_model(config: ExperimentConfig, split, store, threads, tune=True):
+    """tune -> write the winner (or train untuned) -> evaluate, one model.
+
+    The grid's winning model lives only until this returns, so the next
+    model's grid never runs beside it.
+    """
     run_dir = os.path.join(config.out_dir, config.model.tag)
     chosen = cmd_tune(config, split, store, threads=threads,
                       run_dir=run_dir) if tune else None
     model, _ = cmd_train(config, split, store, run_dir, chosen=chosen,
                          threads=threads)
-    report = cmd_evaluate(config, split, store, run_dir, model=model,
-                          threads=threads)
-    return report
+    return cmd_evaluate(config, split, store, run_dir, model=model,
+                        threads=threads)
+
+
+def run_single(config: ExperimentConfig, threads=1, tune=True):
+    """prepare -> tune -> checkpoint the winner -> evaluate, one model."""
+    split, store = cmd_prepare(config)
+    return _run_model(config, split, store, threads, tune=tune)
 
 
 def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
@@ -476,14 +485,7 @@ def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
     rows = []
     for tag in roster:
         run_cfg = replace(config, model=replace(config.model, tag=tag))
-        run_dir = os.path.join(config.out_dir, tag)
-        chosen = cmd_tune(run_cfg, split, store, threads=threads,
-                          run_dir=run_dir)
-        model, _ = cmd_train(run_cfg, split, store, run_dir, chosen=chosen,
-                             threads=threads)
-        report = cmd_evaluate(run_cfg, split, store, run_dir, model=model,
-                              threads=threads)
-        rows.append((tag, report))
+        rows.append((tag, _run_model(run_cfg, split, store, threads)))
     md, tsv = render_report(rows, config.cutoffs)
     with open(os.path.join(config.out_dir, "report.md"), "w",
               encoding="utf-8", newline="\n") as fh:

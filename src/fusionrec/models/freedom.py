@@ -74,10 +74,9 @@ class FREEDOM(RecommenderModel):
                     f"{len(self.data.modalities)} modalities"
                 )
             weights = dict(zip(self.data.modalities, cfg.modality_weights))
-        self.graph = lattice_build(self.data.features, cfg.knn_k, blend=1.0,
-                                   weights=weights)
-        self.item_graph = SparseMatrix.from_dense(self.graph.merged(),
-                                                  dtype=self.dtype)
+        graph = lattice_build(self.data.features, cfg.knn_k, blend=1.0,
+                              weights=weights)
+        self.item_graph = SparseMatrix.from_dense(graph.merged(), dtype=self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
                                             dtype=self.dtype)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)

@@ -62,11 +62,9 @@ class LATTICE(RecommenderModel):
             "gamma", "merge_logits", rng, (1, len(self.data.modalities)),
             scale=0.0,
         )
-        self.graph = lattice_build(self.data.features, cfg.knn_k, cfg.blend)
-        self.initial = {
-            m: constant(g, dtype=self.dtype)
-            for m, g in self.graph.matrices.items()
-        }
+        graph = lattice_build(self.data.features, cfg.knn_k, cfg.blend)
+        self.initial = {m: constant(g, dtype=self.dtype)
+                        for m, g in graph.matrices.items()}
         self.proj = {}
         self.feats = {}
         for m in self.data.modalities:

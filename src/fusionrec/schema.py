@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import training as tr
-from .tensor import NonFiniteError, Tape, Tensor, parameter
+from .tensor import NonFiniteError, Tape, Tensor, constant, parameter
 
 EARLY_OPS = ("concat", "sum", "mean", "weighted_sum")
 LATE_OPS = ("sum", "mean", "max", "weighted_sum")
@@ -286,9 +286,9 @@ class PipelineModel:
         self.n_users = n_users
         self.dtype = dtype
         self.modalities = list(spec.modalities)
-        self.feats = {m: np.asarray(feature_matrices[m], dtype=dtype)
+        self.feats = {m: constant(feature_matrices[m], dtype=dtype)
                       for m in self.modalities}
-        self.n_items = next(iter(self.feats.values())).shape[0]
+        self.n_items = next(iter(self.feats.values())).rows
         d = spec.representation.out_dim
         self.d = d
         rng = np.random.default_rng(seed)
@@ -300,14 +300,14 @@ class PipelineModel:
         self.user_emb = self._p.add("rho", "user_emb", parameter(
             rng.standard_normal((n_users, user_dim)) * scale, dtype=dtype))
         if isinstance(spec.representation, Joint):
-            total_dim = sum(self.feats[m].shape[1] for m in self.modalities)
+            total_dim = sum(self.feats[m].cols for m in self.modalities)
             self.joint_w = self._p.add("mu", "joint_proj", parameter(
                 rng.standard_normal((total_dim, d)) * scale, dtype=dtype))
         else:
             self.proj = {}
             for m in self.modalities:
                 self.proj[m] = self._p.add("mu", f"proj_{m}", parameter(
-                    rng.standard_normal((self.feats[m].shape[1], d)) * scale,
+                    rng.standard_normal((self.feats[m].cols, d)) * scale,
                     dtype=dtype))
         self.fuse_logits = None
         fus = spec.fusion
@@ -320,8 +320,7 @@ class PipelineModel:
         return self._p
 
     def _item_blocks(self, tape, items):
-        return [tape.row_gather(Tensor(self.feats[m], dtype=self.dtype), items)
-                for m in self.modalities]
+        return [tape.row_gather(self.feats[m], items) for m in self.modalities]
 
     def score_pairs(self, tape: Tape, users, items) -> Tensor:
         """Inner-product scores for aligned (user, item) index arrays."""
@@ -402,6 +401,7 @@ class TrainResult:
     params: ParameterSet
     trace: list
     evals: list  # (epoch, value) pairs, in order
+    seconds: float  # wall time of the whole loop
 
 
 def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
@@ -416,6 +416,7 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     batch named.
     """
     validate(spec)
+    start = time.perf_counter()
     rng = np.random.default_rng(trainer.seed)
     params = model.params()
     opt = tr.make_optimizer(trainer, params)
@@ -453,4 +454,4 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
                               time.perf_counter() - t0))
         if patience is not None and since_best >= patience:
             break
-    return TrainResult(params, trace, evals)
+    return TrainResult(params, trace, evals, time.perf_counter() - start)

@@ -600,8 +600,12 @@ class Tape:
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
         shape = a.shape
+        # a constant leaf's gradient reaches no parameter: skip it
+        needs_grad = a.requires_grad or a._tape is not None
 
         def bwd(g):
+            if not needs_grad:
+                return (None,)
             ones = np.ones(idx.size, dtype=g.dtype)
             scatter = scipy.sparse.csr_matrix((ones, (idx, np.arange(idx.size))),
                                               shape=(shape[0], idx.size))
@@ -639,6 +643,18 @@ class Tape:
             return (np.full(shape, g[0, 0], dtype=g.dtype),)
 
         return self._record("sum", out, (a,), bwd)
+
+    def sumsq(self, a: Tensor) -> Tensor:
+        """Sum of squared entries, (n, d) -> (1, 1)."""
+        self._check_operand(a)
+        ad = a.data
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.array([[(ad * ad).sum()]], dtype=ad.dtype)
+
+        def bwd(g):
+            return (ad * (2 * g),)
+
+        return self._record("sumsq", out, (a,), bwd)
 
     def mean(self, a: Tensor) -> Tensor:
         self._check_operand(a)

@@ -120,7 +120,7 @@ def l2_penalty(tape: Tape, params) -> Tensor:
     tensors = params.tensors() if hasattr(params, "tensors") else list(params)
     total = None
     for t in tensors:
-        sq = tape.sum(tape.mul(t, t))
+        sq = tape.sumsq(t)
         total = sq if total is None else tape.add(total, sq)
     if total is None:
         raise ValueError("no parameters to regularize")
@@ -167,12 +167,17 @@ class Adam:
         for k, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * (g * g)
-            m_hat = self.m[k] / (1 - b1 ** self.t)
-            v_hat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            g, m, v = p.grad, self.m[k], self.v[k]
+            # in place, but the float operations and their order are those of
+            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            step = m / (1 - b1 ** self.t)
+            step *= self.lr
+            step /= np.sqrt(v / (1 - b2 ** self.t)) + self.eps
+            p.data -= step
             if not np.isfinite(p.data).all():
                 raise TrainingDivergedError("parameter became non-finite after Adam step")
             p.zero_grad()
@@ -223,6 +228,8 @@ class GridResult:
     best_epoch: int
     best_value: float
     table: list  # (config_index, lr, reg, epoch, value)
+    model: object = None  # the winning configuration's model, fully trained
+    result: object = None  # its schema.TrainResult
 
 
 def grid_search(model_factory, grid: GridSpec, data: TrainData,
@@ -231,11 +238,15 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
 
     eval_fn(model) is called every trainer.eval_every epochs (and at the final
     epoch); the winner is the highest value, ties broken by lower config index
-    and then earlier epoch. Each config trains a freshly seeded model.
+    and then earlier epoch. Each config trains a freshly seeded model. The
+    winning config's model and TrainResult come back on the GridResult; a
+    losing model is dropped before the next one is built, so at most two
+    models are alive at once.
     """
     from .schema import train_loop
 
     best = None  # (value, idx, epoch, lr, reg)
+    winner = (None, None)  # (model, result) of best's config
     table = []
     for idx, (lr, reg) in enumerate(grid.points()):
         cfg = replace(trainer, lr=lr, reg=reg)
@@ -246,6 +257,10 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
             table.append((idx, lr, reg, epoch, value))
             if best is None or value > best[0]:
                 best = (value, idx, epoch, lr, reg)
+        if best is not None and best[1] == idx:
+            winner = (model, result)
+        del model, result
     value, idx, epoch, lr, reg = best
     return GridResult(lr=lr, reg=reg, config_index=idx, best_epoch=epoch,
-                      best_value=value, table=table)
+                      best_value=value, table=table, model=winner[0],
+                      result=winner[1])

@@ -129,7 +129,7 @@ ALL_OPS = (
     "matmul", "matmul_nt", "spmm", "spmm_weighted", "add", "sub", "mul",
     "div", "scale", "sigmoid", "softplus", "log", "exp", "relu",
     "leaky_relu", "maximum", "l2_normalize", "concat", "row_concat",
-    "row_gather", "dropout", "sum", "mean", "rowsum", "softmax",
+    "row_gather", "dropout", "sum", "sumsq", "mean", "rowsum", "softmax",
     "stop_gradient",
 )
 
@@ -168,7 +168,7 @@ def _every_primitive_loss(params, extras):
     for piece in (tape.mean(t18), tape.sum(tape.rowsum(t21)),
                   tape.sum(t19), tape.sum(t20), tape.sum(t22),
                   tape.sum(t6), tape.sum(t9), tape.sum(t10),
-                  tape.sum(t12), tape.sum(t23)):
+                  tape.sum(t12), tape.sum(t23), tape.sumsq(t14)):
         total = tape.add(total, piece)
     return tape, total
 

@@ -185,15 +185,20 @@ def test_topk_rows_matches_lexsort_oracle(seed, n_rows, n_cols, levels,
 
 
 def test_write_recommendations_scores_once_from_one_call(tmp_path):
+    # the ranking pass's single score_fn call supplies the score column
     rng = np.random.default_rng(4)
     scorer = CountingScorer(rng.standard_normal((5, 8)).astype(np.float32))
-    recs = {3: [1, 2], 0: [4], 1: [0, 7]}
+    recs, scores = E.rank_topk(scorer, [0, 1, 3], 2, {1: {4}}, 8,
+                               with_scores=True)
     path = tmp_path / "recommendations.tsv"
-    E.write_recommendations_tsv(recs, path, score_fn=scorer)
+    E.write_recommendations_tsv(recs, path, scores)
     assert len(scorer.calls) == 1
-    users, scores = scorer.calls[0]
+    users, matrix = scorer.calls[0]
     assert users == [0, 1, 3]
-    want = [f"{u}\t{i}\t{r}\t{float(scores[row, i]):.6f}"
+    for row, u in enumerate(users):
+        assert scores[u].dtype == matrix.dtype
+        np.testing.assert_array_equal(scores[u], matrix[row, recs[u]])
+    want = [f"{u}\t{i}\t{r}\t{float(matrix[row, i]):.6f}"
             for row, u in enumerate(users)
             for r, i in enumerate(recs[u], start=1)]
     assert path.read_text().splitlines() == want

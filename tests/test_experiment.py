@@ -374,6 +374,53 @@ def test_same_config_reproduces_artifact_bytes(corpus, tmp_path):
         assert first[name] == second[name], name
 
 
+def test_benchmark_trains_each_grid_point_once_and_keeps_the_winner(
+        corpus, tmp_path, monkeypatch):
+    """cmd_benchmark checkpoints the winning grid run instead of retraining.
+
+    Every train_loop call is recorded with the parameters it left behind;
+    the checkpoint and trace.tsv must be those of the winner's grid run.
+    """
+    from fusionrec import schema
+
+    runs = []
+    real = schema.train_loop
+
+    def recording(spec, model, data, trainer, **kwargs):
+        result = real(spec, model, data, trainer, **kwargs)
+        params = {n: t.data.copy() for n, t in model.params().named().items()}
+        runs.append((model.tag, params, result))
+        return result
+
+    monkeypatch.setattr(schema, "train_loop", recording)
+    monkeypatch.setattr(ex, "train_loop", recording)
+    roster = ("vbpr", "freedom")
+    config = base_config(corpus, str(tmp_path / "out"), grid_lrs=(0.05, 0.01))
+    ex.cmd_benchmark(config, models=roster)
+    n_points = len(config.grid_lrs) * len(config.grid_regs)
+    assert [tag for tag, _, _ in runs] == [t for t in roster for _ in range(n_points)]
+    for m, tag in enumerate(roster):
+        run_dir = os.path.join(config.out_dir, tag)
+        with open(os.path.join(run_dir, "tune.json"), encoding="utf-8") as fh:
+            tune = json.load(fh)
+        idx = tune["best"]["config_index"]
+        # the winner is not the last point trained, so writing whatever model
+        # trained last would fail below
+        assert idx < n_points - 1
+        _, params, result = runs[m * n_points + idx]
+        for name, data in params.items():
+            with open(os.path.join(run_dir, "checkpoint", f"{name}.bin"), "rb") as fh:
+                assert fh.read() == data.astype("<f4").tobytes(), (tag, name)
+        with open(os.path.join(run_dir, "trace.tsv"), encoding="utf-8") as fh:
+            rows = [line.split("\t") for line in fh.read().splitlines()[1:]]
+        tuned = [r for r in tune["table"] if r["config_index"] == idx]
+        assert [int(r[0]) for r in rows] == [r["epoch"] for r in tuned]
+        assert [r[2] for r in rows] == [f"{r['value']:.6f}" for r in tuned]
+        assert [r[1] for r in rows] == [f"{row.loss:.6f}" for row in result.trace]
+        with open(os.path.join(run_dir, "timings.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["train_seconds"] == result.seconds
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_cli_prepare_and_report_succeed(corpus, tmp_path, capsys):

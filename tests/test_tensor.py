@@ -215,6 +215,17 @@ def test_matmul_skips_gradients_of_constant_leaves():
     assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
 
 
+def test_row_gather_skips_gradients_of_constant_leaves():
+    t = T.Tape()
+    w = p64(np.arange(8.0).reshape(4, 2))
+    t.row_gather(T.constant(np.ones((4, 3)), dtype=np.float64), [0, 2, 2])
+    t.row_gather(w, [0, 2, 2])
+    (g_const,) = t._nodes[0].bwd(np.ones((3, 3)))
+    (g_w,) = t._nodes[1].bwd(np.ones((3, 2)))
+    assert g_const is None
+    np.testing.assert_array_equal(g_w, [[1, 1], [0, 0], [2, 2], [0, 0]])
+
+
 def test_stale_tensor_after_reset_rejected():
     t = T.Tape()
     x = p64([[1.0]])

@@ -60,6 +60,28 @@ def test_l2_penalty_value():
     assert TR.l2_penalty(t, [p]).item() == pytest.approx(30.0)
 
 
+def test_l2_penalty_matches_sum_of_products_bitwise():
+    # sumsq must give the value and gradient of sum(mul(t, t)) exactly when,
+    # as in total_loss, the penalty is recorded after the task loss
+    rng = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        p = parameter(rng.normal(size=(7, 5)), dtype=dtype)
+        q = parameter(rng.normal(size=(1, 5)), dtype=dtype)
+        grads = []
+        for penalty in (lambda t: TR.l2_penalty(t, [p, q]),
+                        lambda t: t.add(t.sum(t.mul(p, p)), t.sum(t.mul(q, q)))):
+            p.zero_grad()
+            q.zero_grad()
+            t = Tape()
+            task = t.mean(t.mul(p, t.row_gather(q, [0] * 7)))
+            loss = t.add(task, t.scale(penalty(t), 0.37))
+            t.backward(loss)
+            grads.append((loss.data.copy(), p.grad, q.grad))
+        for new, old in zip(*grads):
+            assert new.dtype == old.dtype == dtype
+            np.testing.assert_array_equal(new, old)
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_triples_respects_train_sets():
@@ -132,6 +154,41 @@ def test_adam_first_step_magnitude():
         TR.Adam(PS(), lr=0.01).step()
         assert abs(p.data[0, 0]) == pytest.approx(0.01, rel=1e-3)
         assert np.sign(-p.data[0, 0]) == np.sign(g)
+
+
+def test_adam_in_place_update_matches_reference_formula():
+    # reference: the out-of-place update, m = b1*m + (1-b1)*g and so on
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(11)
+        params = [parameter(rng.normal(size=(6, 4)), dtype=dtype),
+                  parameter(rng.normal(size=(1, 3)), dtype=dtype)]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+
+        class PS:
+            def tensors(self):
+                return params
+
+        opt = TR.Adam(PS(), lr=lr)
+        for step in range(1, 9):
+            for k, p in enumerate(params):
+                if step == 4 and k == 1:
+                    continue  # a tensor without a gradient keeps its state
+                g = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+                p.grad = g
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * (g * g)
+                m_hat = m[k] / (1 - b1 ** step)
+                v_hat = v[k] / (1 - b2 ** step)
+                ref[k] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
+            opt.step()
+            for k, p in enumerate(params):
+                assert p.data.dtype == dtype
+                np.testing.assert_array_equal(p.data, ref[k])
+                np.testing.assert_array_equal(opt.m[k], m[k])
+                np.testing.assert_array_equal(opt.v[k], v[k])
 
 
 def test_adam_state_persists():
