@@ -210,12 +210,31 @@ def lightgcn_propagate(tape: Tape, hop, h0: Tensor, layers: int) -> Tensor:
     return tape.scale(acc, 1.0 / (layers + 1))
 
 
-def gather_pair_scores(tape: Tape, users_rep: Tensor, items_rep: Tensor,
-                       users, items) -> Tensor:
-    """Inner products of matched (user, item) representation rows."""
+def batch_rows(batch):
+    """The batch's unique users and items, and each triple's row in them.
+
+    Returns (users, items, user_at, pos_at, neg_at): users[user_at] is
+    batch.users, items[pos_at] is batch.pos and items[neg_at] is batch.neg.
+    """
+    users, user_at = np.unique(batch.users, return_inverse=True)
+    items, item_at = np.unique(np.concatenate([batch.pos, batch.neg]),
+                               return_inverse=True)
+    n = len(batch)
+    return users, items, user_at, item_at[:n], item_at[n:]
+
+
+def bpr_on_rows(tape: Tape, users_rep: Tensor, items_rep: Tensor,
+                users, pos, neg) -> Tensor:
+    """BPR over triples given as row indices into the representations.
+
+    A triple's score is the inner product of its user row and item row.
+    """
     u = tape.row_gather(users_rep, users)
-    v = tape.row_gather(items_rep, items)
-    return tape.rowsum(tape.mul(u, v))
+
+    def scores(items):
+        return tape.rowsum(tape.mul(u, tape.row_gather(items_rep, items)))
+
+    return tr.bpr_loss(tape, scores(pos), scores(neg))
 
 
 # ------------------------------------------------------------- model base
@@ -271,11 +290,8 @@ class RecommenderModel:
 
     def loss(self, tape: Tape, batch, rng) -> Tensor:
         users_rep, items_rep = self._representations(tape, train=True)
-        pos = gather_pair_scores(tape, users_rep, items_rep,
-                                 batch.users, batch.pos)
-        neg = gather_pair_scores(tape, users_rep, items_rep,
-                                 batch.users, batch.neg)
-        return tr.bpr_loss(tape, pos, neg)
+        return bpr_on_rows(tape, users_rep, items_rep,
+                           batch.users, batch.pos, batch.neg)
 
     def score_users(self, users) -> np.ndarray:
         """Dense score block (len(users), n_items), gradient-free."""

@@ -113,9 +113,8 @@ class BM3(RecommenderModel):
         rec = self._align(tape, u_online, i_target)
         inter, intra = None, None
         for m in self.data.modalities:
-            f_rows = constant(self.data.features[m][batch.pos],
-                              dtype=self.dtype)
-            h = tape.matmul(f_rows, self.proj[m])
+            h = tape.matmul(tape.row_gather(self.feats[m], batch.pos),
+                            self.proj[m])
             m_online = self._online(tape, h, m, rng)
             m_target = self._target(h.data, m, rng)
             inter_m = self._align(tape, m_online, i_target)

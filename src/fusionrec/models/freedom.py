@@ -22,8 +22,9 @@ from ..tensor import SparseMatrix, constant
 from .. import training as tr
 from .base import (
     RecommenderModel,
+    batch_rows,
     bipartite_adjacency,
-    gather_pair_scores,
+    bpr_on_rows,
     lightgcn_propagate,
 )
 from .lattice import lattice_build
@@ -112,21 +113,22 @@ class FREEDOM(RecommenderModel):
 
     def loss(self, tape, batch, rng):
         users_rep, items_rep = self._representations(tape, train=True)
-        pos = gather_pair_scores(tape, users_rep, items_rep,
-                                 batch.users, batch.pos)
-        neg = gather_pair_scores(tape, users_rep, items_rep,
-                                 batch.users, batch.neg)
-        total = tr.bpr_loss(tape, pos, neg)
+        total = bpr_on_rows(tape, users_rep, items_rep,
+                            batch.users, batch.pos, batch.neg)
         if self.config.mm_weight == 0.0:
             return total
         u_rows = tape.row_gather(users_rep, batch.users)
+        # a projected item row depends on that item's features alone, so
+        # only the batch's items are projected
+        _, items, _, pos_at, neg_at = batch_rows(batch)
         mm = None
         for m in self.data.modalities:
-            item_mm = tape.matmul(self.feats[m], self.proj[m])
+            item_mm = tape.matmul(tape.row_gather(self.feats[m], items),
+                                  self.proj[m])
             pos_mm = tape.rowsum(tape.mul(
-                u_rows, tape.row_gather(item_mm, batch.pos)))
+                u_rows, tape.row_gather(item_mm, pos_at)))
             neg_mm = tape.rowsum(tape.mul(
-                u_rows, tape.row_gather(item_mm, batch.neg)))
+                u_rows, tape.row_gather(item_mm, neg_at)))
             term = tr.bpr_loss(tape, pos_mm, neg_mm)
             mm = term if mm is None else tape.add(mm, term)
         scale = self.config.mm_weight / len(self.data.modalities)

@@ -52,21 +52,30 @@ class GRCN(RecommenderModel):
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
             self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
 
-    def _edge_gate(self, tape):
+    def _project(self, tape):
+        """Modality -> projected item features, (n_items, d)."""
+        return {m: tape.matmul(self.feats[m], self.proj[m])
+                for m in self.data.modalities}
+
+    def _edge_gate(self, tape, item_proj):
         """Per train pair, max over modalities of relu(cosine affinity)."""
         pairs = self.data.pairs
         gate = None
         for m in self.data.modalities:
-            item_proj = tape.matmul(self.feats[m], self.proj[m])
             q = tape.row_gather(self.pref[m], pairs[:, 0])
-            f = tape.row_gather(item_proj, pairs[:, 1])
+            f = tape.row_gather(item_proj[m], pairs[:, 1])
             g = tape.relu(tape.cosine_similarity(q, f))
             gate = g if gate is None else tape.maximum(gate, g)
         return gate
 
-    def refined_edge_values(self, tape):
-        """Gated sym-normalized edge values, one per stored structure entry."""
-        gate = self._edge_gate(tape)
+    def refined_edge_values(self, tape, item_proj=None):
+        """Gated sym-normalized edge values, one per stored structure entry.
+
+        `item_proj` is _project(tape)'s result, computed here when omitted.
+        """
+        if item_proj is None:
+            item_proj = self._project(tape)
+        gate = self._edge_gate(tape, item_proj)
         self._warn_fully_pruned(gate.data)
         per_entry = tape.row_gather(gate, self.entry_pair)
         return tape.mul(per_entry, self.base_vals)
@@ -83,7 +92,8 @@ class GRCN(RecommenderModel):
             )
 
     def _representations(self, tape, train):
-        vals = self.refined_edge_values(tape)
+        item_proj = self._project(tape)
+        vals = self.refined_edge_values(tape, item_proj)
         layers = self.config.layers
         n_u, n_i = self.data.n_users, self.data.n_items
 
@@ -92,9 +102,7 @@ class GRCN(RecommenderModel):
 
         outs = [lightgcn_propagate(tape, hop, self.id_emb, layers)]
         for m in self.data.modalities:
-            h0 = tape.row_concat([
-                self.pref[m], tape.matmul(self.feats[m], self.proj[m])
-            ])
+            h0 = tape.row_concat([self.pref[m], item_proj[m]])
             outs.append(lightgcn_propagate(tape, hop, h0, layers))
         final = outs[0] if len(outs) == 1 else tape.concat(outs)
         users = tape.row_gather(final, np.arange(n_u))

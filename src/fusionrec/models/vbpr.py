@@ -12,7 +12,7 @@ import numpy as np
 
 from ..schema import Coordinate, Late, PipelineSpec
 from ..tensor import constant
-from .base import RecommenderModel
+from .base import RecommenderModel, batch_rows, bpr_on_rows
 
 
 class VBPR(RecommenderModel):
@@ -43,15 +43,31 @@ class VBPR(RecommenderModel):
                                          scale=0.0)
 
     def _representations(self, tape, train):
-        u_parts = [self.user_emb]
-        i_parts = [self.item_emb]
+        return self._rows(tape, None, None)
+
+    def _rows(self, tape, users, items):
+        """Representation rows of `users` and `items`; None selects all rows.
+
+        Each item row projects only that item's features, so a batch pays
+        for the rows it reads.
+        """
+        def pick(t, idx):
+            return t if idx is None else tape.row_gather(t, idx)
+
+        u_parts = [pick(self.user_emb, users)]
+        i_parts = [pick(self.item_emb, items)]
         for m in self.data.modalities:
-            u_parts.append(self.mod_user[m])
-            i_parts.append(tape.matmul(self.feats[m], self.proj[m]))
+            u_parts.append(pick(self.mod_user[m], users))
+            i_parts.append(tape.matmul(pick(self.feats[m], items), self.proj[m]))
         if self.config.with_bias:
-            ones = constant(np.ones((self.data.n_users, 1)), dtype=self.dtype)
-            u_parts.append(ones)
-            i_parts.append(self.item_bias)
+            n = self.data.n_users if users is None else len(users)
+            u_parts.append(constant(np.ones((n, 1)), dtype=self.dtype))
+            i_parts.append(pick(self.item_bias, items))
         if len(u_parts) == 1:
             return u_parts[0], i_parts[0]
         return tape.concat(u_parts), tape.concat(i_parts)
+
+    def loss(self, tape, batch, rng):
+        users, items, u_at, pos_at, neg_at = batch_rows(batch)
+        users_rep, items_rep = self._rows(tape, users, items)
+        return bpr_on_rows(tape, users_rep, items_rep, u_at, pos_at, neg_at)

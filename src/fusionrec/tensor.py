@@ -5,6 +5,13 @@ float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises immediately instead of letting the value propagate.
 
+Gradients go only where they can reach a parameter. A leaf needs a gradient
+when it has requires_grad; a tape result needs one when any of its inputs
+does, except stop_gradient's, which needs none. matmul, matmul_nt and
+row_gather compute no gradient for an operand that needs none, and backward
+skips the nodes whose output needs none, so a product of constants, such as
+a gathered block of a constant feature matrix, costs nothing in backward.
+
 Every sparse product and every scatter is one CSR product: spmm and
 spmm_weighted run on a SparseMatrix's cached CSR views in both directions,
 and row_gather's backward on a CSR of its indices. Each output row adds its
@@ -43,7 +50,7 @@ class Tensor:
     requires_grad=True; call zero_grad() between optimizer steps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_gen")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_gen", "_needs")
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
         self.data = _as_2d(data, dtype)
@@ -51,6 +58,12 @@ class Tensor:
         self.grad = None
         self._tape = None
         self._gen = -1
+        self._needs = False  # set on tape results: some input needs a gradient
+
+    @property
+    def needs_grad(self):
+        """Whether a gradient of this tensor can reach a requires_grad leaf."""
+        return self.requires_grad or self._needs
 
     @property
     def shape(self):
@@ -262,6 +275,7 @@ class Tape:
         out.grad = None
         out._tape = self
         out._gen = self._gen
+        out._needs = any(t.needs_grad for t in inputs)
         self._nodes.append(_Node(name, inputs, out, bwd))
         return out
 
@@ -291,11 +305,11 @@ class Tape:
         grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype))}
         for node in reversed(self._nodes):
             entry = grads.pop(id(node.out), None)
-            if entry is None:
+            if entry is None or not node.out._needs:
                 continue
             gs = node.bwd(entry[1])
             for t, g in zip(node.inputs, gs):
-                if g is None:
+                if g is None or not t.needs_grad:
                     continue
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"backward of {node.name} produced non-finite values")
@@ -319,8 +333,7 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data
         ad, bd = a.data, b.data
-        # a constant leaf's gradient reaches no parameter: skip it
-        ga, gb = (t.requires_grad or t._tape is not None for t in (a, b))
+        ga, gb = a.needs_grad, b.needs_grad
 
         def bwd(g):
             return (g @ bd.T if ga else None), (ad.T @ g if gb else None)
@@ -567,7 +580,7 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
-        ga, gb = (t.requires_grad or t._tape is not None for t in (a, b))
+        ga, gb = a.needs_grad, b.needs_grad
 
         def bwd(g):
             return (g @ bd if ga else None), (g.T @ ad if gb else None)
@@ -600,8 +613,7 @@ class Tape:
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
         shape = a.shape
-        # a constant leaf's gradient reaches no parameter: skip it
-        needs_grad = a.requires_grad or a._tape is not None
+        needs_grad = a.needs_grad
 
         def bwd(g):
             if not needs_grad:
@@ -692,14 +704,9 @@ class Tape:
         return self._record("softmax", out, (a,), bwd)
 
     def stop_gradient(self, a: Tensor) -> Tensor:
-        """Identity forward; blocks all gradient flow."""
+        """Identity forward; blocks all gradient flow: the result has no inputs."""
         self._check_operand(a)
-        out = a.data.copy()
-
-        def bwd(g):
-            return (None,)
-
-        return self._record("stop_gradient", out, (a,), bwd)
+        return self._record("stop_gradient", a.data.copy(), (), None)
 
     def cosine_similarity(self, a: Tensor, b: Tensor) -> Tensor:
         """Row-wise cosine, shape (n, d) x (n, d) -> (n, 1).

@@ -8,8 +8,7 @@ never as decay on the update).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,34 +33,47 @@ class TripleBatch:
 
 @dataclass
 class TrainData:
-    """Sampling view of a train split."""
+    """Sampling view of a train split: one CSR interaction index.
+
+    User u's distinct train items are indices[indptr[u]:indptr[u + 1]],
+    sorted ascending; `keys` holds every distinct pair as the sorted code
+    user * n_items + item, for membership tests by binary search.
+    """
 
     n_users: int
     n_items: int
     pairs: np.ndarray  # (n, 2) int64
-    user_pos: dict = field(default_factory=dict)  # user -> sorted id list
-    user_pos_sets: dict = field(default_factory=dict)
-    eligible: np.ndarray = None  # users with >=1 positive and >=1 negative
+    indptr: np.ndarray  # (n_users + 1,) int64
+    indices: np.ndarray  # (n_distinct,) int64 item ids
+    keys: np.ndarray  # (n_distinct,) int64, sorted
+    eligible: np.ndarray  # users with >=1 positive and >=1 negative
 
     @classmethod
     def from_pairs(cls, n_users, n_items, pairs):
-        pos = defaultdict(set)
-        for u, i in pairs:
-            pos[int(u)].add(int(i))
-        user_pos = {u: sorted(s) for u, s in pos.items()}
-        eligible = np.array(
-            sorted(u for u, s in pos.items() if 0 < len(s) < n_items),
-            dtype=np.int64,
-        )
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs[:, 0].max() >= n_users
+                           or pairs[:, 1].max() >= n_items):
+            raise ValueError("pair id out of range")
+        keys = np.unique(pairs[:, 0] * n_items + pairs[:, 1])
+        counts = np.bincount(keys // n_items, minlength=n_users)
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        eligible = np.flatnonzero((counts > 0) & (counts < n_items))
         if eligible.size == 0:
             raise ValueError("no user has both a positive and a negative item")
-        return cls(n_users, n_items, np.asarray(pairs, dtype=np.int64),
-                   user_pos, {u: set(s) for u, s in user_pos.items()}, eligible)
+        return cls(n_users, n_items, pairs, indptr, keys % n_items, keys,
+                   eligible.astype(np.int64))
 
     @classmethod
     def from_split(cls, split):
         return cls.from_pairs(split.dataset.n_users, split.dataset.n_items,
                               split.train)
+
+    def contains(self, users, items):
+        """Elementwise: is (users[k], items[k]) a train pair?"""
+        code = users * self.n_items + items
+        at = np.minimum(np.searchsorted(self.keys, code), self.keys.size - 1)
+        return self.keys[at] == code
 
 
 @dataclass
@@ -92,21 +104,17 @@ def sample_triples(data: TrainData, batch_size: int, rng) -> TripleBatch:
 
     Users come uniformly from those with at least one positive and one
     non-interacted item; the positive is uniform over the user's train items;
-    the negative is drawn uniformly over the catalog with rejection against
-    the user's train set.
+    the negative is drawn uniformly over the catalog, and the triples whose
+    draw hit a train item draw again, round by round, until none is left.
     """
     users = data.eligible[rng.integers(0, data.eligible.size, size=batch_size)]
-    pos = np.empty(batch_size, dtype=np.int64)
-    neg = np.empty(batch_size, dtype=np.int64)
-    for k, u in enumerate(users):
-        items = data.user_pos[int(u)]
-        pos[k] = items[rng.integers(0, len(items))]
-        taken = data.user_pos_sets[int(u)]
-        while True:
-            j = int(rng.integers(0, data.n_items))
-            if j not in taken:
-                neg[k] = j
-                break
+    start = data.indptr[users]
+    pos = data.indices[start + rng.integers(0, data.indptr[users + 1] - start)]
+    neg = rng.integers(0, data.n_items, size=batch_size)
+    redraw = np.flatnonzero(data.contains(users, neg))
+    while redraw.size:
+        neg[redraw] = rng.integers(0, data.n_items, size=redraw.size)
+        redraw = redraw[data.contains(users[redraw], neg[redraw])]
     return TripleBatch(users, pos, neg)
 
 
@@ -245,6 +253,11 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
     """
     from .schema import train_loop
 
+    if trainer.eval_every < 1:
+        raise ValueError(
+            f"grid_search selects by evaluation, so eval_every must be >= 1, "
+            f"got {trainer.eval_every}"
+        )
     best = None  # (value, idx, epoch, lr, reg)
     winner = (None, None)  # (model, result) of best's config
     table = []

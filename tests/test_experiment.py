@@ -439,6 +439,21 @@ def test_cli_prepare_and_report_succeed(corpus, tmp_path, capsys):
         assert fh.read().startswith("| Model |")
 
 
+def test_tuning_without_evaluations_fails_before_training(corpus, tmp_path,
+                                                           monkeypatch):
+    from fusionrec import schema
+
+    trained = []
+    monkeypatch.setattr(schema, "train_loop",
+                        lambda *args, **kwargs: trained.append(args))
+    config = base_config(corpus, str(tmp_path / "out"),
+                         trainer=tr.TrainerConfig(epochs=1, batch_size=32,
+                                                  eval_every=0))
+    with pytest.raises(ValueError, match="eval_every"):
+        ex.run_single(config)
+    assert trained == []
+
+
 def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.ini"), "prepare"]) == 1
     assert main(["prepare"]) == 1          # --config required

@@ -257,7 +257,7 @@ def test_grcn_gate_of_one_matches_unrefined_propagation():
     cfg = ModelConfig(tag="grcn", embedding_dim=4, layers=2)
     model = GRCN(cfg, data, seed=4, dtype=np.float64)
     n_pairs = data.pairs.shape[0]
-    model._edge_gate = lambda tape: T.constant(
+    model._edge_gate = lambda tape, item_proj: T.constant(
         np.ones((n_pairs, 1)), dtype=np.float64)
     got = model.score_users(range(data.n_users))
 
@@ -279,6 +279,14 @@ def test_grcn_gate_of_one_matches_unrefined_propagation():
     final = np.hstack(blocks)
     want = final[:data.n_users] @ final[data.n_users:].T
     np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_grcn_projects_each_modality_once_per_pass():
+    data = small_data()
+    model = GRCN(ModelConfig(tag="grcn", embedding_dim=4, layers=2), data, seed=4)
+    tape = T.Tape()
+    model._representations(tape, train=True)
+    assert tape.op_names.count("matmul") == len(data.modalities)
 
 
 # ------------------------------------------------------------------- lattice
@@ -457,6 +465,72 @@ def test_freedom_item_graph_is_frozen_row_stochastic():
     merged = graph.merged()
     sums = merged.sum(axis=1)
     assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()
+
+
+# -------------------------------------------------------- batch-local losses
+
+def full_catalog_loss(model, tape, batch, rng):
+    """The training loss from full representations and full projections."""
+    from fusionrec.models import RecommenderModel
+
+    total = RecommenderModel.loss(model, tape, batch, rng)
+    if model.tag != "freedom":
+        return total
+    users_rep, _ = model._representations(tape, train=True)
+    u_rows = tape.row_gather(users_rep, batch.users)
+    mm = None
+    for m in model.data.modalities:
+        item_mm = tape.matmul(model.feats[m], model.proj[m])
+        pos_mm = tape.rowsum(tape.mul(u_rows, tape.row_gather(item_mm, batch.pos)))
+        neg_mm = tape.rowsum(tape.mul(u_rows, tape.row_gather(item_mm, batch.neg)))
+        term = tr.bpr_loss(tape, pos_mm, neg_mm)
+        mm = term if mm is None else tape.add(mm, term)
+    return tape.add(total, tape.scale(mm, model.config.mm_weight
+                                      / len(model.data.modalities)))
+
+
+@pytest.mark.parametrize("tag,with_bias", [("vbpr", False), ("vbpr", True),
+                                           ("freedom", False)])
+@pytest.mark.parametrize("dtype,grad_rtol", [(np.float64, 1e-12),
+                                             (np.float32, 1e-5)])
+def test_batch_local_loss_matches_full_catalog_formula(tag, with_bias, dtype,
+                                                       grad_rtol):
+    rng = np.random.default_rng(61)
+    n_users, n_items = 20, 40
+    pairs = [(u, int(i)) for u in range(n_users)
+             for i in rng.choice(n_items, size=6, replace=False)]
+    feats = {"visual": rng.normal(size=(n_items, 64)),
+             "textual": rng.normal(size=(n_items, 24))}
+    data = ModelData(n_users, n_items, np.array(pairs), feats)
+    cfg = ModelConfig(tag=tag, embedding_dim=8, knn_k=3, with_bias=with_bias)
+    model = build_model(cfg, data, seed=5, dtype=dtype)
+    if with_bias:
+        model.item_bias.data[:] = rng.normal(size=(n_items, 1))
+    if tag == "freedom":
+        model.on_epoch_start(np.random.default_rng(2), 1)
+    batch = fixed_batch(data, size=32, seed=4)
+    # the batch repeats users and items and leaves some of each out
+    assert len(np.unique(batch.users)) < min(len(batch), n_users)
+    assert len(np.unique(np.concatenate([batch.pos, batch.neg]))) < n_items
+    runs = []
+    for loss_fn in (model.loss, lambda *a: full_catalog_loss(model, *a)):
+        model.zero_grads()
+        tape = T.Tape()
+        loss = loss_fn(tape, batch, np.random.default_rng(0))
+        tape.backward(loss)
+        runs.append((loss.data, [t.grad for t in model.tensors()]))
+    (local, local_grads), (full, full_grads) = runs
+    if dtype == np.float32:
+        np.testing.assert_array_equal(local, full)
+    else:
+        np.testing.assert_allclose(local, full, rtol=1e-12)
+    # summation order differs, and an entry that sums cancelling terms keeps
+    # the terms' rounding: the tolerance is relative to each gradient's scale
+    for name, got, want in zip(model.params().named(), local_grads, full_grads):
+        assert got is not None and want is not None, name
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=grad_rtol,
+                                   atol=grad_rtol * scale, err_msg=name)
 
 
 # ---------------------------------------------------------- gradient checks

@@ -213,6 +213,31 @@ def test_matmul_skips_gradients_of_constant_leaves():
     g_h, g_const_nt = t._nodes[1].bwd(np.ones((3, 5)))
     assert g_const is None and g_const_nt is None
     assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
+    # tape results built only from constants, and stop_gradient's output,
+    # need no gradient either
+    gathered = t.row_gather(T.constant(np.ones((6, 4)), dtype=np.float64), [5, 0, 5])
+    stopped = t.stop_gradient(h)
+    assert not gathered.needs_grad and not stopped.needs_grad and h.needs_grad
+    t.matmul(gathered, w)
+    t.matmul_nt(stopped, h)
+    g_gathered, g_w = t._nodes[-2].bwd(np.ones((3, 2)))
+    g_stopped, g_h = t._nodes[-1].bwd(np.ones((3, 3)))
+    assert g_gathered is None and g_stopped is None
+    assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
+
+
+def test_backward_skips_nodes_that_need_no_gradient():
+    t = T.Tape()
+    w = p64(np.ones((4, 2)))
+    replayed = []
+    const = t.exp(T.constant(np.ones((3, 4)), dtype=np.float64))
+    node = t._nodes[-1]
+    bwd = node.bwd
+    node.bwd = lambda g: replayed.append(node.name) or bwd(g)
+    loss = t.sum(t.matmul(const, w))
+    t.backward(loss)
+    assert replayed == []
+    np.testing.assert_allclose(w.grad, np.full((4, 2), 3 * np.e))
 
 
 def test_row_gather_skips_gradients_of_constant_leaves():

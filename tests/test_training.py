@@ -88,9 +88,25 @@ def test_sample_triples_respects_train_sets():
     data = make_data()
     rng = np.random.default_rng(5)
     batch = TR.sample_triples(data, 500, rng)
+    train = set(map(tuple, data.pairs.tolist()))
     for u, p, n in zip(batch.users, batch.pos, batch.neg):
-        assert int(p) in data.user_pos_sets[int(u)]
-        assert int(n) not in data.user_pos_sets[int(u)]
+        assert (int(u), int(p)) in train
+        assert (int(u), int(n)) not in train
+
+
+def test_interaction_index_matches_pair_sets():
+    data = make_data()
+    pairs = np.vstack([data.pairs, data.pairs[:3]])  # duplicates collapse
+    index = TR.TrainData.from_pairs(data.n_users, data.n_items, pairs)
+    for u in range(data.n_users):
+        want = sorted({int(i) for v, i in pairs if v == u})
+        got = index.indices[index.indptr[u]:index.indptr[u + 1]]
+        assert got.tolist() == want
+    users = np.repeat(np.arange(data.n_users), data.n_items)
+    items = np.tile(np.arange(data.n_items), data.n_users)
+    train = set(map(tuple, pairs.tolist()))
+    assert index.contains(users, items).tolist() == [
+        (int(u), int(i)) in train for u, i in zip(users, items)]
 
 
 def test_sample_triples_deterministic():
@@ -116,6 +132,28 @@ def test_negative_sampling_uniform_chi_square():
     assert counts[:2].sum() == 0
     chi2, p_value = scipy_stats.chisquare(candidates)
     assert p_value > 0.001
+
+
+def test_positive_sampling_uniform_chi_square():
+    # one user with six of twelve items: positive counts pass chi-square
+    positives = [1, 3, 4, 7, 10, 11]
+    data = TR.TrainData.from_pairs(1, 12, np.array([(0, i) for i in positives]))
+    batch = TR.sample_triples(data, 10_000, np.random.default_rng(321))
+    counts = np.bincount(batch.pos, minlength=12)
+    assert counts[positives].sum() == 10_000
+    chi2, p_value = scipy_stats.chisquare(counts[positives])
+    assert p_value > 0.001
+
+
+def test_negative_rejection_converges_with_one_candidate():
+    # user 0 has every item but one: every negative must be that item
+    n_items = 40
+    pairs = [(0, i) for i in range(n_items) if i != 17] + [(1, 0)]
+    data = TR.TrainData.from_pairs(2, n_items, np.array(pairs))
+    batch = TR.sample_triples(data, 2_000, np.random.default_rng(8))
+    assert (batch.users == 0).sum() > 500
+    assert (batch.neg[batch.users == 0] == 17).all()
+    assert (batch.neg[batch.users == 1] != 0).all()
 
 
 def test_all_items_interacted_user_excluded():
