@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +53,75 @@ class Dataset:
         return int(self.interactions.shape[0])
 
 
+@dataclass(eq=False)
+class InteractionIndex:
+    """Per-user item sets of one interaction part, as one CSR index.
+
+    User u's distinct items are indices[indptr[u]:indptr[u + 1]], sorted
+    ascending; `keys` holds every distinct pair as the sorted code
+    user * n_items + item, for membership tests by binary search. Read as a
+    mapping, it holds the users that have items, ascending, each with the
+    set of its items.
+    """
+
+    n_users: int
+    n_items: int
+    indptr: np.ndarray  # (n_users + 1,) int64
+    indices: np.ndarray  # (n_distinct,) int64 item ids
+    keys: np.ndarray  # (n_distinct,) int64, sorted
+
+    @classmethod
+    def from_pairs(cls, n_users, n_items, pairs):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs[:, 0].max() >= n_users
+                           or pairs[:, 1].max() >= n_items):
+            raise ValueError("pair id out of range")
+        keys = np.unique(pairs[:, 0] * n_items + pairs[:, 1])
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n_items, minlength=n_users), out=indptr[1:])
+        return cls(n_users, n_items, indptr, keys % n_items, keys)
+
+    @property
+    def degrees(self):
+        return np.diff(self.indptr)
+
+    def contains(self, users, items):
+        """Elementwise: is (users[k], items[k]) a pair of the index?"""
+        code = users * self.n_items + items
+        if not self.keys.size:
+            return np.zeros(np.shape(code), dtype=bool)
+        at = np.minimum(np.searchsorted(self.keys, code), self.keys.size - 1)
+        return self.keys[at] == code
+
+    def items_of(self, users):
+        """(rows, items): every item of users[r], paired with its row r."""
+        start, count = self.indptr[users], self.degrees[users]
+        rows = np.repeat(np.arange(len(users)), count)
+        at = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count),
+                                              count)
+        return rows, self.indices[at]
+
+    def __getitem__(self, user):
+        if user not in self:
+            raise KeyError(user)
+        return set(self.indices[self.indptr[user]:self.indptr[user + 1]].tolist())
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.degrees).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.degrees))
+
+    def __contains__(self, user):
+        return 0 <= user < self.n_users and self.indptr[user] < self.indptr[user + 1]
+
+    def get(self, user, default=None):
+        return self[user] if user in self else default
+
+    def items(self):
+        return ((u, self[u]) for u in self)
+
+
 @dataclass
 class Split:
     """Disjoint train/validation/test interaction sets over one Dataset."""
@@ -66,11 +134,10 @@ class Split:
     train_ratio: float = 0.8
 
     def user_positives(self, part="train"):
-        pairs = getattr(self, part)
-        pos = defaultdict(set)
-        for u, i in pairs:
-            pos[int(u)].add(int(i))
-        return pos
+        """The part's InteractionIndex."""
+        return InteractionIndex.from_pairs(self.dataset.n_users,
+                                           self.dataset.n_items,
+                                           getattr(self, part))
 
 
 @dataclass
@@ -96,7 +163,6 @@ def parse_interactions(path_or_lines, has_header=False) -> InteractionLog:
     else:
         lines = list(path_or_lines)
     best = {}
-    order = {}
     start = 1 if has_header else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         line = line.rstrip("\n").rstrip("\r")
@@ -115,11 +181,8 @@ def parse_interactions(path_or_lines, has_header=False) -> InteractionLog:
             raise InteractionFormatError(f"line {lineno}: {exc}") from None
         key = (user, item)
         if key not in best or ts >= best[key][3]:
-            if key not in order:
-                order[key] = len(order)
-            best[key] = (user, item, rating, ts)
-    records = [best[k] for k in sorted(order, key=order.get)]
-    return InteractionLog(records)
+            best[key] = (user, item, rating, ts)  # keeps first-seen position
+    return InteractionLog(list(best.values()))
 
 
 def index_log(log: InteractionLog) -> Dataset:
@@ -144,29 +207,32 @@ def k_core_filter(ds: Dataset, k: int = 5) -> Dataset:
     """
     if k <= 0:
         raise ValueError(f"k-core needs k >= 1, got {k}")
+    users, items = ds.interactions[:, 0], ds.interactions[:, 1]
     keep = np.ones(ds.n_interactions, dtype=bool)
     while True:
-        pairs = ds.interactions[keep]
-        ucnt = Counter(pairs[:, 0].tolist())
-        icnt = Counter(pairs[:, 1].tolist())
-        bad_u = {u for u, c in ucnt.items() if c < k}
-        bad_i = {i for i, c in icnt.items() if c < k}
-        if not bad_u and not bad_i:
+        ucnt = np.bincount(users[keep], minlength=ds.n_users)
+        icnt = np.bincount(items[keep], minlength=ds.n_items)
+        drop = keep & ((ucnt[users] < k) | (icnt[items] < k))
+        if not drop.any():
             break
-        for n in np.flatnonzero(keep):
-            u, i = ds.interactions[n]
-            if int(u) in bad_u or int(i) in bad_i:
-                keep[n] = False
+        keep &= ~drop
         if not keep.any():
             raise ValueError(f"{k}-core filtering removed every interaction")
     idx = np.flatnonzero(keep)
-    users, items = {}, {}
-    rows = np.empty((idx.size, 2), dtype=np.int64)
-    for n, j in enumerate(idx):
-        u, i = ds.interactions[j]
-        rows[n, 0] = users.setdefault(ds.user_ids[u], len(users))
-        rows[n, 1] = items.setdefault(ds.item_ids[i], len(items))
-    return Dataset(list(users), list(items), rows, ds.ratings[idx], ds.timestamps[idx])
+    new_users, old_users = _first_appearance(users[idx])
+    new_items, old_items = _first_appearance(items[idx])
+    return Dataset([ds.user_ids[u] for u in old_users.tolist()],
+                   [ds.item_ids[i] for i in old_items.tolist()],
+                   np.stack([new_users, new_items], axis=1),
+                   ds.ratings[idx], ds.timestamps[idx])
+
+
+def _first_appearance(ids):
+    """Dense ids numbered in order of first appearance, and the old id
+    behind each new one."""
+    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse].astype(np.int64), old[order]
 
 
 def holdout_split(ds: Dataset, seed: int, train_ratio: float = 0.8) -> Split:
@@ -179,28 +245,21 @@ def holdout_split(ds: Dataset, seed: int, train_ratio: float = 0.8) -> Split:
     """
     if not 0.0 < train_ratio < 1.0:
         raise ValueError(f"train_ratio must be in (0, 1), got {train_ratio}")
-    by_user = defaultdict(list)
-    for n, (u, _) in enumerate(ds.interactions):
-        by_user[int(u)].append(n)
+    users = ds.interactions[:, 0]
+    counts = np.bincount(users, minlength=ds.n_users)
+    order = np.argsort(users, kind="stable")  # rows grouped by user, ascending
+    start = np.cumsum(counts) - counts
     rng = np.random.default_rng(seed)
-    train_idx, val_idx, test_idx = [], [], []
-    for u in sorted(by_user):
-        rows = np.array(by_user[u])
-        perm = rng.permutation(rows.size)
-        n_train = max(1, int(np.floor(train_ratio * rows.size)))
-        held = rows.size - n_train
-        n_val = int(np.ceil(held / 2))
-        shuffled = rows[perm]
-        train_idx.extend(shuffled[:n_train].tolist())
-        val_idx.extend(shuffled[n_train:n_train + n_val].tolist())
-        test_idx.extend(shuffled[n_train + n_val:].tolist())
+    perms = [rng.permutation(n) for n in counts[counts > 0].tolist()]
+    owner = users[order]
+    shuffled = order[np.concatenate([np.zeros(0, np.int64)] + perms) + start[owner]]
+    rank = np.arange(users.size) - start[owner]  # position in the user's shuffle
+    n_train = np.maximum(1, np.floor(train_ratio * counts).astype(np.int64))
+    n_val = np.ceil((counts - n_train) / 2).astype(np.int64)
+    part = (rank >= n_train[owner]).astype(np.int8) + (rank >= (n_train + n_val)[owner])
 
-    def take(idx):
-        idx = np.array(sorted(idx), dtype=np.int64)
-        return ds.interactions[idx] if idx.size else np.empty((0, 2), dtype=np.int64)
-
-    return Split(ds, take(train_idx), take(val_idx), take(test_idx),
-                 seed=seed, train_ratio=train_ratio)
+    train, val, test = (ds.interactions[np.sort(shuffled[part == p])] for p in range(3))
+    return Split(ds, train, val, test, seed=seed, train_ratio=train_ratio)
 
 
 def sparsity_percent(n_users: int, n_items: int, n_interactions: int) -> float:
@@ -211,15 +270,15 @@ def sparsity_percent(n_users: int, n_items: int, n_interactions: int) -> float:
 
 
 def stats(ds: Dataset) -> DatasetStats:
-    ucnt = Counter(ds.interactions[:, 0].tolist())
-    icnt = Counter(ds.interactions[:, 1].tolist())
+    ucnt = np.bincount(ds.interactions[:, 0])
+    icnt = np.bincount(ds.interactions[:, 1])
     return DatasetStats(
         n_users=ds.n_users,
         n_items=ds.n_items,
         n_interactions=ds.n_interactions,
         sparsity_percent=sparsity_percent(ds.n_users, ds.n_items, ds.n_interactions),
-        min_user_degree=min(ucnt.values()) if ucnt else 0,
-        min_item_degree=min(icnt.values()) if icnt else 0,
+        min_user_degree=int(ucnt[ucnt > 0].min()) if ucnt.any() else 0,
+        min_item_degree=int(icnt[icnt > 0].min()) if icnt.any() else 0,
     )
 
 
@@ -281,14 +340,6 @@ def generate_synthetic(n_users: int, n_items: int, density: float, seed: int,
         timestamps=np.zeros(uu.size, dtype=np.int64),
     )
     return SyntheticData(ds, feats, prefs, affinity, density)
-
-
-def write_interactions_tsv(ds: Dataset, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for n in range(ds.n_interactions):
-            u, i = ds.interactions[n]
-            fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\t"
-                     f"{ds.ratings[n]:g}\t{ds.timestamps[n]}\n")
 
 
 def write_split(split: Split, out_dir):

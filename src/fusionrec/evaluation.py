@@ -99,28 +99,30 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1,
     """Top-k item lists per user.
 
     score_fn(users) returns a (len(users), n_items) matrix; it is called once,
-    whatever `threads` is. Items in exclude[u] (the user's train items) are
-    set to -inf on a float64 copy, never in score_fn's array. Ties break by
-    ascending item id. k must not exceed the smallest candidate set. `threads`
-    spreads the blocks of TOPK_BLOCK users over a thread pool. With
-    `with_scores`, returns (lists, scores): scores[u] holds the k entries of
-    score_fn's matrix behind u's list, in rank order.
+    whatever `threads` is. The items of each user in `exclude`, an
+    InteractionIndex of train items, are set to -inf on a float64 copy, never
+    in score_fn's array. Ties break by ascending item id. k must not exceed
+    the smallest candidate set. `threads` spreads the blocks of TOPK_BLOCK
+    users over a thread pool. With `with_scores`, returns (lists, scores):
+    scores[u] holds the k entries of score_fn's matrix behind u's list, in
+    rank order.
     """
     users = list(users)
     if not users:
         return ({}, {}) if with_scores else {}
-    for u in users:
-        if n_items - len(exclude.get(u, ())) < k:
-            raise ValueError(
-                f"user {u} has only {n_items - len(exclude.get(u, ()))} "
-                f"candidates, cannot rank top-{k}"
-            )
+    ids = np.asarray(users, dtype=np.int64)
+    candidates = n_items - exclude.degrees[ids]
+    short = np.flatnonzero(candidates < k)
+    if short.size:
+        raise ValueError(
+            f"user {users[short[0]]} has only {candidates[short[0]]} "
+            f"candidates, cannot rank top-{k}"
+        )
     scores = np.asarray(score_fn(users))
 
     def rank_block(lo):
         block = scores[lo:lo + TOPK_BLOCK].astype(np.float64)
-        for row, u in enumerate(users[lo:lo + TOPK_BLOCK]):
-            block[row, list(exclude.get(u, ()))] = -np.inf
+        block[exclude.items_of(ids[lo:lo + TOPK_BLOCK])] = -np.inf
         return topk_rows(block, k)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
@@ -234,6 +236,16 @@ def evaluate_lists(recs, relevant, profile: PopularityProfile, cutoffs=(10, 20))
     return report
 
 
+def _relevance(split, part):
+    """{user: set of items} from the part's index. Users come in order of
+    first appearance in the part's pairs, the order in which the metrics
+    sum their per-user values."""
+    index = split.user_positives(part)
+    users = getattr(split, part)[:, 0]
+    first = np.sort(np.unique(users, return_index=True)[1])
+    return {u: index[u] for u in users[first].tolist()}
+
+
 def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
     """Rank with the model's scorer and run the metric battery.
 
@@ -242,11 +254,10 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
     Returns (report, (recs, scores)), scores from the ranking pass as in
     rank_topk(with_scores=True).
     """
-    relevant = split.user_positives(part)
-    users = sorted(relevant)
-    exclude = split.user_positives("train")
+    relevant = _relevance(split, part)
     k_max = max(cutoffs)
-    recs, scores = rank_topk(model.score_users, users, k_max, exclude,
+    recs, scores = rank_topk(model.score_users, sorted(relevant), k_max,
+                             split.user_positives("train"),
                              split.dataset.n_items, threads=threads,
                              with_scores=True)
     profile = PopularityProfile.from_train(split.train, split.dataset.n_items)
@@ -255,7 +266,7 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
 
 def recall_eval_fn(split, part="validation", k=20, threads=1):
     """Callable(model) -> Recall@k on the given part, for model selection."""
-    relevant = split.user_positives(part)
+    relevant = _relevance(split, part)
     users = sorted(relevant)
     exclude = split.user_positives("train")
 

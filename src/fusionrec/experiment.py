@@ -240,11 +240,6 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def save_config(config: ExperimentConfig, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_config(config))
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "data": {"interactions": config.interactions,
@@ -260,45 +255,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-# ----------------------------------------------------------------- manifest
+# ------------------------------------------------------------ artifact files
 
-@dataclass
-class RunManifest:
-    """Everything needed to audit a run, minus anything non-deterministic.
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
-    Written before cmd_train trains anything and treated as immutable after;
-    wall-clock numbers go to timings.json next to it instead so manifest
-    bytes stay reproducible.
-    """
 
-    config: dict
-    seed: int
-    version: str
-    stats: dict
-    chosen: dict
-    timings: dict = field(default_factory=dict)
-
-    def write(self, run_dir):
-        os.makedirs(run_dir, exist_ok=True)
-        body = {"config": self.config, "seed": self.seed,
-                "version": self.version, "stats": self.stats,
-                "chosen": self.chosen}
-        with open(os.path.join(run_dir, "manifest.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_timings(self, run_dir):
-        with open(os.path.join(run_dir, "timings.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            json.dump(self.timings, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def read(run_dir) -> dict:
-        with open(os.path.join(run_dir, "manifest.json"),
-                  encoding="utf-8") as fh:
-            return json.load(fh)
+def _write_json(path, body):
+    _write(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------ pipeline steps
@@ -335,11 +300,8 @@ def cmd_prepare(config: ExperimentConfig):
     store = load_store(config, split)
     prepared = os.path.join(config.out_dir, "prepared")
     ds.write_split(split, prepared)
-    st = ds.stats(split.dataset)
-    with open(os.path.join(prepared, "stats.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(asdict(st), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(prepared, "stats.json"),
+                asdict(ds.stats(split.dataset)))
     return split, store
 
 
@@ -368,10 +330,7 @@ def cmd_tune(config: ExperimentConfig, split: ds.Split,
                 for i, lr, reg, epoch, value in result.table
             ],
         }
-        with open(os.path.join(run_dir, "tune.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(run_dir, "tune.json"), body)
     return result
 
 
@@ -392,29 +351,26 @@ def cmd_train(config: ExperimentConfig, split: ds.Split,
                        "best_epoch": chosen.best_epoch,
                        "best_value": chosen.best_value}
         model, result = chosen.model, chosen.result
-    manifest = RunManifest(
-        config=config_to_dict(config),
-        seed=config.trainer.seed,
-        version=__version__,
-        stats=asdict(ds.stats(split.dataset)),
-        chosen=chosen_dict,
-    )
-    manifest.write(run_dir)
+    # written before any training; wall-clock numbers go to timings.json
+    # instead, so manifest bytes stay reproducible
+    os.makedirs(run_dir, exist_ok=True)
+    _write_json(os.path.join(run_dir, "manifest.json"), {
+        "config": config_to_dict(config), "seed": config.trainer.seed,
+        "version": __version__, "stats": asdict(ds.stats(split.dataset)),
+        "chosen": chosen_dict})
     if chosen is None:
         mdata = ModelData.from_split(split, store)
         model = build_model(config.model, mdata, seed=config.trainer.seed)
         eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
         result = train_loop(model.spec, model, tr.TrainData.from_split(split),
                             config.trainer, eval_fn=eval_fn)
-    manifest.timings = {"train_seconds": result.seconds,
-                        "epochs": len(result.trace)}
-    manifest.write_timings(run_dir)
-    with open(os.path.join(run_dir, "trace.tsv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("epoch\tloss\tval_recall20\tseconds\n")
-        for row in result.trace:
-            val = "" if row.val_metric is None else f"{row.val_metric:.6f}"
-            fh.write(f"{row.epoch}\t{row.loss:.6f}\t{val}\t{row.seconds:.6f}\n")
+    _write_json(os.path.join(run_dir, "timings.json"),
+                {"train_seconds": result.seconds, "epochs": len(result.trace)})
+    lines = ["epoch\tloss\tval_recall20\tseconds\n"]
+    for row in result.trace:
+        val = "" if row.val_metric is None else f"{row.val_metric:.6f}"
+        lines.append(f"{row.epoch}\t{row.loss:.6f}\t{val}\t{row.seconds:.6f}\n")
+    _write(os.path.join(run_dir, "trace.tsv"), "".join(lines))
     save_checkpoint(model, os.path.join(run_dir, "checkpoint"))
     return model, result
 
@@ -433,22 +389,14 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
               for k in config.cutoffs for metric in ev.METRIC_ORDER}
     body = {"tag": config.model.tag, "cutoffs": list(config.cutoffs),
             "values": values}
-    with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(run_dir, "metrics.tsv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("metric\tk\tvalue\n")
-        for k in config.cutoffs:
-            for metric in ev.METRIC_ORDER:
-                fh.write(f"{metric}\t{k}\t{report.get(metric, k)!r}\n")
+    _write_json(os.path.join(run_dir, "metrics.json"), body)
+    _write(os.path.join(run_dir, "metrics.tsv"), "metric\tk\tvalue\n" + "".join(
+        f"{metric}\t{k}\t{report.get(metric, k)!r}\n"
+        for k in config.cutoffs for metric in ev.METRIC_ORDER))
     ev.write_recommendations_tsv(
         recs, os.path.join(run_dir, "recommendations.tsv"), scores)
     md, _ = render_report([(config.model.tag, report)], config.cutoffs)
-    with open(os.path.join(run_dir, "report.md"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(md)
+    _write(os.path.join(run_dir, "report.md"), md)
     return report
 
 
@@ -487,12 +435,8 @@ def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
         run_cfg = replace(config, model=replace(config.model, tag=tag))
         rows.append((tag, _run_model(run_cfg, split, store, threads)))
     md, tsv = render_report(rows, config.cutoffs)
-    with open(os.path.join(config.out_dir, "report.md"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(md)
-    with open(os.path.join(config.out_dir, "report.tsv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(tsv)
+    _write(os.path.join(config.out_dir, "report.md"), md)
+    _write(os.path.join(config.out_dir, "report.tsv"), tsv)
     return rows
 
 
@@ -521,8 +465,7 @@ def cmd_report(run_dirs, out_path=None) -> str:
         rows.append((body["tag"], report))
     md, _ = render_report(rows, cutoffs)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(md)
+        _write(out_path, md)
     return md
 
 

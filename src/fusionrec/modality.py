@@ -226,6 +226,3 @@ class MultimodalStore:
             raise KeyError(f"no {modality!r} features bound")
         return self.matrices[modality]
 
-    def extract(self, item_index, modality):
-        return self.matrix(modality)[item_index]
-

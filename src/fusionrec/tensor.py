@@ -168,11 +168,6 @@ class SparseMatrix:
     def nnz(self):
         return int(self.vals.size)
 
-    def to_dense(self):
-        out = np.zeros(self.shape, dtype=self.vals.dtype)
-        out[self.rows, self.cols] = self.vals
-        return out
-
     def csr(self):
         if self._csr_cache is None:
             self._csr_cache = scipy.sparse.csr_matrix(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import InteractionIndex
 from .tensor import NonFiniteError, Tape, Tensor
 
 OPTIMIZERS = ("sgd", "adam")
@@ -31,49 +32,27 @@ class TripleBatch:
         return int(self.users.size)
 
 
-@dataclass
-class TrainData:
-    """Sampling view of a train split: one CSR interaction index.
+@dataclass(eq=False)
+class TrainData(InteractionIndex):
+    """Sampling view of a train split: its interaction index, the pairs it
+    was built from, and the users with >=1 positive and >=1 negative."""
 
-    User u's distinct train items are indices[indptr[u]:indptr[u + 1]],
-    sorted ascending; `keys` holds every distinct pair as the sorted code
-    user * n_items + item, for membership tests by binary search.
-    """
-
-    n_users: int
-    n_items: int
     pairs: np.ndarray  # (n, 2) int64
-    indptr: np.ndarray  # (n_users + 1,) int64
-    indices: np.ndarray  # (n_distinct,) int64 item ids
-    keys: np.ndarray  # (n_distinct,) int64, sorted
-    eligible: np.ndarray  # users with >=1 positive and >=1 negative
+    eligible: np.ndarray
 
     @classmethod
     def from_pairs(cls, n_users, n_items, pairs):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs[:, 0].max() >= n_users
-                           or pairs[:, 1].max() >= n_items):
-            raise ValueError("pair id out of range")
-        keys = np.unique(pairs[:, 0] * n_items + pairs[:, 1])
-        counts = np.bincount(keys // n_items, minlength=n_users)
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        eligible = np.flatnonzero((counts > 0) & (counts < n_items))
+        index = InteractionIndex.from_pairs(n_users, n_items, pairs)
+        eligible = np.flatnonzero((index.degrees > 0) & (index.degrees < n_items))
         if eligible.size == 0:
             raise ValueError("no user has both a positive and a negative item")
-        return cls(n_users, n_items, pairs, indptr, keys % n_items, keys,
-                   eligible.astype(np.int64))
+        return cls(**vars(index), pairs=pairs, eligible=eligible.astype(np.int64))
 
     @classmethod
     def from_split(cls, split):
         return cls.from_pairs(split.dataset.n_users, split.dataset.n_items,
                               split.train)
-
-    def contains(self, users, items):
-        """Elementwise: is (users[k], items[k]) a train pair?"""
-        code = users * self.n_items + items
-        at = np.minimum(np.searchsorted(self.keys, code), self.keys.size - 1)
-        return self.keys[at] == code
 
 
 @dataclass

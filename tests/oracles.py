@@ -6,7 +6,9 @@ graph code.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+
+import numpy as np
 
 
 # ----------------------------------------------------------------- k-core
@@ -21,6 +23,73 @@ def kcore_bruteforce(pairs, k):
         if len(kept) == len(pairs):
             return pairs
         pairs = kept
+
+
+def kcore_filter_loop(ds, k):
+    """k-core by per-interaction loops, ids re-densified in first-appearance
+    order of the survivors: (user_ids, item_ids, interactions, ratings,
+    timestamps)."""
+    keep = np.ones(ds.n_interactions, dtype=bool)
+    while True:
+        pairs = ds.interactions[keep]
+        ucnt = Counter(pairs[:, 0].tolist())
+        icnt = Counter(pairs[:, 1].tolist())
+        bad_u = {u for u, c in ucnt.items() if c < k}
+        bad_i = {i for i, c in icnt.items() if c < k}
+        if not bad_u and not bad_i:
+            break
+        for n in np.flatnonzero(keep):
+            u, i = ds.interactions[n]
+            if int(u) in bad_u or int(i) in bad_i:
+                keep[n] = False
+        if not keep.any():
+            raise ValueError(f"{k}-core filtering removed every interaction")
+    idx = np.flatnonzero(keep)
+    users, items = {}, {}
+    rows = np.empty((idx.size, 2), dtype=np.int64)
+    for n, j in enumerate(idx):
+        u, i = ds.interactions[j]
+        rows[n, 0] = users.setdefault(ds.user_ids[u], len(users))
+        rows[n, 1] = items.setdefault(ds.item_ids[i], len(items))
+    return list(users), list(items), rows, ds.ratings[idx], ds.timestamps[idx]
+
+
+# ----------------------------------------------------------------- holdout
+
+def holdout_loop(ds, seed, train_ratio=0.8):
+    """Per-user holdout by loops over users ascending, one rng.permutation
+    each: (train, validation, test) interaction arrays."""
+    by_user = defaultdict(list)
+    for n, (u, _) in enumerate(ds.interactions):
+        by_user[int(u)].append(n)
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx, test_idx = [], [], []
+    for u in sorted(by_user):
+        rows = np.array(by_user[u])
+        perm = rng.permutation(rows.size)
+        n_train = max(1, int(np.floor(train_ratio * rows.size)))
+        held = rows.size - n_train
+        n_val = int(np.ceil(held / 2))
+        shuffled = rows[perm]
+        train_idx.extend(shuffled[:n_train].tolist())
+        val_idx.extend(shuffled[n_train:n_train + n_val].tolist())
+        test_idx.extend(shuffled[n_train + n_val:].tolist())
+
+    def take(idx):
+        idx = np.array(sorted(idx), dtype=np.int64)
+        return ds.interactions[idx] if idx.size else np.empty((0, 2), dtype=np.int64)
+
+    return take(train_idx), take(val_idx), take(test_idx)
+
+
+# ----------------------------------------------------------------- item sets
+
+def user_positives_loop(pairs):
+    """{user: set of items}, pair by pair, for users with at least one."""
+    pos = defaultdict(set)
+    for u, i in pairs:
+        pos[int(u)].add(int(i))
+    return dict(pos)
 
 
 # ----------------------------------------------------------------- kNN

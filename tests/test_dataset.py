@@ -1,12 +1,15 @@
 """Interaction parsing, k-core, holdout splits, stats, synthetic data."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionrec import dataset as D
 
-from oracles import kcore_bruteforce
+from oracles import (holdout_loop, kcore_bruteforce, kcore_filter_loop,
+                     user_positives_loop)
 
 
 def make_dataset(pairs):
@@ -166,6 +169,73 @@ def test_split_bad_ratio_rejected():
         D.holdout_split(ds, seed=0, train_ratio=1.0)
 
 
+def random_log(seed, n_users, n_items, n_pairs):
+    """Dataset with shuffled string ids, duplicate pairs, zero-degree ids,
+    and distinct ratings and timestamps per row."""
+    rng = np.random.default_rng(seed)
+    inter = np.stack([rng.integers(0, n_users, n_pairs),
+                      rng.integers(0, n_items, n_pairs)], axis=1)
+    return D.Dataset([f"u{x}" for x in rng.permutation(n_users)],
+                     [f"i{x}" for x in rng.permutation(n_items)], inter,
+                     rng.random(n_pairs).astype(np.float32),
+                     rng.integers(0, 10**6, n_pairs))
+
+
+def chain_log():
+    """A 3 x 3 block that is a 2-core, plus a user-item path whose ends have
+    degree 1: 2-core filtering eats the path from both ends, round by round."""
+    pairs = [(u, i) for u in range(3) for i in range(3)]
+    for j in range(8):
+        pairs += [(10 + j, 10 + j), (10 + j, 11 + j)]
+    rng = np.random.default_rng(0)
+    pairs = [pairs[n] for n in rng.permutation(len(pairs))]
+    return make_dataset(pairs)
+
+
+def assert_kcore_matches_loop(ds, k):
+    try:
+        want = kcore_filter_loop(ds, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="removed every interaction"):
+            D.k_core_filter(ds, k)
+        return
+    got = D.k_core_filter(ds, k)
+    assert got.user_ids == want[0] and got.item_ids == want[1]
+    for g, w in zip((got.interactions, got.ratings, got.timestamps), want[2:]):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def assert_holdout_matches_loop(ds, seed, ratio):
+    got = D.holdout_split(ds, seed, ratio)
+    for g, w in zip((got.train, got.validation, got.test),
+                    holdout_loop(ds, seed, ratio)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def test_kcore_multi_round_cascade_matches_loop():
+    ds = chain_log()
+    pairs = ds.interactions.tolist()
+    ucnt = Counter(u for u, _ in pairs)
+    icnt = Counter(i for _, i in pairs)
+    one_round = [(u, i) for u, i in pairs if ucnt[u] >= 2 and icnt[i] >= 2]
+    assert len(one_round) == len(pairs) - 2  # the path's two ends only
+    assert_kcore_matches_loop(ds, 2)
+    out = D.k_core_filter(ds, 2)
+    assert out.n_interactions == 9 and out.n_users == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 30),
+       n_items=st.integers(1, 30), n_pairs=st.integers(0, 150),
+       k=st.integers(1, 5), ratio=st.sampled_from([0.3, 0.5, 0.8, 0.9]))
+def test_kcore_and_holdout_match_loops(seed, n_users, n_items, n_pairs, k, ratio):
+    ds = random_log(seed, n_users, n_items, n_pairs)
+    assert_kcore_matches_loop(ds, k)
+    assert_holdout_matches_loop(ds, seed, ratio)
+
+
 # ---------------------------------------------------------------- stats
 
 def test_sparsity_small_example():
@@ -179,6 +249,59 @@ def test_stats_on_dataset():
     assert s.n_users == 2 and s.n_items == 2 and s.n_interactions == 3
     assert s.sparsity_percent == pytest.approx(25.0)
     assert s.min_user_degree == 1 and s.min_item_degree == 1
+
+
+def test_stats_skips_zero_degree_ids():
+    ds = D.generate_synthetic(40, 30, 0.03, seed=1).dataset
+    ucnt = Counter(ds.interactions[:, 0].tolist())
+    icnt = Counter(ds.interactions[:, 1].tolist())
+    assert len(ucnt) < ds.n_users  # some users have no interaction
+    assert D.stats(ds) == D.DatasetStats(
+        ds.n_users, ds.n_items, ds.n_interactions,
+        D.sparsity_percent(ds.n_users, ds.n_items, ds.n_interactions),
+        min(ucnt.values()), min(icnt.values()))
+
+
+# ---------------------------------------------------------------- index
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=40),
+       st.sampled_from(["train", "validation", "test"]))
+def test_interaction_index_mapping_reads_match_pair_sets(pairs, part):
+    ds = make_dataset([(u, i) for u in range(7) for i in range(10)])
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    split = D.Split(ds, pairs[:0], pairs[:0], pairs[:0], seed=0)
+    setattr(split, part, pairs)  # duplicates included
+    index = split.user_positives(part)
+    want = user_positives_loop(pairs)
+    assert list(index) == sorted(want)
+    assert dict(index.items()) == want
+    assert len(index) == len(want)
+    for u in range(-1, ds.n_users + 1):
+        assert (u in index) == (u in want)
+        assert index.get(u) == want.get(u)
+        assert index.get(u, ()) == want.get(u, ())
+        if u in want:
+            assert index[u] == want[u]
+            assert all(type(i) is int for i in index[u])
+        else:
+            with pytest.raises(KeyError):
+                index[u]
+
+
+def test_interaction_index_empty_part():
+    index = D.InteractionIndex.from_pairs(3, 4, np.empty((0, 2), np.int64))
+    assert len(index) == 0 and list(index) == [] and 0 not in index
+    users = np.repeat(np.arange(3), 4)
+    items = np.tile(np.arange(4), 3)
+    assert not index.contains(users, items).any()
+    assert index.indptr.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 4)])
+def test_interaction_index_rejects_out_of_range_ids(pair):
+    with pytest.raises(ValueError, match="out of range"):
+        D.InteractionIndex.from_pairs(3, 4, [(0, 0), pair])
 
 
 # ---------------------------------------------------------------- synthetic
@@ -229,7 +352,10 @@ def test_synthetic_infeasible_density_rejected():
 def test_write_and_reparse_round_trip(tmp_path):
     syn = D.generate_synthetic(10, 20, 0.15, seed=9)
     path = tmp_path / "interactions.tsv"
-    D.write_interactions_tsv(syn.dataset, path)
+    ds = syn.dataset
+    path.write_text("".join(
+        f"{ds.user_ids[u]}\t{ds.item_ids[i]}\t{r:g}\t{t}\n"
+        for (u, i), r, t in zip(ds.interactions, ds.ratings, ds.timestamps)))
     ds2 = D.index_log(D.parse_interactions(path))
     assert ds2.n_interactions == syn.dataset.n_interactions
     assert ds2.user_ids == syn.dataset.user_ids[: ds2.n_users]

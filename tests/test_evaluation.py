@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fusionrec import evaluation as E
+from fusionrec.dataset import InteractionIndex
 
 import oracles
 
@@ -118,22 +119,26 @@ class CountingScorer(FixedScorer):
         return out
 
 
+def index(n_users, n_items, pairs):
+    return InteractionIndex.from_pairs(n_users, n_items, pairs)
+
+
 def test_rank_topk_excludes_train_items():
     scores = [[9.0, 8.0, 7.0, 6.0]]
-    recs = E.rank_topk(FixedScorer(scores), [0], 2, {0: {0}}, 4)
+    recs = E.rank_topk(FixedScorer(scores), [0], 2, index(1, 4, [(0, 0)]), 4)
     assert recs[0] == [1, 2]
 
 
 def test_rank_topk_ties_by_ascending_id():
     scores = [[1.0, 1.0, 1.0, 2.0]]
-    recs = E.rank_topk(FixedScorer(scores), [0], 3, {}, 4)
+    recs = E.rank_topk(FixedScorer(scores), [0], 3, index(1, 4, []), 4)
     assert recs[0] == [3, 0, 1]
 
 
 def test_rank_topk_k_too_large_rejected():
     scores = [[1.0, 2.0, 3.0]]
     with pytest.raises(ValueError):
-        E.rank_topk(FixedScorer(scores), [0], 3, {0: {0}}, 3)
+        E.rank_topk(FixedScorer(scores), [0], 3, index(1, 3, [(0, 0)]), 3)
 
 
 def test_rank_topk_threads_agree():
@@ -142,11 +147,12 @@ def test_rank_topk_threads_agree():
     for n_users in (40, 2 * E.TOPK_BLOCK + 40):
         scores = rng.standard_normal((n_users, 30))
         exclude = {u: {int(rng.integers(30))} for u in range(n_users)}
+        train = index(n_users, 30, [(u, i) for u, b in exclude.items() for i in b])
         original = scores.copy()
-        single = E.rank_topk(FixedScorer(scores), range(n_users), 5, exclude, 30,
+        single = E.rank_topk(FixedScorer(scores), range(n_users), 5, train, 30,
                              threads=1)
         scorer = CountingScorer(scores)  # hands rank_topk its own array
-        multi = E.rank_topk(scorer, range(n_users), 5, exclude, 30, threads=4)
+        multi = E.rank_topk(scorer, range(n_users), 5, train, 30, threads=4)
         assert single == multi
         assert len(scorer.calls) == 1
         np.testing.assert_array_equal(scores, original)
@@ -184,11 +190,74 @@ def test_topk_rows_matches_lexsort_oracle(seed, n_rows, n_cols, levels,
     np.testing.assert_array_equal(got, topk_ref(scores, k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 40),
+       n_items=st.integers(1, 20), levels=st.integers(1, 5),
+       k_is_min_candidates=st.booleans(), threads=st.sampled_from([1, 4]))
+@example(seed=5, n_users=2 * E.TOPK_BLOCK + 9, n_items=12, levels=3,
+         k_is_min_candidates=True, threads=4)
+@example(seed=6, n_users=2 * E.TOPK_BLOCK + 9, n_items=12, levels=3,
+         k_is_min_candidates=True, threads=1)
+def test_rank_topk_index_exclusion_matches_per_user_fill(
+        seed, n_users, n_items, levels, k_is_min_candidates, threads):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-levels, levels, size=(n_users, n_items)).astype(np.float64)
+    n_pairs = int(rng.integers(0, n_users * n_items // 2 + 1))
+    pairs = np.stack([rng.integers(0, n_users, n_pairs),
+                      rng.integers(0, n_items, n_pairs)], axis=1)
+    pairs = pairs[pairs[:, 0] % 3 != 0]  # users 0, 3, 6, ... have no train item
+    pairs = np.vstack([pairs, pairs[:len(pairs) // 3]])  # duplicate pairs
+    train = oracles.user_positives_loop(pairs)
+    users = rng.permutation(n_users)[:max(1, n_users - int(rng.integers(3)))].tolist()
+    left = [n_items - len(train.get(u, ())) for u in users]
+    # at the minimum, one user is left with exactly k candidates
+    k = min(left) if k_is_min_candidates else int(rng.integers(1, n_items + 1))
+    if k < 1 or k > min(left):
+        k = max(k, 1)
+        row = next(r for r, n in enumerate(left) if n < k)
+        with pytest.raises(ValueError, match=f"user {users[row]} has only "
+                                             f"{left[row]} candidates"):
+            E.rank_topk(FixedScorer(scores), users, k, index(n_users, n_items, pairs),
+                        n_items, threads=threads)
+        return
+    got = E.rank_topk(FixedScorer(scores), users, k, index(n_users, n_items, pairs),
+                      n_items, threads=threads)
+    filled = scores[users]
+    for row, u in enumerate(users):
+        filled[row, sorted(train.get(u, ()))] = -np.inf
+    assert got == dict(zip(users, topk_ref(filled, k).tolist()))
+
+
+def test_metrics_sum_users_in_first_appearance_order():
+    # relevance read from the index iterates users as the pair-by-pair dicts
+    # did, so the float sums behind each metric are bit-identical
+    from fusionrec import dataset as D
+
+    syn = D.generate_synthetic(120, 60, 0.1, seed=3).dataset
+    rows = np.random.default_rng(0).permutation(syn.n_interactions)
+    ds = D.Dataset(syn.user_ids, syn.item_ids, syn.interactions[rows],
+                   syn.ratings[rows], syn.timestamps[rows])
+    split = D.holdout_split(ds, seed=5)
+    model = type("M", (), {"score_users": FixedScorer(
+        np.random.default_rng(1).standard_normal((ds.n_users, ds.n_items)))})
+    train = split.user_positives("train")
+    for part in ("validation", "test"):
+        relevant = oracles.user_positives_loop(getattr(split, part))
+        assert list(relevant) != sorted(relevant)
+        recs = E.rank_topk(model.score_users, sorted(relevant), 20, train,
+                           ds.n_items)
+        assert E.recall_eval_fn(split, part, k=20)(model) == \
+            E.recall_at_k(recs, relevant, 20)
+        profile = E.PopularityProfile.from_train(split.train, ds.n_items)
+        report, _ = E.evaluate_model(model, split, part)
+        assert report.values == E.evaluate_lists(recs, relevant, profile).values
+
+
 def test_write_recommendations_scores_once_from_one_call(tmp_path):
     # the ranking pass's single score_fn call supplies the score column
     rng = np.random.default_rng(4)
     scorer = CountingScorer(rng.standard_normal((5, 8)).astype(np.float32))
-    recs, scores = E.rank_topk(scorer, [0, 1, 3], 2, {1: {4}}, 8,
+    recs, scores = E.rank_topk(scorer, [0, 1, 3], 2, index(5, 8, [(1, 4)]), 8,
                                with_scores=True)
     path = tmp_path / "recommendations.tsv"
     E.write_recommendations_tsv(recs, path, scores)

@@ -17,6 +17,11 @@ from fusionrec.models import ModelConfig
 N_USERS, N_ITEMS = 15, 35
 
 
+def write_config(config, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(ex.serialize_config(config))
+
+
 def write_corpus(root):
     """Tiny raw corpus: modular interaction pattern, two feature files.
 
@@ -164,7 +169,7 @@ def test_config_validation(corpus):
 def test_save_and_load_config_file(corpus, tmp_path):
     config = base_config(corpus, str(tmp_path / "out"))
     path = str(tmp_path / "exp.ini")
-    ex.save_config(config, path)
+    write_config(config, path)
     assert ex.load_config(path) == config
 
 
@@ -426,7 +431,7 @@ def test_benchmark_trains_each_grid_point_once_and_keeps_the_winner(
 def test_cli_prepare_and_report_succeed(corpus, tmp_path, capsys):
     out = str(tmp_path / "out")
     ini = str(tmp_path / "exp.ini")
-    ex.save_config(base_config(corpus, out, grid_lrs=(0.01,)), ini)
+    write_config(base_config(corpus, out, grid_lrs=(0.01,)), ini)
     assert main(["--config", ini, "prepare"]) == 0
     assert main(["--config", ini, "benchmark", "--models", "vbpr"]) == 0
     assert main(["report", os.path.join(out, "vbpr")]) == 0
@@ -459,7 +464,7 @@ def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):
     assert main(["prepare"]) == 1          # --config required
     assert main(["report"]) == 1           # usage error
     ini = str(tmp_path / "exp.ini")
-    ex.save_config(base_config(corpus, str(tmp_path / "out")), ini)
+    write_config(base_config(corpus, str(tmp_path / "out")), ini)
     assert main(["--config", ini, "benchmark", "--models", "nope"]) == 1
     capsys.readouterr()
 
@@ -471,7 +476,7 @@ def test_cli_runtime_failures_exit_2(corpus, tmp_path, capsys):
                                  optimizer="sgd", eval_every=1),
         grid_lrs=(1e30,))
     ini = str(tmp_path / "exp.ini")
-    ex.save_config(config, ini)
+    write_config(config, ini)
     assert main(["--config", ini, "train"]) == 2
     err = capsys.readouterr().err
     assert "runtime failure" in err
@@ -481,7 +486,7 @@ def test_cli_seed_override_reaches_split_and_trainer(corpus, tmp_path,
                                                      capsys):
     out = str(tmp_path / "out")
     ini = str(tmp_path / "exp.ini")
-    ex.save_config(base_config(corpus, out), ini)
+    write_config(base_config(corpus, out), ini)
     assert main(["--config", ini, "--seed", "7", "prepare"]) == 0
     sidecar = json.loads(
         open(os.path.join(out, "prepared", "split.json")).read())

@@ -131,8 +131,8 @@ def test_l2_standardize_zero_row_counted():
 def test_store_binds_by_item_id():
     feats = sample_feats()
     store = M.MultimodalStore(["i2", "i0"], [feats])
-    np.testing.assert_array_equal(store.extract(0, "visual"), feats.matrix[2])
-    np.testing.assert_array_equal(store.extract(1, "visual"), feats.matrix[0])
+    np.testing.assert_array_equal(store.matrix("visual")[0], feats.matrix[2])
+    np.testing.assert_array_equal(store.matrix("visual")[1], feats.matrix[0])
     assert store.masks["visual"].all()
 
 
@@ -145,7 +145,7 @@ def test_store_missing_error_policy():
 def test_store_missing_zero_fill():
     feats = sample_feats()
     store = M.MultimodalStore(["i0", "i9"], [feats], missing="zero_fill")
-    np.testing.assert_array_equal(store.extract(1, "visual"), np.zeros(4))
+    np.testing.assert_array_equal(store.matrix("visual")[1], np.zeros(4))
     assert store.filled["visual"] == 1
     assert not store.masks["visual"][1]
 
@@ -154,7 +154,7 @@ def test_store_missing_mean_impute():
     feats = sample_feats()
     store = M.MultimodalStore(["i0", "i1", "i9"], [feats], missing="mean_impute")
     expect = feats.matrix[[0, 1]].mean(axis=0)
-    np.testing.assert_allclose(store.extract(2, "visual"), expect, rtol=1e-6)
+    np.testing.assert_allclose(store.matrix("visual")[2], expect, rtol=1e-6)
 
 
 def test_store_rejects_bad_policy():

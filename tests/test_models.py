@@ -262,7 +262,7 @@ def test_grcn_gate_of_one_matches_unrefined_propagation():
     got = model.score_users(range(data.n_users))
 
     adj = bipartite_adjacency(data.n_users, data.n_items, data.pairs,
-                              dtype=np.float64).to_dense()
+                              dtype=np.float64).csr().toarray()
 
     def propagate(h0):
         acc, h = h0.copy(), h0
