@@ -346,12 +346,14 @@ def write_split(split: Split, out_dir):
     """Three TSVs plus a JSON sidecar with seed, ratio and counts."""
     os.makedirs(out_dir, exist_ok=True)
     ds = split.dataset
+    users = np.array(ds.user_ids, dtype=object)
+    items = np.array(ds.item_ids, dtype=object)
     for name in ("train", "validation", "test"):
         pairs = getattr(split, name)
+        lines = users[pairs[:, 0]] + "\t" + items[pairs[:, 1]] + "\n"
         with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8",
                   newline="\n") as fh:
-            for u, i in pairs:
-                fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\n")
+            fh.write("".join(lines))
     sidecar = {
         "seed": split.seed,
         "train_ratio": split.train_ratio,

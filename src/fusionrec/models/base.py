@@ -258,7 +258,6 @@ class RecommenderModel:
         self.dtype = dtype
         self._params = ParameterSet()
         self.spec = validate(self._pipeline_spec())
-        self.pipeline = self.spec
         self._build(np.random.default_rng(seed))
 
     # -- subclass hooks

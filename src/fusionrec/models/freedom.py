@@ -53,10 +53,6 @@ class FREEDOM(RecommenderModel):
         cfg = self.config
         if cfg.prune_ratio >= 1.0:
             raise ValueError("prune_ratio=1 would drop every train edge")
-        if cfg.knn_k >= self.data.n_items:
-            raise ValueError(
-                f"knn_k={cfg.knn_k} must be < n_items={self.data.n_items}"
-            )
         d = cfg.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
         self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))

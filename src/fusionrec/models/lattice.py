@@ -49,10 +49,6 @@ class LATTICE(RecommenderModel):
 
     def _build(self, rng):
         cfg = self.config
-        if cfg.knn_k >= self.data.n_items:
-            raise ValueError(
-                f"knn_k={cfg.knn_k} must be < n_items={self.data.n_items}"
-            )
         d = cfg.embedding_dim
         self.user_emb = self._param("rho", "user_emb", rng,
                                     (self.data.n_users, d))

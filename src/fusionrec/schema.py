@@ -281,8 +281,7 @@ class PipelineModel:
 
     def __init__(self, spec: PipelineSpec, n_users: int, feature_matrices: dict,
                  seed: int = 0, dtype=np.float32):
-        self.pipeline = validate(spec)
-        self.spec = self.pipeline
+        self.spec = validate(spec)
         self.n_users = n_users
         self.dtype = dtype
         self.modalities = list(spec.modalities)
@@ -405,15 +404,13 @@ class TrainResult:
 
 
 def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
-               trainer: "tr.TrainerConfig", eval_fn=None,
-               patience: int = None) -> TrainResult:
+               trainer: "tr.TrainerConfig", eval_fn=None) -> TrainResult:
     """Run the epoch/batch loop over sampled triples.
 
     Per batch: forward through the model's declared representation and fusion
     branch, BPR plus l2 through the loss, one backward pass, one optimizer
-    step. Runs exactly trainer.epochs epochs unless `patience` consecutive
-    evaluations fail to improve. Non-finite values abort with the epoch and
-    batch named.
+    step. Runs exactly trainer.epochs epochs. Non-finite values abort with
+    the epoch and batch named.
     """
     validate(spec)
     start = time.perf_counter()
@@ -422,7 +419,6 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     opt = tr.make_optimizer(trainer, params)
     n_batches = max(1, int(np.ceil(data.pairs.shape[0] / trainer.batch_size)))
     trace, evals = [], []
-    best_eval, since_best = -np.inf, 0
     for epoch in range(1, trainer.epochs + 1):
         t0 = time.perf_counter()
         epoch_loss = 0.0
@@ -446,12 +442,6 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
                 epoch % trainer.eval_every == 0 or epoch == trainer.epochs):
             val = float(eval_fn(model))
             evals.append((epoch, val))
-            if val > best_eval:
-                best_eval, since_best = val, 0
-            else:
-                since_best += 1
         trace.append(TraceRow(epoch, epoch_loss / n_batches, val,
                               time.perf_counter() - t0))
-        if patience is not None and since_best >= patience:
-            break
     return TrainResult(params, trace, evals, time.perf_counter() - start)

@@ -7,9 +7,9 @@ produces NaN or Inf raises immediately instead of letting the value propagate.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
-does, except stop_gradient's, which needs none. matmul, matmul_nt and
-row_gather compute no gradient for an operand that needs none, and backward
-skips the nodes whose output needs none, so a product of constants, such as
+does, except stop_gradient's, which has no inputs. Each primitive records one
+gradient rule per input, and backward alone decides which rules run: the rule
+of an input that needs no gradient never runs, so a constant operand, such as
 a gathered block of a constant feature matrix, costs nothing in backward.
 
 Every sparse product and every scatter is one CSR product: spmm and
@@ -230,13 +230,15 @@ def _unbroadcast(g, shape):
 
 
 class _Node:
-    __slots__ = ("name", "inputs", "out", "bwd")
+    """One recorded primitive: rules[i](g) is the gradient for inputs[i]."""
 
-    def __init__(self, name, inputs, out, bwd):
+    __slots__ = ("name", "inputs", "out", "rules")
+
+    def __init__(self, name, inputs, out, rules):
         self.name = name
         self.inputs = inputs
         self.out = out
-        self.bwd = bwd
+        self.rules = rules
 
 
 class Tape:
@@ -261,7 +263,7 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, bwd):
+    def _record(self, name, out_arr, inputs, rules):
         if not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
         out = Tensor.__new__(Tensor)
@@ -271,7 +273,7 @@ class Tape:
         out._tape = self
         out._gen = self._gen
         out._needs = any(t.needs_grad for t in inputs)
-        self._nodes.append(_Node(name, inputs, out, bwd))
+        self._nodes.append(_Node(name, inputs, out, rules))
         return out
 
     @property
@@ -287,7 +289,8 @@ class Tape:
         """Propagate d(loss)/d(tensor) to every requires_grad leaf.
 
         Gradients accumulate additively across uses and across calls on
-        fresh tapes; the same tape cannot be replayed twice.
+        fresh tapes; the same tape cannot be replayed twice. A node's rule
+        for an input runs only when that input needs a gradient.
         """
         if self._spent:
             raise TapeError("tape already replayed; reset() before reuse")
@@ -300,12 +303,12 @@ class Tape:
         grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype))}
         for node in reversed(self._nodes):
             entry = grads.pop(id(node.out), None)
-            if entry is None or not node.out._needs:
+            if entry is None:
                 continue
-            gs = node.bwd(entry[1])
-            for t, g in zip(node.inputs, gs):
-                if g is None or not t.needs_grad:
+            for t, rule in zip(node.inputs, node.rules):
+                if not t.needs_grad:
                     continue
+                g = rule(entry[1])
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"backward of {node.name} produced non-finite values")
                 prev = grads.get(id(t))
@@ -328,12 +331,8 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data
         ad, bd = a.data, b.data
-        ga, gb = a.needs_grad, b.needs_grad
-
-        def bwd(g):
-            return (g @ bd.T if ga else None), (ad.T @ g if gb else None)
-
-        return self._record("matmul", out, (a, b), bwd)
+        return self._record("matmul", out, (a, b),
+                            (lambda g: g @ bd.T, lambda g: ad.T @ g))
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant.
@@ -345,10 +344,7 @@ class Tape:
             raise ValueError(f"spmm: inner dims differ, {m.shape} x {x.shape}")
         out = _csr_product(m.csr(), x.data)
 
-        def bwd(g):
-            return (_csr_product(m.csr_t(), g),)
-
-        return self._record("spmm", out, (x,), bwd)
+        return self._record("spmm", out, (x,), (lambda g: _csr_product(m.csr_t(), g),))
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:
         """Like spmm but edge values come from an (nnz, 1) tensor.
@@ -372,12 +368,13 @@ class Tape:
         xd = x.data
         out = _csr_product(structure.csr(), xd, v)
 
-        def bwd(g):
-            gv = (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
-            gx = _csr_product(structure.csr_t(), g, v[structure.t_perm()])
-            return gv, gx
+        def grad_vals(g):
+            return (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
 
-        return self._record("spmm_weighted", out, (vals, x), bwd)
+        def grad_x(g):
+            return _csr_product(structure.csr_t(), g, v[structure.t_perm()])
+
+        return self._record("spmm_weighted", out, (vals, x), (grad_vals, grad_x))
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         self._check_operand(a)
@@ -386,11 +383,8 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data + b.data
         sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-        return self._record("add", out, (a, b), bwd)
+        return self._record("add", out, (a, b),
+                            (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         self._check_operand(a)
@@ -399,11 +393,8 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data - b.data
         sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-        return self._record("sub", out, (a, b), bwd)
+        return self._record("sub", out, (a, b),
+                            (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         self._check_operand(a)
@@ -413,11 +404,8 @@ class Tape:
             out = a.data * b.data
         ad, bd = a.data, b.data
         sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            return _unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)
-
-        return self._record("mul", out, (a, b), bwd)
+        return self._record("mul", out, (a, b), (lambda g: _unbroadcast(g * bd, sa),
+                                                 lambda g: _unbroadcast(g * ad, sb)))
 
     def div(self, a: Tensor, b: Tensor) -> Tensor:
         self._check_operand(a)
@@ -427,13 +415,9 @@ class Tape:
             out = a.data / b.data
         ad, bd = a.data, b.data
         sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            ga = _unbroadcast(g / bd, sa)
-            gb = _unbroadcast(-g * ad / (bd * bd), sb)
-            return ga, gb
-
-        return self._record("div", out, (a, b), bwd)
+        return self._record("div", out, (a, b),
+                            (lambda g: _unbroadcast(g / bd, sa),
+                             lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         self._check_operand(a)
@@ -441,10 +425,7 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data * a.data.dtype.type(c)
 
-        def bwd(g):
-            return (g * g.dtype.type(c),)
-
-        return self._record("scale", out, (a,), bwd)
+        return self._record("scale", out, (a,), (lambda g: g * g.dtype.type(c),))
 
     def sigmoid(self, a: Tensor) -> Tensor:
         self._check_operand(a)
@@ -455,10 +436,7 @@ class Tape:
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
 
-        def bwd(g):
-            return (g * out * (1.0 - out),)
-
-        return self._record("sigmoid", out, (a,), bwd)
+        return self._record("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
     def softplus(self, a: Tensor) -> Tensor:
         """ln(1 + exp(x)), computed stably."""
@@ -466,46 +444,36 @@ class Tape:
         x = a.data
         out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
-        def bwd(g):
+        def rule(g):
             s = np.empty_like(x)
             pos = x >= 0
             s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
             ex = np.exp(x[~pos])
             s[~pos] = ex / (1.0 + ex)
-            return (g * s,)
+            return g * s
 
-        return self._record("softplus", out, (a,), bwd)
+        return self._record("softplus", out, (a,), (rule,))
 
     def log(self, a: Tensor) -> Tensor:
         self._check_operand(a)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log(a.data)
         ad = a.data
-
-        def bwd(g):
-            return (g / ad,)
-
-        return self._record("log", out, (a,), bwd)
+        return self._record("log", out, (a,), (lambda g: g / ad,))
 
     def exp(self, a: Tensor) -> Tensor:
         self._check_operand(a)
         with np.errstate(over="ignore"):
             out = np.exp(a.data)
 
-        def bwd(g):
-            return (g * out,)
-
-        return self._record("exp", out, (a,), bwd)
+        return self._record("exp", out, (a,), (lambda g: g * out,))
 
     def relu(self, a: Tensor) -> Tensor:
         self._check_operand(a)
         out = np.maximum(a.data, 0)
         mask = (a.data > 0).astype(a.data.dtype)
 
-        def bwd(g):
-            return (g * mask,)
-
-        return self._record("relu", out, (a,), bwd)
+        return self._record("relu", out, (a,), (lambda g: g * mask,))
 
     def leaky_relu(self, a: Tensor, slope=0.2) -> Tensor:
         self._check_operand(a)
@@ -513,10 +481,7 @@ class Tape:
         out = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(slope))
         mask = np.where(a.data > 0, a.data.dtype.type(1.0), a.data.dtype.type(slope))
 
-        def bwd(g):
-            return (g * mask,)
-
-        return self._record("leaky_relu", out, (a,), bwd)
+        return self._record("leaky_relu", out, (a,), (lambda g: g * mask,))
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise max; on ties the gradient goes to the first operand."""
@@ -526,11 +491,9 @@ class Tape:
         out = np.maximum(a.data, b.data)
         take_a = (a.data >= b.data).astype(a.data.dtype)
         sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            return _unbroadcast(g * take_a, sa), _unbroadcast(g * (1.0 - take_a), sb)
-
-        return self._record("maximum", out, (a, b), bwd)
+        return self._record("maximum", out, (a, b),
+                            (lambda g: _unbroadcast(g * take_a, sa),
+                             lambda g: _unbroadcast(g * (1.0 - take_a), sb)))
 
     def l2_normalize(self, a: Tensor) -> Tensor:
         """Row-wise x / ||x||; all-zero rows stay zero (zero gradient there)."""
@@ -540,12 +503,12 @@ class Tape:
         safe = np.where(nonzero, norm, 1.0)
         out = a.data / safe
 
-        def bwd(g):
+        def rule(g):
             dot = (g * out).sum(axis=1, keepdims=True)
             ga = (g - dot * out) / safe
-            return (np.where(nonzero, ga, 0.0),)
+            return np.where(nonzero, ga, 0.0)
 
-        return self._record("l2_normalize", out, (a,), bwd)
+        return self._record("l2_normalize", out, (a,), (rule,))
 
     def concat(self, tensors) -> Tensor:
         """Column-wise concatenation of tensors with equal row counts."""
@@ -559,12 +522,9 @@ class Tape:
             raise ValueError("concat: row counts differ")
         out = np.concatenate([t.data for t in tensors], axis=1)
         widths = [t.cols for t in tensors]
-        splits = np.cumsum(widths)[:-1]
-
-        def bwd(g):
-            return tuple(np.split(g, splits, axis=1))
-
-        return self._record("concat", out, tuple(tensors), bwd)
+        starts = np.cumsum([0] + widths[:-1])
+        rules = tuple((lambda g, lo=lo, n=n: g[:, lo:lo + n]) for lo, n in zip(starts, widths))
+        return self._record("concat", out, tuple(tensors), rules)
 
     def matmul_nt(self, a: Tensor, b: Tensor) -> Tensor:
         """a @ b.T without materializing a transpose, (n, d) x (m, d) -> (n, m)."""
@@ -575,12 +535,8 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
-        ga, gb = a.needs_grad, b.needs_grad
-
-        def bwd(g):
-            return (g @ bd if ga else None), (g.T @ ad if gb else None)
-
-        return self._record("matmul_nt", out, (a, b), bwd)
+        return self._record("matmul_nt", out, (a, b),
+                            (lambda g: g @ bd, lambda g: g.T @ ad))
 
     def row_concat(self, tensors) -> Tensor:
         """Stack tensors with equal column counts, top to bottom."""
@@ -593,12 +549,10 @@ class Tape:
         if any(t.cols != cols for t in tensors):
             raise ValueError("row_concat: column counts differ")
         out = np.concatenate([t.data for t in tensors], axis=0)
-        splits = np.cumsum([t.rows for t in tensors])[:-1]
-
-        def bwd(g):
-            return tuple(np.split(g, splits, axis=0))
-
-        return self._record("row_concat", out, tuple(tensors), bwd)
+        heights = [t.rows for t in tensors]
+        starts = np.cumsum([0] + heights[:-1])
+        rules = tuple((lambda g, lo=lo, n=n: g[lo:lo + n]) for lo, n in zip(starts, heights))
+        return self._record("row_concat", out, tuple(tensors), rules)
 
     def row_gather(self, a: Tensor, idx) -> Tensor:
         """Select rows by index; repeated indices accumulate gradient."""
@@ -608,17 +562,14 @@ class Tape:
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
         shape = a.shape
-        needs_grad = a.needs_grad
 
-        def bwd(g):
-            if not needs_grad:
-                return (None,)
+        def rule(g):
             ones = np.ones(idx.size, dtype=g.dtype)
             scatter = scipy.sparse.csr_matrix((ones, (idx, np.arange(idx.size))),
                                               shape=(shape[0], idx.size))
-            return (_csr_product(scatter, g),)
+            return _csr_product(scatter, g)
 
-        return self._record("row_gather", out, (a,), bwd)
+        return self._record("row_gather", out, (a,), (rule,))
 
     def dropout(self, a: Tensor, p: float, rng) -> Tensor:
         """Inverted dropout: keep with prob 1-p, scale kept entries by 1/(1-p).
@@ -635,21 +586,13 @@ class Tape:
             keep = rng.random(a.shape) >= p
             mask = keep.astype(a.data.dtype) / a.data.dtype.type(1.0 - p)
         out = a.data * mask
-
-        def bwd(g):
-            return (g * mask,)
-
-        return self._record("dropout", out, (a,), bwd)
+        return self._record("dropout", out, (a,), (lambda g: g * mask,))
 
     def sum(self, a: Tensor) -> Tensor:
         self._check_operand(a)
         out = np.array([[a.data.sum()]], dtype=a.data.dtype)
         shape = a.shape
-
-        def bwd(g):
-            return (np.full(shape, g[0, 0], dtype=g.dtype),)
-
-        return self._record("sum", out, (a,), bwd)
+        return self._record("sum", out, (a,), (lambda g: np.full(shape, g[0, 0], dtype=g.dtype),))
 
     def sumsq(self, a: Tensor) -> Tensor:
         """Sum of squared entries, (n, d) -> (1, 1)."""
@@ -658,32 +601,22 @@ class Tape:
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.array([[(ad * ad).sum()]], dtype=ad.dtype)
 
-        def bwd(g):
-            return (ad * (2 * g),)
-
-        return self._record("sumsq", out, (a,), bwd)
+        return self._record("sumsq", out, (a,), (lambda g: ad * (2 * g),))
 
     def mean(self, a: Tensor) -> Tensor:
         self._check_operand(a)
         out = np.array([[a.data.mean()]], dtype=a.data.dtype)
         shape = a.shape
         n = a.data.size
-
-        def bwd(g):
-            return (np.full(shape, g[0, 0] / n, dtype=g.dtype),)
-
-        return self._record("mean", out, (a,), bwd)
+        return self._record("mean", out, (a,),
+                            (lambda g: np.full(shape, g[0, 0] / n, dtype=g.dtype),))
 
     def rowsum(self, a: Tensor) -> Tensor:
         """Sum along columns, shape (n, d) -> (n, 1)."""
         self._check_operand(a)
         out = a.data.sum(axis=1, keepdims=True)
         cols = a.cols
-
-        def bwd(g):
-            return (np.repeat(g, cols, axis=1),)
-
-        return self._record("rowsum", out, (a,), bwd)
+        return self._record("rowsum", out, (a,), (lambda g: np.repeat(g, cols, axis=1),))
 
     def softmax(self, a: Tensor) -> Tensor:
         """Row-wise softmax with max-shift stabilization."""
@@ -692,16 +625,16 @@ class Tape:
         e = np.exp(shifted)
         out = e / e.sum(axis=1, keepdims=True)
 
-        def bwd(g):
+        def rule(g):
             dot = (g * out).sum(axis=1, keepdims=True)
-            return (out * (g - dot),)
+            return out * (g - dot)
 
-        return self._record("softmax", out, (a,), bwd)
+        return self._record("softmax", out, (a,), (rule,))
 
     def stop_gradient(self, a: Tensor) -> Tensor:
         """Identity forward; blocks all gradient flow: the result has no inputs."""
         self._check_operand(a)
-        return self._record("stop_gradient", a.data.copy(), (), None)
+        return self._record("stop_gradient", a.data.copy(), (), ())
 
     def cosine_similarity(self, a: Tensor, b: Tensor) -> Tensor:
         """Row-wise cosine, shape (n, d) x (n, d) -> (n, 1).

@@ -220,7 +220,7 @@ class GridResult:
 
 
 def grid_search(model_factory, grid: GridSpec, data: TrainData,
-                trainer: TrainerConfig, eval_fn, pipeline_spec=None) -> GridResult:
+                trainer: TrainerConfig, eval_fn) -> GridResult:
     """Train every grid point, select by the evaluation metric.
 
     eval_fn(model) is called every trainer.eval_every epochs (and at the final
@@ -243,8 +243,7 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
     for idx, (lr, reg) in enumerate(grid.points()):
         cfg = replace(trainer, lr=lr, reg=reg)
         model = model_factory(seed=cfg.seed)
-        spec = pipeline_spec if pipeline_spec is not None else model.pipeline
-        result = train_loop(spec, model, data, cfg, eval_fn=eval_fn)
+        result = train_loop(model.spec, model, data, cfg, eval_fn=eval_fn)
         for epoch, value in result.evals:
             table.append((idx, lr, reg, epoch, value))
             if best is None or value > best[0]:

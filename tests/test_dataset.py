@@ -372,3 +372,16 @@ def test_write_split_manifest(tmp_path):
     sidecar = json.loads((tmp_path / "split.json").read_text())
     assert sidecar["seed"] == 4
     assert sidecar["n_train"] + sidecar["n_validation"] + sidecar["n_test"] == 21
+
+
+def test_write_split_bytes_match_per_pair_lines(tmp_path):
+    users, items = ["ü1", "用户", "u 3"], ["é", "i\u00a02", "☕", "x"]
+    pairs = np.array([(0, 0), (2, 3), (1, 1), (0, 2), (1, 0)], dtype=np.int64)
+    ds = D.Dataset(users, items, pairs, np.ones(5, np.float32), np.zeros(5, np.int64))
+    parts = {"train": pairs[:3], "validation": pairs[3:],
+             "test": np.zeros((0, 2), dtype=np.int64)}
+    D.write_split(D.Split(ds, seed=0, **parts), tmp_path)
+    for name, part in parts.items():
+        expected = "".join(f"{users[u]}\t{items[i]}\n" for u, i in part)
+        assert (tmp_path / f"{name}.tsv").read_bytes() == expected.encode("utf-8")
+    assert (tmp_path / "test.tsv").read_bytes() == b""

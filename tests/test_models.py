@@ -320,9 +320,10 @@ def test_knn_graph_rejects_large_k():
         knn_graph(np.ones((3, 2)), k=3)
 
 
-def test_lattice_rejects_large_k():
-    with pytest.raises(ValueError, match="knn_k"):
-        LATTICE(ModelConfig(tag="lattice", knn_k=8), small_data(n_items=8))
+@pytest.mark.parametrize("cls", [LATTICE, FREEDOM], ids=["lattice", "freedom"])
+def test_lattice_rejects_large_k(cls):
+    with pytest.raises(ValueError, match="knn_k=8 must be < n_items=8"):
+        cls(ModelConfig(tag=cls.tag, knn_k=8), small_data(n_items=8))
 
 
 def test_lattice_degenerate_merge_weights_pick_one_graph():

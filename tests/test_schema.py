@@ -222,7 +222,7 @@ def test_train_loop_runs_exact_epoch_budget():
     model = make_model(S.Coordinate(8), S.Late("sum"))
     data = make_data()
     cfg = TR.TrainerConfig(epochs=7, batch_size=16, lr=0.01, seed=1)
-    out = S.train_loop(model.pipeline, model, data, cfg)
+    out = S.train_loop(model.spec, model, data, cfg)
     assert len(out.trace) == 7
     assert [r.epoch for r in out.trace] == list(range(1, 8))
 
@@ -231,7 +231,7 @@ def test_train_loop_loss_decreases():
     model = make_model(S.Coordinate(8), S.Early("sum"))
     data = make_data()
     cfg = TR.TrainerConfig(epochs=40, batch_size=32, lr=0.05, reg=0.0, seed=2)
-    out = S.train_loop(model.pipeline, model, data, cfg)
+    out = S.train_loop(model.spec, model, data, cfg)
     first = np.mean([r.loss for r in out.trace[:5]])
     last = np.mean([r.loss for r in out.trace[-5:]])
     assert last < first
@@ -249,7 +249,7 @@ def test_train_loop_divergence_diagnostic():
     data = make_data()
     cfg = TR.TrainerConfig(epochs=50, batch_size=32, lr=1e6, optimizer="sgd", seed=3)
     with pytest.raises(TR.TrainingDivergedError, match="epoch"):
-        S.train_loop(model.pipeline, model, data, cfg)
+        S.train_loop(model.spec, model, data, cfg)
 
 
 def test_train_loop_eval_cadence():
@@ -262,6 +262,6 @@ def test_train_loop_eval_cadence():
         calls.append(1)
         return float(len(calls))
 
-    out = S.train_loop(model.pipeline, model, data, cfg, eval_fn=fake_eval)
+    out = S.train_loop(model.spec, model, data, cfg, eval_fn=fake_eval)
     # epochs 10, 20 and the final epoch 25
     assert [e for e, _ in out.evals] == [10, 20, 25]

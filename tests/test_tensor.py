@@ -204,51 +204,86 @@ def test_double_backward_rejected():
         t.backward(y)
 
 
+def spy_on_rules(tape):
+    """Wrap every rule recorded on `tape`; returns the (op, input) pairs that ran."""
+    ran = []
+
+    def spy(rule, key):
+        def spied(g):
+            ran.append(key)
+            grad = rule(g)
+            assert grad is not None
+            return grad
+        return spied
+
+    for node in tape._nodes:
+        assert len(node.rules) == len(node.inputs)
+        node.rules = tuple(spy(rule, (node.name, i)) for i, rule in enumerate(node.rules))
+    return ran
+
+
 def test_matmul_skips_gradients_of_constant_leaves():
     t = T.Tape()
     w = p64(np.ones((4, 2)))
     h = t.matmul(T.constant(np.ones((3, 4)), dtype=np.float64), w)
-    t.matmul_nt(h, T.constant(np.ones((5, 2)), dtype=np.float64))
-    g_const, g_w = t._nodes[0].bwd(np.ones((3, 2)))
-    g_h, g_const_nt = t._nodes[1].bwd(np.ones((3, 5)))
-    assert g_const is None and g_const_nt is None
-    assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
     # tape results built only from constants, and stop_gradient's output,
     # need no gradient either
     gathered = t.row_gather(T.constant(np.ones((6, 4)), dtype=np.float64), [5, 0, 5])
     stopped = t.stop_gradient(h)
     assert not gathered.needs_grad and not stopped.needs_grad and h.needs_grad
-    t.matmul(gathered, w)
-    t.matmul_nt(stopped, h)
-    g_gathered, g_w = t._nodes[-2].bwd(np.ones((3, 2)))
-    g_stopped, g_h = t._nodes[-1].bwd(np.ones((3, 3)))
-    assert g_gathered is None and g_stopped is None
-    assert g_w.shape == (4, 2) and g_h.shape == (3, 2)
+    parts = [t.matmul_nt(h, T.constant(np.ones((5, 2)), dtype=np.float64)),
+             t.matmul(gathered, w), t.matmul_nt(stopped, h)]
+    loss = t.sum(t.concat(parts))
+    ran = spy_on_rules(t)
+    t.backward(loss)
+    assert ran == [("sum", 0), ("concat", 0), ("concat", 1), ("concat", 2),
+                   ("matmul_nt", 1), ("matmul", 1), ("matmul_nt", 0), ("matmul", 1)]
+    np.testing.assert_array_equal(w.grad, np.full((4, 2), 54.0))
 
 
 def test_backward_skips_nodes_that_need_no_gradient():
-    t = T.Tape()
-    w = p64(np.ones((4, 2)))
-    replayed = []
-    const = t.exp(T.constant(np.ones((3, 4)), dtype=np.float64))
-    node = t._nodes[-1]
-    bwd = node.bwd
-    node.bwd = lambda g: replayed.append(node.name) or bwd(g)
-    loss = t.sum(t.matmul(const, w))
-    t.backward(loss)
-    assert replayed == []
-    np.testing.assert_allclose(w.grad, np.full((4, 2), 3 * np.e))
+    # every binary primitive, and each block of a concatenation, has one
+    # constant operand; only the rules of the other operands may run
+    rng = np.random.default_rng(0)
+    consts = {shape: T.constant(rng.standard_normal(shape), dtype=np.float64)
+              for shape in [(4, 3), (1, 3), (3, 3), (5, 3), (4, 1), (3, 2), (2, 6), (4, 6)]}
+    divisor = T.constant(rng.uniform(1.0, 2.0, (4, 1)), dtype=np.float64)
+    structure = T.SparseMatrix((3, 5), [0, 1, 2, 2], [1, 0, 3, 4], np.ones(4))
+    w = p64(rng.standard_normal((4, 3)))
+    runs = []
+
+    def build():
+        t = T.Tape()
+        h = t.add(w, t.exp(consts[4, 3]))
+        h = t.sub(consts[4, 3], h)
+        h = t.mul(h, consts[1, 3])
+        h = t.div(h, divisor)
+        h = t.maximum(consts[4, 3], h)
+        h = t.matmul(h, consts[3, 3])
+        h = t.matmul_nt(consts[5, 3], h)
+        h = t.spmm_weighted(structure, consts[4, 1], h)
+        h = t.concat([h, consts[3, 2]])
+        h = t.row_concat([consts[2, 6], h])
+        h = t.mul(h, t.row_gather(consts[4, 6], [3, 0, 0, 1, 2]))
+        loss = t.sum(h)
+        runs.append(spy_on_rules(t))
+        return loss
+
+    assert_gradients_match(build, [w])
+    assert runs[0] == [("sum", 0), ("mul", 0), ("row_concat", 1), ("concat", 0),
+                       ("spmm_weighted", 1), ("matmul_nt", 1), ("matmul", 0),
+                       ("maximum", 1), ("div", 0), ("mul", 0), ("sub", 1), ("add", 0)]
 
 
 def test_row_gather_skips_gradients_of_constant_leaves():
     t = T.Tape()
     w = p64(np.arange(8.0).reshape(4, 2))
-    t.row_gather(T.constant(np.ones((4, 3)), dtype=np.float64), [0, 2, 2])
-    t.row_gather(w, [0, 2, 2])
-    (g_const,) = t._nodes[0].bwd(np.ones((3, 3)))
-    (g_w,) = t._nodes[1].bwd(np.ones((3, 2)))
-    assert g_const is None
-    np.testing.assert_array_equal(g_w, [[1, 1], [0, 0], [2, 2], [0, 0]])
+    gathered = t.row_gather(T.constant(np.ones((4, 2)), dtype=np.float64), [0, 2, 2])
+    loss = t.sum(t.add(gathered, t.row_gather(w, [0, 2, 2])))
+    ran = spy_on_rules(t)
+    t.backward(loss)
+    assert ran == [("sum", 0), ("add", 1), ("row_gather", 0)]
+    np.testing.assert_array_equal(w.grad, [[1, 1], [0, 0], [2, 2], [0, 0]])
 
 
 def test_stale_tensor_after_reset_rejected():

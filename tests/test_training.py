@@ -282,7 +282,7 @@ def test_grid_search_selects_max_with_tie_breaks():
     calls = {"config": -1, "eval": 0}
 
     class FakeModel:
-        pipeline = S.PipelineSpec(S.Coordinate(2), S.Late("sum"), ("visual",))
+        spec = S.PipelineSpec(S.Coordinate(2), S.Late("sum"), ("visual",))
 
         def __init__(self):
             calls["config"] += 1
