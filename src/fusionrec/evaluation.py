@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -74,8 +75,10 @@ def topk_rows(scores, k):
     ties (-inf included) by ascending id.
 
     TOPK_BLOCK rows at a time, np.partition finds each row's k-th largest
-    value; the columns above it are kept and the columns equal to it fill the
-    remaining slots in id order. A stable sort by descending score follows.
+    value and the columns at or above it are kept. Only a row that keeps more
+    than k columns, where a tie crosses the boundary, keeps the columns above
+    it plus the first equal ones in id order. A stable sort by descending
+    score follows.
     """
     n, m = scores.shape
     if not 0 < k <= m:
@@ -84,10 +87,13 @@ def topk_rows(scores, k):
     for lo in range(0, n, TOPK_BLOCK):
         block = scores[lo:lo + TOPK_BLOCK]
         kth = np.partition(block, m - k, axis=1)[:, m - k:m - k + 1]
-        above, tie = block > kth, block == kth
+        keep = block >= kth
+        over = np.flatnonzero(keep.sum(axis=1) > k)
+        tied, kth_over = block[over], kth[over]
+        above, tie = tied > kth_over, tied == kth_over
         fill = k - above.sum(axis=1, keepdims=True)
-        cols = np.nonzero(above | (tie & (np.cumsum(tie, axis=1) <= fill)))[1]
-        cols = cols.reshape(-1, k)
+        keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= fill))
+        cols = np.nonzero(keep)[1].reshape(-1, k)
         order = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1,
                            kind="stable")
         out[lo:lo + TOPK_BLOCK] = np.take_along_axis(cols, order, axis=1)
@@ -183,6 +189,13 @@ def efd_at_k(recs, relevant, k, profile: PopularityProfile):
     return _per_user_mean(vals)
 
 
+def _exposure_counts(recs, k, n_items):
+    """How many of the top-k lists hold each catalog item."""
+    items = np.fromiter(chain.from_iterable(recs[u][:k] for u in recs),
+                        dtype=np.int64)
+    return np.bincount(items, minlength=n_items)
+
+
 def gini_at_k(recs, k, n_items):
     """Concentration of recommended exposure over the whole catalog.
 
@@ -190,10 +203,7 @@ def gini_at_k(recs, k, n_items):
     included): 1 - sum_i (2i - n - 1) P(i) / (n * sum P). Perfectly even
     exposure gives 1; a single-item monopoly gives 1/n.
     """
-    counts = np.zeros(n_items, dtype=np.int64)
-    for u in recs:
-        for i in recs[u][:k]:
-            counts[i] += 1
+    counts = _exposure_counts(recs, k, n_items)
     total = counts.sum()
     if total == 0:
         return 0.0
@@ -214,10 +224,7 @@ def aplt_at_k(recs, k, profile: PopularityProfile):
 
 def item_coverage(recs, k, n_items):
     """Percentage of the catalog recommended to at least one user."""
-    seen = set()
-    for u in recs:
-        seen.update(recs[u][:k])
-    return 100.0 * len(seen) / n_items
+    return 100.0 * np.count_nonzero(_exposure_counts(recs, k, n_items)) / n_items
 
 
 METRIC_ORDER = ("recall", "ndcg", "efd", "gini", "aplt", "icov")

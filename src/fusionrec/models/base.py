@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..evaluation import topk_rows
+from ..evaluation import TOPK_BLOCK, topk_rows
 from ..tensor import SparseMatrix, Tape, Tensor, parameter, sym_normalize
 from ..schema import ParameterSet, PipelineSpec, validate
 from .. import training as tr
@@ -147,51 +147,66 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     return _bipartite(n_users, n_items, pairs, dtype)
 
 
-def knn_graph(feats: np.ndarray, k: int) -> np.ndarray:
+def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     """Top-k cosine neighbor graph, self excluded, kept values row-normalized.
 
-    Ties in similarity pick the lower item id. Negative kept similarities
-    are clamped to zero before normalization; a row whose kept values are
-    all nonpositive stays all-zero.
+    Built TOPK_BLOCK rows at a time, so no n x n array is ever held: each
+    block of unit rows is multiplied by all unit rows and topk_rows picks its
+    k neighbors. Ties in similarity pick the lower item id. Negative kept
+    similarities are clamped to zero before normalization; a row whose kept
+    values are all nonpositive has no entries. Returns a float64
+    SparseMatrix of at most n * k entries.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    n = feats.shape[0]
+    unit = np.array(feats, dtype=np.float64)
+    n = unit.shape[0]
     if k >= n:
         raise ValueError(f"knn_k={k} must be < n_items={n}")
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
-    sim = unit @ unit.T
-    np.fill_diagonal(sim, -np.inf)
-    keep = topk_rows(sim, k)
-    graph = np.zeros_like(sim)
-    np.put_along_axis(graph, keep,
-                      np.maximum(np.take_along_axis(sim, keep, axis=1), 0.0), axis=1)
-    sums = graph.sum(axis=1, keepdims=True)
-    np.divide(graph, sums, out=graph, where=sums > 0)
-    return graph
+    norms = np.linalg.norm(unit, axis=1, keepdims=True)
+    np.divide(unit, np.where(norms > 0, norms, np.inf), out=unit)  # 0 rows stay 0
+    cols = np.empty((n, k), dtype=np.int64)
+    vals = np.empty((n, k))
+    for lo in range(0, n, TOPK_BLOCK):
+        hi = min(lo + TOPK_BLOCK, n)
+        sim = unit[lo:hi] @ unit.T
+        sim[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        cols[lo:hi] = topk_rows(sim, k)
+        vals[lo:hi] = np.take_along_axis(sim, cols[lo:hi], axis=1)
+    np.maximum(vals, 0.0, out=vals)
+    sums = vals.sum(axis=1, keepdims=True)
+    np.divide(vals, sums, out=vals, where=sums > 0)
+    kept = vals != 0
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, k))
+    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept],
+                        dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ItemItemGraph:
-    """Per-modality row-stochastic item neighbor graphs plus merge recipe."""
+    """Per-modality row-stochastic item neighbor graphs plus merge recipe.
 
-    matrices: dict            # modality -> (n, n) ndarray, row-stochastic
+    Each graph is knn_graph's float64 SparseMatrix; merged() keeps the sum
+    sparse.
+    """
+
+    matrices: dict            # modality -> (n, n) SparseMatrix, row-stochastic
     k: int
     blend: float              # share of the initial graph in the final blend
     weights: dict = None      # fixed merge weights; None = learned downstream
 
-    def merged(self) -> np.ndarray:
-        """Weighted sum across modalities using the fixed weights."""
+    def merged(self) -> SparseMatrix:
+        """Weighted sum across modalities using the fixed weights.
+
+        Modalities are added in sorted order onto zero, in float64.
+        """
         mods = sorted(self.matrices)
         if self.weights is None:
             w = {m: 1.0 / len(mods) for m in mods}
         else:
             total = sum(self.weights[m] for m in mods)
             w = {m: self.weights[m] / total for m in mods}
-        out = np.zeros_like(self.matrices[mods[0]])
-        for m in mods:
-            out += w[m] * self.matrices[m]
-        return out
+        out = sum(w[m] * self.matrices[m].csr() for m in mods).tocoo()
+        return SparseMatrix(out.shape, out.row, out.col, out.data,
+                            dtype=np.float64)
 
 
 # ------------------------------------------------------- tape-level helpers

@@ -1,12 +1,13 @@
 """Frozen item-item graph plus degree-sensitive edge pruning.
 
-The multimodal item graph is built once from raw features (kNN graphs
-merged with fixed weights, uniform unless configured) and never
-trained. Each epoch the user-item graph is resampled: an edge (u, i)
-is kept with probability proportional to (deg_u * deg_i)^(-1/2) and
-the pruned graph is re-normalized; evaluation always uses the full
-graph. Item representations add the item-graph propagation of the id
-embeddings onto the user-item propagation output.
+The multimodal item graph is built once from raw features (sparse kNN
+graphs merged with fixed weights, uniform unless configured) and never
+trained; it stays sparse from the blockwise kNN build to the product.
+Each epoch the user-item graph is resampled: an edge (u, i) is kept
+with probability proportional to (deg_u * deg_i)^(-1/2) and the pruned
+graph is re-normalized; evaluation always uses the full graph. Item
+representations add the item-graph propagation of the id embeddings
+onto the user-item propagation output.
 
 The loss is two BPR terms (Coordinate representation, Late fusion):
 the usual one over full representations plus, weighted by mm_weight,
@@ -73,7 +74,9 @@ class FREEDOM(RecommenderModel):
             weights = dict(zip(self.data.modalities, cfg.modality_weights))
         graph = lattice_build(self.data.features, cfg.knn_k, blend=1.0,
                               weights=weights)
-        self.item_graph = SparseMatrix.from_dense(graph.merged(), dtype=self.dtype)
+        merged = graph.merged()
+        self.item_graph = SparseMatrix(merged.shape, merged.rows, merged.cols,
+                                       merged.vals, dtype=self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
                                             dtype=self.dtype)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)

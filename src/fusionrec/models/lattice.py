@@ -59,7 +59,7 @@ class LATTICE(RecommenderModel):
             scale=0.0,
         )
         graph = lattice_build(self.data.features, cfg.knn_k, cfg.blend)
-        self.initial = {m: constant(g, dtype=self.dtype)
+        self.initial = {m: constant(g.csr().toarray(), dtype=self.dtype)
                         for m, g in graph.matrices.items()}
         self.proj = {}
         self.feats = {}

@@ -117,6 +117,25 @@ def knn_bruteforce(feats, k):
     return out
 
 
+def knn_graph_dense(feats, k):
+    """The dense n x n form of the kNN item graph: full cosine matrix, self
+    set to -inf, the k best columns per row by a stable sort (ties by
+    ascending id), kept values clamped at 0 and row-normalized."""
+    feats = np.asarray(feats, dtype=np.float64)
+    n = feats.shape[0]
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
+    sim = unit @ unit.T
+    np.fill_diagonal(sim, -np.inf)
+    keep = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    graph = np.zeros_like(sim)
+    np.put_along_axis(graph, keep,
+                      np.maximum(np.take_along_axis(sim, keep, axis=1), 0.0), axis=1)
+    sums = graph.sum(axis=1, keepdims=True)
+    np.divide(graph, sums, out=graph, where=sums > 0)
+    return graph
+
+
 # ----------------------------------------------------------------- metrics
 
 def recall_ref(recs, relevant, k):
@@ -173,6 +192,22 @@ def gini_ref(recs, k, catalog):
         return 0.0
     acc = sum((2 * (i + 1) - n - 1) * p[i] for i in range(n))
     return 1.0 - acc / (n * total)
+
+
+def gini_loop(recs, k, n_items):
+    """gini_at_k with exposure counted one list entry at a time into an
+    int64 array; the formula is the package's, term for term."""
+    counts = np.zeros(n_items, dtype=np.int64)
+    for u in recs:
+        for i in recs[u][:k]:
+            counts[i] += 1
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = np.sort(counts)
+    n = n_items
+    idx = np.arange(1, n + 1)
+    return float(1.0 - ((2 * idx - n - 1) * p).sum() / (n * total))
 
 
 def aplt_ref(recs, k, long_tail):

@@ -190,6 +190,22 @@ def test_topk_rows_matches_lexsort_oracle(seed, n_rows, n_cols, levels,
     np.testing.assert_array_equal(got, topk_ref(scores, k))
 
 
+def test_topk_rows_block_mixes_boundary_ties_and_plain_rows():
+    inf = -np.inf
+    scores = np.array([
+        [3.0, 1.0, 3.0, 3.0],   # three tie at the boundary: lowest ids win
+        [1.0, 5.0, 2.0, 0.0],   # no tie at the boundary
+        [inf, 4.0, inf, inf],   # -inf is the boundary value
+        [2.0, 2.0, 1.0, 2.0],   # the whole top ties
+        [0.0, inf, 7.0, inf],   # exactly k columns at or above the boundary
+        [1.0, 2.0, 2.0, 9.0],   # one above the boundary, two tie on it
+    ])
+    got = E.topk_rows(scores, 2)
+    want = [[0, 2], [1, 2], [1, 0], [0, 1], [2, 0], [3, 1]]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, topk_ref(scores, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 40),
        n_items=st.integers(1, 20), levels=st.integers(1, 5),
@@ -314,6 +330,20 @@ def test_metrics_match_bruteforce_on_random_instances():
         assert E.item_coverage(recs, k, n_items) == pytest.approx(
             oracles.icov_ref(recs, k, n_items), abs=1e-9)
         assert profile.short_head == oracles.short_head_ref(counts, catalog)
+
+
+def test_exposure_metrics_bitwise_equal_per_entry_loops():
+    rng = np.random.default_rng(77)
+    cases = [({}, 3, 5)]
+    for _ in range(40):
+        n_items = int(rng.integers(1, 300))
+        k = int(rng.integers(1, 25))
+        recs = {int(u): rng.integers(0, n_items, size=int(rng.integers(0, k + 5))).tolist()
+                for u in rng.choice(1000, size=int(rng.integers(1, 200)), replace=False)}
+        cases.append((recs, k, n_items))
+    for recs, k, n_items in cases:
+        assert E.gini_at_k(recs, k, n_items) == oracles.gini_loop(recs, k, n_items)
+        assert E.item_coverage(recs, k, n_items) == oracles.icov_ref(recs, k, n_items)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +30,7 @@ from fusionrec.models import (
 from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
-from oracles import knn_bruteforce
+from oracles import knn_bruteforce, knn_graph_dense
 
 
 def small_data(n_users=5, n_items=8, seed=0, mods=("textual", "visual")):
@@ -293,7 +294,7 @@ def test_grcn_projects_each_modality_once_per_pass():
 
 def test_knn_graph_three_points_on_a_line():
     feats = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    graph = knn_graph(feats, k=1)
+    graph = knn_graph(feats, k=1).csr().toarray()
     # endpoints both pick the middle point; the middle point's two
     # similarities tie and resolve to the lower id
     np.testing.assert_allclose(
@@ -304,7 +305,7 @@ def test_knn_graph_matches_bruteforce():
     rng = np.random.default_rng(11)
     for n, k in ((5, 1), (17, 4), (40, 10), (64, 7)):
         feats = rng.normal(size=(n, 5))
-        graph = knn_graph(feats, k)
+        graph = knn_graph(feats, k).csr().toarray()
         oracle = knn_bruteforce([list(r) for r in feats], k)
         want = np.zeros((n, n))
         for i, neighbors in oracle.items():
@@ -313,6 +314,48 @@ def test_knn_graph_matches_bruteforce():
         sums = want.sum(axis=1, keepdims=True)
         np.divide(want, sums, out=want, where=sums > 0)
         np.testing.assert_allclose(graph, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [513, 1031])
+def test_knn_graph_matches_dense_across_blocks(n):
+    rng = np.random.default_rng(n)
+    feats = np.column_stack([3.0 + np.abs(rng.normal(size=n)),
+                             0.3 * rng.normal(size=(n, 5))])
+    # eight copies of the first axis, spread over the blocks: a copy's
+    # cosine with any row is that row's first unit coordinate, so the copies
+    # tie exactly in every row, and seven tie for each copy's k = 6
+    dups = [7, 40, 255, 300, 511, 700 % n, n - 3]
+    feats[dups + [100]] = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    feats[[3, 600 % n]] = 0.0  # zero rows: no neighbors
+    # rows 20 and n - 5 have a negative cosine with every other nonzero row
+    feats[20] = [-1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    feats[n - 5] = [-1.0, -2.0, 0.0, 0.0, 0.0, 0.0]
+    k = 6
+    graph = knn_graph(feats, k)
+    want = knn_graph_dense(feats, k)
+    got = graph.csr().toarray()
+    np.testing.assert_array_equal(got != 0, want != 0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert graph.vals.dtype == np.float64
+    assert not (graph.rows == graph.cols).any()
+    assert graph.nnz == np.count_nonzero(want)
+    empty = np.flatnonzero(np.bincount(graph.rows, minlength=n) == 0)
+    assert set(empty) == {3, 600 % n, 20, n - 5}
+    copies = sorted(dups + [100])
+    for i in copies:
+        assert graph.csr()[i].indices.tolist() == [j for j in copies if j != i][:k]
+
+
+def test_knn_graph_never_holds_an_n_by_n_array():
+    n = 4000
+    feats = np.random.default_rng(5).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        knn_graph(feats, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 def test_knn_graph_rejects_large_k():
@@ -355,11 +398,14 @@ def test_lattice_blend_one_freezes_graph():
 def test_item_item_graph_merged_uniform_and_weighted():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([[0.0, 1.0], [0.0, 0.0]])
-    graph = ItemItemGraph({"t": a, "v": b}, k=1, blend=1.0)
-    np.testing.assert_allclose(graph.merged(), 0.5 * a + 0.5 * b)
-    graph = ItemItemGraph({"t": a, "v": b}, k=1, blend=1.0,
+    sparse = {"t": T.SparseMatrix.from_dense(a, dtype=np.float64),
+              "v": T.SparseMatrix.from_dense(b, dtype=np.float64)}
+    graph = ItemItemGraph(sparse, k=1, blend=1.0)
+    np.testing.assert_allclose(graph.merged().csr().toarray(), 0.5 * a + 0.5 * b)
+    graph = ItemItemGraph(sparse, k=1, blend=1.0,
                           weights={"t": 3.0, "v": 1.0})
-    np.testing.assert_allclose(graph.merged(), 0.75 * a + 0.25 * b)
+    np.testing.assert_allclose(graph.merged().csr().toarray(),
+                               0.75 * a + 0.25 * b)
 
 
 # ----------------------------------------------------------------------- bm3
@@ -463,9 +509,26 @@ def test_freedom_item_graph_is_frozen_row_stochastic():
     data = small_data()
     graph = lattice_build(data.features, k=2, blend=1.0)
     assert graph.blend == 1.0
-    merged = graph.merged()
+    merged = graph.merged().csr().toarray()
     sums = merged.sum(axis=1)
     assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()
+
+
+@pytest.mark.parametrize("weights", [None, (3.0, 1.0)])
+def test_freedom_item_graph_bitwise_equals_dense_merge(weights):
+    data = small_data()
+    cfg = ModelConfig(tag="freedom", embedding_dim=4, knn_k=2,
+                      modality_weights=weights)
+    model = FREEDOM(cfg, data, seed=0)
+    w = weights or (1.0, 1.0)
+    dense = np.zeros((data.n_items, data.n_items))
+    for m, wm in zip(data.modalities, w):
+        dense += wm / sum(w) * knn_graph_dense(data.features[m], 2)
+    want = T.SparseMatrix.from_dense(dense, dtype=np.float32)
+    np.testing.assert_array_equal(model.item_graph.rows, want.rows)
+    np.testing.assert_array_equal(model.item_graph.cols, want.cols)
+    assert model.item_graph.vals.dtype == np.float32
+    assert model.item_graph.vals.tobytes() == want.vals.tobytes()
 
 
 # -------------------------------------------------------- batch-local losses
