@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR",
                         help="override the configured output directory")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="evaluation worker threads (default 1)")
+                        help="threads that rank blocks of evaluated users "
+                             "(default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("prepare", help="filter, split, and bind features")
     sub.add_parser("tune", help="grid-search lr x reg on validation Recall@20")

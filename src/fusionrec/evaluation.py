@@ -285,14 +285,14 @@ def recall_eval_fn(split, part="validation", k=20, threads=1):
     return run
 
 
-def write_recommendations_tsv(recs, path, scores=None):
+def write_recommendations_tsv(recs, path, scores):
     """Dump `user item rank score` rows, users ascending, ranks ascending.
 
     scores[u] lists the scores of recs[u] in rank order, as rank_topk's
-    with_scores hands them out; without them the score column is nan.
+    with_scores hands them out.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for u in sorted(recs):
             for rank, item in enumerate(recs[u], start=1):
-                s = float(scores[u][rank - 1]) if scores is not None else float("nan")
+                s = float(scores[u][rank - 1])
                 fh.write(f"{u}\t{item}\t{rank}\t{s:.6f}\n")

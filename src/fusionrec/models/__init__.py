@@ -2,11 +2,11 @@
 
 from .base import (
     MODEL_TAGS,
-    ItemItemGraph,
     ModelConfig,
     ModelData,
     RecommenderModel,
     bipartite_adjacency,
+    item_graph,
     knn_graph,
     load_checkpoint,
     save_checkpoint,
@@ -14,7 +14,7 @@ from .base import (
 from .vbpr import VBPR
 from .mmgcn import MMGCN
 from .grcn import GRCN
-from .lattice import LATTICE, lattice_build
+from .lattice import LATTICE
 from .bm3 import BM3
 from .freedom import FREEDOM
 
@@ -40,8 +40,8 @@ def build_model(config: ModelConfig, data: ModelData, seed=0, dtype=None):
 
 
 __all__ = [
-    "MODEL_TAGS", "REGISTRY", "ModelConfig", "ModelData", "ItemItemGraph",
-    "RecommenderModel", "build_model", "bipartite_adjacency", "knn_graph",
-    "lattice_build", "save_checkpoint", "load_checkpoint",
+    "MODEL_TAGS", "REGISTRY", "ModelConfig", "ModelData",
+    "RecommenderModel", "build_model", "bipartite_adjacency", "item_graph",
+    "knn_graph", "save_checkpoint", "load_checkpoint",
     "VBPR", "MMGCN", "GRCN", "LATTICE", "BM3", "FREEDOM",
 ]

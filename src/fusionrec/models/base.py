@@ -1,10 +1,13 @@
 """Shared model plumbing: configs, graph builders, census, checkpoints.
 
 Every recommender here is a pair of representation maps (users, items) ->
-R^d scored by an inner product, trained on sampled triples. Subclasses
-declare their pipeline classification, allocate parameters into the
-four-group census, and implement _representations(); scoring and the
-default BPR loss live on the base class.
+R^d scored by an inner product, trained on sampled triples. In the
+pipeline schema all six are a Coordinate representation at embedding_dim
+and differ only in fusion, so a subclass declares its `fusion` stage and
+the base builds the validated spec and the per-modality feature constants.
+Subclasses allocate parameters into the four-group census and implement
+_representations(); scoring and the default BPR loss live on the base
+class. item_graph is the one builder of the frozen kNN item graph.
 """
 
 import json
@@ -14,8 +17,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ..evaluation import TOPK_BLOCK, topk_rows
-from ..tensor import SparseMatrix, Tape, Tensor, parameter, sym_normalize
-from ..schema import ParameterSet, PipelineSpec, validate
+from ..tensor import SparseMatrix, Tape, Tensor, constant, parameter, sym_normalize
+from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
 MODEL_TAGS = ("vbpr", "mmgcn", "grcn", "lattice", "bm3", "freedom")
@@ -119,8 +122,16 @@ class ModelData:
 
 # ------------------------------------------------------------ graph builders
 
-def _bipartite(n_users, n_items, pairs, dtype):
-    """Sym-normalized user-item adjacency plus each entry's source pair."""
+def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatrix:
+    """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
+    return bipartite_structure(n_users, n_items, pairs, dtype)[0]
+
+
+def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
+    """bipartite_adjacency plus, per stored entry, its source pair index.
+
+    Returns (adj, entry_pair); adj.vals are the base values to reweight.
+    """
     pairs = np.asarray(pairs, dtype=np.int64)
     m = pairs.shape[0]
     if m == 0:
@@ -132,19 +143,6 @@ def _bipartite(n_users, n_items, pairs, dtype):
     ones = np.ones(2 * m, dtype=dtype)
     adj = sym_normalize(SparseMatrix((n, n), rows, cols, ones, dtype=dtype))
     return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
-
-
-def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatrix:
-    """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
-    return _bipartite(n_users, n_items, pairs, dtype)[0]
-
-
-def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
-    """bipartite_adjacency plus, per stored entry, its source pair index.
-
-    Returns (adj, entry_pair); adj.vals are the base values to reweight.
-    """
-    return _bipartite(n_users, n_items, pairs, dtype)
 
 
 def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
@@ -180,33 +178,23 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
                         dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ItemItemGraph:
-    """Per-modality row-stochastic item neighbor graphs plus merge recipe.
+def item_graph(features: dict, k: int, weights=None) -> SparseMatrix:
+    """Frozen multimodal item graph: the weighted sum of per-modality knn_graphs.
 
-    Each graph is knn_graph's float64 SparseMatrix; merged() keeps the sum
-    sparse.
+    `weights` holds one weight per modality in sorted modality order and is
+    normalized to sum to one; None weighs the modalities uniformly.
+    Modalities are added in sorted order onto zero, in float64.
     """
-
-    matrices: dict            # modality -> (n, n) SparseMatrix, row-stochastic
-    k: int
-    blend: float              # share of the initial graph in the final blend
-    weights: dict = None      # fixed merge weights; None = learned downstream
-
-    def merged(self) -> SparseMatrix:
-        """Weighted sum across modalities using the fixed weights.
-
-        Modalities are added in sorted order onto zero, in float64.
-        """
-        mods = sorted(self.matrices)
-        if self.weights is None:
-            w = {m: 1.0 / len(mods) for m in mods}
-        else:
-            total = sum(self.weights[m] for m in mods)
-            w = {m: self.weights[m] / total for m in mods}
-        out = sum(w[m] * self.matrices[m].csr() for m in mods).tocoo()
-        return SparseMatrix(out.shape, out.row, out.col, out.data,
-                            dtype=np.float64)
+    mods = sorted(features)
+    if weights is None:
+        weights = (1.0,) * len(mods)
+    if len(weights) != len(mods):
+        raise ValueError(f"{len(weights)} modality weights for "
+                         f"{len(mods)} modalities")
+    total = sum(weights)
+    out = sum(w / total * knn_graph(features[m], k).csr()
+              for m, w in zip(mods, weights)).tocoo()
+    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=np.float64)
 
 
 # ------------------------------------------------------- tape-level helpers
@@ -255,14 +243,16 @@ def bpr_on_rows(tape: Tape, users_rep: Tensor, items_rep: Tensor,
 # ------------------------------------------------------------- model base
 
 class RecommenderModel:
-    """Common census, loss, and scoring scaffolding.
+    """Common spec, feature, census, loss, and scoring scaffolding.
 
-    Subclasses set `tag`, return their classification from _pipeline_spec(),
-    allocate parameters in _build(), and produce full user/item
-    representation tensors from _representations(tape, train).
+    Subclasses set `tag` and `fusion` (their fusion stage), allocate
+    parameters in _build(), and produce full user/item representation
+    tensors from _representations(tape, train). `feats` holds each
+    modality's item features as a constant in the model dtype.
     """
 
     tag = None
+    fusion = None
 
     def __init__(self, config: ModelConfig, data: ModelData, seed=0,
                  dtype=np.float32):
@@ -272,13 +262,14 @@ class RecommenderModel:
         self.data = data
         self.dtype = dtype
         self._params = ParameterSet()
-        self.spec = validate(self._pipeline_spec())
+        self.spec = validate(PipelineSpec(
+            Coordinate(out_dim=config.embedding_dim), self.fusion,
+            data.modalities))
+        self.feats = {m: constant(data.features[m], dtype=dtype)
+                      for m in data.modalities}
         self._build(np.random.default_rng(seed))
 
     # -- subclass hooks
-
-    def _pipeline_spec(self) -> PipelineSpec:
-        raise NotImplementedError
 
     def _build(self, rng):
         raise NotImplementedError
@@ -292,6 +283,12 @@ class RecommenderModel:
     def _param(self, group, name, rng, shape, scale=0.1):
         t = parameter(rng.normal(0.0, scale, size=shape), dtype=self.dtype)
         return self._params.add(group, name, t)
+
+    def _split_nodes(self, tape: Tape, h: Tensor):
+        """(user rows, item rows) of a stacked (n_users + n_items, d') tensor."""
+        n_u = self.data.n_users
+        return (tape.row_gather(h, np.arange(n_u)),
+                tape.row_gather(h, n_u + np.arange(self.data.n_items)))
 
     def params(self) -> ParameterSet:
         return self._params

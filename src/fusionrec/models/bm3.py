@@ -17,20 +17,14 @@ are ignored (Coordinate representation, Late fusion at the loss level).
 
 import numpy as np
 
-from ..schema import Coordinate, Late, PipelineSpec
+from ..schema import Late
 from ..tensor import Tape, constant
 from .base import RecommenderModel, bipartite_adjacency, lightgcn_propagate
 
 
 class BM3(RecommenderModel):
     tag = "bm3"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Late("sum"),
-            modalities=self.data.modalities,
-        )
+    fusion = Late("sum")
 
     def _build(self, rng):
         d = self.config.embedding_dim
@@ -40,21 +34,16 @@ class BM3(RecommenderModel):
         self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))
         self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
         self.proj = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
         self.frozen_views = None
 
     def _representations(self, tape, train):
         h0 = tape.row_concat([self.user_emb, self.item_emb])
         h = lightgcn_propagate(tape, lambda x: tape.spmm(self.adj, x), h0,
                                self.config.layers)
-        n_u = self.data.n_users
-        users = tape.row_gather(h, np.arange(n_u))
-        items = tape.row_gather(h, n_u + np.arange(self.data.n_items))
-        return users, items
+        return self._split_nodes(tape, h)
 
     def _np_mask(self, shape, rng):
         p = self.config.dropout_p

@@ -1,13 +1,13 @@
 """Frozen item-item graph plus degree-sensitive edge pruning.
 
-The multimodal item graph is built once from raw features (sparse kNN
-graphs merged with fixed weights, uniform unless configured) and never
-trained; it stays sparse from the blockwise kNN build to the product.
-Each epoch the user-item graph is resampled: an edge (u, i) is kept
-with probability proportional to (deg_u * deg_i)^(-1/2) and the pruned
-graph is re-normalized; evaluation always uses the full graph. Item
-representations add the item-graph propagation of the id embeddings
-onto the user-item propagation output.
+The multimodal item graph is built once from raw features by the base's
+item_graph (LATTICE's sparse kNN graphs merged with fixed weights, uniform
+unless configured) and never trained; it stays sparse from the blockwise
+kNN build to the product. Each epoch the user-item graph is resampled: an
+edge (u, i) is kept with probability proportional to
+(deg_u * deg_i)^(-1/2) and the pruned graph is re-normalized; evaluation
+always uses the full graph. Item representations add the item-graph
+propagation of the id embeddings onto the user-item propagation output.
 
 The loss is two BPR terms (Coordinate representation, Late fusion):
 the usual one over full representations plus, weighted by mm_weight,
@@ -18,17 +18,17 @@ through that second branch.
 
 import numpy as np
 
-from ..schema import Coordinate, Late, PipelineSpec
-from ..tensor import SparseMatrix, constant
+from ..schema import Late
+from ..tensor import SparseMatrix
 from .. import training as tr
 from .base import (
     RecommenderModel,
     batch_rows,
     bipartite_adjacency,
     bpr_on_rows,
+    item_graph,
     lightgcn_propagate,
 )
-from .lattice import lattice_build
 
 
 def edge_keep_probabilities(pairs, n_users, n_items) -> np.ndarray:
@@ -42,13 +42,7 @@ def edge_keep_probabilities(pairs, n_users, n_items) -> np.ndarray:
 
 class FREEDOM(RecommenderModel):
     tag = "freedom"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Late("sum"),
-            modalities=self.data.modalities,
-        )
+    fusion = Late("sum")
 
     def _build(self, rng):
         cfg = self.config
@@ -59,24 +53,12 @@ class FREEDOM(RecommenderModel):
         self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))
         self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
         self.proj = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
-        weights = None
-        if cfg.modality_weights is not None:
-            if len(cfg.modality_weights) != len(self.data.modalities):
-                raise ValueError(
-                    f"{len(cfg.modality_weights)} modality_weights for "
-                    f"{len(self.data.modalities)} modalities"
-                )
-            weights = dict(zip(self.data.modalities, cfg.modality_weights))
-        graph = lattice_build(self.data.features, cfg.knn_k, blend=1.0,
-                              weights=weights)
-        merged = graph.merged()
-        self.item_graph = SparseMatrix(merged.shape, merged.rows, merged.cols,
-                                       merged.vals, dtype=self.dtype)
+        g = item_graph(self.data.features, cfg.knn_k, cfg.modality_weights)
+        self.item_graph = SparseMatrix(g.shape, g.rows, g.cols, g.vals,
+                                       dtype=self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
                                             dtype=self.dtype)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)
@@ -98,12 +80,10 @@ class FREEDOM(RecommenderModel):
     def _representations(self, tape, train):
         adj = self._train_adj if train and self._train_adj is not None \
             else self.full_adj
-        n_u, n_i = self.data.n_users, self.data.n_items
         h0 = tape.row_concat([self.user_emb, self.item_emb])
         z = lightgcn_propagate(tape, lambda x: tape.spmm(adj, x), h0,
                                self.config.layers)
-        users = tape.row_gather(z, np.arange(n_u))
-        z_items = tape.row_gather(z, n_u + np.arange(n_i))
+        users, z_items = self._split_nodes(tape, z)
         h = self.item_emb
         for _ in range(self.config.item_graph_layers):
             h = tape.spmm(self.item_graph, h)

@@ -18,7 +18,7 @@ import logging
 
 import numpy as np
 
-from ..schema import Coordinate, Early, PipelineSpec
+from ..schema import Early
 from ..tensor import constant
 from .base import RecommenderModel, bipartite_structure, lightgcn_propagate
 
@@ -27,13 +27,7 @@ log = logging.getLogger(__name__)
 
 class GRCN(RecommenderModel):
     tag = "grcn"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Early("concat"),
-            modalities=self.data.modalities,
-        )
+    fusion = Early("concat")
 
     def _build(self, rng):
         d = self.config.embedding_dim
@@ -45,12 +39,10 @@ class GRCN(RecommenderModel):
         self.id_emb = self._param("rho", "id_emb", rng, (n_u + n_i, d))
         self.pref = {}
         self.proj = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.pref[m] = self._param("rho", f"pref_{m}", rng, (n_u, d))
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
 
     def _project(self, tape):
         """Modality -> projected item features, (n_items, d)."""
@@ -95,7 +87,6 @@ class GRCN(RecommenderModel):
         item_proj = self._project(tape)
         vals = self.refined_edge_values(tape, item_proj)
         layers = self.config.layers
-        n_u, n_i = self.data.n_users, self.data.n_items
 
         def hop(h):
             return tape.spmm_weighted(self.structure, vals, h)
@@ -105,6 +96,4 @@ class GRCN(RecommenderModel):
             h0 = tape.row_concat([self.pref[m], item_proj[m]])
             outs.append(lightgcn_propagate(tape, hop, h0, layers))
         final = outs[0] if len(outs) == 1 else tape.concat(outs)
-        users = tape.row_gather(final, np.arange(n_u))
-        items = tape.row_gather(final, n_u + np.arange(n_i))
-        return users, items
+        return self._split_nodes(tape, final)

@@ -1,10 +1,11 @@
 """Item-item structure learning blended with frozen feature graphs.
 
-Per modality, a cosine kNN graph over raw item features (built once)
-and a second graph learned from projected features per forward pass are
-blended A = blend * initial + (1 - blend) * learned. Modality graphs
-are then merged by a softmax-weighted sum with learned logits
-(Coordinate representation, Early(weighted_sum) fusion at graph level).
+Per modality, the base's sparse cosine kNN graph over raw item features
+(knn_graph, built once and densified here, the same graph FREEDOM freezes
+through item_graph) and a second graph learned from projected features
+per forward pass are blended A = blend * initial + (1 - blend) * learned.
+Modality graphs are then merged by a softmax-weighted sum with learned
+logits (Early(weighted_sum) fusion at graph level).
 Item id embeddings are propagated over the merged graph and the
 normalized result is added back onto the id embedding; users keep plain
 id embeddings.
@@ -17,35 +18,16 @@ gradient checks differentiate a fixed function.
 import numpy as np
 
 from ..evaluation import topk_rows
-from ..schema import Coordinate, Early, PipelineSpec, early_fuse
+from ..schema import Early, early_fuse
 from ..tensor import constant
-from .base import ItemItemGraph, RecommenderModel, knn_graph
+from .base import RecommenderModel, knn_graph
 
 ROW_SUM_FLOOR = 1e-12
 
 
-def lattice_build(features: dict, k: int, blend: float,
-                  weights: dict = None) -> ItemItemGraph:
-    """Frozen per-modality kNN graphs plus the merge recipe.
-
-    Cosine similarity is scale-invariant, so unit-normalizing rows inside
-    knn_graph covers the standardization the initial graphs assume.
-    """
-    if not features:
-        raise ValueError("lattice_build needs at least one modality")
-    matrices = {m: knn_graph(f, k) for m, f in sorted(features.items())}
-    return ItemItemGraph(matrices=matrices, k=k, blend=blend, weights=weights)
-
-
 class LATTICE(RecommenderModel):
     tag = "lattice"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Early("weighted_sum"),
-            modalities=self.data.modalities,
-        )
+    fusion = Early("weighted_sum")
 
     def _build(self, rng):
         cfg = self.config
@@ -58,15 +40,17 @@ class LATTICE(RecommenderModel):
             "gamma", "merge_logits", rng, (1, len(self.data.modalities)),
             scale=0.0,
         )
-        graph = lattice_build(self.data.features, cfg.knn_k, cfg.blend)
-        self.initial = {m: constant(g.csr().toarray(), dtype=self.dtype)
-                        for m, g in graph.matrices.items()}
+        # cosine similarity is scale-invariant, so knn_graph's unit rows
+        # cover the standardization the initial graphs assume
+        self.initial = {
+            m: constant(knn_graph(self.data.features[m], cfg.knn_k)
+                        .csr().toarray(), dtype=self.dtype)
+            for m in self.data.modalities
+        }
         self.proj = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
         self.frozen_masks = None
 
     def _topk_mask(self, sims: np.ndarray) -> np.ndarray:

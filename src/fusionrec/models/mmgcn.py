@@ -16,20 +16,14 @@ required to give users a representation at all.
 
 import numpy as np
 
-from ..schema import Coordinate, Early, PipelineSpec
+from ..schema import Early
 from ..tensor import constant
 from .base import RecommenderModel, bipartite_adjacency
 
 
 class MMGCN(RecommenderModel):
     tag = "mmgcn"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Early("sum"),
-            modalities=self.data.modalities,
-        )
+    fusion = Early("sum")
 
     def _build(self, rng):
         cfg = self.config
@@ -47,11 +41,9 @@ class MMGCN(RecommenderModel):
         self.proj = {}
         self.w1 = {}
         self.w2 = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
             if cfg.use_id_embeddings:
                 self.user_emb[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
                 if cfg.layers > 0:
@@ -94,7 +86,4 @@ class MMGCN(RecommenderModel):
         for m in self.data.modalities:
             h = self._modality_forward(tape, m)
             total = h if total is None else tape.add(total, h)
-        n_u = self.data.n_users
-        users = tape.row_gather(total, np.arange(n_u))
-        items = tape.row_gather(total, n_u + np.arange(self.data.n_items))
-        return users, items
+        return self._split_nodes(tape, total)

@@ -10,20 +10,14 @@ user-constant shift never changes that user's top-k order.
 
 import numpy as np
 
-from ..schema import Coordinate, Late, PipelineSpec
+from ..schema import Late
 from ..tensor import constant
 from .base import RecommenderModel, batch_rows, bpr_on_rows
 
 
 class VBPR(RecommenderModel):
     tag = "vbpr"
-
-    def _pipeline_spec(self):
-        return PipelineSpec(
-            representation=Coordinate(out_dim=self.config.embedding_dim),
-            fusion=Late("sum"),
-            modalities=self.data.modalities,
-        )
+    fusion = Late("sum")
 
     def _build(self, rng):
         d = self.config.embedding_dim
@@ -32,12 +26,10 @@ class VBPR(RecommenderModel):
         self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
         self.mod_user = {}
         self.proj = {}
-        self.feats = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.mod_user[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            self.feats[m] = constant(self.data.features[m], dtype=self.dtype)
         if self.config.with_bias:
             self.item_bias = self._param("rho", "item_bias", rng, (n_i, 1),
                                          scale=0.0)

@@ -102,9 +102,8 @@ def bpr_loss(tape: Tape, pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     return tape.mean(tape.softplus(tape.sub(neg_scores, pos_scores)))
 
 
-def l2_penalty(tape: Tape, params) -> Tensor:
-    """Sum of squared entries over every trainable tensor."""
-    tensors = params.tensors() if hasattr(params, "tensors") else list(params)
+def l2_penalty(tape: Tape, tensors) -> Tensor:
+    """Sum of squared entries over a sequence of trainable tensors."""
     total = None
     for t in tensors:
         sq = tape.sumsq(t)
@@ -118,7 +117,8 @@ def total_loss(tape: Tape, model, batch, rng, reg: float) -> Tensor:
     """Model task loss plus reg * l2 over its parameter set."""
     loss = model.loss(tape, batch, rng)
     if reg > 0:
-        loss = tape.add(loss, tape.scale(l2_penalty(tape, model.params()), reg))
+        penalty = l2_penalty(tape, model.params().tensors())
+        loss = tape.add(loss, tape.scale(penalty, reg))
     return loss
 
 

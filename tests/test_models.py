@@ -17,13 +17,12 @@ from fusionrec.models import (
     LATTICE,
     MMGCN,
     VBPR,
-    ItemItemGraph,
     ModelConfig,
     ModelData,
     bipartite_adjacency,
     build_model,
+    item_graph,
     knn_graph,
-    lattice_build,
     load_checkpoint,
     save_checkpoint,
 )
@@ -109,12 +108,19 @@ CLASSIFICATION = {
 def test_pipeline_classification_table():
     data = small_data()
     for tag, (rep_cls, fus_cls, op) in CLASSIFICATION.items():
-        model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2),
-                            data, seed=1)
+        cfg = ModelConfig(tag=tag, embedding_dim=4, knn_k=2)
+        model = build_model(cfg, data, seed=1)
         assert isinstance(model.spec.representation, rep_cls), tag
         assert isinstance(model.spec.fusion, fus_cls), tag
         assert model.spec.fusion.op == op, tag
+        assert model.spec.representation.out_dim == cfg.embedding_dim, tag
         assert model.spec.modalities == data.modalities
+        assert sorted(model.feats) == list(data.modalities), tag
+        for m in data.modalities:
+            assert not model.feats[m].requires_grad, (tag, m)
+            assert model.feats[m].data.dtype == model.dtype, (tag, m)
+            np.testing.assert_array_equal(
+                model.feats[m].data, data.features[m].astype(model.dtype))
 
 
 def test_census_covers_every_tensor_once():
@@ -395,19 +401,6 @@ def test_lattice_blend_one_freezes_graph():
     assert model.merge_logits.grad is not None
 
 
-def test_item_item_graph_merged_uniform_and_weighted():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sparse = {"t": T.SparseMatrix.from_dense(a, dtype=np.float64),
-              "v": T.SparseMatrix.from_dense(b, dtype=np.float64)}
-    graph = ItemItemGraph(sparse, k=1, blend=1.0)
-    np.testing.assert_allclose(graph.merged().csr().toarray(), 0.5 * a + 0.5 * b)
-    graph = ItemItemGraph(sparse, k=1, blend=1.0,
-                          weights={"t": 3.0, "v": 1.0})
-    np.testing.assert_allclose(graph.merged().csr().toarray(),
-                               0.75 * a + 0.25 * b)
-
-
 # ----------------------------------------------------------------------- bm3
 
 def test_bm3_zero_dropout_intra_loss_exactly_zero():
@@ -507,9 +500,7 @@ def test_freedom_mm_weight_zero_leaves_projections_without_gradient():
 
 def test_freedom_item_graph_is_frozen_row_stochastic():
     data = small_data()
-    graph = lattice_build(data.features, k=2, blend=1.0)
-    assert graph.blend == 1.0
-    merged = graph.merged().csr().toarray()
+    merged = item_graph(data.features, k=2).csr().toarray()
     sums = merged.sum(axis=1)
     assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()
 
