@@ -288,7 +288,6 @@ class SyntheticData:
 
     dataset: Dataset
     features: dict  # modality name -> (n_items, dim) float32, the true factors
-    user_preferences: dict  # modality name -> (n_users, dim) float32
     affinity: np.ndarray  # (n_users, n_items) noiseless scores
     density: float
 
@@ -315,7 +314,7 @@ def generate_synthetic(n_users: int, n_items: int, density: float, seed: int,
     if dims is None:
         dims = {m: 16 for m in modalities}
     rng = np.random.default_rng(seed)
-    feats, prefs = {}, {}
+    feats = {}
     affinity = np.zeros((n_users, n_items), dtype=np.float64)
     for m in modalities:
         d = dims[m]
@@ -323,7 +322,6 @@ def generate_synthetic(n_users: int, n_items: int, density: float, seed: int,
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         p = rng.standard_normal((n_users, d))
         feats[m] = f.astype(np.float32)
-        prefs[m] = p.astype(np.float32)
         affinity += p @ f.T
     affinity /= len(modalities)
     scores = affinity + (noise * rng.standard_normal(affinity.shape) if noise else 0.0)
@@ -339,7 +337,7 @@ def generate_synthetic(n_users: int, n_items: int, density: float, seed: int,
         ratings=np.ones(uu.size, dtype=np.float32),
         timestamps=np.zeros(uu.size, dtype=np.int64),
     )
-    return SyntheticData(ds, feats, prefs, affinity, density)
+    return SyntheticData(ds, feats, affinity, density)
 
 
 def write_split(split: Split, out_dir):

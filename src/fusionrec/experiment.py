@@ -18,14 +18,13 @@ import os
 import string
 from dataclasses import asdict, dataclass, field, fields, replace
 
-import numpy as np
-
 from . import __version__
 from . import dataset as ds
 from . import evaluation as ev
 from . import training as tr
 from .modality import MISSING_POLICIES, MultimodalStore, load_features
 from .models import (
+    MODEL_TAGS,
     ModelConfig,
     ModelData,
     build_model,
@@ -191,13 +190,16 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
             f = known[key]
             ftype = _field_type(f)
-            if f.name == "modality_weights":
-                kwargs[key] = None if value.strip().lower() == "none" else \
-                    tuple(float(x) for x in value.split(","))
-            elif ftype is not None:
-                kwargs[key] = _parse_typed(value, ftype)
-            else:
-                kwargs[key] = value
+            try:
+                if f.name == "modality_weights":
+                    kwargs[key] = None if value.strip().lower() == "none" else \
+                        tuple(float(x) for x in value.split(","))
+                elif ftype is not None:
+                    kwargs[key] = _parse_typed(value, ftype)
+                else:
+                    kwargs[key] = value
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -207,15 +209,17 @@ def parse_config(text: str) -> ExperimentConfig:
     trainer = typed_section("trainer", tr.TrainerConfig) if "trainer" in cp \
         else tr.TrainerConfig()
 
-    def float_tuple(section, key, default):
-        if section in cp and key in cp[section]:
-            return tuple(float(x) for x in cp[section][key].split(","))
-        return default
+    def csv_tuple(section, key, cast, default):
+        if section not in cp or key not in cp[section]:
+            return default
+        text = cp[section][key]
+        try:
+            return tuple(cast(x) for x in text.split(","))
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be comma-separated "
+                              f"{cast.__name__} values, got {text!r}") from None
 
     prepare = cp["prepare"] if "prepare" in cp else {}
-    cutoffs = DEFAULT_CUTOFFS
-    if "evaluation" in cp and "cutoffs" in cp["evaluation"]:
-        cutoffs = tuple(int(x) for x in cp["evaluation"]["cutoffs"].split(","))
     try:
         return ExperimentConfig(
             interactions=data["interactions"],
@@ -226,9 +230,9 @@ def parse_config(text: str) -> ExperimentConfig:
             kcore=int(prepare.get("kcore", 5)),
             train_ratio=float(prepare.get("train_ratio", 0.8)),
             split_seed=int(prepare.get("seed", 0)),
-            grid_lrs=float_tuple("grid", "lrs", tr.DEFAULT_GRID_LRS),
-            grid_regs=float_tuple("grid", "regs", tr.DEFAULT_GRID_REGS),
-            cutoffs=cutoffs,
+            grid_lrs=csv_tuple("grid", "lrs", float, tr.DEFAULT_GRID_LRS),
+            grid_regs=csv_tuple("grid", "regs", float, tr.DEFAULT_GRID_REGS),
+            cutoffs=csv_tuple("evaluation", "cutoffs", int, DEFAULT_CUTOFFS),
             out_dir=cp["output"]["dir"] if "output" in cp else "runs/experiment",
         )
     except ValueError as exc:
@@ -423,8 +427,6 @@ def run_single(config: ExperimentConfig, threads=1, tune=True):
 
 def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
     """Run the roster over one prepared split and emit the combined report."""
-    from .models import MODEL_TAGS
-
     roster = tuple(models) if models else MODEL_TAGS
     for tag in roster:
         if tag not in MODEL_TAGS:

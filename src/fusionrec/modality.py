@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
         try:
             header = json.loads(header_line.decode("utf-8"))
             m, dim, count = header["modality"], int(header["dim"]), int(header["count"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise FeatureFormatError(f"bad header line: {exc}") from None
         payload = fh.read()
     if dim <= 0 or count < 0:
@@ -108,7 +108,10 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
                 f"truncated at record {n}: expected {need} more bytes, "
                 f"found {len(payload) - offset}"
             )
-        ids.append(payload[offset:offset + id_len].decode("utf-8"))
+        try:
+            ids.append(payload[offset:offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FeatureFormatError(f"record {n}: item id is not UTF-8: {exc}") from None
         offset += id_len
         matrix[n] = np.frombuffer(payload, dtype="<f4", count=dim, offset=offset)
         offset += row_bytes
@@ -174,7 +177,6 @@ class MultimodalStore:
         self.missing = missing
         self.matrices = {}
         self.masks = {}
-        self.dims = {}
         self.filled = {}
         seen = set()
         for feats in features:
@@ -213,7 +215,6 @@ class MultimodalStore:
                         len(missing_ids), n, self.missing)
         self.matrices[feats.modality] = matrix
         self.masks[feats.modality] = mask
-        self.dims[feats.modality] = feats.dim
         self.filled[feats.modality] = len(missing_ids)
 
     @property

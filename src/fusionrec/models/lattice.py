@@ -18,7 +18,7 @@ gradient checks differentiate a fixed function.
 import numpy as np
 
 from ..evaluation import topk_rows
-from ..schema import Early, early_fuse
+from ..schema import Early, weighted_sum
 from ..tensor import constant
 from .base import RecommenderModel, knn_graph
 
@@ -89,7 +89,7 @@ class LATTICE(RecommenderModel):
                     tape.scale(self.initial[m], self.config.blend),
                     tape.scale(learned, 1.0 - self.config.blend),
                 ))
-        return early_fuse(tape, parts, "weighted_sum", self.merge_logits)
+        return weighted_sum(tape, parts, self.merge_logits)
 
     def _representations(self, tape, train):
         merged = self.merged_graph(tape)

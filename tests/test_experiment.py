@@ -149,6 +149,22 @@ def test_parse_rejects_malformed_input():
             "[model]\ntag = vbpr\nwith_bias = maybe\n")
 
 
+def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
+    head = "[data]\ninteractions = a\nfeature.visual = b\n[model]\ntag = vbpr\n"
+    for extra, key in (("[evaluation]\ncutoffs = 10, abc\n", "cutoffs"),
+                       ("[grid]\nlrs = 0.01, fast\n", "lrs"),
+                       ("embedding_dim = wide\n", "embedding_dim"),
+                       ("modality_weights = 1, heavy\n", "modality_weights")):
+        with pytest.raises(ex.ConfigError, match=key):
+            ex.parse_config(head + extra)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(ex.serialize_config(base_config(corpus, str(tmp_path / "out")))
+                   .replace("cutoffs = 5, 10", "cutoffs = 10, abc"))
+    assert "cutoffs = 10, abc" in ini.read_text()
+    assert main(["--config", str(ini), "prepare"]) == 1
+    capsys.readouterr()
+
+
 def test_config_validation(corpus):
     with pytest.raises(ex.ConfigError, match="modality"):
         base_config(corpus, "o", features={})

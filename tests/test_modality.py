@@ -61,6 +61,23 @@ def test_header_count_mismatch(tmp_path):
         M.load_features(path)
 
 
+def test_non_object_header_is_a_bad_header(tmp_path):
+    path = tmp_path / "vis.bin"
+    path.write_bytes(b"[1, 2]\n")
+    with pytest.raises(M.FeatureFormatError, match="bad header line"):
+        M.load_features(path)
+
+
+def test_non_utf8_item_id_names_the_record(tmp_path):
+    path = tmp_path / "vis.bin"
+    header = json.dumps({"modality": "visual", "dim": 1, "count": 2})
+    records = [struct.pack("<H", 2) + b"i0" + struct.pack("<f", 1.0),
+               struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<f", 2.0)]
+    path.write_bytes(header.encode() + b"\n" + b"".join(records))
+    with pytest.raises(M.FeatureFormatError, match="record 1"):
+        M.load_features(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     feats = sample_feats()
     path = tmp_path / "vis.bin"
