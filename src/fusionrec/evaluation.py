@@ -1,18 +1,32 @@
-"""Top-k ranking and the metric battery.
+"""Top-k ranking and the metric battery, on arrays.
 
 Accuracy: Recall@k and nDCG@k (binary relevance). Beyond accuracy: expected
 free discovery (EFD@k), Gini concentration of recommended exposure, average
-percentage of long-tail items (APLT@k), and item coverage (iCov). All metrics
-consume plain recommendation lists, so they are independent of any model
-internals; ranking excludes each user's train items and breaks score ties by
-ascending item id.
+percentage of long-tail items (APLT@k), and item coverage (iCov). Ranking
+excludes each user's train items and breaks score ties by ascending item id.
+
+Users and items stay integer arrays from the scorer to the report: a Ranking
+holds one row of item ids per user, and one hit matrix, read from the part's
+InteractionIndex, feeds every metric at every cutoff. The values are
+bit-identical to per-user loops over sets, because:
+- rank discounts and -log2 p come from math.log2 (np.log2's vectorized
+  kernel may differ in the last ulp);
+- each user's gains are added left to right by np.cumsum (np.sum adds
+  pairwise), and adding a non-hit's 0.0 is exact;
+- users are averaged in a fixed order: first appearance in the part's pairs
+  for Recall, nDCG and EFD, the ranking's order for APLT.
+The metric functions also take {user: list} and {user: set} dicts: adapters
+turn them into the same arrays for the same code.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -53,6 +67,16 @@ class PopularityProfile:
         c = self.counts[item]
         return (c if c > 0 else 0.5) / self.n_train
 
+    @cached_property
+    def surprisal(self):
+        """-log2 p(i) of every catalog item."""
+        p = np.where(self.counts > 0, self.counts, 0.5) / self.n_train
+        return np.array([-math.log2(x) for x in p.tolist()])
+
+    @cached_property
+    def in_tail(self):
+        return np.isin(np.arange(self.n_items), list(self.long_tail))
+
 
 @dataclass
 class MetricReport:
@@ -65,6 +89,35 @@ class MetricReport:
 
     def get(self, metric, k):
         return self.values[(metric, k)]
+
+
+class Ranking(Mapping):
+    """Row r of `top` holds users[r]'s top-k item ids, best first, and row r
+    of `scores` the scores behind them. As a mapping: user -> list of ids."""
+
+    def __init__(self, users, top, scores):
+        self.users, self.top, self.scores = users, top, scores
+
+    @cached_property
+    def row_of(self):
+        return dict(zip(self.users.tolist(), range(len(self.users))))
+
+    def __getitem__(self, user):
+        return self.top[self.row_of[user]].tolist()
+
+    def __iter__(self):
+        return iter(self.users.tolist())
+
+    def __len__(self):
+        return len(self.users)
+
+
+# A part's InteractionIndex, with its users in order of first appearance in
+# the part's pairs.
+Relevance = namedtuple("Relevance", "index users")
+# Per user with relevant items: the top-k list, which of its items are
+# relevant, and how many items are.
+Judged = namedtuple("Judged", "hits items n_rel")
 
 
 TOPK_BLOCK = 512  # rows per top-k block: index arrays never span every row
@@ -93,30 +146,29 @@ def topk_rows(scores, k):
         above, tie = tied > kth_over, tied == kth_over
         fill = k - above.sum(axis=1, keepdims=True)
         keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= fill))
-        cols = np.nonzero(keep)[1].reshape(-1, k)
+        # row-major like np.nonzero(keep)[1], without its 2-D index pass
+        cols = (np.flatnonzero(keep) % m).reshape(-1, k)
         order = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1,
                            kind="stable")
         out[lo:lo + TOPK_BLOCK] = np.take_along_axis(cols, order, axis=1)
     return out
 
 
-def rank_topk(score_fn, users, k, exclude, n_items, threads=1,
-              with_scores=False):
-    """Top-k item lists per user.
+def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
+    """Top-k item lists per user, as a Ranking.
 
     score_fn(users) returns a (len(users), n_items) matrix; it is called once,
-    whatever `threads` is. The items of each user in `exclude`, an
-    InteractionIndex of train items, are set to -inf on a float64 copy, never
-    in score_fn's array. Ties break by ascending item id. k must not exceed
-    the smallest candidate set. `threads` spreads the blocks of TOPK_BLOCK
-    users over a thread pool. With `with_scores`, returns (lists, scores):
-    scores[u] holds the k entries of score_fn's matrix behind u's list, in
-    rank order.
+    whatever `threads` is. Blocks of TOPK_BLOCK users are ranked on copies in
+    its floating dtype (float64 for integers, so -inf fits), with the items
+    of each user in `exclude`, an InteractionIndex of train items, at -inf.
+    Ties break by ascending item id. k must not exceed the smallest candidate
+    set. threads > 1 ranks the blocks on a thread pool. The Ranking's scores
+    are score_fn's entries, in its dtype.
     """
     users = list(users)
-    if not users:
-        return ({}, {}) if with_scores else {}
     ids = np.asarray(users, dtype=np.int64)
+    if not users:
+        return Ranking(ids, np.zeros((0, k), np.int64), np.zeros((0, k)))
     candidates = n_items - exclude.degrees[ids]
     short = np.flatnonzero(candidates < k)
     if short.size:
@@ -125,48 +177,85 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1,
             f"candidates, cannot rank top-{k}"
         )
     scores = np.asarray(score_fn(users))
+    dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
 
     def rank_block(lo):
-        block = scores[lo:lo + TOPK_BLOCK].astype(np.float64)
+        block = scores[lo:lo + TOPK_BLOCK].astype(dtype)
         block[exclude.items_of(ids[lo:lo + TOPK_BLOCK])] = -np.inf
         return topk_rows(block, k)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        top = np.concatenate(list(pool.map(rank_block,
-                                           range(0, len(users), TOPK_BLOCK))))
-    recs = {u: top[row].tolist() for row, u in enumerate(users)}
-    if not with_scores:
-        return recs
-    picked = np.take_along_axis(scores, top, axis=1)
-    return recs, {u: picked[row] for row, u in enumerate(users)}
+    starts = range(0, len(users), TOPK_BLOCK)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(rank_block, starts))
+    else:
+        blocks = [rank_block(lo) for lo in starts]
+    top = np.concatenate(blocks)
+    return Ranking(ids, top, np.take_along_axis(scores, top, axis=1))
+
+
+def _judged(recs, relevant, k):
+    """recs judged against relevant at cutoff k, users in relevant's order.
+    relevant is a Judged (sliced to k), a Relevance with a Ranking (hits by
+    binary search in the part's index) or a dict of sets (set lookups)."""
+    if isinstance(relevant, Judged):
+        return Judged(relevant.hits[:, :k], relevant.items[:, :k], relevant.n_rel)
+    if isinstance(relevant, Relevance):
+        users, index = relevant.users, relevant.index
+        items = recs.top[[recs.row_of[u] for u in users.tolist()], :k]
+        return Judged(index.contains(users[:, None], items), items,
+                      index.degrees[users])
+    users = [u for u, rel in relevant.items() if rel]
+    items = _lists({u: recs[u] for u in users}, k)
+    hits = [[i in relevant[u] for i in row] for u, row in zip(users, items.tolist())]
+    return Judged(np.array(hits, dtype=bool).reshape(items.shape), items,
+                  np.array([len(relevant[u]) for u in users], dtype=np.int64))
+
+
+def _lists(recs, k):
+    """(n_users, k) array of every top-k list, in recs' order; dict lists
+    must be equally long."""
+    if isinstance(recs, Ranking):
+        return recs.top[:, :k]
+    rows = [recs[u][:k] for u in recs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1) if rows else \
+        np.zeros((0, 0), dtype=np.int64)
+
+
+def _exposure_counts(recs, k, n_items):
+    """How many of the top-k lists hold each catalog item."""
+    items = recs.top[:, :k].ravel() if isinstance(recs, Ranking) else np.fromiter(
+        chain.from_iterable(recs[u][:k] for u in recs), dtype=np.int64)
+    return np.bincount(items, minlength=n_items)
 
 
 def _per_user_mean(values):
-    return float(np.mean(values)) if values else 0.0
+    return float(np.mean(values)) if len(values) else 0.0
+
+
+def _gains_sum(hits, gains):
+    """Each user's gains at hits, added left to right in rank order."""
+    kept = np.where(hits, gains, 0.0)
+    return np.cumsum(kept, axis=1)[:, -1] if kept.shape[1] else np.zeros(len(kept))
+
+
+def _discounts(k):
+    return np.array([1.0 / math.log2(r + 1) for r in range(1, k + 1)])
 
 
 def recall_at_k(recs, relevant, k):
     """Mean over users of |hits| / |relevant|; users without relevant items skipped."""
-    vals = [
-        len(set(recs[u][:k]) & rel) / len(rel)
-        for u, rel in relevant.items() if rel
-    ]
-    return _per_user_mean(vals)
+    hits, _, n_rel = _judged(recs, relevant, k)
+    return _per_user_mean(hits.sum(axis=1) / n_rel)
 
 
 def ndcg_at_k(recs, relevant, k):
     """Binary-relevance nDCG: DCG with 1/log2(rank+1) gains against the ideal
     DCG over min(k, |relevant|) positions."""
-    vals = []
-    for u, rel in relevant.items():
-        if not rel:
-            continue
-        dcg = sum(1.0 / math.log2(r + 1)
-                  for r, i in enumerate(recs[u][:k], start=1) if i in rel)
-        idcg = sum(1.0 / math.log2(r + 1)
-                   for r in range(1, min(k, len(rel)) + 1))
-        vals.append(dcg / idcg)
-    return _per_user_mean(vals)
+    hits, _, n_rel = _judged(recs, relevant, k)
+    disc = _discounts(k)
+    dcg = _gains_sum(hits, disc[:hits.shape[1]])
+    return _per_user_mean(dcg / np.cumsum(disc)[np.minimum(k, n_rel) - 1])
 
 
 def efd_at_k(recs, relevant, k, profile: PopularityProfile):
@@ -175,25 +264,11 @@ def efd_at_k(recs, relevant, k, profile: PopularityProfile):
     Per user: C * sum_r disc(r) * rel(i_r) * (-log2 p(i_r)) with
     disc(r) = 1/log2(r+1) and C normalizing the discounts to sum 1.
     """
-    disc = [1.0 / math.log2(r + 1) for r in range(1, k + 1)]
-    c = 1.0 / sum(disc)
-    vals = []
-    for u, rel in relevant.items():
-        if not rel:
-            continue
-        total = sum(
-            disc[r - 1] * (-math.log2(profile.probability(i)))
-            for r, i in enumerate(recs[u][:k], start=1) if i in rel
-        )
-        vals.append(c * total)
-    return _per_user_mean(vals)
-
-
-def _exposure_counts(recs, k, n_items):
-    """How many of the top-k lists hold each catalog item."""
-    items = np.fromiter(chain.from_iterable(recs[u][:k] for u in recs),
-                        dtype=np.int64)
-    return np.bincount(items, minlength=n_items)
+    hits, items, _ = _judged(recs, relevant, k)
+    disc = _discounts(k)
+    c = 1.0 / np.cumsum(disc)[-1]
+    total = _gains_sum(hits, disc[:hits.shape[1]] * profile.surprisal[items])
+    return _per_user_mean(c * total)
 
 
 def gini_at_k(recs, k, n_items):
@@ -215,11 +290,7 @@ def gini_at_k(recs, k, n_items):
 
 def aplt_at_k(recs, k, profile: PopularityProfile):
     """Mean share of long-tail items in each list."""
-    vals = [
-        sum(1 for i in recs[u][:k] if i in profile.long_tail) / k
-        for u in recs
-    ]
-    return _per_user_mean(vals)
+    return _per_user_mean(profile.in_tail[_lists(recs, k)].sum(axis=1) / k)
 
 
 def item_coverage(recs, k, n_items):
@@ -231,12 +302,14 @@ METRIC_ORDER = ("recall", "ndcg", "efd", "gini", "aplt", "icov")
 
 
 def evaluate_lists(recs, relevant, profile: PopularityProfile, cutoffs=(10, 20)):
-    """All six metrics at every cutoff, on pre-ranked lists."""
+    """All six metrics at every cutoff, on pre-ranked lists: a Ranking and a
+    Relevance, or dicts. Hits are judged once, at the largest cutoff."""
+    judged = _judged(recs, relevant, max(cutoffs))
     report = MetricReport()
     for k in cutoffs:
-        report.set("recall", k, recall_at_k(recs, relevant, k))
-        report.set("ndcg", k, ndcg_at_k(recs, relevant, k))
-        report.set("efd", k, efd_at_k(recs, relevant, k, profile))
+        report.set("recall", k, recall_at_k(recs, judged, k))
+        report.set("ndcg", k, ndcg_at_k(recs, judged, k))
+        report.set("efd", k, efd_at_k(recs, judged, k, profile))
         report.set("gini", k, gini_at_k(recs, k, profile.n_items))
         report.set("aplt", k, aplt_at_k(recs, k, profile))
         report.set("icov", k, item_coverage(recs, k, profile.n_items))
@@ -244,13 +317,10 @@ def evaluate_lists(recs, relevant, profile: PopularityProfile, cutoffs=(10, 20))
 
 
 def _relevance(split, part):
-    """{user: set of items} from the part's index. Users come in order of
-    first appearance in the part's pairs, the order in which the metrics
-    sum their per-user values."""
-    index = split.user_positives(part)
+    """The part's Relevance."""
     users = getattr(split, part)[:, 0]
     first = np.sort(np.unique(users, return_index=True)[1])
-    return {u: index[u] for u in users[first].tolist()}
+    return Relevance(split.user_positives(part), users[first])
 
 
 def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
@@ -258,41 +328,37 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
 
     Users evaluated are those with at least one interaction in the requested
     part; candidates are all catalog items minus the user's train items.
-    Returns (report, (recs, scores)), scores from the ranking pass as in
-    rank_topk(with_scores=True).
+    Returns (report, ranking at the largest cutoff).
     """
     relevant = _relevance(split, part)
-    k_max = max(cutoffs)
-    recs, scores = rank_topk(model.score_users, sorted(relevant), k_max,
-                             split.user_positives("train"),
-                             split.dataset.n_items, threads=threads,
-                             with_scores=True)
+    ranking = rank_topk(model.score_users, np.sort(relevant.users).tolist(),
+                        max(cutoffs), split.user_positives("train"),
+                        split.dataset.n_items, threads=threads)
     profile = PopularityProfile.from_train(split.train, split.dataset.n_items)
-    return evaluate_lists(recs, relevant, profile, cutoffs), (recs, scores)
+    return evaluate_lists(ranking, relevant, profile, cutoffs), ranking
 
 
 def recall_eval_fn(split, part="validation", k=20, threads=1):
     """Callable(model) -> Recall@k on the given part, for model selection."""
     relevant = _relevance(split, part)
-    users = sorted(relevant)
+    users = np.sort(relevant.users).tolist()
     exclude = split.user_positives("train")
 
     def run(model):
-        recs = rank_topk(model.score_users, users, k, exclude,
-                         split.dataset.n_items, threads=threads)
-        return recall_at_k(recs, relevant, k)
+        return recall_at_k(rank_topk(model.score_users, users, k, exclude,
+                                     split.dataset.n_items, threads=threads),
+                           relevant, k)
 
     return run
 
 
-def write_recommendations_tsv(recs, path, scores):
-    """Dump `user item rank score` rows, users ascending, ranks ascending.
-
-    scores[u] lists the scores of recs[u] in rank order, as rank_topk's
-    with_scores hands them out.
-    """
+def write_recommendations_tsv(ranking, path):
+    """Dump `user item rank score` rows, users ascending, ranks ascending,
+    with the scores of the ranking pass."""
+    order = np.argsort(ranking.users)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in sorted(recs):
-            for rank, item in enumerate(recs[u], start=1):
-                s = float(scores[u][rank - 1])
+        for u, items, scores in zip(ranking.users[order].tolist(),
+                                    ranking.top[order].tolist(),
+                                    ranking.scores[order].tolist()):
+            for rank, (item, s) in enumerate(zip(items, scores), start=1):
                 fh.write(f"{u}\t{item}\t{rank}\t{s:.6f}\n")

@@ -17,6 +17,7 @@ import json
 import os
 import string
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 from . import __version__
 from . import dataset as ds
@@ -182,24 +183,31 @@ def parse_config(text: str) -> ExperimentConfig:
     features = {key.split(".", 1)[1]: value
                 for key, value in data.items() if key.startswith("feature.")}
 
+    def value(section, key, parse, default=None):
+        """[section] key through parse, or default when absent; a value that
+        does not parse is a ConfigError naming the section and the key."""
+        if section not in cp or key not in cp[section]:
+            return default
+        try:
+            return parse(cp[section][key])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+    def csv(cast):
+        return lambda text: tuple(cast(x) for x in text.split(","))
+
+    def weights(text):
+        return None if text.strip().lower() == "none" else csv(float)(text)
+
     def typed_section(section, cls, **extra):
         kwargs = dict(extra)
         known = {f.name: f for f in fields(cls)}
-        for key, value in cp[section].items():
+        for key in cp[section]:
             if key not in known:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
-            f = known[key]
-            ftype = _field_type(f)
-            try:
-                if f.name == "modality_weights":
-                    kwargs[key] = None if value.strip().lower() == "none" else \
-                        tuple(float(x) for x in value.split(","))
-                elif ftype is not None:
-                    kwargs[key] = _parse_typed(value, ftype)
-                else:
-                    kwargs[key] = value
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
+            ftype = _field_type(known[key])
+            kwargs[key] = value(section, key, weights if key == "modality_weights"
+                                else partial(_parse_typed, ftype=ftype) if ftype else str)
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -209,17 +217,6 @@ def parse_config(text: str) -> ExperimentConfig:
     trainer = typed_section("trainer", tr.TrainerConfig) if "trainer" in cp \
         else tr.TrainerConfig()
 
-    def csv_tuple(section, key, cast, default):
-        if section not in cp or key not in cp[section]:
-            return default
-        text = cp[section][key]
-        try:
-            return tuple(cast(x) for x in text.split(","))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be comma-separated "
-                              f"{cast.__name__} values, got {text!r}") from None
-
-    prepare = cp["prepare"] if "prepare" in cp else {}
     try:
         return ExperimentConfig(
             interactions=data["interactions"],
@@ -227,12 +224,12 @@ def parse_config(text: str) -> ExperimentConfig:
             model=model,
             trainer=trainer,
             missing_policy=data.get("missing", "error"),
-            kcore=int(prepare.get("kcore", 5)),
-            train_ratio=float(prepare.get("train_ratio", 0.8)),
-            split_seed=int(prepare.get("seed", 0)),
-            grid_lrs=csv_tuple("grid", "lrs", float, tr.DEFAULT_GRID_LRS),
-            grid_regs=csv_tuple("grid", "regs", float, tr.DEFAULT_GRID_REGS),
-            cutoffs=csv_tuple("evaluation", "cutoffs", int, DEFAULT_CUTOFFS),
+            kcore=value("prepare", "kcore", int, 5),
+            train_ratio=value("prepare", "train_ratio", float, 0.8),
+            split_seed=value("prepare", "seed", int, 0),
+            grid_lrs=value("grid", "lrs", csv(float), tr.DEFAULT_GRID_LRS),
+            grid_regs=value("grid", "regs", csv(float), tr.DEFAULT_GRID_REGS),
+            cutoffs=value("evaluation", "cutoffs", csv(int), DEFAULT_CUTOFFS),
             out_dir=cp["output"]["dir"] if "output" in cp else "runs/experiment",
         )
     except ValueError as exc:
@@ -386,7 +383,7 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
         mdata = ModelData.from_split(split, store)
         model = build_model(config.model, mdata, seed=config.trainer.seed)
         load_checkpoint(model, os.path.join(run_dir, "checkpoint"))
-    report, (recs, scores) = ev.evaluate_model(
+    report, ranking = ev.evaluate_model(
         model, split, part="test", cutoffs=config.cutoffs, threads=threads)
     os.makedirs(run_dir, exist_ok=True)
     values = {f"{metric}@{k}": report.get(metric, k)
@@ -398,7 +395,7 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
         f"{metric}\t{k}\t{report.get(metric, k)!r}\n"
         for k in config.cutoffs for metric in ev.METRIC_ORDER))
     ev.write_recommendations_tsv(
-        recs, os.path.join(run_dir, "recommendations.tsv"), scores)
+        ranking, os.path.join(run_dir, "recommendations.tsv"))
     md, _ = render_report([(config.model.tag, report)], config.cutoffs)
     _write(os.path.join(run_dir, "report.md"), md)
     return report

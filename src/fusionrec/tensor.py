@@ -263,8 +263,9 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, rules):
-        if not np.isfinite(out_arr).all():
+    def _record(self, name, out_arr, inputs, rules, copies=False):
+        # copies of checked results or leaves (ModelData, optimizer) stay finite
+        if not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
         out = Tensor.__new__(Tensor)
         out.data = out_arr
@@ -524,7 +525,7 @@ class Tape:
         widths = [t.cols for t in tensors]
         starts = np.cumsum([0] + widths[:-1])
         rules = tuple((lambda g, lo=lo, n=n: g[:, lo:lo + n]) for lo, n in zip(starts, widths))
-        return self._record("concat", out, tuple(tensors), rules)
+        return self._record("concat", out, tuple(tensors), rules, copies=True)
 
     def matmul_nt(self, a: Tensor, b: Tensor) -> Tensor:
         """a @ b.T without materializing a transpose, (n, d) x (m, d) -> (n, m)."""
@@ -552,7 +553,7 @@ class Tape:
         heights = [t.rows for t in tensors]
         starts = np.cumsum([0] + heights[:-1])
         rules = tuple((lambda g, lo=lo, n=n: g[lo:lo + n]) for lo, n in zip(starts, heights))
-        return self._record("row_concat", out, tuple(tensors), rules)
+        return self._record("row_concat", out, tuple(tensors), rules, copies=True)
 
     def row_gather(self, a: Tensor, idx) -> Tensor:
         """Select rows by index; repeated indices accumulate gradient."""
@@ -569,7 +570,7 @@ class Tape:
                                               shape=(shape[0], idx.size))
             return _csr_product(scatter, g)
 
-        return self._record("row_gather", out, (a,), (rule,))
+        return self._record("row_gather", out, (a,), (rule,), copies=True)
 
     def dropout(self, a: Tensor, p: float, rng) -> Tensor:
         """Inverted dropout: keep with prob 1-p, scale kept entries by 1/(1-p).
@@ -634,7 +635,7 @@ class Tape:
     def stop_gradient(self, a: Tensor) -> Tensor:
         """Identity forward; blocks all gradient flow: the result has no inputs."""
         self._check_operand(a)
-        return self._record("stop_gradient", a.data.copy(), (), ())
+        return self._record("stop_gradient", a.data.copy(), (), (), copies=True)
 
     def cosine_similarity(self, a: Tensor, b: Tensor) -> Tensor:
         """Row-wise cosine, shape (n, d) x (n, d) -> (n, 1).

@@ -1,5 +1,7 @@
 """Metric hand values, brute-force agreement, ranking behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -269,20 +271,53 @@ def test_metrics_sum_users_in_first_appearance_order():
         assert report.values == E.evaluate_lists(recs, relevant, profile).values
 
 
+def test_rank_topk_float32_ranks_as_its_float64_cast():
+    # float32 blocks are ranked as float32; the exact cast keeps order and ties
+    rng = np.random.default_rng(11)
+    n_users, n_items = 2 * E.TOPK_BLOCK + 9, 40
+    scores = rng.integers(-3, 3, size=(n_users, n_items)).astype(np.float32)
+    scores[:, ::3] += rng.standard_normal((n_users, 14)).astype(np.float32) * 1e-6
+    pairs = np.stack([rng.integers(0, n_users, 600), rng.integers(0, n_items, 600)], 1)
+    train, users = index(n_users, n_items, pairs), rng.permutation(n_users).tolist()
+    got = E.rank_topk(lambda us: scores[us], users, 10, train, n_items)
+    want = E.rank_topk(lambda us: scores[us].astype(np.float64), users, 10, train,
+                       n_items)
+    assert got.scores.dtype == np.float32
+    np.testing.assert_array_equal(got.top, want.top)
+    np.testing.assert_array_equal(got.scores.astype(np.float64), want.scores)
+
+
+def test_evaluate_model_scores_ranks_and_measures_once(monkeypatch):
+    # the benchmark's traced layers read these three calls, once per evaluation
+    from fusionrec import dataset as D
+
+    split = D.holdout_split(D.generate_synthetic(60, 40, 0.2, seed=4).dataset,
+                            seed=2)
+    counts = {"rank_topk": 0, "evaluate_lists": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(E, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(E, name, counted)
+    scorer = CountingScorer(np.random.default_rng(3).standard_normal((60, 40)))
+    E.evaluate_model(type("M", (), {"score_users": scorer}), split, "test")
+    assert counts == {"rank_topk": 1, "evaluate_lists": 1}
+    assert len(scorer.calls) == 1
+
+
 def test_write_recommendations_scores_once_from_one_call(tmp_path):
     # the ranking pass's single score_fn call supplies the score column
     rng = np.random.default_rng(4)
     scorer = CountingScorer(rng.standard_normal((5, 8)).astype(np.float32))
-    recs, scores = E.rank_topk(scorer, [0, 1, 3], 2, index(5, 8, [(1, 4)]), 8,
-                               with_scores=True)
+    recs = E.rank_topk(scorer, [0, 1, 3], 2, index(5, 8, [(1, 4)]), 8)
     path = tmp_path / "recommendations.tsv"
-    E.write_recommendations_tsv(recs, path, scores)
+    E.write_recommendations_tsv(recs, path)
     assert len(scorer.calls) == 1
     users, matrix = scorer.calls[0]
     assert users == [0, 1, 3]
     for row, u in enumerate(users):
-        assert scores[u].dtype == matrix.dtype
-        np.testing.assert_array_equal(scores[u], matrix[row, recs[u]])
+        assert recs.scores[row].dtype == matrix.dtype
+        np.testing.assert_array_equal(recs.scores[row], matrix[row, recs[u]])
     want = [f"{u}\t{i}\t{r}\t{float(matrix[row, i]):.6f}"
             for row, u in enumerate(users)
             for r, i in enumerate(recs[u], start=1)]
@@ -344,6 +379,63 @@ def test_exposure_metrics_bitwise_equal_per_entry_loops():
     for recs, k, n_items in cases:
         assert E.gini_at_k(recs, k, n_items) == oracles.gini_loop(recs, k, n_items)
         assert E.item_coverage(recs, k, n_items) == oracles.icov_ref(recs, k, n_items)
+
+
+def loop_battery(recs, relevant, profile, cutoffs):
+    """The six metrics as per-user loops over sets, summing left to right:
+    the reference the array path must equal bit for bit."""
+    values = {}
+    for k in cutoffs:
+        disc = [1.0 / math.log2(r + 1) for r in range(1, k + 1)]
+        recall, ndcg, efd = [], [], []
+        for u, rel in relevant.items():
+            if not rel:
+                continue
+            top = recs[u][:k]
+            recall.append(len(set(top) & rel) / len(rel))
+            ndcg.append(sum(disc[r] for r, i in enumerate(top) if i in rel)
+                        / sum(disc[:min(k, len(rel))]))
+            efd.append(1.0 / sum(disc) * sum(
+                disc[r] * -math.log2(profile.probability(i))
+                for r, i in enumerate(top) if i in rel))
+        aplt = [sum(i in profile.long_tail for i in recs[u][:k]) / k for u in recs]
+        mean = lambda vals: float(np.mean(vals)) if vals else 0.0  # noqa: E731
+        values.update({
+            ("recall", k): mean(recall), ("ndcg", k): mean(ndcg),
+            ("efd", k): mean(efd), ("aplt", k): mean(aplt),
+            ("gini", k): oracles.gini_loop(recs, k, profile.n_items),
+            ("icov", k): oracles.icov_ref(recs, k, profile.n_items)})
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 60),
+       n_items=st.integers(6, 40), levels=st.integers(1, 4))
+@example(seed=0, n_users=E.TOPK_BLOCK + 3, n_items=12, levels=2)
+def test_evaluate_lists_bitwise_equals_per_user_loops(seed, n_users, n_items,
+                                                      levels):
+    # lists from ranking heavily tied scores (ties at the k boundary), users
+    # in shuffled order, some with no relevant item and many with fewer than k
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-levels, levels, size=(n_users, n_items)).astype(np.float64)
+    train = np.stack([np.arange(n_users), rng.integers(0, n_items, n_users)], 1)
+    users = rng.permutation(n_users).tolist()
+    k_max = int(rng.integers(1, n_items))
+    cutoffs = tuple(sorted({int(rng.integers(1, k_max + 1)), k_max}))
+    ranking = E.rank_topk(FixedScorer(scores), users, k_max,
+                          index(n_users, n_items, train), n_items)
+    # relevant: none, a few, or many of the user's own list, so that rows
+    # hold enough hits for the summation order to matter
+    relevant = {u: set(rng.choice(n_items, size=int(rng.integers(0, 5)),
+                                  replace=False).tolist())
+                | set(ranking[u][:int(rng.integers(0, k_max + 1))]) for u in users}
+    profile = E.PopularityProfile.from_train(train, n_items)
+    want = loop_battery(ranking, relevant, profile, cutoffs)
+    assert E.evaluate_lists(dict(ranking), relevant, profile, cutoffs).values == want
+    order = np.array([u for u in users if relevant[u]], dtype=np.int64)
+    part = E.Relevance(index(n_users, n_items, [(u, i) for u in order.tolist()
+                                                for i in relevant[u]]), order)
+    assert E.evaluate_lists(ranking, part, profile, cutoffs).values == want
 
 
 @settings(max_examples=25, deadline=None)

@@ -165,6 +165,14 @@ def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, text", [("kcore", "x"), ("train_ratio", "most"),
+                                       ("seed", "1.5")])
+def test_malformed_prepare_number_names_its_key(key, text):
+    head = "[data]\ninteractions = a\nfeature.visual = b\n[model]\ntag = vbpr\n"
+    with pytest.raises(ex.ConfigError, match=rf"^\[prepare\] {key}: "):
+        ex.parse_config(head + f"[prepare]\n{key} = {text}\n")
+
+
 def test_config_validation(corpus):
     with pytest.raises(ex.ConfigError, match="modality"):
         base_config(corpus, "o", features={})

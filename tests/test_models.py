@@ -677,7 +677,8 @@ def test_models_survive_short_training():
 
 def test_spent_tapes_are_freed_without_gc(monkeypatch):
     """A replayed training tape and a scoring tape die with their last
-    reference: no reference cycle leaves them to the cyclic collector."""
+    reference: no reference cycle leaves them to the cyclic collector. So do
+    the per-batch tapes of a train_loop epoch."""
     from fusionrec import schema
     from fusionrec.models import base
 
@@ -692,6 +693,10 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
     monkeypatch.setattr(schema, "Tape", TrackedTape)
     data = small_data(n_users=6, n_items=10, seed=17)
     batch = fixed_batch(data)
+    tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
+    trainer = tr.TrainerConfig(epochs=1, batch_size=8, lr=0.01, reg=1e-4,
+                               optimizer="adam", seed=0, eval_every=0)
+    n_batches = -(-len(data.pairs) // trainer.batch_size)
     rng = np.random.default_rng(0)
     gc.disable()
     try:
@@ -706,6 +711,11 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
             model.score_users(range(data.n_users))
             assert len(refs) == 2
             assert [r() for r in refs] == [None, None], tag
+            refs.clear()
+            schema.train_loop(model.spec, model, tdata, trainer)
+            # one tape per batch, each made through the patched schema.Tape
+            assert len(refs) == n_batches > 1, tag
+            assert [r() for r in refs] == [None] * n_batches, tag
             refs.clear()
     finally:
         gc.enable()

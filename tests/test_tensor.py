@@ -105,6 +105,15 @@ def test_exp_overflow_aborts():
         t.exp(T.constant([[1000.0]]))
 
 
+def test_nan_constant_through_row_gather_aborts_at_matmul():
+    # row_gather only copies and skips the check; the next arithmetic op raises
+    t = T.Tape()
+    rows = t.row_gather(T.constant([[1.0, np.nan], [2.0, 3.0]]), [1, 0])
+    assert np.isnan(rows.data[1, 1])
+    with pytest.raises(T.NonFiniteError, match="matmul"):
+        t.matmul(rows, T.parameter(np.eye(2)))
+
+
 # ---------------------------------------------------------------- sparse
 
 def test_sparse_sorted_and_unique():
