@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,12 +132,15 @@ class Split:
     test: np.ndarray
     seed: int
     train_ratio: float = 0.8
+    _positives: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def user_positives(self, part="train"):
-        """The part's InteractionIndex."""
-        return InteractionIndex.from_pairs(self.dataset.n_users,
-                                           self.dataset.n_items,
-                                           getattr(self, part))
+        """The part's InteractionIndex, built on the first call per part."""
+        if part not in self._positives:
+            self._positives[part] = InteractionIndex.from_pairs(
+                self.dataset.n_users, self.dataset.n_items, getattr(self, part))
+        return self._positives[part]
 
 
 @dataclass

@@ -356,9 +356,10 @@ def write_recommendations_tsv(ranking, path):
     """Dump `user item rank score` rows, users ascending, ranks ascending,
     with the scores of the ranking pass."""
     order = np.argsort(ranking.users)
+    lines = [f"{u}\t{item}\t{rank}\t{s:.6f}\n"
+             for u, items, scores in zip(ranking.users[order].tolist(),
+                                         ranking.top[order].tolist(),
+                                         ranking.scores[order].tolist())
+             for rank, (item, s) in enumerate(zip(items, scores), start=1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, items, scores in zip(ranking.users[order].tolist(),
-                                    ranking.top[order].tolist(),
-                                    ranking.scores[order].tolist()):
-            for rank, (item, s) in enumerate(zip(items, scores), start=1):
-                fh.write(f"{u}\t{item}\t{rank}\t{s:.6f}\n")
+        fh.write("".join(lines))

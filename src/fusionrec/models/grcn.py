@@ -2,12 +2,18 @@
 
 Every train edge (u, i) gets a gate in [0, 1]: the cosine affinity
 between the user's modality preference vector and the item's projected
-modality feature, clamped at zero, maximized over modalities. An edge
-survives if any modality supports it. The sym-normalized adjacency
-values are multiplied by the gate and three channels propagate over the
-refined graph: the id embeddings plus one channel per modality seeded
-with (preference, projected feature) blocks. Channel outputs are
-concatenated (Coordinate representation, Early(concat) fusion).
+modality feature, clamped at zero, maximized over modalities. The cosine
+is taken at node level: each user's preference row and each item's
+projected row is unit-normalized once, then every edge gathers its two
+unit rows and takes their dot product. An edge survives if any modality
+supports it. The sym-normalized adjacency values are multiplied by the
+gate. Channels propagate over the refined graph: the id embeddings plus
+one channel per modality seeded with (preference, projected feature)
+blocks, and their outputs are concatenated (Coordinate representation,
+Early(concat) fusion). Propagation is linear and acts on each column
+alone, so the channels are concatenated first and go through one LightGCN
+propagation of width (1 + M) * d, which equals the concatenation of the
+per-channel propagations bit for bit.
 
 A user whose incident gates are all zero keeps only the layer-zero term
 of the propagation mean, i.e. falls back to the id embedding; this is
@@ -50,13 +56,16 @@ class GRCN(RecommenderModel):
                 for m in self.data.modalities}
 
     def _edge_gate(self, tape, item_proj):
-        """Per train pair, max over modalities of relu(cosine affinity)."""
+        """Per train pair, max over modalities of relu(cosine affinity).
+
+        Rows are unit-normalized per node, then gathered per pair.
+        """
         pairs = self.data.pairs
         gate = None
         for m in self.data.modalities:
-            q = tape.row_gather(self.pref[m], pairs[:, 0])
-            f = tape.row_gather(item_proj[m], pairs[:, 1])
-            g = tape.relu(tape.cosine_similarity(q, f))
+            q = tape.row_gather(tape.l2_normalize(self.pref[m]), pairs[:, 0])
+            f = tape.row_gather(tape.l2_normalize(item_proj[m]), pairs[:, 1])
+            g = tape.relu(tape.rowsum(tape.mul(q, f)))
             gate = g if gate is None else tape.maximum(gate, g)
         return gate
 
@@ -86,14 +95,10 @@ class GRCN(RecommenderModel):
     def _representations(self, tape, train):
         item_proj = self._project(tape)
         vals = self.refined_edge_values(tape, item_proj)
-        layers = self.config.layers
-
-        def hop(h):
-            return tape.spmm_weighted(self.structure, vals, h)
-
-        outs = [lightgcn_propagate(tape, hop, self.id_emb, layers)]
-        for m in self.data.modalities:
-            h0 = tape.row_concat([self.pref[m], item_proj[m]])
-            outs.append(lightgcn_propagate(tape, hop, h0, layers))
-        final = outs[0] if len(outs) == 1 else tape.concat(outs)
+        h0 = tape.concat([self.id_emb] + [
+            tape.row_concat([self.pref[m], item_proj[m]])
+            for m in self.data.modalities])
+        final = lightgcn_propagate(
+            tape, lambda h: tape.spmm_weighted(self.structure, vals, h),
+            h0, self.config.layers)
         return self._split_nodes(tape, final)

@@ -12,16 +12,21 @@ gradient rule per input, and backward alone decides which rules run: the rule
 of an input that needs no gradient never runs, so a constant operand, such as
 a gathered block of a constant feature matrix, costs nothing in backward.
 
-Every sparse product and every scatter is one CSR product: spmm and
-spmm_weighted run on a SparseMatrix's cached CSR views in both directions,
-and row_gather's backward on a CSR of its indices. Each output row adds its
-terms in CSR data order, which is the order of the stored entries.
+Every sparse product and every scatter is one call into scipy's compiled
+CSR product kernel: spmm and spmm_weighted run on a SparseMatrix's cached
+CSR views in both directions, and row_gather's backward on a CSR of its
+indices. Each output row adds its terms in CSR data order, which is the
+order of the stored entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
+# scipy's compiled sparse kernels (a private module): csr_matvecs runs
+# csr_matrix @ dense and coo_tocsr the COO to CSR conversion; calling them
+# directly skips the per-call csr_matrix build, checks and dispatch
+from scipy.sparse import _sparsetools
 
 
 class NonFiniteError(FloatingPointError):
@@ -108,13 +113,22 @@ def constant(data, dtype=np.float32):
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
-def _csr_product(a, x, vals=None):
-    """a @ x in x's dtype, each row summed from zero in data order.
+def _csr_product(indptr, indices, data, x):
+    """The CSR matrix (data, indices, indptr) times x, in x's dtype.
 
-    `vals`, given in a's data order, replace a's stored values.
+    Each output row is summed from zero in data order by scipy's csr_matvecs,
+    the kernel behind `csr_matrix @ x`, and equals that product bit for bit.
+    The matrix has len(indptr) - 1 rows and x.shape[0] columns.
     """
-    data = (a.data if vals is None else vals).astype(x.dtype, copy=False)
-    return scipy.sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape) @ x
+    x = np.ascontiguousarray(x)
+    out = np.zeros((indptr.size - 1, x.shape[1]), dtype=x.dtype)
+    _sparsetools.csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
+                             data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
+    return out
+
+
+# stored entries per block of spmm_weighted's value gradient
+VALUE_GRAD_BLOCK = 1024
 
 
 class SparseMatrix:
@@ -343,9 +357,14 @@ class Tape:
         self._check_operand(x)
         if m.shape[1] != x.rows:
             raise ValueError(f"spmm: inner dims differ, {m.shape} x {x.shape}")
-        out = _csr_product(m.csr(), x.data)
+        a = m.csr()
+        out = _csr_product(a.indptr, a.indices, a.data, x.data)
 
-        return self._record("spmm", out, (x,), (lambda g: _csr_product(m.csr_t(), g),))
+        def rule(g):
+            a_t = m.csr_t()
+            return _csr_product(a_t.indptr, a_t.indices, a_t.data, g)
+
+        return self._record("spmm", out, (x,), (rule,))
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:
         """Like spmm but edge values come from an (nnz, 1) tensor.
@@ -353,7 +372,9 @@ class Tape:
         Gradients flow into both the edge values and the dense operand; the
         coordinate structure itself is fixed. Row i of `vals` is the i-th
         stored (row, col) entry, which is also csr()'s i-th data entry, so
-        the spmm products run on the cached views with live values.
+        the spmm products run on the cached views with live values. The
+        value gradient runs VALUE_GRAD_BLOCK entries at a time, so it never
+        holds an nnz x width array.
         """
         self._check_operand(vals)
         self._check_operand(x)
@@ -367,13 +388,20 @@ class Tape:
             )
         v = vals.data[:, 0]
         xd = x.data
-        out = _csr_product(structure.csr(), xd, v)
+        a = structure.csr()
+        out = _csr_product(a.indptr, a.indices, v, xd)
 
         def grad_vals(g):
-            return (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
+            rows, cols = structure.rows, structure.cols
+            gv = np.empty((rows.size, 1), dtype=np.result_type(g, xd))
+            for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
+                hi = lo + VALUE_GRAD_BLOCK
+                gv[lo:hi, 0] = (g[rows[lo:hi]] * xd[cols[lo:hi]]).sum(axis=1)
+            return gv
 
         def grad_x(g):
-            return _csr_product(structure.csr_t(), g, v[structure.t_perm()])
+            a_t = structure.csr_t()
+            return _csr_product(a_t.indptr, a_t.indices, v[structure.t_perm()], g)
 
         return self._record("spmm_weighted", out, (vals, x), (grad_vals, grad_x))
 
@@ -562,13 +590,19 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
-        shape = a.shape
+        n = a.rows
 
         def rule(g):
-            ones = np.ones(idx.size, dtype=g.dtype)
-            scatter = scipy.sparse.csr_matrix((ones, (idx, np.arange(idx.size))),
-                                              shape=(shape[0], idx.size))
-            return _csr_product(scatter, g)
+            # the scatter matrix (n, m) with a one at (idx[j], j), by scipy's
+            # counting-sort COO to CSR conversion: row r holds r's positions
+            # in idx, ascending
+            m = idx.size
+            indptr = np.empty(n + 1, dtype=np.int64)
+            positions = np.empty(m, dtype=np.int64)
+            ones = np.empty(m, dtype=g.dtype)
+            _sparsetools.coo_tocsr(n, m, m, idx, np.arange(m, dtype=np.int64),
+                                   np.ones(m, dtype=g.dtype), indptr, positions, ones)
+            return _csr_product(indptr, positions, ones, g)
 
         return self._record("row_gather", out, (a,), (rule,), copies=True)
 

@@ -136,6 +136,54 @@ def knn_graph_dense(feats, k):
     return graph
 
 
+# ----------------------------------------------------------------- GRCN
+
+def grcn_reference(tape, model, batch):
+    """GRCN's BPR loss and final node rows, built as first written.
+
+    Per modality, the edge gate normalizes the gathered pair rows (one
+    cosine per edge), and each channel (the id embeddings, then one
+    (preference, projected feature) block per modality) runs its own
+    LightGCN propagation; the channels are concatenated after propagating.
+    Reads the model's parameters, feature constants and refined-graph
+    structure, and nothing else of the package. Returns (loss, final).
+    """
+    data, layers = model.data, model.config.layers
+    users, items = data.pairs[:, 0], data.pairs[:, 1]
+    proj = {m: tape.matmul(model.feats[m], model.proj[m]) for m in data.modalities}
+    gate = None
+    for m in data.modalities:
+        q = tape.l2_normalize(tape.row_gather(model.pref[m], users))
+        f = tape.l2_normalize(tape.row_gather(proj[m], items))
+        g = tape.relu(tape.rowsum(tape.mul(q, f)))
+        gate = g if gate is None else tape.maximum(gate, g)
+    vals = tape.mul(tape.row_gather(gate, model.entry_pair), model.base_vals)
+
+    def propagate(h0):
+        if layers == 0:
+            return h0
+        acc, h = h0, h0
+        for _ in range(layers):
+            h = tape.spmm_weighted(model.structure, vals, h)
+            acc = tape.add(acc, h)
+        return tape.scale(acc, 1.0 / (layers + 1))
+
+    channels = [propagate(model.id_emb)]
+    for m in data.modalities:
+        channels.append(propagate(tape.row_concat([model.pref[m], proj[m]])))
+    final = tape.concat(channels)
+    n_users = data.n_users
+    user_rows = tape.row_gather(final, np.arange(n_users))
+    item_rows = tape.row_gather(final, n_users + np.arange(data.n_items))
+    u = tape.row_gather(user_rows, batch.users)
+
+    def scores(items):
+        return tape.rowsum(tape.mul(u, tape.row_gather(item_rows, items)))
+
+    loss = tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
+    return loss, final
+
+
 # ----------------------------------------------------------------- metrics
 
 def recall_ref(recs, relevant, k):

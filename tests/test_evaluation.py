@@ -305,6 +305,31 @@ def test_evaluate_model_scores_ranks_and_measures_once(monkeypatch):
     assert len(scorer.calls) == 1
 
 
+def test_split_builds_each_part_index_once(monkeypatch):
+    # evaluate_model and recall_eval_fn read the split's memoized indexes
+    from fusionrec import dataset as D
+
+    split = D.holdout_split(D.generate_synthetic(60, 40, 0.2, seed=4).dataset,
+                            seed=2)
+    built = []
+    from_pairs = D.InteractionIndex.from_pairs
+
+    def counted(n_users, n_items, pairs):
+        built.append(len(pairs))
+        return from_pairs(n_users, n_items, pairs)
+
+    monkeypatch.setattr(D.InteractionIndex, "from_pairs", counted)
+    model = type("M", (), {"score_users": FixedScorer(
+        np.random.default_rng(3).standard_normal((60, 40)))})
+    first, ranking = E.evaluate_model(model, split, "test")
+    second, again = E.evaluate_model(model, split, "test")
+    assert built == [len(split.test), len(split.train)]
+    assert first.values == second.values
+    np.testing.assert_array_equal(ranking.top, again.top)
+    E.recall_eval_fn(split, "test")(model)
+    assert len(built) == 2
+
+
 def test_write_recommendations_scores_once_from_one_call(tmp_path):
     # the ranking pass's single score_fn call supplies the score column
     rng = np.random.default_rng(4)

@@ -29,7 +29,7 @@ from fusionrec.models import (
 from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
-from oracles import knn_bruteforce, knn_graph_dense
+from oracles import grcn_reference, knn_bruteforce, knn_graph_dense
 
 
 def small_data(n_users=5, n_items=8, seed=0, mods=("textual", "visual")):
@@ -294,6 +294,40 @@ def test_grcn_projects_each_modality_once_per_pass():
     tape = T.Tape()
     model._representations(tape, train=True)
     assert tape.op_names.count("matmul") == len(data.modalities)
+    assert tape.op_names.count("spmm_weighted") == model.config.layers
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_grcn_first_batch_matches_per_edge_three_propagation_reference(dtype, rtol):
+    # node-level cosine and one wide propagation compute the same forward
+    # pass bit for bit; in backward only the summation order moves
+    data = small_data(n_users=40, n_items=25, seed=6)
+    model = GRCN(ModelConfig(tag="grcn", embedding_dim=8, layers=2), data,
+                 seed=2, dtype=dtype)
+    batch = fixed_batch(data, size=32, seed=5)
+
+    def first_batch(loss_fn):
+        model.zero_grads()
+        tape = T.Tape()
+        loss = loss_fn(tape)
+        loss_value = loss.data.copy()
+        tape.backward(loss)
+        return loss_value, [t.grad.copy() for t in model.tensors()]
+
+    got_loss, got_grads = first_batch(
+        lambda tape: model.loss(tape, batch, np.random.default_rng(0)))
+    ref_loss, ref_grads = first_batch(lambda tape: grcn_reference(tape, model, batch)[0])
+    assert got_loss.dtype == dtype
+    np.testing.assert_array_equal(got_loss, ref_loss)
+    for got, want in zip(got_grads, ref_grads):
+        # entries that cancel to near zero get the floor rtol * largest entry
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+    tape = T.Tape()
+    final = grcn_reference(tape, model, batch)[1].data
+    n_u = data.n_users
+    want = final[:n_u] @ np.ascontiguousarray(final[n_u:]).T
+    np.testing.assert_array_equal(model.score_users(np.arange(n_u)), want)
 
 
 # ------------------------------------------------------------------- lattice

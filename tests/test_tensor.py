@@ -1,7 +1,10 @@
 """Tensor engine: forward values, reverse-mode gradients, tape discipline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from fusionrec import tensor as T
@@ -165,6 +168,84 @@ def test_spmm_matches_dense(n, m, d, seed):
     np.testing.assert_allclose(x_weighted.grad, dense.T @ g, atol=1e-10)
     gather_dot = (g[sp.rows] * x[sp.cols]).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(vals.grad, gather_dot, atol=1e-10)
+
+
+# ------------------------------------------------------------ kernel path
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("width", [1, 7])
+def test_csr_product_equals_scipy_bitwise(dtype, index_dtype, width):
+    # the direct kernel call is csr_matrix @ x bit for bit, with empty rows
+    # (0 and the last three) and a non-contiguous dense operand
+    rng = np.random.default_rng(width)
+    dense = rng.standard_normal((12, 9)) * (rng.random((12, 9)) < 0.4)
+    dense[[0, 9, 10, 11]] = 0.0
+    a = scipy.sparse.csr_matrix(dense)
+    indptr = a.indptr.astype(index_dtype)
+    indices = a.indices.astype(index_dtype)
+    x = rng.standard_normal((9, 2 * width)).astype(dtype)[:, ::2]
+    assert not x.flags.c_contiguous
+    data = a.data.astype(dtype)
+    got = T._csr_product(indptr, indices, data, x)
+    want = scipy.sparse.csr_matrix((data, indices, indptr), shape=(12, 9)) @ x
+    assert got.dtype == dtype and got.shape == (12, width)
+    assert not got[[0, 9, 10, 11]].any()
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.lists(st.integers(0, 9), max_size=30),
+       st.integers(1, 5), st.sampled_from([np.float32, np.float64]),
+       st.integers(0, 10_000))
+def test_row_gather_grad_equals_add_at_bitwise(n, idx, width, dtype, seed):
+    idx = [i % n for i in idx]
+    rng = np.random.default_rng(seed)
+    a = T.parameter(rng.standard_normal((n, width)), dtype=dtype)
+    g = rng.standard_normal((len(idx), width)).astype(dtype)
+    t = T.Tape()
+    t.backward(t.sum(t.mul(t.row_gather(a, idx), T.constant(g, dtype=dtype))))
+    want = np.zeros((n, width), dtype=dtype)
+    np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+    assert a.grad.dtype == dtype
+    np.testing.assert_array_equal(a.grad, want)
+
+
+def test_spmm_weighted_value_grad_holds_no_nnz_by_width_array():
+    # GRCN's Office shape: 81,194 stored entries, three 64-wide channels
+    n, nnz, width = 3000, 81_194, 192
+    rng = np.random.default_rng(7)
+    codes = rng.choice(n * n, size=nnz, replace=False)
+    structure = T.SparseMatrix((n, n), codes // n, codes % n, np.ones(nnz))
+    vals = T.parameter(rng.random((nnz, 1)))
+    x = T.constant(rng.standard_normal((n, width)))
+    t = T.Tape()
+    loss = t.sum(t.spmm_weighted(structure, vals, x))
+    tracemalloc.start()
+    try:
+        t.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.grad.shape == (nnz, 1)
+    assert peak < nnz * width * 4 / 2
+
+
+def test_spmm_weighted_value_grad_is_blockwise_exact():
+    # across block boundaries the blocked rule is the unblocked one bit for bit
+    n, width = 50, 24
+    nnz = 2 * T.VALUE_GRAD_BLOCK + 37
+    rng = np.random.default_rng(8)
+    codes = rng.choice(n * n, size=nnz, replace=False)
+    structure = T.SparseMatrix((n, n), codes // n, codes % n, np.ones(nnz))
+    vals = T.parameter(rng.random((nnz, 1)))
+    xd = rng.standard_normal((n, width)).astype(np.float32)
+    g = rng.standard_normal((n, width)).astype(np.float32)
+    t = T.Tape()
+    out = t.spmm_weighted(structure, vals, T.constant(xd))
+    t.backward(t.sum(t.mul(out, T.constant(g))))
+    want = (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(vals.grad, want)
 
 
 def test_sym_normalize_single_edge():
