@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("prepare", help="filter, split, and bind features")
     sub.add_parser("tune", help="grid-search lr x reg on validation Recall@20")
-    sub.add_parser("train", help="tune, then train the configured model")
+    sub.add_parser("train", help="tune, checkpoint the winner, evaluate")
     sub.add_parser("evaluate", help="score a trained checkpoint on the test part")
     bench = sub.add_parser("benchmark", help="run a model roster end to end")
     bench.add_argument("--models", metavar="CSV",

@@ -153,7 +153,7 @@ class DatasetStats:
     min_item_degree: int
 
 
-def parse_interactions(path_or_lines, has_header=False) -> InteractionLog:
+def parse_interactions(path_or_lines) -> InteractionLog:
     """Read tab-separated `user item [rating [timestamp]]` records.
 
     Duplicate (user, item) pairs collapse to the record with the latest
@@ -166,8 +166,7 @@ def parse_interactions(path_or_lines, has_header=False) -> InteractionLog:
     else:
         lines = list(path_or_lines)
     best = {}
-    start = 1 if has_header else 0
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue

@@ -32,13 +32,17 @@ from itertools import chain
 import numpy as np
 
 
+HEAD_FRACTION = 0.2  # share of the catalog in the short head
+
+
 @dataclass
 class PopularityProfile:
     """Train-side popularity: counts, probabilities, short head/long tail.
 
     p(i) = train_count(i) / |R_train|, smoothed to 0.5 / |R_train| for items
-    never seen in train. The short head is the ceil(20%) most popular catalog
-    items (ties by ascending id); the long tail is the complement.
+    never seen in train. The short head is the ceil(HEAD_FRACTION) most
+    popular catalog items (ties by ascending id); the long tail is the
+    complement.
     """
 
     n_items: int
@@ -46,10 +50,9 @@ class PopularityProfile:
     n_train: int
     short_head: set
     long_tail: set
-    head_fraction: float = 0.2
 
     @classmethod
-    def from_train(cls, train_pairs, n_items, head_fraction=0.2):
+    def from_train(cls, train_pairs, n_items):
         items = np.asarray(train_pairs, dtype=np.int64).reshape(-1, 2)[:, 1]
         counts = np.bincount(items, minlength=n_items)
         if counts.size > n_items:
@@ -58,10 +61,9 @@ class PopularityProfile:
         if n_train == 0:
             raise ValueError("empty train set has no popularity profile")
         order = np.lexsort((np.arange(n_items), -counts))
-        head_size = math.ceil(head_fraction * n_items)
+        head_size = math.ceil(HEAD_FRACTION * n_items)
         short = set(order[:head_size].tolist())
-        return cls(n_items, counts, n_train, short,
-                   set(range(n_items)) - short, head_fraction)
+        return cls(n_items, counts, n_train, short, set(range(n_items)) - short)
 
     def probability(self, item):
         c = self.counts[item]
@@ -316,11 +318,20 @@ def evaluate_lists(recs, relevant, profile: PopularityProfile, cutoffs=(10, 20))
     return report
 
 
-def _relevance(split, part):
-    """The part's Relevance."""
+def _ranker(split, part, k, threads):
+    """The part's Relevance, and model -> Ranking at k of its users, sorted,
+    with each user's train items excluded."""
     users = getattr(split, part)[:, 0]
     first = np.sort(np.unique(users, return_index=True)[1])
-    return Relevance(split.user_positives(part), users[first])
+    relevant = Relevance(split.user_positives(part), users[first])
+    ranked = np.sort(relevant.users).tolist()
+    exclude = split.user_positives("train")
+
+    def rank(model):
+        return rank_topk(model.score_users, ranked, k, exclude,
+                         split.dataset.n_items, threads=threads)
+
+    return relevant, rank
 
 
 def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
@@ -330,26 +341,16 @@ def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
     part; candidates are all catalog items minus the user's train items.
     Returns (report, ranking at the largest cutoff).
     """
-    relevant = _relevance(split, part)
-    ranking = rank_topk(model.score_users, np.sort(relevant.users).tolist(),
-                        max(cutoffs), split.user_positives("train"),
-                        split.dataset.n_items, threads=threads)
+    relevant, rank = _ranker(split, part, max(cutoffs), threads)
+    ranking = rank(model)
     profile = PopularityProfile.from_train(split.train, split.dataset.n_items)
     return evaluate_lists(ranking, relevant, profile, cutoffs), ranking
 
 
 def recall_eval_fn(split, part="validation", k=20, threads=1):
     """Callable(model) -> Recall@k on the given part, for model selection."""
-    relevant = _relevance(split, part)
-    users = np.sort(relevant.users).tolist()
-    exclude = split.user_positives("train")
-
-    def run(model):
-        return recall_at_k(rank_topk(model.score_users, users, k, exclude,
-                                     split.dataset.n_items, threads=threads),
-                           relevant, k)
-
-    return run
+    relevant, rank = _ranker(split, part, k, threads)
+    return lambda model: recall_at_k(rank(model), relevant, k)
 
 
 def write_recommendations_tsv(ranking, path):

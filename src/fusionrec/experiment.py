@@ -32,7 +32,8 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-from .schema import train_loop
+# unused here; perfbench/spans.py and a test patch train_loop by this name
+from .schema import train_loop  # noqa: F401
 
 DEFAULT_CUTOFFS = (10, 20)
 METRIC_LABELS = {"recall": "Recall", "ndcg": "nDCG", "efd": "EFD",
@@ -57,6 +58,7 @@ class ExperimentConfig:
     grid_regs: tuple = tr.DEFAULT_GRID_REGS
     cutoffs: tuple = DEFAULT_CUTOFFS
     out_dir: str = "runs/experiment"
+    grid: tr.GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.features:
@@ -74,6 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"cutoffs must be positive, got {self.cutoffs}")
         self.grid_lrs = tuple(float(x) for x in self.grid_lrs)
         self.grid_regs = tuple(float(x) for x in self.grid_regs)
+        try:
+            self.grid = tr.GridSpec(lrs=self.grid_lrs, regs=self.grid_regs)
+        except ValueError as exc:
+            raise ConfigError(f"[grid]: {exc}") from None
         self.features = dict(self.features)
         if "$" in self.out_dir:
             raise ConfigError(
@@ -307,64 +313,44 @@ def cmd_prepare(config: ExperimentConfig):
 
 
 def cmd_tune(config: ExperimentConfig, split: ds.Split,
-             store: MultimodalStore, threads=1, run_dir=None) -> tr.GridResult:
-    """Grid-search lr x reg, selecting by validation Recall@20."""
+             store: MultimodalStore, run_dir, threads=1) -> tr.GridResult:
+    """Grid-search lr x reg, selecting by validation Recall@20; writes tune.json."""
     mdata = ModelData.from_split(split, store)
     tdata = tr.TrainData.from_split(split)
-    grid = tr.GridSpec(lrs=config.grid_lrs, regs=config.grid_regs)
     eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
-
-    def factory(seed):
-        return build_model(config.model, mdata, seed=seed)
-
-    result = tr.grid_search(factory, grid, tdata, config.trainer, eval_fn)
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        body = {
-            "best": {"lr": result.lr, "reg": result.reg,
-                     "config_index": result.config_index,
-                     "best_epoch": result.best_epoch,
-                     "best_value": result.best_value},
-            "table": [
-                {"config_index": i, "lr": lr, "reg": reg,
-                 "epoch": epoch, "value": value}
-                for i, lr, reg, epoch, value in result.table
-            ],
-        }
-        _write_json(os.path.join(run_dir, "tune.json"), body)
+    result = tr.grid_search(partial(build_model, config.model, mdata),
+                            config.grid, tdata, config.trainer, eval_fn)
+    os.makedirs(run_dir, exist_ok=True)
+    _write_json(os.path.join(run_dir, "tune.json"), {
+        "best": _selection(result),
+        "table": [{"config_index": i, "lr": lr, "reg": reg,
+                   "epoch": epoch, "value": value}
+                  for i, lr, reg, epoch, value in result.table]})
     return result
 
 
-def cmd_train(config: ExperimentConfig, split: ds.Split,
-              store: MultimodalStore, run_dir, chosen: tr.GridResult = None,
-              threads=1):
-    """Write manifest, trace, timings and checkpoint for one trained model.
+def _selection(chosen: tr.GridResult) -> dict:
+    """The grid winner as tune.json's "best" and manifest.json's "chosen"."""
+    return {"lr": chosen.lr, "reg": chosen.reg,
+            "config_index": chosen.config_index,
+            "best_epoch": chosen.best_epoch, "best_value": chosen.best_value}
 
-    A tuned `chosen` hands over the winning grid run's model and TrainResult,
-    which are written as they are: retraining that configuration with the
-    same seed would repeat the run exactly. Only without one does the model
-    train here, at the trainer's own lr and reg.
+
+def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
+              chosen: tr.GridResult):
+    """Write manifest, trace, timings and checkpoint of the grid's winner.
+
+    `chosen` hands over the winning grid run's model and TrainResult, which
+    are written as they are: retraining that configuration with the same
+    seed would repeat the run exactly, so nothing trains here.
     """
-    chosen_dict = {}
-    if chosen is not None:
-        chosen_dict = {"lr": chosen.lr, "reg": chosen.reg,
-                       "config_index": chosen.config_index,
-                       "best_epoch": chosen.best_epoch,
-                       "best_value": chosen.best_value}
-        model, result = chosen.model, chosen.result
-    # written before any training; wall-clock numbers go to timings.json
-    # instead, so manifest bytes stay reproducible
+    model, result = chosen.model, chosen.result
+    # wall-clock numbers go to timings.json, so manifest bytes stay reproducible
     os.makedirs(run_dir, exist_ok=True)
     _write_json(os.path.join(run_dir, "manifest.json"), {
         "config": config_to_dict(config), "seed": config.trainer.seed,
         "version": __version__, "stats": asdict(ds.stats(split.dataset)),
-        "chosen": chosen_dict})
-    if chosen is None:
-        mdata = ModelData.from_split(split, store)
-        model = build_model(config.model, mdata, seed=config.trainer.seed)
-        eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
-        result = train_loop(model.spec, model, tr.TrainData.from_split(split),
-                            config.trainer, eval_fn=eval_fn)
+        "chosen": _selection(chosen)})
     _write_json(os.path.join(run_dir, "timings.json"),
                 {"train_seconds": result.seconds, "epochs": len(result.trace)})
     lines = ["epoch\tloss\tval_recall20\tseconds\n"]
@@ -401,25 +387,23 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
     return report
 
 
-def _run_model(config: ExperimentConfig, split, store, threads, tune=True):
-    """tune -> write the winner (or train untuned) -> evaluate, one model.
+def _run_model(config: ExperimentConfig, split, store, threads):
+    """tune -> write the winner -> evaluate, one model.
 
     The grid's winning model lives only until this returns, so the next
     model's grid never runs beside it.
     """
     run_dir = os.path.join(config.out_dir, config.model.tag)
-    chosen = cmd_tune(config, split, store, threads=threads,
-                      run_dir=run_dir) if tune else None
-    model, _ = cmd_train(config, split, store, run_dir, chosen=chosen,
-                         threads=threads)
+    chosen = cmd_tune(config, split, store, run_dir, threads=threads)
+    model, _ = cmd_train(config, split, run_dir, chosen)
     return cmd_evaluate(config, split, store, run_dir, model=model,
                         threads=threads)
 
 
-def run_single(config: ExperimentConfig, threads=1, tune=True):
+def run_single(config: ExperimentConfig, threads=1):
     """prepare -> tune -> checkpoint the winner -> evaluate, one model."""
     split, store = cmd_prepare(config)
-    return _run_model(config, split, store, threads, tune=tune)
+    return _run_model(config, split, store, threads)
 
 
 def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):

@@ -38,7 +38,6 @@ class ModalityFeatures:
     dim: int
     ids: list
     matrix: np.ndarray  # (len(ids), dim) float32
-    zero_rows: int = 0  # rows zeroed out or found zero by l2_standardize
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -54,12 +53,6 @@ class ModalityFeatures:
             raise FeatureFormatError("duplicate item ids in feature set")
         if not np.isfinite(self.matrix).all():
             raise FeatureFormatError("non-finite feature values")
-
-    def row(self, item_id):
-        try:
-            return self.matrix[self.ids.index(item_id)]
-        except ValueError:
-            raise MissingFeatureError(item_id) from None
 
 
 def write_features(feats: ModalityFeatures, path):
@@ -145,18 +138,6 @@ def _load_text(path, modality):
     if any(len(r) != dim for r in rows):
         raise FeatureFormatError("inconsistent feature dimensions")
     return ModalityFeatures(modality, dim, ids, np.array(rows, dtype=np.float32))
-
-
-def l2_standardize(feats: ModalityFeatures) -> ModalityFeatures:
-    """Unit-normalize rows; all-zero rows stay zero and are counted."""
-    norms = np.linalg.norm(feats.matrix, axis=1, keepdims=True)
-    zero = int((norms == 0).sum())
-    if zero:
-        log.warning("l2_standardize: %d all-zero rows left unnormalized in %s",
-                    zero, feats.modality)
-    out = feats.matrix / np.where(norms == 0, 1.0, norms)
-    return ModalityFeatures(feats.modality, feats.dim, list(feats.ids),
-                            out.astype(np.float32), zero_rows=zero)
 
 
 class MultimodalStore:

@@ -1,5 +1,7 @@
 """Six multimedia recommenders over the shared pipeline schema."""
 
+import numpy as np
+
 from .base import (
     MODEL_TAGS,
     ModelConfig,
@@ -18,25 +20,15 @@ from .lattice import LATTICE
 from .bm3 import BM3
 from .freedom import FREEDOM
 
-REGISTRY = {
-    "vbpr": VBPR,
-    "mmgcn": MMGCN,
-    "grcn": GRCN,
-    "lattice": LATTICE,
-    "bm3": BM3,
-    "freedom": FREEDOM,
-}
+REGISTRY = {cls.tag: cls for cls in (VBPR, MMGCN, GRCN, LATTICE, BM3, FREEDOM)}
 
 
-def build_model(config: ModelConfig, data: ModelData, seed=0, dtype=None):
+def build_model(config: ModelConfig, data: ModelData, seed=0, dtype=np.float32):
     """Instantiate the recommender named by config.tag."""
     if config.tag not in REGISTRY:
         raise ValueError(f"unknown model tag {config.tag!r}, "
                          f"expected one of {sorted(REGISTRY)}")
-    kwargs = {"seed": seed}
-    if dtype is not None:
-        kwargs["dtype"] = dtype
-    return REGISTRY[config.tag](config, data, **kwargs)
+    return REGISTRY[config.tag](config, data, seed=seed, dtype=dtype)
 
 
 __all__ = [

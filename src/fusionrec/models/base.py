@@ -46,7 +46,6 @@ class ModelConfig:
     inter_weight: float = 1.0
     intra_weight: float = 1.0
     modality_weights: tuple = None  # fixed merge weights; None = uniform
-    use_id_embeddings: bool = True
     with_bias: bool = False
     activation: str = "leaky_relu"
     leaky_slope: float = 0.2

@@ -17,7 +17,8 @@ per-channel propagations bit for bit.
 
 A user whose incident gates are all zero keeps only the layer-zero term
 of the propagation mean, i.e. falls back to the id embedding; this is
-logged as a warning since it usually signals degenerate features.
+logged as a warning since it usually signals degenerate features, once
+per change in the number of such users.
 """
 
 import logging
@@ -42,6 +43,8 @@ class GRCN(RecommenderModel):
             n_u, n_i, self.data.pairs, dtype=self.dtype
         )
         self.base_vals = constant(self.structure.vals[:, None], dtype=self.dtype)
+        self._pair_users = np.unique(self.data.pairs[:, 0]).size
+        self._dead_logged = 0  # fully gated users in the last warning
         self.id_emb = self._param("rho", "id_emb", rng, (n_u + n_i, d))
         self.pref = {}
         self.proj = {}
@@ -82,11 +85,11 @@ class GRCN(RecommenderModel):
         return tape.mul(per_entry, self.base_vals)
 
     def _warn_fully_pruned(self, gate_data):
-        users = self.data.pairs[:, 0]
-        peak = np.zeros(self.data.n_users)
-        np.maximum.at(peak, users, gate_data[:, 0])
-        dead = int((peak[np.unique(users)] == 0.0).sum())
-        if dead:
+        alive = np.zeros(self.data.n_users, dtype=bool)
+        alive[self.data.pairs[gate_data[:, 0] > 0, 0]] = True
+        dead = self._pair_users - int(alive.sum())
+        if dead and dead != self._dead_logged:
+            self._dead_logged = dead
             log.warning(
                 "%d users have all incident edges gated to zero; their "
                 "representations fall back to the id embedding", dead

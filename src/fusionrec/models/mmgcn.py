@@ -9,15 +9,11 @@ the node id embedding, adds the residual, and applies the nonlinearity:
 Layer zero starts from the per-modality user embedding stacked on the
 projected item features. Final per-modality vectors are summed across
 modalities (Coordinate representation, Early(sum) fusion) and scored by
-inner product. With use_id_embeddings off, the id terms vanish and the
-user side starts from zeros, so at least one propagation round is
-required to give users a representation at all.
+inner product. As in the MMGCN paper, the id embeddings X are always
+learned.
 """
 
-import numpy as np
-
 from ..schema import Early
-from ..tensor import constant
 from .base import RecommenderModel, bipartite_adjacency
 
 
@@ -27,11 +23,6 @@ class MMGCN(RecommenderModel):
 
     def _build(self, rng):
         cfg = self.config
-        if cfg.layers == 0 and not cfg.use_id_embeddings:
-            raise ValueError(
-                "layers=0 with use_id_embeddings=False leaves users with no "
-                "representation source"
-            )
         d = cfg.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
         self.adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
@@ -44,11 +35,10 @@ class MMGCN(RecommenderModel):
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-            if cfg.use_id_embeddings:
-                self.user_emb[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
-                if cfg.layers > 0:
-                    self.id_emb[m] = self._param("rho", f"id_{m}", rng,
-                                                 (n_u + n_i, d))
+            self.user_emb[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
+            if cfg.layers > 0:
+                self.id_emb[m] = self._param("rho", f"id_{m}", rng,
+                                             (n_u + n_i, d))
             self.w1[m] = [
                 self._param("mu", f"w1_{m}_{l}", rng, (d, d))
                 for l in range(cfg.layers)
@@ -56,7 +46,7 @@ class MMGCN(RecommenderModel):
             self.w2[m] = [
                 self._param("mu", f"w2_{m}_{l}", rng, (d, d))
                 for l in range(cfg.layers)
-            ] if cfg.use_id_embeddings else []
+            ]
 
     def _activate(self, tape, h):
         if self.config.activation == "linear":
@@ -64,20 +54,11 @@ class MMGCN(RecommenderModel):
         return tape.leaky_relu(h, self.config.leaky_slope)
 
     def _modality_forward(self, tape, m):
-        cfg = self.config
         items0 = tape.matmul(self.feats[m], self.proj[m])
-        if cfg.use_id_embeddings:
-            users0 = self.user_emb[m]
-        else:
-            users0 = constant(
-                np.zeros((self.data.n_users, cfg.embedding_dim)),
-                dtype=self.dtype,
-            )
-        h = tape.row_concat([users0, items0])
-        for l in range(cfg.layers):
+        h = tape.row_concat([self.user_emb[m], items0])
+        for l in range(self.config.layers):
             agg = tape.matmul(tape.spmm(self.adj, h), self.w1[m][l])
-            if cfg.use_id_embeddings:
-                agg = tape.add(agg, tape.matmul(self.id_emb[m], self.w2[m][l]))
+            agg = tape.add(agg, tape.matmul(self.id_emb[m], self.w2[m][l]))
             h = self._activate(tape, tape.add(agg, h))
         return h
 

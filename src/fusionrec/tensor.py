@@ -127,6 +127,17 @@ def _csr_product(indptr, indices, data, x):
     return out
 
 
+def _sigmoid(x):
+    """Elementwise 1 / (1 + exp(-x)); exp(x) / (1 + exp(x)) where x < 0, so
+    no exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 # stored entries per block of spmm_weighted's value gradient
 VALUE_GRAD_BLOCK = 1024
 
@@ -458,30 +469,15 @@ class Tape:
 
     def sigmoid(self, a: Tensor) -> Tensor:
         self._check_operand(a)
-        x = a.data
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-
+        out = _sigmoid(a.data)
         return self._record("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
     def softplus(self, a: Tensor) -> Tensor:
-        """ln(1 + exp(x)), computed stably."""
+        """ln(1 + exp(x)), computed stably; its derivative is sigmoid(x)."""
         self._check_operand(a)
         x = a.data
         out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-
-        def rule(g):
-            s = np.empty_like(x)
-            pos = x >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            s[~pos] = ex / (1.0 + ex)
-            return g * s
-
-        return self._record("softplus", out, (a,), (rule,))
+        return self._record("softplus", out, (a,), (lambda g: g * _sigmoid(x),))
 
     def log(self, a: Tensor) -> Tensor:
         self._check_operand(a)
@@ -539,21 +535,27 @@ class Tape:
 
         return self._record("l2_normalize", out, (a,), (rule,))
 
-    def concat(self, tensors) -> Tensor:
-        """Column-wise concatenation of tensors with equal row counts."""
+    def _concat(self, name, tensors, axis):
+        """Join tensors along axis; each input's gradient is its slice of g."""
         tensors = list(tensors)
         if not tensors:
-            raise ValueError("concat needs at least one tensor")
+            raise ValueError(f"{name} needs at least one tensor")
         for t in tensors:
             self._check_operand(t)
-        rows = tensors[0].rows
-        if any(t.rows != rows for t in tensors):
-            raise ValueError("concat: row counts differ")
-        out = np.concatenate([t.data for t in tensors], axis=1)
-        widths = [t.cols for t in tensors]
-        starts = np.cumsum([0] + widths[:-1])
-        rules = tuple((lambda g, lo=lo, n=n: g[:, lo:lo + n]) for lo, n in zip(starts, widths))
-        return self._record("concat", out, tuple(tensors), rules, copies=True)
+        other = tensors[0].shape[1 - axis]
+        if any(t.shape[1 - axis] != other for t in tensors):
+            raise ValueError(f"{name}: {('column', 'row')[axis]} counts differ")
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+        sizes = [t.shape[axis] for t in tensors]
+        starts = np.cumsum([0] + sizes[:-1])
+        keys = [(slice(None),) * axis + (slice(lo, lo + n),)
+                for lo, n in zip(starts, sizes)]
+        rules = tuple((lambda g, key=key: g[key]) for key in keys)
+        return self._record(name, out, tuple(tensors), rules, copies=True)
+
+    def concat(self, tensors) -> Tensor:
+        """Column-wise concatenation of tensors with equal row counts."""
+        return self._concat("concat", tensors, axis=1)
 
     def matmul_nt(self, a: Tensor, b: Tensor) -> Tensor:
         """a @ b.T without materializing a transpose, (n, d) x (m, d) -> (n, m)."""
@@ -569,19 +571,7 @@ class Tape:
 
     def row_concat(self, tensors) -> Tensor:
         """Stack tensors with equal column counts, top to bottom."""
-        tensors = list(tensors)
-        if not tensors:
-            raise ValueError("row_concat needs at least one tensor")
-        for t in tensors:
-            self._check_operand(t)
-        cols = tensors[0].cols
-        if any(t.cols != cols for t in tensors):
-            raise ValueError("row_concat: column counts differ")
-        out = np.concatenate([t.data for t in tensors], axis=0)
-        heights = [t.rows for t in tensors]
-        starts = np.cumsum([0] + heights[:-1])
-        rules = tuple((lambda g, lo=lo, n=n: g[lo:lo + n]) for lo, n in zip(starts, heights))
-        return self._record("row_concat", out, tuple(tensors), rules, copies=True)
+        return self._concat("row_concat", tensors, axis=0)
 
     def row_gather(self, a: Tensor, idx) -> Tensor:
         """Select rows by index; repeated indices accumulate gradient."""

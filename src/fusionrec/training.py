@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import InteractionIndex
-from .tensor import NonFiniteError, Tape, Tensor
+from .tensor import Tape, Tensor
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -43,16 +43,20 @@ class TrainData(InteractionIndex):
     @classmethod
     def from_pairs(cls, n_users, n_items, pairs):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        index = InteractionIndex.from_pairs(n_users, n_items, pairs)
-        eligible = np.flatnonzero((index.degrees > 0) & (index.degrees < n_items))
-        if eligible.size == 0:
-            raise ValueError("no user has both a positive and a negative item")
-        return cls(**vars(index), pairs=pairs, eligible=eligible.astype(np.int64))
+        return cls._of(InteractionIndex.from_pairs(n_users, n_items, pairs), pairs)
 
     @classmethod
     def from_split(cls, split):
-        return cls.from_pairs(split.dataset.n_users, split.dataset.n_items,
-                              split.train)
+        """The split's memoized train index, with the train pairs."""
+        return cls._of(split.user_positives("train"), split.train)
+
+    @classmethod
+    def _of(cls, index, pairs):
+        degrees = index.degrees
+        eligible = np.flatnonzero((degrees > 0) & (degrees < index.n_items))
+        if eligible.size == 0:
+            raise ValueError("no user has both a positive and a negative item")
+        return cls(**vars(index), pairs=pairs, eligible=eligible.astype(np.int64))
 
 
 @dataclass
@@ -138,12 +142,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params.tensors())
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0

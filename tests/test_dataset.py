@@ -46,11 +46,6 @@ def test_parse_bad_rating_names_line_number():
         D.parse_interactions(["a\tx\tnot-a-number\n"])
 
 
-def test_parse_header_flag():
-    log = D.parse_interactions(["user\titem\n", "a\tx\n"], has_header=True)
-    assert len(log) == 1
-
-
 # ---------------------------------------------------------------- k-core
 
 def test_kcore_hand_example():

@@ -306,8 +306,10 @@ def test_evaluate_model_scores_ranks_and_measures_once(monkeypatch):
 
 
 def test_split_builds_each_part_index_once(monkeypatch):
-    # evaluate_model and recall_eval_fn read the split's memoized indexes
+    # evaluate_model, recall_eval_fn and TrainData.from_split read the
+    # split's memoized indexes
     from fusionrec import dataset as D
+    from fusionrec import training as tr
 
     split = D.holdout_split(D.generate_synthetic(60, 40, 0.2, seed=4).dataset,
                             seed=2)
@@ -328,6 +330,9 @@ def test_split_builds_each_part_index_once(monkeypatch):
     np.testing.assert_array_equal(ranking.top, again.top)
     E.recall_eval_fn(split, "test")(model)
     assert len(built) == 2
+    tdata = tr.TrainData.from_split(split)
+    assert len(built) == 2
+    assert tdata.keys is split.user_positives("train").keys
 
 
 def test_write_recommendations_scores_once_from_one_call(tmp_path):

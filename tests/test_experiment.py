@@ -139,10 +139,12 @@ def test_parse_rejects_malformed_input():
         ex.parse_config("not an ini file at all [")
     with pytest.raises(ex.ConfigError, match=r"\[data\]"):
         ex.parse_config("[model]\ntag = vbpr\n")
-    with pytest.raises(ex.ConfigError, match="unknown key"):
-        ex.parse_config(
-            "[data]\ninteractions = a\nfeature.visual = b\n"
-            "[model]\ntag = vbpr\nnot_a_field = 1\n")
+    # the second key is MMGCN's former id-embedding switch: it always learns them
+    for key in ("not_a_field", "use_id_embeddings"):
+        with pytest.raises(ex.ConfigError, match=rf"^\[model\] has unknown key '{key}'$"):
+            ex.parse_config(
+                "[data]\ninteractions = a\nfeature.visual = b\n"
+                f"[model]\ntag = mmgcn\n{key} = true\n")
     with pytest.raises(ex.ConfigError, match="true/false"):
         ex.parse_config(
             "[data]\ninteractions = a\nfeature.visual = b\n"
@@ -163,6 +165,24 @@ def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
     assert "cutoffs = 10, abc" in ini.read_text()
     assert main(["--config", str(ini), "prepare"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("lrs", [", ".join(f"0.0{n:02d}" for n in range(1, 12)),
+                                 "-0.1"], ids=["11-points", "negative-lr"])
+@pytest.mark.parametrize("command", ["tune", "train"])
+def test_bad_grid_is_a_config_error_before_prepare(corpus, tmp_path, capsys,
+                                                   lrs, command):
+    # an 11-point grid (11 lrs x 1 reg) or a nonpositive lr
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(ex.serialize_config(base_config(corpus, str(out)))
+                   .replace("lrs = 0.01, 0.05", f"lrs = {lrs}"))
+    assert f"lrs = {lrs}" in ini.read_text()
+    with pytest.raises(ex.ConfigError, match=r"^\[grid\]: "):
+        ex.load_config(str(ini))
+    assert main(["--config", str(ini), command]) == 1
+    assert "[grid]" in capsys.readouterr().err
+    assert not (out / "prepared").exists()
 
 
 @pytest.mark.parametrize("key, text", [("kcore", "x"), ("train_ratio", "most"),

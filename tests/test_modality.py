@@ -125,24 +125,6 @@ def test_text_format_requires_modality(tmp_path):
         M.load_features(path, text=True)
 
 
-# ------------------------------------------------------------- standardize
-
-def test_l2_standardize_unit_rows():
-    feats = sample_feats(seed=3)
-    out = M.l2_standardize(feats)
-    np.testing.assert_allclose(np.linalg.norm(out.matrix, axis=1),
-                               np.ones(3), rtol=1e-5)
-    assert out.zero_rows == 0
-
-
-def test_l2_standardize_zero_row_counted():
-    m = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
-    feats = M.ModalityFeatures("visual", 2, ["a", "b"], m)
-    out = M.l2_standardize(feats)
-    np.testing.assert_array_equal(out.matrix[0], [0.0, 0.0])
-    assert out.zero_rows == 1
-
-
 # ------------------------------------------------------------- store
 
 def test_store_binds_by_item_id():

@@ -212,12 +212,6 @@ def test_mmgcn_layers_zero_is_summed_per_modality_mf():
     np.testing.assert_allclose(got, users @ items.T, rtol=1e-10)
 
 
-def test_mmgcn_layers_zero_without_id_embeddings_errors():
-    with pytest.raises(ValueError, match="use_id_embeddings"):
-        MMGCN(ModelConfig(tag="mmgcn", layers=0, use_id_embeddings=False),
-              small_data())
-
-
 def test_mmgcn_dropping_modality_drops_census_entries():
     both = MMGCN(ModelConfig(tag="mmgcn", embedding_dim=4),
                  small_data(mods=("textual", "visual")), seed=0)
@@ -256,7 +250,12 @@ def test_grcn_hand_refined_adjacency(caplog):
     assert refined[(2, 0)] == pytest.approx(1.0)
     assert refined[(1, 3)] == pytest.approx(0.0)
     assert refined[(3, 1)] == pytest.approx(0.0)
-    assert "gated to zero" in caplog.text
+    assert "1 users have all incident edges gated to zero" in caplog.text
+    # the same count on the next pass is not logged again
+    logged = len(caplog.records)
+    with caplog.at_level(logging.WARNING):
+        model.refined_edge_values(T.Tape())
+    assert len(caplog.records) == logged
 
 
 def test_grcn_gate_of_one_matches_unrefined_propagation():
