@@ -122,38 +122,34 @@ Relevance = namedtuple("Relevance", "index users")
 Judged = namedtuple("Judged", "hits items n_rel")
 
 
-TOPK_BLOCK = 512  # rows per top-k block: index arrays never span every row
+TOPK_BLOCK = 512  # rows per block of rank_topk and knn_graph: no copy spans every row
 
 
 def topk_rows(scores, k):
     """(n_rows, k) ids of each row's k best columns, by descending score,
     ties (-inf included) by ascending id.
 
-    TOPK_BLOCK rows at a time, np.partition finds each row's k-th largest
-    value and the columns at or above it are kept. Only a row that keeps more
-    than k columns, where a tie crosses the boundary, keeps the columns above
-    it plus the first equal ones in id order. A stable sort by descending
-    score follows.
+    All rows in one pass: np.partition finds each row's k-th largest value
+    and the columns at or above it are kept. Only a row that keeps more than
+    k columns, where a tie crosses the boundary, keeps the columns above it
+    plus the first equal ones in id order. A stable sort by descending score
+    follows. Callers that must bound memory hand it one block of rows.
     """
     n, m = scores.shape
     if not 0 < k <= m:
         raise ValueError(f"k={k} must be in [1, {m}]")
-    out = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, TOPK_BLOCK):
-        block = scores[lo:lo + TOPK_BLOCK]
-        kth = np.partition(block, m - k, axis=1)[:, m - k:m - k + 1]
-        keep = block >= kth
-        over = np.flatnonzero(keep.sum(axis=1) > k)
-        tied, kth_over = block[over], kth[over]
-        above, tie = tied > kth_over, tied == kth_over
-        fill = k - above.sum(axis=1, keepdims=True)
-        keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= fill))
-        # row-major like np.nonzero(keep)[1], without its 2-D index pass
-        cols = (np.flatnonzero(keep) % m).reshape(-1, k)
-        order = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1,
-                           kind="stable")
-        out[lo:lo + TOPK_BLOCK] = np.take_along_axis(cols, order, axis=1)
-    return out
+    kth = np.partition(scores, m - k, axis=1)[:, m - k:m - k + 1]
+    keep = scores >= kth
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    tied, kth_over = scores[over], kth[over]
+    above, tie = tied > kth_over, tied == kth_over
+    fill = k - above.sum(axis=1, keepdims=True)
+    keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= fill))
+    # row-major like np.nonzero(keep)[1], without its 2-D index pass
+    cols = (np.flatnonzero(keep) % m).reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def rank_topk(score_fn, users, k, exclude, n_items, threads=1):

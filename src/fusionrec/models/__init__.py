@@ -3,7 +3,7 @@
 import numpy as np
 
 from .base import (
-    MODEL_TAGS,
+    REGISTRY,
     ModelConfig,
     ModelData,
     RecommenderModel,
@@ -20,7 +20,8 @@ from .lattice import LATTICE
 from .bm3 import BM3
 from .freedom import FREEDOM
 
-REGISTRY = {cls.tag: cls for cls in (VBPR, MMGCN, GRCN, LATTICE, BM3, FREEDOM)}
+# the roster order: the order of the imports above
+MODEL_TAGS = tuple(REGISTRY)
 
 
 def build_model(config: ModelConfig, data: ModelData, seed=0, dtype=np.float32):

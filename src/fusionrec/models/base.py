@@ -21,7 +21,7 @@ from ..tensor import SparseMatrix, Tape, Tensor, constant, parameter, sym_normal
 from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
-MODEL_TAGS = ("vbpr", "mmgcn", "grcn", "lattice", "bm3", "freedom")
+REGISTRY = {}  # tag -> RecommenderModel subclass, in order of definition
 ACTIVATIONS = ("leaky_relu", "linear")
 
 
@@ -51,8 +51,8 @@ class ModelConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        if self.tag not in MODEL_TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}, expected {MODEL_TAGS}")
+        if self.tag not in REGISTRY:
+            raise ValueError(f"unknown tag {self.tag!r}, expected {tuple(REGISTRY)}")
         if self.embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.layers < 0:
@@ -246,12 +246,17 @@ class RecommenderModel:
 
     Subclasses set `tag` and `fusion` (their fusion stage), allocate
     parameters in _build(), and produce full user/item representation
-    tensors from _representations(tape, train). `feats` holds each
-    modality's item features as a constant in the model dtype.
+    tensors from _representations(tape, train); defining one adds it to
+    REGISTRY under its tag. `feats` holds each modality's item features as
+    a constant in the model dtype.
     """
 
     tag = None
     fusion = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        REGISTRY[cls.tag] = cls
 
     def __init__(self, config: ModelConfig, data: ModelData, seed=0,
                  dtype=np.float32):

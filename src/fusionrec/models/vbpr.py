@@ -4,8 +4,7 @@ Score is the id-embedding inner product plus, per modality, the inner
 product of a modality-specific user embedding with the projected item
 feature. Modality scores are summed after the per-modality products, so
 the pipeline reads Coordinate representation with Late(sum) fusion. An
-optional item bias can be enabled; it is off by default since a
-user-constant shift never changes that user's top-k order.
+optional learned item bias (ModelConfig.with_bias) is off by default.
 """
 
 import numpy as np
@@ -55,8 +54,6 @@ class VBPR(RecommenderModel):
             n = self.data.n_users if users is None else len(users)
             u_parts.append(constant(np.ones((n, 1)), dtype=self.dtype))
             i_parts.append(pick(self.item_bias, items))
-        if len(u_parts) == 1:
-            return u_parts[0], i_parts[0]
         return tape.concat(u_parts), tape.concat(i_parts)
 
     def loss(self, tape, batch, rng):

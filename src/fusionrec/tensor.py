@@ -12,11 +12,13 @@ gradient rule per input, and backward alone decides which rules run: the rule
 of an input that needs no gradient never runs, so a constant operand, such as
 a gathered block of a constant feature matrix, costs nothing in backward.
 
-Every sparse product and every scatter is one call into scipy's compiled
-CSR product kernel: spmm and spmm_weighted run on a SparseMatrix's cached
-CSR views in both directions, and row_gather's backward on a CSR of its
-indices. Each output row adds its terms in CSR data order, which is the
-order of the stored entries.
+Each family of primitives records through one private body: _binary serves
+add, sub, mul, div and maximum, and _spmm serves spmm_weighted and spmm,
+whose values are the matrix's stored ones as a constant. Every sparse
+product and every scatter is one call into scipy's compiled CSR product
+kernel: _spmm runs on a SparseMatrix's cached CSR views in both directions,
+and row_gather's backward on a CSR of its indices. Each output row adds its
+terms in CSR data order, which is the order of the stored entries.
 """
 
 from __future__ import annotations
@@ -361,42 +363,32 @@ class Tape:
                             (lambda g: g @ bd.T, lambda g: ad.T @ g))
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
-        """Sparse-dense product m @ x. The sparse operand is a constant.
-
-        Forward m.csr() @ x, backward m.csr_t() @ g, in the dense dtype.
-        """
-        self._check_operand(x)
-        if m.shape[1] != x.rows:
-            raise ValueError(f"spmm: inner dims differ, {m.shape} x {x.shape}")
-        a = m.csr()
-        out = _csr_product(a.indptr, a.indices, a.data, x.data)
-
-        def rule(g):
-            a_t = m.csr_t()
-            return _csr_product(a_t.indptr, a_t.indices, a_t.data, g)
-
-        return self._record("spmm", out, (x,), (rule,))
+        """Sparse-dense product m @ x. The sparse operand is a constant:
+        spmm_weighted's product with m.vals as constant values, so forward
+        runs on m.csr() and backward on m.csr_t(), in the dense dtype."""
+        vals = constant(m.vals[:, None], dtype=m.vals.dtype)
+        return self._spmm("spmm", m, vals, x)
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:
-        """Like spmm but edge values come from an (nnz, 1) tensor.
+        """Like spmm but edge values come from an (nnz, 1) tensor; gradients
+        flow into both the edge values and the dense operand. The coordinate
+        structure itself is fixed."""
+        return self._spmm("spmm_weighted", structure, vals, x)
 
-        Gradients flow into both the edge values and the dense operand; the
-        coordinate structure itself is fixed. Row i of `vals` is the i-th
-        stored (row, col) entry, which is also csr()'s i-th data entry, so
-        the spmm products run on the cached views with live values. The
-        value gradient runs VALUE_GRAD_BLOCK entries at a time, so it never
-        holds an nnz x width array.
-        """
+    def _spmm(self, name, structure, vals, x):
+        """structure @ x with live values. Row i of `vals` is the i-th stored
+        (row, col) entry, which is also csr()'s i-th data entry, so the product
+        runs on csr() and the dense operand's gradient on csr_t() with
+        vals[t_perm()]. The value gradient runs VALUE_GRAD_BLOCK entries at a
+        time, so it never holds an nnz x width array."""
         self._check_operand(vals)
         self._check_operand(x)
         if vals.shape != (structure.nnz, 1):
             raise ValueError(
-                f"spmm_weighted: values must be ({structure.nnz}, 1), got {vals.shape}"
+                f"{name}: values must be ({structure.nnz}, 1), got {vals.shape}"
             )
         if structure.shape[1] != x.rows:
-            raise ValueError(
-                f"spmm_weighted: inner dims differ, {structure.shape} x {x.shape}"
-            )
+            raise ValueError(f"{name}: inner dims differ, {structure.shape} x {x.shape}")
         v = vals.data[:, 0]
         xd = x.data
         a = structure.csr()
@@ -414,50 +406,39 @@ class Tape:
             a_t = structure.csr_t()
             return _csr_product(a_t.indptr, a_t.indices, v[structure.t_perm()], g)
 
-        return self._record("spmm_weighted", out, (vals, x), (grad_vals, grad_x))
+        return self._record(name, out, (vals, x), (grad_vals, grad_x))
+
+    def _binary(self, name, a, b, op, rule_a, rule_b):
+        """Record op(a, b) on operands that broadcast against each other.
+        rule_a(g, ad, bd) and rule_b(g, ad, bd) give each operand's gradient
+        at the output's shape from the operand arrays captured here; each is
+        summed back to its operand's shape."""
+        self._check_operand(a)
+        self._check_operand(b)
+        _check_binary_shapes(name, a, b)
+        ad, bd = a.data, b.data
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = op(ad, bd)
+        sa, sb = a.shape, b.shape
+        return self._record(name, out, (a, b),
+                            (lambda g: _unbroadcast(rule_a(g, ad, bd), sa),
+                             lambda g: _unbroadcast(rule_b(g, ad, bd), sb)))
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_operand(a)
-        self._check_operand(b)
-        _check_binary_shapes("add", a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a.data + b.data
-        sa, sb = a.shape, b.shape
-        return self._record("add", out, (a, b),
-                            (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
+        return self._binary("add", a, b, np.add,
+                            lambda g, ad, bd: g, lambda g, ad, bd: g)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_operand(a)
-        self._check_operand(b)
-        _check_binary_shapes("sub", a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a.data - b.data
-        sa, sb = a.shape, b.shape
-        return self._record("sub", out, (a, b),
-                            (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
+        return self._binary("sub", a, b, np.subtract,
+                            lambda g, ad, bd: g, lambda g, ad, bd: -g)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_operand(a)
-        self._check_operand(b)
-        _check_binary_shapes("mul", a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a.data * b.data
-        ad, bd = a.data, b.data
-        sa, sb = a.shape, b.shape
-        return self._record("mul", out, (a, b), (lambda g: _unbroadcast(g * bd, sa),
-                                                 lambda g: _unbroadcast(g * ad, sb)))
+        return self._binary("mul", a, b, np.multiply,
+                            lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad)
 
     def div(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_operand(a)
-        self._check_operand(b)
-        _check_binary_shapes("div", a, b)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = a.data / b.data
-        ad, bd = a.data, b.data
-        sa, sb = a.shape, b.shape
-        return self._record("div", out, (a, b),
-                            (lambda g: _unbroadcast(g / bd, sa),
-                             lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
+        return self._binary("div", a, b, np.divide, lambda g, ad, bd: g / bd,
+                            lambda g, ad, bd: -g * ad / (bd * bd))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         self._check_operand(a)
@@ -510,15 +491,10 @@ class Tape:
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise max; on ties the gradient goes to the first operand."""
-        self._check_operand(a)
-        self._check_operand(b)
-        _check_binary_shapes("maximum", a, b)
-        out = np.maximum(a.data, b.data)
-        take_a = (a.data >= b.data).astype(a.data.dtype)
-        sa, sb = a.shape, b.shape
-        return self._record("maximum", out, (a, b),
-                            (lambda g: _unbroadcast(g * take_a, sa),
-                             lambda g: _unbroadcast(g * (1.0 - take_a), sb)))
+        return self._binary(
+            "maximum", a, b, np.maximum,
+            lambda g, ad, bd: g * (ad >= bd).astype(ad.dtype),
+            lambda g, ad, bd: g * (1.0 - (ad >= bd).astype(ad.dtype)))
 
     def l2_normalize(self, a: Tensor) -> Tensor:
         """Row-wise x / ||x||; all-zero rows stay zero (zero gradient there)."""

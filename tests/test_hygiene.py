@@ -2,10 +2,14 @@
 
 import ast
 import pathlib
+import re
 
 import fusionrec
 
 PACKAGE = pathlib.Path(fusionrec.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# where a definition of the package may be referenced
+REFERENCE_DIRS = ("src", "tests", "perfbench")
 
 # (module, name) -> why the import stays although the module never reads it
 ALLOWED_UNUSED = {
@@ -53,3 +57,103 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
                     "import os\nimport numpy as np\nfrom a.b import c, d\n"
                     "print(np.zeros(1), d)\n")
     assert unused_imports(path) == {"os", "c"}
+
+
+# (module, name) -> why the definition stays although nothing references it
+ALLOWED_UNREFERENCED = {}
+
+# a string naming a definition, alone or as a dotted path
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def definitions(tree):
+    """(name, first line, last line) of each module-level function, class
+    and constant, and of each method that is not a dunder."""
+    found = []
+
+    def add(name, node):
+        if not (name.startswith("__") and name.endswith("__")):
+            found.append((name, node.lineno, node.end_lineno))
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            add(node.name, node)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add(item.name, item)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        add(name.id, node)
+    return found
+
+
+def references(tree):
+    """(name, line) of every name read, attribute read, import alias, and
+    identifier or dotted path written as a string; docstrings excluded."""
+    docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split(".") + [node.asname or ""]:
+                yield part, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs and _DOTTED.match(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def unreferenced(defining, referencing):
+    """(path, name) of each definition in the `defining` files that no
+    `referencing` file references outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in set(defining) | set(referencing)}
+    lines = {}  # name -> {path: lines referencing it}
+    for path in referencing:
+        for name, line in references(trees[path]):
+            lines.setdefault(name, {}).setdefault(path, []).append(line)
+    found = set()
+    for path in defining:
+        for name, first, last in definitions(trees[path]):
+            seen = lines.get(name, {})
+            if not any(other != path or not first <= line <= last
+                       for other, at in seen.items() for line in at):
+                found.add((path, name))
+    return found
+
+
+def test_every_definition_is_referenced():
+    # perfbench/_work holds run outputs, not code
+    referencing = [path for folder in REFERENCE_DIRS
+                   for path in sorted((ROOT / folder).rglob("*.py"))
+                   if "_work" not in path.parts]
+    found = {(".".join(path.relative_to(PACKAGE).with_suffix("").parts), name)
+             for path, name in unreferenced(sorted(PACKAGE.rglob("*.py")), referencing)}
+    assert sorted(found - set(ALLOWED_UNREFERENCED)) == []
+    # an entry that is now referenced, or gone, must leave the allowlist
+    assert sorted(set(ALLOWED_UNREFERENCED) - found) == []
+
+
+def test_unreferenced_check_sees_an_unused_definition(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Docstrings name nothing: dead, Box.dead."""\n'
+        "LIMIT = 3\nSPARE, _HIDDEN = 1, 2\n"
+        "def used():\n    return LIMIT\n"
+        "def dead():\n    return dead()\n"
+        "def by_string():\n    pass\n"
+        "class Box:\n    def __len__(self):\n        return 0\n"
+        "    def method(self):\n        return self.method\n"
+        "    def read(self):\n        'dead'\n        return used()\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from sample import Box as B\n"
+                      "B().read()\nprint('unknown dead', 'sample.by_string')\n")
+    found = {name for _, name in unreferenced([sample], [sample, caller])}
+    assert found == {"SPARE", "_HIDDEN", "dead", "method"}

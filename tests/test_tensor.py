@@ -248,6 +248,95 @@ def test_spmm_weighted_value_grad_is_blockwise_exact():
     np.testing.assert_array_equal(vals.grad, want)
 
 
+def _reduce_to(g, shape):
+    # the sums that bring a broadcast gradient back to an operand's shape
+    if shape[0] == 1 and g.shape[0] > 1:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] > 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
+
+
+# op -> (forward, gradient of a, gradient of b) from the output gradient g
+BINARY_FORMULAS = {
+    "add": (lambda a, b: a + b, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (lambda a, b: a / b, lambda g, a, b: g / b,
+            lambda g, a, b: -g * a / (b * b)),
+    "maximum": (np.maximum, lambda g, a, b: g * (a >= b).astype(a.dtype),
+                lambda g, a, b: g * (1.0 - (a >= b).astype(a.dtype))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_FORMULAS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shapes", [((5, 3), (5, 3)), ((5, 3), (1, 3)),
+                                    ((5, 3), (5, 1)), ((1, 1), (5, 3))])
+def test_binary_op_equals_numpy_formulas_bitwise(name, dtype, shapes):
+    rng = np.random.default_rng(len(name))
+    if name == "maximum":  # integer values, so that operands tie
+        ad, bd = (rng.integers(-2, 3, shape).astype(dtype) for shape in shapes)
+        assert (ad == bd).any()
+    else:
+        ad, bd = (rng.standard_normal(shape).astype(dtype) for shape in shapes)
+    if name == "div":  # a divisor away from zero
+        bd = rng.uniform(0.5, 2.0, shapes[1]).astype(dtype)
+    out_shape = np.broadcast_shapes(shapes[0], shapes[1])
+    g = rng.standard_normal(out_shape).astype(dtype)
+    forward, rule_a, rule_b = BINARY_FORMULAS[name]
+    a, b = T.parameter(ad, dtype=dtype), T.parameter(bd, dtype=dtype)
+    t = T.Tape()
+    out = getattr(t, name)(a, b)
+    t.backward(t.sum(t.mul(out, T.constant(g, dtype=dtype))))
+    assert out.dtype == a.grad.dtype == b.grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, forward(ad, bd))
+    np.testing.assert_array_equal(a.grad, _reduce_to(rule_a(g, ad, bd), ad.shape))
+    np.testing.assert_array_equal(b.grad, _reduce_to(rule_b(g, ad, bd), bd.shape))
+
+
+def _reordering_matrix(dtype):
+    # row 1 is empty, and the transpose's data order (by column) is not the
+    # stored (row, col) order
+    return T.SparseMatrix((4, 3), [0, 0, 2, 3, 3], [2, 0, 1, 0, 2],
+                          [0.3, -1.7, 2.5, 0.9, 1.1], dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
+    m = _reordering_matrix(dtype)
+    assert not np.array_equal(m.t_perm(), np.arange(m.nnz))
+    rng = np.random.default_rng(3)
+    xd = rng.standard_normal((3, 4)).astype(dtype)
+    g = T.constant(rng.standard_normal((4, 4)), dtype=dtype)
+    results = []
+    vals = T.constant(m.vals[:, None], dtype=dtype)
+    for product in (lambda t, x: t.spmm(m, x),
+                    lambda t, x: t.spmm_weighted(m, vals, x)):
+        x = T.parameter(xd, dtype=dtype)
+        t = T.Tape()
+        out = product(t, x)
+        t.backward(t.sum(t.mul(out, g)))
+        results.append((out.data, x.grad))
+    (out, grad), (want_out, want_grad) = results
+    assert out.dtype == grad.dtype == dtype
+    assert not out[1].any()
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(grad, want_grad)
+    # and the transposed product on csr_t()'s own data
+    np.testing.assert_array_equal(grad, m.csr_t() @ g.data)
+
+
+def test_spmm_runs_only_its_dense_rule():
+    m = _reordering_matrix(np.float64)
+    x = p64(np.ones((3, 2)))
+    t = T.Tape()
+    loss = t.sum(t.spmm(m, x))
+    ran = spy_on_rules(t)
+    t.backward(loss)
+    assert ran == [("sum", 0), ("spmm", 1)]
+    np.testing.assert_array_equal(x.grad, m.csr_t() @ np.ones((4, 2)))
+
 def test_sym_normalize_single_edge():
     m = T.SparseMatrix((2, 2), [0, 1], [1, 0], [1.0, 1.0])
     out = T.sym_normalize(m)
