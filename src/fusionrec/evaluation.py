@@ -155,41 +155,43 @@ def topk_rows(scores, k):
 def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     """Top-k item lists per user, as a Ranking.
 
-    score_fn(users) returns a (len(users), n_items) matrix; it is called once,
-    whatever `threads` is. Blocks of TOPK_BLOCK users are ranked on copies in
-    its floating dtype (float64 for integers, so -inf fits), with the items
-    of each user in `exclude`, an InteractionIndex of train items, at -inf.
-    Ties break by ascending item id. k must not exceed the smallest candidate
-    set. threads > 1 ranks the blocks on a thread pool. The Ranking's scores
-    are score_fn's entries, in its dtype.
+    score_fn(block) returns a (len(block), n_items) matrix for each block of
+    at most TOPK_BLOCK user ids, so no pass holds every user's scores. Each
+    block is ranked as it arrives, on a copy in its floating dtype (float64
+    for integers, so -inf fits), with the items of each user in `exclude`, an
+    InteractionIndex of train items, at -inf. Ties break by ascending item
+    id. k must not exceed the smallest candidate set. threads > 1 scores and
+    ranks the blocks on a thread pool. The Ranking's scores are score_fn's
+    entries, in its dtype.
     """
-    users = list(users)
-    ids = np.asarray(users, dtype=np.int64)
-    if not users:
+    ids = np.fromiter(users, dtype=np.int64)
+    if not ids.size:
         return Ranking(ids, np.zeros((0, k), np.int64), np.zeros((0, k)))
     candidates = n_items - exclude.degrees[ids]
     short = np.flatnonzero(candidates < k)
     if short.size:
         raise ValueError(
-            f"user {users[short[0]]} has only {candidates[short[0]]} "
+            f"user {ids[short[0]]} has only {candidates[short[0]]} "
             f"candidates, cannot rank top-{k}"
         )
-    scores = np.asarray(score_fn(users))
-    dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
 
     def rank_block(lo):
-        block = scores[lo:lo + TOPK_BLOCK].astype(dtype)
-        block[exclude.items_of(ids[lo:lo + TOPK_BLOCK])] = -np.inf
-        return topk_rows(block, k)
+        block = ids[lo:lo + TOPK_BLOCK]
+        scores = np.asarray(score_fn(block))
+        dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
+        masked = scores.astype(dtype)
+        masked[exclude.items_of(block)] = -np.inf
+        top = topk_rows(masked, k)
+        return top, np.take_along_axis(scores, top, axis=1)
 
-    starts = range(0, len(users), TOPK_BLOCK)
+    starts = range(0, len(ids), TOPK_BLOCK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(rank_block, starts))
     else:
         blocks = [rank_block(lo) for lo in starts]
-    top = np.concatenate(blocks)
-    return Ranking(ids, top, np.take_along_axis(scores, top, axis=1))
+    tops, scores = zip(*blocks)
+    return Ranking(ids, np.concatenate(tops), np.concatenate(scores))
 
 
 def _judged(recs, relevant, k):
@@ -324,14 +326,15 @@ def _ranker(split, part, k, threads):
     exclude = split.user_positives("train")
 
     def rank(model):
-        return rank_topk(model.score_users, ranked, k, exclude,
+        u, i = model.embed()
+        return rank_topk(lambda block: u[block] @ i.T, ranked, k, exclude,
                          split.dataset.n_items, threads=threads)
 
     return relevant, rank
 
 
 def evaluate_model(model, split, part="test", cutoffs=(10, 20), threads=1):
-    """Rank with the model's scorer and run the metric battery.
+    """Rank with one model.embed() and run the metric battery.
 
     Users evaluated are those with at least one interaction in the requested
     part; candidates are all catalog items minus the user's train items.

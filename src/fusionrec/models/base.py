@@ -147,19 +147,21 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
 def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     """Top-k cosine neighbor graph, self excluded, kept values row-normalized.
 
-    Built TOPK_BLOCK rows at a time, so no n x n array is ever held: each
-    block of unit rows is multiplied by all unit rows and topk_rows picks its
-    k neighbors. Ties in similarity pick the lower item id. Negative kept
-    similarities are clamped to zero before normalization; a row whose kept
-    values are all nonpositive has no entries. Returns a float64
-    SparseMatrix of at most n * k entries.
+    Built TOPK_BLOCK rows at a time, so no n x n array is held and feats'
+    float64 copy is the one n x dim array: each block of unit rows is
+    multiplied by all unit rows and topk_rows picks its k neighbors. Ties in
+    similarity pick the lower item id. Negative kept similarities are
+    clamped to zero before normalization; a row whose kept values are all
+    nonpositive has no entries. Returns a float64 SparseMatrix of at most
+    n * k entries.
     """
     unit = np.array(feats, dtype=np.float64)
     n = unit.shape[0]
     if k >= n:
         raise ValueError(f"knn_k={k} must be < n_items={n}")
-    norms = np.linalg.norm(unit, axis=1, keepdims=True)
-    np.divide(unit, np.where(norms > 0, norms, np.inf), out=unit)  # 0 rows stay 0
+    for lo in range(0, n, TOPK_BLOCK):  # 0 rows stay 0
+        norms = np.linalg.norm(unit[lo:lo + TOPK_BLOCK], axis=1, keepdims=True)
+        unit[lo:lo + TOPK_BLOCK] /= np.where(norms > 0, norms, np.inf)
     cols = np.empty((n, k), dtype=np.int64)
     vals = np.empty((n, k))
     for lo in range(0, n, TOPK_BLOCK):
@@ -248,7 +250,8 @@ class RecommenderModel:
     parameters in _build(), and produce full user/item representation
     tensors from _representations(tape, train); defining one adds it to
     REGISTRY under its tag. `feats` holds each modality's item features as
-    a constant in the model dtype.
+    a read-only constant in the model dtype, ModelData's array unless cast;
+    score_users(users) is u[users] @ i.T on the (u, i) of embed().
     """
 
     tag = None
@@ -269,8 +272,10 @@ class RecommenderModel:
         self.spec = validate(PipelineSpec(
             Coordinate(out_dim=config.embedding_dim), self.fusion,
             data.modalities))
-        self.feats = {m: constant(data.features[m], dtype=dtype)
-                      for m in data.modalities}
+        self.feats = {m: constant(np.empty((0, 0)), dtype) for m in data.modalities}
+        for m, t in self.feats.items():  # ModelData's array, copied only to cast
+            t.data = data.features[m].astype(dtype, copy=False).view()
+            t.data.flags.writeable = False
         self._build(np.random.default_rng(seed))
 
     # -- subclass hooks
@@ -308,13 +313,18 @@ class RecommenderModel:
         return bpr_on_rows(tape, users_rep, items_rep,
                            batch.users, batch.pos, batch.neg)
 
-    def score_users(self, users) -> np.ndarray:
-        """Dense score block (len(users), n_items), gradient-free."""
+    def embed(self):
+        """(users (n_users, d'), items (n_items, d')) arrays, gradient-free.
+        LATTICE's users array is its parameter's own: read it before a step."""
         tape = Tape()
         users_rep, items_rep = self._representations(tape, train=False)
         tape.reset()
-        u = users_rep.data[np.asarray(users, dtype=np.int64)]
-        return u @ items_rep.data.T
+        return users_rep.data, items_rep.data
+
+    def score_users(self, users) -> np.ndarray:
+        """Dense score block (len(users), n_items), gradient-free."""
+        u, i = self.embed()
+        return u[np.asarray(users, dtype=np.int64)] @ i.T
 
 
 # ------------------------------------------------------------- checkpoints

@@ -184,6 +184,29 @@ def grcn_reference(tape, model, batch):
     return loss, final
 
 
+# ----------------------------------------------------------------- ranking
+
+def rank_full_matrix(model, users, k, train_pairs):
+    """Ranking from one score matrix over every user: model.score_users(users)
+    in one call, then per row a lexsort by descending score, ties by
+    ascending item id, with the user's train items at -inf.
+
+    Returns (top, scores): (len(users), k) item ids, best first, and the
+    score_users entries behind them.
+    """
+    scores = model.score_users(users)
+    train = defaultdict(list)
+    for u, i in train_pairs:
+        train[int(u)].append(int(i))
+    ids = np.arange(scores.shape[1])
+    top = np.empty((len(users), k), dtype=np.int64)
+    for row, u in enumerate(users):
+        masked = scores[row].astype(np.float64)  # exact: keeps order and ties
+        masked[train[u]] = -np.inf
+        top[row] = np.lexsort((ids, -masked))[:k]
+    return top, np.take_along_axis(scores, top, axis=1)
+
+
 # ----------------------------------------------------------------- metrics
 
 def recall_ref(recs, relevant, k):

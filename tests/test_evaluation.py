@@ -121,6 +121,21 @@ class CountingScorer(FixedScorer):
         return out
 
 
+class EmbeddedScorer(FixedScorer):
+    """A model whose embed() is (S, I): u[block] @ i.T is S[block] exactly,
+    for finite S. Counts its embed() calls."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.embeds = 0
+
+    def embed(self):
+        self.embeds += 1
+        return self.matrix, np.eye(self.matrix.shape[1])
+
+    score_users = FixedScorer.__call__
+
+
 def index(n_users, n_items, pairs):
     return InteractionIndex.from_pairs(n_users, n_items, pairs)
 
@@ -145,7 +160,8 @@ def test_rank_topk_k_too_large_rejected():
 
 def test_rank_topk_threads_agree():
     rng = np.random.default_rng(0)
-    # 40 users fit one block; the larger set spans three
+    # 40 users fit one block; the larger set spans three, each scored by its
+    # own score_fn call
     for n_users in (40, 2 * E.TOPK_BLOCK + 40):
         scores = rng.standard_normal((n_users, 30))
         exclude = {u: {int(rng.integers(30))} for u in range(n_users)}
@@ -156,7 +172,9 @@ def test_rank_topk_threads_agree():
         scorer = CountingScorer(scores)  # hands rank_topk its own array
         multi = E.rank_topk(scorer, range(n_users), 5, train, 30, threads=4)
         assert single == multi
-        assert len(scorer.calls) == 1
+        blocks = [list(range(lo, min(lo + E.TOPK_BLOCK, n_users)))
+                  for lo in range(0, n_users, E.TOPK_BLOCK)]
+        assert sorted(users for users, _ in scorer.calls) == blocks
         np.testing.assert_array_equal(scores, original)
         for u, banned in exclude.items():
             original[u, list(banned)] = -np.inf
@@ -256,8 +274,8 @@ def test_metrics_sum_users_in_first_appearance_order():
     ds = D.Dataset(syn.user_ids, syn.item_ids, syn.interactions[rows],
                    syn.ratings[rows], syn.timestamps[rows])
     split = D.holdout_split(ds, seed=5)
-    model = type("M", (), {"score_users": FixedScorer(
-        np.random.default_rng(1).standard_normal((ds.n_users, ds.n_items)))})
+    model = EmbeddedScorer(
+        np.random.default_rng(1).standard_normal((ds.n_users, ds.n_items)))
     train = split.user_positives("train")
     for part in ("validation", "test"):
         relevant = oracles.user_positives_loop(getattr(split, part))
@@ -288,7 +306,8 @@ def test_rank_topk_float32_ranks_as_its_float64_cast():
 
 
 def test_evaluate_model_scores_ranks_and_measures_once(monkeypatch):
-    # the benchmark's traced layers read these three calls, once per evaluation
+    # the benchmark's traced layers read these calls, once per evaluation:
+    # one embed(), then rank_topk scores its blocks from it
     from fusionrec import dataset as D
 
     split = D.holdout_split(D.generate_synthetic(60, 40, 0.2, seed=4).dataset,
@@ -299,10 +318,10 @@ def test_evaluate_model_scores_ranks_and_measures_once(monkeypatch):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(E, name, counted)
-    scorer = CountingScorer(np.random.default_rng(3).standard_normal((60, 40)))
-    E.evaluate_model(type("M", (), {"score_users": scorer}), split, "test")
+    model = EmbeddedScorer(np.random.default_rng(3).standard_normal((60, 40)))
+    E.evaluate_model(model, split, "test")
     assert counts == {"rank_topk": 1, "evaluate_lists": 1}
-    assert len(scorer.calls) == 1
+    assert model.embeds == 1
 
 
 def test_split_builds_each_part_index_once(monkeypatch):
@@ -321,8 +340,7 @@ def test_split_builds_each_part_index_once(monkeypatch):
         return from_pairs(n_users, n_items, pairs)
 
     monkeypatch.setattr(D.InteractionIndex, "from_pairs", counted)
-    model = type("M", (), {"score_users": FixedScorer(
-        np.random.default_rng(3).standard_normal((60, 40)))})
+    model = EmbeddedScorer(np.random.default_rng(3).standard_normal((60, 40)))
     first, ranking = E.evaluate_model(model, split, "test")
     second, again = E.evaluate_model(model, split, "test")
     assert built == [len(split.test), len(split.train)]
@@ -336,21 +354,31 @@ def test_split_builds_each_part_index_once(monkeypatch):
 
 
 def test_write_recommendations_scores_once_from_one_call(tmp_path):
-    # the ranking pass's single score_fn call supplies the score column
+    # the ranking pass's one embed() supplies the score column
+    from fusionrec import dataset as D
+
+    split = D.holdout_split(D.generate_synthetic(60, 40, 0.2, seed=4).dataset,
+                            seed=2)
     rng = np.random.default_rng(4)
-    scorer = CountingScorer(rng.standard_normal((5, 8)).astype(np.float32))
-    recs = E.rank_topk(scorer, [0, 1, 3], 2, index(5, 8, [(1, 4)]), 8)
+    u, i = (rng.standard_normal((n, 4)).astype(np.float32) for n in (60, 40))
+    embeds = []
+
+    class Model:
+        def embed(self):
+            embeds.append(1)
+            return u, i
+
+    _, recs = E.evaluate_model(Model(), split, "test", cutoffs=(2,))
     path = tmp_path / "recommendations.tsv"
     E.write_recommendations_tsv(recs, path)
-    assert len(scorer.calls) == 1
-    users, matrix = scorer.calls[0]
-    assert users == [0, 1, 3]
-    for row, u in enumerate(users):
-        assert recs.scores[row].dtype == matrix.dtype
-        np.testing.assert_array_equal(recs.scores[row], matrix[row, recs[u]])
-    want = [f"{u}\t{i}\t{r}\t{float(matrix[row, i]):.6f}"
-            for row, u in enumerate(users)
-            for r, i in enumerate(recs[u], start=1)]
+    assert len(embeds) == 1
+    users, matrix = recs.users.tolist(), u[recs.users] @ i.T
+    assert recs.scores.dtype == matrix.dtype
+    for row, user in enumerate(users):
+        np.testing.assert_array_equal(recs.scores[row], matrix[row, recs[user]])
+    want = [f"{user}\t{item}\t{r}\t{float(matrix[row, item]):.6f}"
+            for row, user in enumerate(users)
+            for r, item in enumerate(recs[user], start=1)]
     assert path.read_text().splitlines() == want
 
 
@@ -486,3 +514,31 @@ def test_evaluate_lists_covers_all_metrics():
     for metric in E.METRIC_ORDER:
         for k in (1, 2):
             assert (metric, k) in report.values
+
+
+def test_recall_eval_fn_never_holds_a_users_by_items_matrix():
+    # blocks of TOPK_BLOCK users are scored and ranked one at a time
+    import tracemalloc
+    from fusionrec import dataset as D
+
+    n_users, n_items = 12 * E.TOPK_BLOCK, 1000
+    users = np.arange(n_users)
+    ds = D.Dataset(list(range(n_users)), list(range(n_items)),
+                   np.zeros((0, 2), np.int64), np.zeros(0), np.zeros(0))
+    split = D.Split(ds, np.stack([users, users % n_items], 1),
+                    np.stack([users, (7 * users + 1) % n_items], 1),
+                    np.zeros((0, 2), np.int64), seed=0)
+    rng = np.random.default_rng(8)
+    u, i = (rng.standard_normal((n, 8)).astype(np.float32)
+            for n in (n_users, n_items))
+    model = type("M", (), {"embed": lambda self: (u, i),
+                           "score_users": lambda self, us: u[us] @ i.T})()
+    recall = E.recall_eval_fn(split, "validation")
+    tracemalloc.start()
+    try:
+        value = recall(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= value <= 1.0
+    assert peak < n_users * n_items * u.itemsize / 2

@@ -29,7 +29,7 @@ from fusionrec.models import (
 from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
-from oracles import grcn_reference, knn_bruteforce, knn_graph_dense
+from oracles import grcn_reference, knn_bruteforce, knn_graph_dense, rank_full_matrix
 
 
 def small_data(n_users=5, n_items=8, seed=0, mods=("textual", "visual")):
@@ -121,6 +121,23 @@ def test_pipeline_classification_table():
             assert model.feats[m].data.dtype == model.dtype, (tag, m)
             np.testing.assert_array_equal(
                 model.feats[m].data, data.features[m].astype(model.dtype))
+
+
+def test_feature_constants_share_model_data_arrays():
+    data = small_data()
+    for tag in CLASSIFICATION:
+        model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2),
+                            data, seed=1, dtype=np.float64)
+        for m in data.modalities:
+            feats = model.feats[m].data
+            assert np.shares_memory(feats, data.features[m]), (tag, m)
+            with pytest.raises(ValueError, match="read-only"):
+                feats[0, 0] = 1.0
+    # a cast is the one copy, and it is read-only too
+    cast = build_model(ModelConfig(tag="vbpr", embedding_dim=4), data).feats
+    assert not np.shares_memory(cast["visual"].data, data.features["visual"])
+    assert not cast["visual"].data.flags.writeable
+    assert data.features["visual"].flags.writeable
 
 
 def test_census_covers_every_tensor_once():
@@ -395,6 +412,23 @@ def test_knn_graph_never_holds_an_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+def test_knn_graph_holds_one_n_by_dim_array(monkeypatch):
+    # rows are normalized a block at a time beside the one float64 copy;
+    # a smaller block keeps the arrays small, and the bound scales with it
+    import fusionrec.models.base as base
+
+    monkeypatch.setattr(base, "TOPK_BLOCK", 64)
+    n, dim = 1024, 2048
+    feats = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        knn_graph(feats, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * dim * 8
 
 
 def test_knn_graph_rejects_large_k():
@@ -752,3 +786,33 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
             refs.clear()
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------------ ranking
+
+@pytest.mark.parametrize("tag", sorted(CLASSIFICATION))
+def test_blockwise_ranking_equals_full_matrix_oracle(tag):
+    # over two blocks of users, each scored from one embed(): the lists, the
+    # scores and the validation recall are those of one full score matrix
+    from fusionrec import dataset as D
+    from fusionrec import evaluation as E
+    from oracles import user_positives_loop
+
+    syn = D.generate_synthetic(3 * E.TOPK_BLOCK, 50, 0.2, seed=2)
+    split = D.holdout_split(syn.dataset, seed=1)
+    data = ModelData(syn.dataset.n_users, syn.dataset.n_items, split.train,
+                     dict(syn.features))
+    model = build_model(ModelConfig(tag=tag, embedding_dim=8, knn_k=3),
+                        data, seed=4)
+    _, ranking = E.evaluate_model(model, split, "test")
+    assert len(ranking.users) > 2 * E.TOPK_BLOCK
+    top, scores = rank_full_matrix(model, ranking.users.tolist(), 20, split.train)
+    np.testing.assert_array_equal(ranking.top, top)
+    assert ranking.scores.dtype == scores.dtype
+    np.testing.assert_array_equal(ranking.scores, scores)
+
+    relevant = user_positives_loop(split.validation)
+    users = sorted(relevant)
+    top, _ = rank_full_matrix(model, users, 20, split.train)
+    want = E.recall_at_k(dict(zip(users, top.tolist())), relevant, 20)
+    assert E.recall_eval_fn(split, "validation", k=20)(model) == want
