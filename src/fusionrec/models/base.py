@@ -144,7 +144,7 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
 
 
-def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
+def knn_graph(feats: np.ndarray, k: int, dtype=np.float64) -> SparseMatrix:
     """Top-k cosine neighbor graph, self excluded, kept values row-normalized.
 
     Built TOPK_BLOCK rows at a time, so no n x n array is held and feats'
@@ -152,8 +152,8 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     multiplied by all unit rows and topk_rows picks its k neighbors. Ties in
     similarity pick the lower item id. Negative kept similarities are
     clamped to zero before normalization; a row whose kept values are all
-    nonpositive has no entries. Returns a float64 SparseMatrix of at most
-    n * k entries.
+    nonpositive has no entries. Returns a SparseMatrix of at most n * k
+    entries, computed in float64 and stored in `dtype`.
     """
     unit = np.array(feats, dtype=np.float64)
     n = unit.shape[0]
@@ -175,16 +175,16 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     np.divide(vals, sums, out=vals, where=sums > 0)
     kept = vals != 0
     rows = np.broadcast_to(np.arange(n)[:, None], (n, k))
-    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept],
-                        dtype=np.float64)
+    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=dtype)
 
 
-def item_graph(features: dict, k: int, weights=None) -> SparseMatrix:
+def item_graph(features: dict, k: int, weights=None, dtype=np.float64) -> SparseMatrix:
     """Frozen multimodal item graph: the weighted sum of per-modality knn_graphs.
 
     `weights` holds one weight per modality in sorted modality order and is
     normalized to sum to one; None weighs the modalities uniformly.
-    Modalities are added in sorted order onto zero, in float64.
+    Modalities are added in sorted order onto zero, in float64, and the
+    sum is stored in `dtype`.
     """
     mods = sorted(features)
     if weights is None:
@@ -195,7 +195,7 @@ def item_graph(features: dict, k: int, weights=None) -> SparseMatrix:
     total = sum(weights)
     out = sum(w / total * knn_graph(features[m], k).csr()
               for m, w in zip(mods, weights)).tocoo()
-    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=np.float64)
+    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=dtype)
 
 
 # ------------------------------------------------------- tape-level helpers

@@ -19,7 +19,6 @@ through that second branch.
 import numpy as np
 
 from ..schema import Late
-from ..tensor import SparseMatrix
 from .. import training as tr
 from .base import (
     RecommenderModel,
@@ -56,9 +55,8 @@ class FREEDOM(RecommenderModel):
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-        g = item_graph(self.data.features, cfg.knn_k, cfg.modality_weights)
-        self.item_graph = SparseMatrix(g.shape, g.rows, g.cols, g.vals,
-                                       dtype=self.dtype)
+        self.item_graph = item_graph(self.data.features, cfg.knn_k,
+                                     cfg.modality_weights, self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
                                             dtype=self.dtype)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)

@@ -1,14 +1,15 @@
 """Item-item structure learning blended with frozen feature graphs.
 
 Per modality, the base's sparse cosine kNN graph over raw item features
-(knn_graph, built once and densified here, the same graph FREEDOM freezes
+(knn_graph, built once and kept sparse, the same graph FREEDOM freezes
 through item_graph) and a second graph learned from projected features
 per forward pass are blended A = blend * initial + (1 - blend) * learned.
-Modality graphs are then merged by a softmax-weighted sum with learned
-logits (Early(weighted_sum) fusion at graph level).
-Item id embeddings are propagated over the merged graph and the
-normalized result is added back onto the id embedding; users keep plain
-id embeddings.
+Modality graphs are merged by a softmax-weighted sum with learned logits
+(Early(weighted_sum) fusion at graph level). Propagation is linear, so
+each layer propagates through every modality's graph and merges the
+n x d results with those weights instead of building the merged graph.
+Item id embeddings are propagated this way and the normalized result is
+added back onto the id embedding; users keep plain id embeddings.
 
 The top-k neighbor selection inside the learned graph is a hard,
 non-differentiable choice; `frozen_masks` pins it to a fixed support so
@@ -42,11 +43,8 @@ class LATTICE(RecommenderModel):
         )
         # cosine similarity is scale-invariant, so knn_graph's unit rows
         # cover the standardization the initial graphs assume
-        self.initial = {
-            m: constant(knn_graph(self.data.features[m], cfg.knn_k)
-                        .csr().toarray(), dtype=self.dtype)
-            for m in self.data.modalities
-        }
+        self.initial = {m: knn_graph(self.data.features[m], cfg.knn_k, self.dtype)
+                        for m in self.data.modalities}
         self.proj = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
@@ -74,27 +72,24 @@ class LATTICE(RecommenderModel):
                          dtype=self.dtype)
         return tape.div(kept, tape.maximum(sums, floor))
 
-    def merged_graph(self, tape):
-        """Blend initial/learned per modality, then softmax-weighted merge."""
-        parts = []
-        for m in self.data.modalities:
-            if self.config.blend >= 1.0:
-                parts.append(self.initial[m])
-                continue
-            learned = self._learned_graph(tape, m)
-            if self.config.blend <= 0.0:
-                parts.append(learned)
-            else:
-                parts.append(tape.add(
-                    tape.scale(self.initial[m], self.config.blend),
-                    tape.scale(learned, 1.0 - self.config.blend),
-                ))
-        return weighted_sum(tape, parts, self.merge_logits)
-
     def _representations(self, tape, train):
-        merged = self.merged_graph(tape)
+        blend = self.config.blend
+        # blend 1 never builds the learned graph, blend 0 skips the initial
+        learned = {} if blend >= 1.0 else {
+            m: self._learned_graph(tape, m) for m in self.data.modalities}
         h = self.item_emb
         for _ in range(self.config.item_graph_layers):
-            h = tape.matmul(merged, h)
+            parts = []
+            for m in self.data.modalities:
+                if blend >= 1.0:
+                    parts.append(tape.spmm(self.initial[m], h))
+                elif blend <= 0.0:
+                    parts.append(tape.matmul(learned[m], h))
+                else:
+                    parts.append(tape.add(
+                        tape.scale(tape.spmm(self.initial[m], h), blend),
+                        tape.scale(tape.matmul(learned[m], h), 1.0 - blend),
+                    ))
+            h = weighted_sum(tape, parts, self.merge_logits)
         items = tape.add(self.item_emb, tape.l2_normalize(h))
         return self.user_emb, items

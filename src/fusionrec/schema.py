@@ -14,7 +14,7 @@ modalities only inside the loss declare Late fusion.
 The six models in `fusionrec.models` are the realization of this schema:
 each declares its coupling, registers its parameters in a ParameterSet and
 trains through train_loop. The one fusion operator kept here is
-weighted_sum, with which LATTICE merges its modality graphs.
+weighted_sum, which merges LATTICE's item rows propagated per modality graph.
 """
 
 from __future__ import annotations

@@ -484,9 +484,9 @@ class Tape:
     def leaky_relu(self, a: Tensor, slope=0.2) -> Tensor:
         self._check_operand(a)
         slope = float(slope)
-        out = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(slope))
+        # x * 1 is x, so the gradient's mask also gives the output
         mask = np.where(a.data > 0, a.data.dtype.type(1.0), a.data.dtype.type(slope))
-
+        out = a.data * mask
         return self._record("leaky_relu", out, (a,), (lambda g: g * mask,))
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:

@@ -10,6 +10,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from fusionrec.tensor import constant
+
 
 # ----------------------------------------------------------------- k-core
 
@@ -182,6 +184,51 @@ def grcn_reference(tape, model, batch):
 
     loss = tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
     return loss, final
+
+
+# ----------------------------------------------------------------- LATTICE
+
+def lattice_dense_reference(tape, model, batch):
+    """LATTICE's BPR loss through one dense merged item graph, as first written.
+
+    Per modality, the initial kNN graph is densified and blended with the
+    dense learned graph on the model's frozen masks; the modality graphs are
+    merged by the softmax of the merge logits, and each layer multiplies the
+    merged n x n graph into the item rows. Reads the model's parameters,
+    feature constants, initial graphs and frozen masks, and nothing else of
+    the package. Returns the loss.
+    """
+    cfg, data = model.config, model.data
+    dtype = model.item_emb.data.dtype
+    n_mods = len(data.modalities)
+    w = tape.softmax(model.merge_logits)
+    merged = None
+    for j, m in enumerate(data.modalities):
+        initial = constant(model.initial[m].csr().toarray(), dtype=dtype)
+        graph = initial
+        if cfg.blend < 1.0:
+            unit = tape.l2_normalize(tape.matmul(model.feats[m], model.proj[m]))
+            mask = constant(model.frozen_masks[m], dtype=dtype)
+            kept = tape.relu(tape.mul(tape.matmul_nt(unit, unit), mask))
+            floor = constant(np.full((data.n_items, 1), 1e-12), dtype=dtype)
+            graph = tape.div(kept, tape.maximum(tape.rowsum(kept), floor))
+            if cfg.blend > 0.0:
+                graph = tape.add(tape.scale(initial, cfg.blend),
+                                 tape.scale(graph, 1.0 - cfg.blend))
+        basis = np.zeros((n_mods, 1))
+        basis[j, 0] = 1.0
+        term = tape.mul(graph, tape.matmul(w, constant(basis, dtype=dtype)))
+        merged = term if merged is None else tape.add(merged, term)
+    h = model.item_emb
+    for _ in range(cfg.item_graph_layers):
+        h = tape.matmul(merged, h)
+    items = tape.add(model.item_emb, tape.l2_normalize(h))
+    u = tape.row_gather(model.user_emb, batch.users)
+
+    def scores(rows):
+        return tape.rowsum(tape.mul(u, tape.row_gather(items, rows)))
+
+    return tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
 
 
 # ----------------------------------------------------------------- ranking

@@ -157,3 +157,32 @@ def test_unreferenced_check_sees_an_unused_definition(tmp_path):
                       "B().read()\nprint('unknown dead', 'sample.by_string')\n")
     found = {name for _, name in unreferenced([sample], [sample, caller])}
     assert found == {"SPARE", "_HIDDEN", "dead", "method"}
+
+
+# sparse-to-dense conversions: a sparse graph is multiplied as it is stored
+DENSIFYING = ("toarray", "todense")
+
+
+def densifying_calls(path):
+    """(line of the method name, method) of every call to a method named
+    in DENSIFYING."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(node.func.end_lineno, node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in DENSIFYING}
+
+
+def test_no_module_densifies_a_sparse_matrix():
+    found = {(mod, line, name) for mod, path in modules()
+             for line, name in densifying_calls(path)}
+    assert sorted(found) == []
+
+
+def test_densifying_check_sees_a_conversion(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: m.toarray()."""\n'
+                    "dense = m.csr().toarray()\n"
+                    "other = m.todense\n"
+                    "full = np.asarray(m.todense())\n"
+                    "graph = (knn(x)\n         .toarray())\n")
+    assert densifying_calls(path) == {(2, "toarray"), (4, "todense"), (6, "toarray")}

@@ -29,7 +29,13 @@ from fusionrec.models import (
 from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
-from oracles import grcn_reference, knn_bruteforce, knn_graph_dense, rank_full_matrix
+from oracles import (
+    grcn_reference,
+    knn_bruteforce,
+    knn_graph_dense,
+    lattice_dense_reference,
+    rank_full_matrix,
+)
 
 
 def small_data(n_users=5, n_items=8, seed=0, mods=("textual", "visual")):
@@ -444,14 +450,57 @@ def test_lattice_rejects_large_k(cls):
 
 def test_lattice_degenerate_merge_weights_pick_one_graph():
     data = small_data()
-    cfg = ModelConfig(tag="lattice", embedding_dim=4, knn_k=2, blend=1.0)
+    cfg = ModelConfig(tag="lattice", embedding_dim=4, knn_k=2, blend=1.0,
+                      item_graph_layers=2)
     model = LATTICE(cfg, data, seed=5, dtype=np.float64)
     # logits (0, 800): exp(-800) underflows to exactly 0 in float64, so the
     # softmax weights are exactly (0, 1), picking the second sorted modality
     model.merge_logits.data[:] = [[0.0, 800.0]]
     tape = T.Tape()
-    merged = model.merged_graph(tape)
-    np.testing.assert_array_equal(merged.data, model.initial["visual"].data)
+    h = model.item_emb
+    for _ in range(cfg.item_graph_layers):
+        h = tape.spmm(model.initial["visual"], h)
+    want = tape.add(model.item_emb, tape.l2_normalize(h)).data
+    np.testing.assert_array_equal(model.embed()[1], want)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("blend", [0.0, 0.3, 0.5, 1.0])
+def test_lattice_matches_dense_merged_graph_reference(blend, layers):
+    # propagating through each modality graph and merging the results is
+    # the dense merged graph's product, up to summation order
+    data = small_data(n_users=12, n_items=10, seed=9)
+    cfg = ModelConfig(tag="lattice", embedding_dim=4, knn_k=3, blend=blend,
+                      item_graph_layers=layers)
+    model = LATTICE(cfg, data, seed=7, dtype=np.float64)
+    model.merge_logits.data[:] = [[0.4, -0.3]]
+    model.frozen_masks = {}
+    for m in data.modalities:
+        h = data.features[m] @ model.proj[m].data
+        unit = h / np.linalg.norm(h, axis=1, keepdims=True)
+        model.frozen_masks[m] = model._topk_mask(unit @ unit.T)
+    batch = fixed_batch(data, size=16, seed=2)
+
+    def first_batch(loss_fn):
+        model.zero_grads()
+        tape = T.Tape()
+        loss = loss_fn(tape)
+        loss_value = loss.data.copy()
+        tape.backward(loss)
+        return loss_value, [None if t.grad is None else t.grad.copy()
+                            for t in model.tensors()]
+
+    got_loss, got_grads = first_batch(
+        lambda tape: model.loss(tape, batch, np.random.default_rng(0)))
+    ref_loss, ref_grads = first_batch(
+        lambda tape: lattice_dense_reference(tape, model, batch))
+    np.testing.assert_allclose(got_loss, ref_loss, rtol=1e-12)
+    assert [g is None for g in got_grads] == [g is None for g in ref_grads]
+    for got, want in zip(got_grads, ref_grads):
+        if want is not None:
+            # entries that cancel to near zero get the floor rtol * largest entry
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 def test_lattice_blend_one_freezes_graph():

@@ -558,6 +558,28 @@ def test_grad_leaky_relu():
     check_unary("leaky_relu", seed=5, slope=0.2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_one_mask_matches_two_where_form(dtype):
+    # the output and gradient of the two-np.where form, bit for bit,
+    # signed zeros, subnormals and large magnitudes included
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.tiny, -info.tiny, info.max, -info.max, -1e30, 1e-40, -1e-40]
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        np.random.default_rng(3).normal(size=200).astype(dtype)])
+    x = x.reshape(-1, 1)
+    slope = 0.2
+    want = np.where(x > 0, x, x * dtype(slope))
+    want_grad = np.where(x > 0, dtype(1.0), dtype(slope))
+    a = T.parameter(x, dtype=dtype)
+    tape = T.Tape()
+    out = tape.leaky_relu(a, slope)
+    assert out.data.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(out.data.view(np.uint8), want.view(np.uint8))
+    tape.backward(tape.sum(out))
+    np.testing.assert_array_equal(a.grad.view(np.uint8), want_grad.view(np.uint8))
+
+
 def test_grad_l2_normalize():
     check_unary("l2_normalize", seed=6)
 
