@@ -141,9 +141,6 @@ class SGD:
             p.zero_grad()
 
 
-ADAM_BLOCK_BYTES = 256 * 1024  # rows Adam.step updates at a time stay in cache
-
-
 class Adam:
     """Adam with bias correction."""
 
@@ -163,22 +160,19 @@ class Adam:
         for k, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            arrays = (p.grad, self.m[k], self.v[k], p.data)
-            rows = max(1, ADAM_BLOCK_BYTES // p.data[0].nbytes)
-            for lo in range(0, p.data.shape[0], rows):
-                # in place, but the float operations and their order are those
-                # of p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-                g, m, v, x = (a[lo:lo + rows] for a in arrays)
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * (g * g)
-                step = m / c1
-                step *= self.lr
-                step /= np.sqrt(v / c2) + self.eps
-                x -= step
-                if not np.isfinite(x).all():
-                    raise TrainingDivergedError("parameter became non-finite after Adam step")
+            g, m, v = p.grad, self.m[k], self.v[k]
+            # in place, but the float operations and their order are those of
+            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            step = m / c1
+            step *= self.lr
+            step /= np.sqrt(v / c2) + self.eps
+            p.data -= step
+            if not np.isfinite(p.data).all():
+                raise TrainingDivergedError("parameter became non-finite after Adam step")
             p.zero_grad()
 
 
