@@ -4,6 +4,9 @@ Accuracy: Recall@k and nDCG@k (binary relevance). Beyond accuracy: expected
 free discovery (EFD@k), Gini concentration of recommended exposure, average
 percentage of long-tail items (APLT@k), and item coverage (iCov). Ranking
 excludes each user's train items and breaks score ties by ascending item id.
+Every top-k selection, kNN item graphs included, is topk_rows: a threshold
+from the maxima of strided column groups, then an exact partition over only
+the entries at or above it; narrow rows are partitioned whole.
 
 Users and items stay integer arrays from the scorer to the report: a Ranking
 holds one row of item ids per user, and one hit matrix, read from the part's
@@ -123,22 +126,67 @@ Judged = namedtuple("Judged", "hits items n_rel")
 
 
 TOPK_BLOCK = 512  # rows per block of rank_topk and knn_graph: no copy spans every row
+GROUPS_PER_K = 8  # topk_rows' threshold stage: column groups per wanted column
+MIN_GROUP_SPAN = 4  # columns per group below which a partition of whole rows is faster
 
 
 def topk_rows(scores, k):
     """(n_rows, k) ids of each row's k best columns, by descending score,
-    ties (-inf included) by ascending id.
+    ties (-inf included) by ascending id. Floating scores; a row holding NaN
+    raises ValueError.
 
-    All rows in one pass: np.partition finds each row's k-th largest value
-    and the columns at or above it are kept. Only a row that keeps more than
-    k columns, where a tie crosses the boundary, keeps the columns above it
-    plus the first equal ones in id order. A stable sort by descending score
-    follows. Callers that must bound memory hand it one block of rows.
+    Two exact stages. Threshold: column j joins group j mod c, with
+    c = GROUPS_PER_K * k, and t is a row's k-th largest group maximum.
+    Those k maxima are k distinct entries at or above t, so every entry of
+    the row's top-k, ties at the k-th value included, is >= t. Exact: only
+    the entries >= t, typically k to 1.5k per row, are packed in id order
+    into a (n_rows, width) matrix padded with -inf, and _topk_exact ranks
+    that matrix. Rows of fewer than MIN_GROUP_SPAN * c columns, where the
+    threshold stage saves less than it costs, go to _topk_exact whole.
+    Besides arrays of n_rows * (c + width) entries, a call holds one
+    boolean mask of the scores' shape. Callers that must bound memory hand
+    it one block of rows.
     """
     n, m = scores.shape
     if not 0 < k <= m:
         raise ValueError(f"k={k} must be in [1, {m}]")
-    kth = np.partition(scores, m - k, axis=1)[:, m - k:m - k + 1]
+    c = GROUPS_PER_K * k
+    q, r = divmod(m, c)
+    if q < MIN_GROUP_SPAN:
+        return _topk_exact(scores, k)
+    peaks = scores[:, :q * c].reshape(n, q, c).max(axis=1)
+    np.maximum(peaks[:, :r], scores[:, q * c:], out=peaks[:, :r])
+    _reject_nan(peaks)  # a group's NaN is its peak
+    t = np.partition(peaks, c - k, axis=1)[:, c - k:c - k + 1]
+    flat = np.flatnonzero(scores >= t)  # row-major: ids ascend in each row
+    rows = flat // m
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    width = counts.max(initial=k)  # each row has >= k; k for 0 rows
+    values = np.full((n, width), -np.inf, dtype=scores.dtype)
+    values.reshape(-1)[rows * width + np.arange(flat.size)
+                       - np.repeat(starts, counts)] = np.take(scores, flat)
+    # padding is never picked: a row whose k-th value is -inf has t = -inf
+    # and fills its whole width
+    return np.take(flat, starts[:, None] + _topk_exact(values, k)) % m
+
+
+def _reject_nan(scores):
+    if np.isnan(scores.max(initial=-np.inf)):  # max keeps any NaN
+        row = np.flatnonzero(np.isnan(scores).any(axis=1))[0]
+        raise ValueError(f"scores row {row} holds NaN, which has no rank")
+
+
+def _topk_exact(scores, k):
+    """topk_rows by one np.partition over whole rows: the columns at or
+    above each row's k-th largest value are kept. Only a row that keeps more
+    than k columns, where a tie crosses the boundary, keeps the columns
+    above it plus the first equal ones in id order. A stable sort by
+    descending score follows."""
+    n, m = scores.shape
+    part = np.partition(scores, m - k, axis=1)
+    _reject_nan(part[:, m - k:])  # partition orders NaN last, into this slice
+    kth = part[:, m - k:m - k + 1]
     keep = scores >= kth
     over = np.flatnonzero(keep.sum(axis=1) > k)
     tied, kth_over = scores[over], kth[over]
@@ -160,9 +208,10 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     block is ranked as it arrives, on a copy in its floating dtype (float64
     for integers, so -inf fits), with the items of each user in `exclude`, an
     InteractionIndex of train items, at -inf. Ties break by ascending item
-    id. k must not exceed the smallest candidate set. threads > 1 scores and
-    ranks the blocks on a thread pool. The Ranking's scores are score_fn's
-    entries, in its dtype.
+    id. k must not exceed the smallest candidate set, and a NaN score of a
+    candidate is a ValueError that names its row in the block. threads > 1
+    scores and ranks the blocks on a thread pool. The Ranking's scores are
+    score_fn's entries, in its dtype.
     """
     ids = np.fromiter(users, dtype=np.int64)
     if not ids.size:

@@ -73,12 +73,13 @@ class LATTICE(RecommenderModel):
         return tape.div(kept, tape.maximum(sums, floor))
 
     def _representations(self, tape, train):
-        blend = self.config.blend
-        # blend 1 never builds the learned graph, blend 0 skips the initial
-        learned = {} if blend >= 1.0 else {
+        blend, layers = self.config.blend, self.config.item_graph_layers
+        # blend 1 or no layer never builds the learned graph, blend 0 skips
+        # the initial
+        learned = {} if blend >= 1.0 or layers == 0 else {
             m: self._learned_graph(tape, m) for m in self.data.modalities}
         h = self.item_emb
-        for _ in range(self.config.item_graph_layers):
+        for _ in range(layers):
             parts = []
             for m in self.data.modalities:
                 if blend >= 1.0:

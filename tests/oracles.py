@@ -254,6 +254,27 @@ def rank_full_matrix(model, users, k, train_pairs):
     return top, np.take_along_axis(scores, top, axis=1)
 
 
+def topk_rows_partition(scores, k):
+    """Single-stage top-k ids per row, by descending score, ties by
+    ascending id: np.partition over whole rows finds each row's k-th
+    largest value and the columns at or above it are kept; a row that keeps
+    more than k, where a tie crosses the boundary, keeps the columns above
+    it plus the first equal ones in id order; a stable sort by descending
+    score follows."""
+    n, m = scores.shape
+    kth = np.partition(scores, m - k, axis=1)[:, m - k:m - k + 1]
+    keep = scores >= kth
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    tied, kth_over = scores[over], kth[over]
+    above, tie = tied > kth_over, tied == kth_over
+    fill = k - above.sum(axis=1, keepdims=True)
+    keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= fill))
+    cols = (np.flatnonzero(keep) % m).reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 # ----------------------------------------------------------------- metrics
 
 def recall_ref(recs, relevant, k):

@@ -226,6 +226,74 @@ def test_topk_rows_block_mixes_boundary_ties_and_plain_rows():
     np.testing.assert_array_equal(got, topk_ref(scores, 2))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12),
+       k=st.integers(1, 4), q=st.integers(E.MIN_GROUP_SPAN, E.MIN_GROUP_SPAN + 3),
+       remainder=st.booleans(), levels=st.integers(1, 6),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(seed=3, n_rows=6, k=3, q=E.MIN_GROUP_SPAN, remainder=False, levels=2,
+         dtype=np.float32)
+@example(seed=4, n_rows=6, k=2, q=E.MIN_GROUP_SPAN, remainder=True, levels=1,
+         dtype=np.float64)
+def test_topk_rows_threshold_stage_matches_lexsort_oracle(seed, n_rows, k, q,
+                                                          remainder, levels, dtype):
+    # rows of at least MIN_GROUP_SPAN * c columns, c = GROUPS_PER_K * k:
+    # column j is in group j mod c
+    rng = np.random.default_rng(seed)
+    c = E.GROUPS_PER_K * k
+    m = q * c + (int(rng.integers(1, c)) if remainder else 0)
+    group = np.arange(m) % c
+    scores = rng.integers(-levels, levels, size=(n_rows, m)).astype(dtype)
+    scores[:, rng.random(c)[group] < 0.3] = -np.inf  # whole groups at -inf
+    for row, kind in enumerate(rng.integers(0, 4, n_rows)):
+        if kind == 1:  # constant
+            scores[row] = float(rng.integers(-levels, levels))
+        elif kind == 2:  # finite values in fewer than k groups: t is -inf
+            live = rng.choice(c, size=k - 1, replace=False)
+            scores[row] = -np.inf
+            scores[row, np.isin(group, live)] = rng.integers(
+                -levels, levels, size=int(np.isin(group, live).sum()))
+        elif kind == 3:  # the row's top ties across groups and inside one
+            top = rng.choice(m, size=k + int(rng.integers(0, 3)), replace=False)
+            scores[row, top] = levels
+            scores[row, top[0] % c::c] = levels
+    got = E.topk_rows(scores, k)
+    np.testing.assert_array_equal(got, topk_ref(scores, k))
+    np.testing.assert_array_equal(got, oracles.topk_rows_partition(scores, k))
+
+
+def test_topk_rows_equals_single_stage_partition_on_ranking_and_knn_blocks():
+    rng = np.random.default_rng(17)
+    block = rng.standard_normal((E.TOPK_BLOCK, 2420)).astype(np.float32)
+    block[rng.random(block.shape) < 0.01] = -np.inf  # excluded train items
+    np.testing.assert_array_equal(E.topk_rows(block, 20),
+                                  oracles.topk_rows_partition(block, 20))
+    sims = rng.standard_normal((E.TOPK_BLOCK, 2420))
+    sims[np.arange(E.TOPK_BLOCK), np.arange(E.TOPK_BLOCK)] = -np.inf
+    np.testing.assert_array_equal(E.topk_rows(sims, 10),
+                                  oracles.topk_rows_partition(sims, 10))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("width", [4, 3 * E.MIN_GROUP_SPAN * E.GROUPS_PER_K])
+def test_topk_rows_rejects_a_row_holding_nan(k, width):
+    # narrow rows are ranked whole, wide ones by the threshold stage
+    scores = np.tile(np.arange(width, dtype=np.float64), (3, 1))
+    scores[1, 0] = np.nan
+    scores[2, [1, 2]] = np.nan
+    with pytest.raises(ValueError, match="scores row 1 holds NaN"):
+        E.topk_rows(scores, k)
+
+
+def test_rank_topk_rejects_nan_scores_unless_excluded():
+    scores = np.array([[1.0, 2.0, 3.0, 4.0], [np.nan, 1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="scores row 1 holds NaN"):
+        E.rank_topk(FixedScorer(scores), [0, 1], 2, index(2, 4, []), 4)
+    # a train item's score is never ranked
+    recs = E.rank_topk(FixedScorer(scores), [0, 1], 2, index(2, 4, [(1, 0)]), 4)
+    assert recs == {0: [3, 2], 1: [3, 2]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 40),
        n_items=st.integers(1, 20), levels=st.integers(1, 5),
@@ -542,3 +610,26 @@ def test_recall_eval_fn_never_holds_a_users_by_items_matrix():
         tracemalloc.stop()
     assert 0.0 <= value <= 1.0
     assert peak < n_users * n_items * u.itemsize / 2
+
+
+def test_rank_topk_holds_one_masked_copy_and_one_mask_per_block():
+    # beyond the scorer's own block: its masked copy, the boolean mask of
+    # the threshold stage (a quarter of a float32 block) and small arrays;
+    # a full-row partition copy alone would add another block
+    import tracemalloc
+
+    n_users, n_items = 2 * E.TOPK_BLOCK, 4000
+    rng = np.random.default_rng(9)
+    u, i = (rng.standard_normal((n, 8)).astype(np.float32)
+            for n in (n_users, n_items))
+    train = index(n_users, n_items, [(x, 3 * x % n_items) for x in range(n_users)])
+    block = E.TOPK_BLOCK * n_items * u.itemsize
+    tracemalloc.start()
+    try:
+        ranking = E.rank_topk(lambda us: u[us] @ i.T, range(n_users), 20, train,
+                              n_items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranking.top.shape == (n_users, 20)
+    assert peak < 2.5 * block

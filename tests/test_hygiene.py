@@ -186,3 +186,50 @@ def test_densifying_check_sees_a_conversion(tmp_path):
                     "full = np.asarray(m.todense())\n"
                     "graph = (knn(x)\n         .toarray())\n")
     assert densifying_calls(path) == {(2, "toarray"), (4, "todense"), (6, "toarray")}
+
+
+# numpy's partial sorts, allowed only in the one top-k path (module, function)
+PARTITIONING = ("partition", "argpartition")
+TOPK_HELPERS = {("evaluation", "topk_rows"), ("evaluation", "_topk_exact")}
+
+
+def partition_calls(path):
+    """(innermost enclosing function or None, line) of every call to
+    np.partition, np.argpartition or their numpy.* spelling; str.partition
+    shares the name and is not counted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in PARTITIONING
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")):
+                found.add((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_topk_helpers_partition():
+    found = {(mod, func) for mod, path in modules()
+             for func, _ in partition_calls(path)}
+    assert sorted(found - TOPK_HELPERS, key=str) == []
+
+
+def test_partition_check_sees_a_partial_sort(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: np.partition(x, 1)."""\n'
+                    "import numpy\nimport numpy as np\n"
+                    "kth = numpy.argpartition(x, 2)\n"
+                    "def ranked(x):\n"
+                    "    head, _, _ = 'a:b'.partition(':')\n"
+                    "    def inner(y):\n"
+                    "        return np.partition(y, 1)\n"
+                    "    return np.argpartition(x, 1), inner\n")
+    assert partition_calls(path) == {(None, 4), ("inner", 8), ("ranked", 9)}

@@ -517,6 +517,20 @@ def test_lattice_blend_one_freezes_graph():
     assert model.merge_logits.grad is not None
 
 
+def test_lattice_without_item_graph_layers_builds_no_learned_graph():
+    data = small_data()
+    cfg = ModelConfig(tag="lattice", embedding_dim=4, knn_k=2, item_graph_layers=0)
+    model = LATTICE(cfg, data, seed=5, dtype=np.float64)
+    tape = T.Tape()
+    model._representations(tape, train=False)
+    assert "matmul_nt" not in [node.name for node in tape._nodes]
+    ref = T.Tape()
+    want = ref.add(model.item_emb, ref.l2_normalize(model.item_emb)).data
+    users, items = model.embed()
+    np.testing.assert_array_equal(items, want)
+    np.testing.assert_array_equal(users, model.user_emb.data)
+
+
 # ----------------------------------------------------------------------- bm3
 
 def test_bm3_zero_dropout_intra_loss_exactly_zero():
