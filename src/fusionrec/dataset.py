@@ -5,6 +5,12 @@ iterative k-core filtering to a fixpoint, then a per-user random holdout
 where floor(80%) of a user's interactions (at least one) go to train and the
 held-out rest is divided into validation (ceil of half) and test. Splits are
 random, not temporal; the timestamp column only arbitrates duplicates.
+
+Set-up works on columns, not records. parse_interactions splits the whole
+text once and converts the rating and timestamp columns with map(float)
+and map(int), which keep Python's parsing rules; index_log numbers ids
+with dict.fromkeys and collapses duplicate pairs with one lexsort over
+int64 pair codes; write_split joins per-id prefix strings.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -20,14 +27,41 @@ class InteractionFormatError(ValueError):
     """Malformed interaction line; message names the offending line number."""
 
 
-@dataclass
 class InteractionLog:
-    """Raw deduplicated interactions with string ids."""
+    """Interactions with string ids, held as four columns.
 
-    records: list  # (user_id, item_id, rating, timestamp)
+    `InteractionLog(records)` holds (user_id, item_id, rating, timestamp)
+    records as given. The log parse_interactions returns holds every line,
+    and each duplicate (user, item) pair in it counts once: as its record
+    with the latest timestamp (the later line on a tie), at the position of
+    the pair's first line. `records`, len() and index_log all read it so.
+    """
+
+    def __init__(self, records):
+        users, items, ratings, stamps = list(zip(*records)) or ((),) * 4
+        self.users, self.items = list(users), list(items)
+        self.ratings = np.array(ratings, dtype=np.float64)
+        self.stamps = np.array(stamps, dtype=np.int64)
+        self.collapse = False
+
+    @classmethod
+    def from_lines(cls, users, items, ratings, stamps):
+        """The log of parsed lines: id lists, float64 ratings, int64
+        timestamps, one entry per line; duplicate pairs collapse."""
+        log = cls(())
+        log.users, log.items, log.ratings, log.stamps = users, items, ratings, stamps
+        log.collapse = True
+        return log
+
+    @property
+    def records(self):
+        rows = _indexed(self)[3].tolist()
+        return list(zip(map(self.users.__getitem__, rows),
+                        map(self.items.__getitem__, rows),
+                        self.ratings[rows].tolist(), self.stamps[rows].tolist()))
 
     def __len__(self):
-        return len(self.records)
+        return _indexed(self)[3].size
 
 
 @dataclass
@@ -158,47 +192,118 @@ def parse_interactions(path_or_lines) -> InteractionLog:
 
     Duplicate (user, item) pairs collapse to the record with the latest
     timestamp (missing timestamps count as 0; on a tie the later line wins).
-    Malformed lines raise with their 1-based line number.
+    An empty rating reads 1 and an empty timestamp 0. Malformed lines raise
+    with their 1-based line number, the first such line in the file.
     """
     if isinstance(path_or_lines, (str, os.PathLike)):
         with open(path_or_lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = fh.read().split("\n")  # universal newlines: no "\r" is left
     else:
-        lines = list(path_or_lines)
-    best = {}
+        lines = [line.rstrip("\n").rstrip("\r") for line in path_or_lines]
+    try:
+        columns = _columns(list(filter(None, lines)))
+    except ValueError:
+        columns = None
+    if columns is None:
+        raise _first_bad_line(lines)
+    return InteractionLog.from_lines(*columns)
+
+
+def _columns(rows):
+    """(users, items, ratings, stamps) of the non-blank lines, or None when a
+    line has fewer than 2 or more than 4 fields or an empty id. A rating or
+    timestamp that does not convert raises ValueError."""
+    if not rows:
+        return [], [], np.ones(0), np.zeros(0, dtype=np.int64)
+    tabs = list(map(str.count, rows, repeat("\t")))
+    low, high = min(tabs), max(tabs)
+    if low < 1 or high > 3:
+        return None
+    width = high + 1
+    if low < high:  # mixed widths: pad every line to four fields
+        rows = [row + "\t" * (3 - n) for row, n in zip(rows, tabs)]
+        width = 4
+    fields = "\t".join(rows).split("\t")
+    users, items = fields[0::width], fields[1::width]
+    if "" in users or "" in items:
+        return None
+    absent = [""] * len(rows)
+    ratings = _numbers(fields[2::width] if width > 2 else absent, float, 1.0, np.float64)
+    stamps = _numbers(fields[3::width] if width > 3 else absent, int, 0, np.int64)
+    return users, items, ratings, stamps
+
+
+def _numbers(strings, convert, default, dtype):
+    """`convert` over a column of strings; an empty string reads `default`."""
+    if "" not in strings:
+        return np.fromiter(map(convert, strings), dtype, len(strings))
+    given = np.fromiter(map(bool, strings), bool, len(strings))
+    out = np.full(len(strings), default, dtype=dtype)
+    out[given] = np.fromiter(map(convert, compress(strings, given)), dtype,
+                             np.count_nonzero(given))
+    return out
+
+
+def _first_bad_line(lines):
+    """InteractionFormatError naming the first malformed line."""
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) < 2 or len(parts) > 4 or not parts[0] or not parts[1]:
-            raise InteractionFormatError(
+            return InteractionFormatError(
                 f"line {lineno}: expected 2-4 tab-separated fields, got {len(parts)}"
             )
-        user, item = parts[0], parts[1]
         try:
-            rating = float(parts[2]) if len(parts) >= 3 and parts[2] != "" else 1.0
-            ts = int(parts[3]) if len(parts) >= 4 and parts[3] != "" else 0
+            if len(parts) >= 3 and parts[2] != "":
+                float(parts[2])
+            if len(parts) >= 4 and parts[3] != "":
+                int(parts[3])
         except ValueError as exc:
-            raise InteractionFormatError(f"line {lineno}: {exc}") from None
-        key = (user, item)
-        if key not in best or ts >= best[key][3]:
-            best[key] = (user, item, rating, ts)  # keeps first-seen position
-    return InteractionLog(list(best.values()))
+            return InteractionFormatError(f"line {lineno}: {exc}")
+    raise AssertionError("no malformed line")
 
 
 def index_log(log: InteractionLog) -> Dataset:
     """Assign dense ids in first-appearance order."""
-    users, items = {}, {}
-    rows = np.empty((len(log.records), 2), dtype=np.int64)
-    ratings = np.empty(len(log.records), dtype=np.float32)
-    stamps = np.empty(len(log.records), dtype=np.int64)
-    for n, (u, i, r, t) in enumerate(log.records):
-        rows[n, 0] = users.setdefault(u, len(users))
-        rows[n, 1] = items.setdefault(i, len(items))
-        ratings[n] = r
-        stamps[n] = t
-    return Dataset(list(users), list(items), rows, ratings, stamps)
+    user_ids, item_ids, pairs, rows = _indexed(log)
+    return Dataset(user_ids, item_ids, pairs[rows],
+                   log.ratings[rows].astype(np.float32), log.stamps[rows])
+
+
+def _indexed(log):
+    """(user ids, item ids, pairs, rows): the distinct ids in order of first
+    appearance, every line's dense (user, item) pair as (n, 2) int64, and
+    the lines that stay, in order."""
+    user_ids, users = _dense_ids(log.users)
+    item_ids, items = _dense_ids(log.items)
+    rows = np.arange(users.size)
+    if log.collapse:
+        rows = _latest_rows(users * len(item_ids) + items, log.stamps)
+    return user_ids, item_ids, np.stack([users, items], axis=1), rows
+
+
+def _dense_ids(ids):
+    """The distinct ids in first-appearance order, and each entry's index
+    among them."""
+    number = dict.fromkeys(ids)
+    distinct = list(number)
+    number.update(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(number.__getitem__, ids), np.int64, len(ids))
+
+
+def _latest_rows(codes, stamps):
+    """One row per distinct code: the one with the latest stamp, the later
+    row on a tie, ordered by the code's first row. The sort is skipped when
+    no code repeats."""
+    ordered = np.sort(codes)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.arange(codes.size)
+    order = np.lexsort((stamps, codes))  # stable: a tie keeps row order
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    latest = order[np.r_[starts[1:], codes.size] - 1]
+    return latest[np.argsort(np.minimum.reduceat(order, starts))]
 
 
 def k_core_filter(ds: Dataset, k: int = 5) -> Dataset:
@@ -346,14 +451,16 @@ def write_split(split: Split, out_dir):
     """Three TSVs plus a JSON sidecar with seed, ratio and counts."""
     os.makedirs(out_dir, exist_ok=True)
     ds = split.dataset
-    users = np.array(ds.user_ids, dtype=object)
-    items = np.array(ds.item_ids, dtype=object)
+    heads = [u + "\t" for u in ds.user_ids]
+    tails = [i + "\n" for i in ds.item_ids]
     for name in ("train", "validation", "test"):
         pairs = getattr(split, name)
-        lines = users[pairs[:, 0]] + "\t" + items[pairs[:, 1]] + "\n"
+        pieces = [""] * (2 * len(pairs))
+        pieces[0::2] = map(heads.__getitem__, pairs[:, 0].tolist())
+        pieces[1::2] = map(tails.__getitem__, pairs[:, 1].tolist())
         with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8",
                   newline="\n") as fh:
-            fh.write("".join(lines))
+            fh.write("".join(pieces))
     sidecar = {
         "seed": split.seed,
         "train_ratio": split.train_ratio,

@@ -208,8 +208,10 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     block is ranked as it arrives, on a copy in its floating dtype (float64
     for integers, so -inf fits), with the items of each user in `exclude`, an
     InteractionIndex of train items, at -inf. Ties break by ascending item
-    id. k must not exceed the smallest candidate set, and a NaN score of a
-    candidate is a ValueError that names its row in the block. threads > 1
+    id. k must not exceed the smallest candidate set. A NaN score of a
+    candidate is a ValueError that names its row in the block, and so is a
+    -inf score that reaches a user's top-k, where it would tie with the
+    excluded items; that one names the user. threads > 1
     scores and ranks the blocks on a thread pool. The Ranking's scores are
     score_fn's entries, in its dtype.
     """
@@ -231,6 +233,12 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
         masked = scores.astype(dtype)
         masked[exclude.items_of(block)] = -np.inf
         top = topk_rows(masked, k)
+        # rows rank best first, so a -inf in the top-k is in its last column
+        lowest = np.take_along_axis(masked, top[:, -1:], axis=1)[:, 0]
+        if np.isneginf(lowest).any():
+            user = block[np.flatnonzero(np.isneginf(lowest))[0]]
+            raise ValueError(f"user {user} has a candidate scored -inf in its "
+                             f"top-{k}, where it ties with the excluded items")
         return top, np.take_along_axis(scores, top, axis=1)
 
     starts = range(0, len(ids), TOPK_BLOCK)

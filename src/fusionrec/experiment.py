@@ -15,7 +15,9 @@ import configparser
 import io
 import json
 import os
+import resource
 import string
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -275,40 +277,66 @@ def _write_json(path, body):
 
 # ------------------------------------------------------------ pipeline steps
 
-def prepare_split(config: ExperimentConfig) -> ds.Split:
-    log = ds.parse_interactions(resolve_path(config.interactions))
+class StageClock:
+    """Wall seconds per named stage, summed over the stage's runs."""
+
+    def __init__(self):
+        self.seconds = {}
+
+    def run(self, stage, fn, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.seconds[stage] = (self.seconds.get(stage, 0.0)
+                                   + time.perf_counter() - start)
+
+
+def prepare_split(config: ExperimentConfig, clock: StageClock) -> ds.Split:
+    log = clock.run("parse", ds.parse_interactions, resolve_path(config.interactions))
     try:
-        dataset = ds.k_core_filter(ds.index_log(log), config.kcore)
+        indexed = clock.run("index", ds.index_log, log)
+        dataset = clock.run("kcore", ds.k_core_filter, indexed, config.kcore)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ds.holdout_split(dataset, seed=config.split_seed,
-                            train_ratio=config.train_ratio)
+    return clock.run("split", ds.holdout_split, dataset, seed=config.split_seed,
+                     train_ratio=config.train_ratio)
 
 
-def load_store(config: ExperimentConfig, split: ds.Split) -> MultimodalStore:
+def load_store(config: ExperimentConfig, split: ds.Split,
+               clock: StageClock) -> MultimodalStore:
     bound = []
     for m, raw in sorted(config.features.items()):
         path = resolve_path(raw)
-        feats = load_features(path, text=path.endswith(".tsv"), modality=m)
+        feats = clock.run("load_features", load_features, path,
+                          text=path.endswith(".tsv"), modality=m)
         if feats.modality != m:
             raise ConfigError(
                 f"feature file {path!r} declares modality "
                 f"{feats.modality!r}, config says {m!r}"
             )
         bound.append(feats)
-    return MultimodalStore(split.dataset.item_ids, bound,
-                           missing=config.missing_policy)
+    return clock.run("bind", MultimodalStore, split.dataset.item_ids, bound,
+                     missing=config.missing_policy)
 
 
 def cmd_prepare(config: ExperimentConfig):
-    """Filter, split, bind features; write split TSVs and stats JSON."""
+    """Filter, split, bind features; write split TSVs and stats JSON.
+
+    prepared/timings.json holds each stage's wall seconds and the process's
+    peak RSS so far, apart from the deterministic artifacts.
+    """
     validate_paths(config)
-    split = prepare_split(config)
-    store = load_store(config, split)
+    clock = StageClock()
+    split = prepare_split(config, clock)
+    store = load_store(config, split, clock)
     prepared = os.path.join(config.out_dir, "prepared")
-    ds.write_split(split, prepared)
+    clock.run("write", ds.write_split, split, prepared)
     _write_json(os.path.join(prepared, "stats.json"),
                 asdict(ds.stats(split.dataset)))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    _write_json(os.path.join(prepared, "timings.json"),
+                {"seconds": clock.seconds, "peak_rss_mb": peak_mb})
     return split, store
 
 

@@ -5,6 +5,11 @@ A feature file is one UTF-8 JSON header line, e.g.
 binary records: a little-endian uint16 id length, the UTF-8 item id, then
 `dim` little-endian float32 values. A TSV text variant
 (`item_id<TAB>v1<TAB>v2...`) exists for fixtures behind a flag.
+
+Loading and binding work on whole blocks: load_features copies each
+record's float block into one preallocated matrix through a memoryview
+slice, with no numpy call per record, and MultimodalStore binds each
+modality with one gather by source row.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -74,17 +80,19 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
     if text:
         return _load_text(path, modality)
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-            m, dim, count = header["modality"], int(header["dim"]), int(header["count"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FeatureFormatError(f"bad header line: {exc}") from None
-        payload = fh.read()
+        data = fh.read()  # one read: a read after readline() copies twice
+    end = data.find(b"\n") + 1 or len(data)
+    try:
+        header = json.loads(data[:end].decode("utf-8"))
+        m, dim, count = header["modality"], int(header["dim"]), int(header["count"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FeatureFormatError(f"bad header line: {exc}") from None
+    payload = memoryview(data)[end:]
     if dim <= 0 or count < 0:
         raise FeatureFormatError(f"header declares dim={dim}, count={count}")
     ids = []
-    matrix = np.empty((count, dim), dtype=np.float32)
+    matrix = np.empty((count, dim), dtype="<f4")
+    rows = memoryview(matrix.reshape(-1).view(np.uint8))
     offset = 0
     row_bytes = 4 * dim
     for n in range(count):
@@ -93,7 +101,7 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
                 f"truncated at record {n}: expected at least "
                 f"{(count - n) * (2 + row_bytes)} more bytes, found {len(payload) - offset}"
             )
-        (id_len,) = struct.unpack_from("<H", payload, offset)
+        id_len = payload[offset] | payload[offset + 1] << 8  # little-endian uint16
         offset += 2
         need = id_len + row_bytes
         if offset + need > len(payload):
@@ -102,16 +110,17 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
                 f"found {len(payload) - offset}"
             )
         try:
-            ids.append(payload[offset:offset + id_len].decode("utf-8"))
+            ids.append(str(payload[offset:offset + id_len], "utf-8"))
         except UnicodeDecodeError as exc:
             raise FeatureFormatError(f"record {n}: item id is not UTF-8: {exc}") from None
         offset += id_len
-        matrix[n] = np.frombuffer(payload, dtype="<f4", count=dim, offset=offset)
+        rows[n * row_bytes:(n + 1) * row_bytes] = payload[offset:offset + row_bytes]
         offset += row_bytes
     if offset != len(payload):
         raise FeatureFormatError(
             f"trailing bytes: expected {offset} payload bytes, found {len(payload)}"
         )
+    matrix = matrix.astype(np.float32, copy=False)
     return ModalityFeatures(m, dim, ids, matrix)
 
 
@@ -168,35 +177,32 @@ class MultimodalStore:
 
     def _bind(self, feats: ModalityFeatures):
         n = len(self.item_ids)
-        lookup = {i: r for r, i in enumerate(feats.ids)}
-        mask = np.zeros(n, dtype=bool)
-        matrix = np.zeros((n, feats.dim), dtype=np.float32)
-        missing_ids = []
-        for r, item in enumerate(self.item_ids):
-            src = lookup.get(item)
-            if src is None:
-                missing_ids.append(item)
-            else:
-                mask[r] = True
-                matrix[r] = feats.matrix[src]
-        if missing_ids and self.missing == "error":
+        lookup = dict(zip(feats.ids, range(len(feats.ids))))
+        src = np.fromiter(map(lookup.get, self.item_ids, repeat(-1)), np.int64, n)
+        mask = src >= 0
+        missing = n - int(np.count_nonzero(mask))
+        if missing and self.missing == "error":
             raise MissingFeatureError(
-                f"{len(missing_ids)} items lack {feats.modality} features, "
-                f"first: {missing_ids[0]!r}"
+                f"{missing} items lack {feats.modality} features, "
+                f"first: {self.item_ids[int(np.argmin(mask))]!r}"
             )
-        if missing_ids and self.missing == "mean_impute":
-            if not mask.any():
-                raise MissingFeatureError(
-                    f"mean_impute impossible: no {feats.modality} rows present"
-                )
-            matrix[~mask] = feats.matrix[[lookup[i] for i in self.item_ids
-                                          if i in lookup]].mean(axis=0)
-        if missing_ids:
+        if missing and self.missing == "mean_impute" and not mask.any():
+            raise MissingFeatureError(
+                f"mean_impute impossible: no {feats.modality} rows present"
+            )
+        if missing:
+            present = feats.matrix[src[mask]]
+            matrix = np.zeros((n, feats.dim), dtype=np.float32)
+            matrix[mask] = present
+            if self.missing == "mean_impute":
+                matrix[~mask] = present.mean(axis=0)
             log.warning("%s: %d/%d items filled by %s", feats.modality,
-                        len(missing_ids), n, self.missing)
+                        missing, n, self.missing)
+        else:
+            matrix = feats.matrix[src].astype(np.float32, copy=False)
         self.matrices[feats.modality] = matrix
         self.masks[feats.modality] = mask
-        self.filled[feats.modality] = len(missing_ids)
+        self.filled[feats.modality] = missing
 
     @property
     def modalities(self):

@@ -12,7 +12,7 @@ class. item_graph is the one builder of the frozen kNN item graph.
 
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class ModelData:
     n_items: int
     pairs: np.ndarray          # (n, 2) int64 train interactions
     features: dict             # modality -> (n_items, dim) float matrix
+    _graphs: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)  # (modality, k) -> float64 kNN graph
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, dtype=np.int64)
@@ -117,6 +119,16 @@ class ModelData:
         feats = {m: store.matrix(m) for m in store.modalities}
         return cls(split.dataset.n_users, split.dataset.n_items,
                    split.train, feats)
+
+    def modality_graph(self, modality, k, build):
+        """build(features, k) over one modality's features, the float64
+        kNN graph: built on the first call per (modality, k) and shared
+        after, so every model built on this data (one per grid point)
+        reads the same graph."""
+        key = (modality, k)
+        if key not in self._graphs:
+            self._graphs[key] = build(self.features[modality], k)
+        return self._graphs[key]
 
 
 # ------------------------------------------------------------ graph builders
@@ -178,22 +190,23 @@ def knn_graph(feats: np.ndarray, k: int, dtype=np.float64) -> SparseMatrix:
     return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=dtype)
 
 
-def item_graph(features: dict, k: int, weights=None, dtype=np.float64) -> SparseMatrix:
+def item_graph(data: ModelData, k: int, weights=None, dtype=np.float64) -> SparseMatrix:
     """Frozen multimodal item graph: the weighted sum of per-modality knn_graphs.
 
+    Each modality's graph is data's shared one (ModelData.modality_graph).
     `weights` holds one weight per modality in sorted modality order and is
     normalized to sum to one; None weighs the modalities uniformly.
     Modalities are added in sorted order onto zero, in float64, and the
     sum is stored in `dtype`.
     """
-    mods = sorted(features)
+    mods = data.modalities
     if weights is None:
         weights = (1.0,) * len(mods)
     if len(weights) != len(mods):
         raise ValueError(f"{len(weights)} modality weights for "
                          f"{len(mods)} modalities")
     total = sum(weights)
-    out = sum(w / total * knn_graph(features[m], k).csr()
+    out = sum(w / total * data.modality_graph(m, k, knn_graph).csr()
               for m, w in zip(mods, weights)).tocoo()
     return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=dtype)
 

@@ -55,8 +55,8 @@ class FREEDOM(RecommenderModel):
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
-        self.item_graph = item_graph(self.data.features, cfg.knn_k,
-                                     cfg.modality_weights, self.dtype)
+        self.item_graph = item_graph(self.data, cfg.knn_k, cfg.modality_weights,
+                                     self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
                                             dtype=self.dtype)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)

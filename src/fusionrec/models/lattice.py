@@ -1,9 +1,10 @@
 """Item-item structure learning blended with frozen feature graphs.
 
 Per modality, the base's sparse cosine kNN graph over raw item features
-(knn_graph, built once and kept sparse, the same graph FREEDOM freezes
-through item_graph) and a second graph learned from projected features
-per forward pass are blended A = blend * initial + (1 - blend) * learned.
+(knn_graph, built once per ModelData and kept sparse, the same graph
+FREEDOM freezes through item_graph) and a second graph learned from
+projected features per forward pass are blended
+A = blend * initial + (1 - blend) * learned.
 Modality graphs are merged by a softmax-weighted sum with learned logits
 (Early(weighted_sum) fusion at graph level). Propagation is linear, so
 each layer propagates through every modality's graph and merges the
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..evaluation import topk_rows
 from ..schema import Early, weighted_sum
-from ..tensor import constant
+from ..tensor import SparseMatrix, constant
 from .base import RecommenderModel, knn_graph
 
 ROW_SUM_FLOOR = 1e-12
@@ -43,8 +44,11 @@ class LATTICE(RecommenderModel):
         )
         # cosine similarity is scale-invariant, so knn_graph's unit rows
         # cover the standardization the initial graphs assume
-        self.initial = {m: knn_graph(self.data.features[m], cfg.knn_k, self.dtype)
-                        for m in self.data.modalities}
+        self.initial = {}
+        for m in self.data.modalities:
+            g = self.data.modality_graph(m, cfg.knn_k, knn_graph)
+            self.initial[m] = SparseMatrix(g.shape, g.rows, g.cols, g.vals,
+                                           dtype=self.dtype)
         self.proj = {}
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]

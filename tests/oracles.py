@@ -5,12 +5,141 @@ not mirrored here. Nothing in here imports the package's metric, filtering or
 graph code.
 """
 
+import json
 import math
+import struct
 from collections import Counter, defaultdict
 
 import numpy as np
 
+from fusionrec.dataset import InteractionFormatError
+from fusionrec.modality import FeatureFormatError, MissingFeatureError
 from fusionrec.tensor import constant
+
+
+# ----------------------------------------------------------------- set-up
+
+def parse_records_loop(lines):
+    """Interaction records line by line: each line stripped of trailing
+    "\n" then "\r", blank lines skipped, duplicate (user, item) pairs
+    collapsed to the latest timestamp (a tie to the later line) at the
+    pair's first position. Raises InteractionFormatError naming the first
+    malformed line."""
+    best = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or len(parts) > 4 or not parts[0] or not parts[1]:
+            raise InteractionFormatError(
+                f"line {lineno}: expected 2-4 tab-separated fields, got {len(parts)}"
+            )
+        user, item = parts[0], parts[1]
+        try:
+            rating = float(parts[2]) if len(parts) >= 3 and parts[2] != "" else 1.0
+            ts = int(parts[3]) if len(parts) >= 4 and parts[3] != "" else 0
+        except ValueError as exc:
+            raise InteractionFormatError(f"line {lineno}: {exc}") from None
+        key = (user, item)
+        if key not in best or ts >= best[key][3]:
+            best[key] = (user, item, rating, ts)  # keeps first-seen position
+    return list(best.values())
+
+
+def index_records_loop(records):
+    """Dense ids in first-appearance order, record by record: (user_ids,
+    item_ids, interactions, ratings, timestamps)."""
+    users, items = {}, {}
+    rows = np.empty((len(records), 2), dtype=np.int64)
+    ratings = np.empty(len(records), dtype=np.float32)
+    stamps = np.empty(len(records), dtype=np.int64)
+    for n, (u, i, r, t) in enumerate(records):
+        rows[n, 0] = users.setdefault(u, len(users))
+        rows[n, 1] = items.setdefault(i, len(items))
+        ratings[n] = r
+        stamps[n] = t
+    return list(users), list(items), rows, ratings, stamps
+
+
+def load_features_loop(path):
+    """A binary feature file record by record: (modality, dim, ids, float32
+    matrix). Raises FeatureFormatError as the package does."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+            m, dim, count = header["modality"], int(header["dim"]), int(header["count"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FeatureFormatError(f"bad header line: {exc}") from None
+        payload = fh.read()
+    if dim <= 0 or count < 0:
+        raise FeatureFormatError(f"header declares dim={dim}, count={count}")
+    ids = []
+    matrix = np.empty((count, dim), dtype=np.float32)
+    offset = 0
+    row_bytes = 4 * dim
+    for n in range(count):
+        if offset + 2 > len(payload):
+            raise FeatureFormatError(
+                f"truncated at record {n}: expected at least "
+                f"{(count - n) * (2 + row_bytes)} more bytes, found {len(payload) - offset}"
+            )
+        (id_len,) = struct.unpack_from("<H", payload, offset)
+        offset += 2
+        need = id_len + row_bytes
+        if offset + need > len(payload):
+            raise FeatureFormatError(
+                f"truncated at record {n}: expected {need} more bytes, "
+                f"found {len(payload) - offset}"
+            )
+        try:
+            ids.append(payload[offset:offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FeatureFormatError(f"record {n}: item id is not UTF-8: {exc}") from None
+        offset += id_len
+        matrix[n] = np.frombuffer(payload, dtype="<f4", count=dim, offset=offset)
+        offset += row_bytes
+    if offset != len(payload):
+        raise FeatureFormatError(
+            f"trailing bytes: expected {offset} payload bytes, found {len(payload)}"
+        )
+    return m, dim, ids, matrix
+
+
+def bind_loop(item_ids, feats, missing):
+    """One modality bound to item_ids row by row under a missing-feature
+    policy: (matrix, mask, number filled). Raises MissingFeatureError."""
+    n = len(item_ids)
+    lookup = {i: r for r, i in enumerate(feats.ids)}
+    mask = np.zeros(n, dtype=bool)
+    matrix = np.zeros((n, feats.dim), dtype=np.float32)
+    missing_ids = []
+    for r, item in enumerate(item_ids):
+        src = lookup.get(item)
+        if src is None:
+            missing_ids.append(item)
+        else:
+            mask[r] = True
+            matrix[r] = feats.matrix[src]
+    if missing_ids and missing == "error":
+        raise MissingFeatureError(
+            f"{len(missing_ids)} items lack {feats.modality} features, "
+            f"first: {missing_ids[0]!r}"
+        )
+    if missing_ids and missing == "mean_impute":
+        if not mask.any():
+            raise MissingFeatureError(
+                f"mean_impute impossible: no {feats.modality} rows present"
+            )
+        matrix[~mask] = feats.matrix[[lookup[i] for i in item_ids
+                                      if i in lookup]].mean(axis=0)
+    return matrix, mask, len(missing_ids)
+
+
+def split_tsv_loop(user_ids, item_ids, pairs):
+    """The bytes of one split TSV, one f-string line per pair."""
+    return "".join(f"{user_ids[u]}\t{item_ids[i]}\n" for u, i in pairs).encode("utf-8")
 
 
 # ----------------------------------------------------------------- k-core

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fusionrec import dataset as D
 
-from oracles import (holdout_loop, kcore_bruteforce, kcore_filter_loop,
+from oracles import (holdout_loop, index_records_loop, kcore_bruteforce,
+                     kcore_filter_loop, parse_records_loop, split_tsv_loop,
                      user_positives_loop)
 
 
@@ -44,6 +45,95 @@ def test_parse_malformed_line_names_line_number():
 def test_parse_bad_rating_names_line_number():
     with pytest.raises(D.InteractionFormatError, match="line 1"):
         D.parse_interactions(["a\tx\tnot-a-number\n"])
+
+
+# ----------------------------------------- parsing and indexing on columns
+
+# few distinct ids, so duplicate pairs and tied timestamps are common
+IDS = st.sampled_from(["u1", "u2", "é", "用户", "a b", "0"])
+# every form is valid for float() and int() alike; "" reads as the default
+NUMBERS = st.sampled_from(["", "1", "+5", " 7 ", "-3", "1_000", "\u0663", "07"])
+JUNK = st.sampled_from(["", "x", "4.5", "1e3", "nan", "u1", " "])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ""])
+
+
+@st.composite
+def log_lines(draw):
+    """Lines of an interaction log: mostly 2-4 field records, some blank
+    lines and, now and then, a line of arbitrary fields."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["blank", "junk"]))
+        if kind == "record":
+            fields = [draw(IDS), draw(IDS)] + draw(st.lists(NUMBERS, max_size=2))
+        elif kind == "junk":
+            fields = draw(st.lists(st.one_of(IDS, JUNK), max_size=5))
+        else:
+            fields = []
+        lines.append("\t".join(fields) + draw(ENDINGS))
+    return lines
+
+
+def assert_matches_loops(parse, source, oracle_lines):
+    """parse(source) gives the records, the Dataset and the first-bad-line
+    error of the record loops over oracle_lines."""
+    try:
+        want = parse_records_loop(oracle_lines)
+    except D.InteractionFormatError as exc:
+        with pytest.raises(D.InteractionFormatError) as got:
+            parse(source)
+        assert str(got.value) == str(exc)
+        return
+    log = parse(source)
+    assert repr(log.records) == repr(want)
+    assert len(log) == len(want)
+    assert_same_dataset(D.index_log(log), index_records_loop(want))
+
+
+def assert_same_dataset(ds, want):
+    user_ids, item_ids, pairs, ratings, stamps = want
+    assert ds.user_ids == user_ids and ds.item_ids == item_ids
+    assert ds.interactions.dtype == np.int64
+    np.testing.assert_array_equal(ds.interactions.reshape(-1, 2), pairs)
+    assert ds.ratings.dtype == np.float32 and ds.ratings.tobytes() == ratings.tobytes()
+    assert ds.timestamps.dtype == np.int64
+    np.testing.assert_array_equal(ds.timestamps, stamps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_lines())
+def test_parse_lines_match_the_record_loop(lines):
+    assert_matches_loops(D.parse_interactions, lines, lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=log_lines())
+def test_parse_file_matches_the_record_loop(lines, tmp_path_factory):
+    path = tmp_path_factory.mktemp("log") / "interactions.tsv"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        oracle_lines = fh.readlines()
+    assert_matches_loops(D.parse_interactions, path, oracle_lines)
+
+
+def test_parse_collapses_ties_to_the_later_line_at_the_first_position():
+    log = D.parse_interactions(["a\tx\t1\t5\n", "b\tx\t2\n", "a\tx\t3\t5\n",
+                                "a\tx\t4\t2\n", "b\ty\n", "b\tx\t5\t0\n"])
+    assert log.records == [("a", "x", 3.0, 5), ("b", "x", 5.0, 0), ("b", "y", 1.0, 0)]
+
+
+def test_parse_names_the_first_bad_line_across_checks():
+    lines = ["a\tx\n", "\n", "b\ty\t1\tlate\n", "c\n", "d\tz\tbad\n"]
+    with pytest.raises(D.InteractionFormatError, match="^line 3: invalid literal"):
+        D.parse_interactions(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(IDS, IDS, st.sampled_from([1.0, 2.5, 0.1]),
+                          st.integers(-3, 3)), max_size=12))
+def test_index_of_given_records_keeps_duplicates(records):
+    ds = D.index_log(D.InteractionLog(records))
+    assert_same_dataset(ds, index_records_loop(records))
 
 
 # ---------------------------------------------------------------- k-core
@@ -380,3 +470,24 @@ def test_write_split_bytes_match_per_pair_lines(tmp_path):
         expected = "".join(f"{users[u]}\t{items[i]}\n" for u, i in part)
         assert (tmp_path / f"{name}.tsv").read_bytes() == expected.encode("utf-8")
     assert (tmp_path / "test.tsv").read_bytes() == b""
+
+
+TEXT_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(users=st.lists(TEXT_IDS, min_size=1, max_size=5, unique=True),
+       items=st.lists(TEXT_IDS, min_size=1, max_size=5, unique=True),
+       data=st.data())
+def test_write_split_bytes_match_the_line_loop(users, items, data, tmp_path_factory):
+    pair = st.tuples(st.integers(0, len(users) - 1), st.integers(0, len(items) - 1))
+    parts = {name: np.array(data.draw(st.lists(pair, max_size=8)),
+                            dtype=np.int64).reshape(-1, 2)
+             for name in ("train", "validation", "test")}
+    n = sum(len(p) for p in parts.values())
+    ds = D.Dataset(users, items, np.concatenate(list(parts.values())),
+                   np.ones(n, np.float32), np.zeros(n, np.int64))
+    out = tmp_path_factory.mktemp("split")
+    D.write_split(D.Split(ds, seed=0, **parts), out)
+    for name, part in parts.items():
+        assert (out / f"{name}.tsv").read_bytes() == split_tsv_loop(users, items, part)

@@ -294,6 +294,17 @@ def test_rank_topk_rejects_nan_scores_unless_excluded():
     assert recs == {0: [3, 2], 1: [3, 2]}
 
 
+def test_rank_topk_never_recommends_an_excluded_item_past_a_neg_inf_score():
+    # the -inf candidate ties with the masked train item 0, which has the
+    # lower id and would be ranked second
+    scores = np.array([[-np.inf, -np.inf, 1.0]])
+    with pytest.raises(ValueError, match="user 0 has a candidate scored -inf"):
+        E.rank_topk(lambda us: scores[us], [0], 2, index(1, 3, [(0, 0)]), 3)
+    # a -inf candidate below the top-k ranks nothing wrong
+    recs = E.rank_topk(lambda us: scores[us], [0], 1, index(1, 3, [(0, 0)]), 3)
+    assert recs == {0: [2]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 40),
        n_items=st.integers(1, 20), levels=st.integers(1, 5),

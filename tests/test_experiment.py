@@ -12,7 +12,9 @@ from fusionrec import experiment as ex
 from fusionrec import training as tr
 from fusionrec.cli import main
 from fusionrec.modality import ModalityFeatures, write_features
-from fusionrec.models import ModelConfig
+from fusionrec.models import ModelConfig, ModelData
+from fusionrec.models import base as fm_base
+from fusionrec.models import lattice as fm_lattice
 
 N_USERS, N_ITEMS = 15, 35
 
@@ -249,6 +251,16 @@ def test_prepare_writes_split_and_stats(corpus, tmp_path):
     assert store.matrix("visual").shape == (split.dataset.n_items, 4)
 
 
+def test_prepare_writes_stage_timings_apart(corpus, tmp_path):
+    config = base_config(corpus, str(tmp_path / "out"))
+    ex.cmd_prepare(config)
+    timings = json.loads((tmp_path / "out" / "prepared" / "timings.json").read_text())
+    assert sorted(timings["seconds"]) == ["bind", "index", "kcore", "load_features",
+                                          "parse", "split", "write"]
+    assert all(s >= 0 for s in timings["seconds"].values())
+    assert timings["peak_rss_mb"] > 0
+
+
 def test_feature_modality_mismatch_is_rejected(corpus, tmp_path):
     config = base_config(
         corpus, str(tmp_path / "out"),
@@ -269,6 +281,38 @@ def test_tune_selects_from_grid_and_writes_table(single_run):
     assert len(body["table"]) == 4
     values = [row["value"] for row in body["table"]]
     assert body["best"]["best_value"] == max(values)
+
+
+@pytest.mark.parametrize("tag", ["freedom", "lattice"])
+def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
+                                                  tag):
+    real, dims = fm_base.knn_graph, []
+
+    def counted(feats, k, *args):
+        dims.append(feats.shape[1])
+        return real(feats, k, *args)
+
+    monkeypatch.setattr(fm_base, "knn_graph", counted)
+    monkeypatch.setattr(fm_lattice, "knn_graph", counted)
+    config = base_config(corpus, tmp_path, model=ModelConfig(tag=tag, knn_k=3))
+    split, store = ex.cmd_prepare(config)
+    chosen = ex.cmd_tune(config, split, store, str(tmp_path / tag))
+    assert len(config.grid_lrs) * len(config.grid_regs) == 2
+    assert sorted(dims) == [3, 4]  # textual, visual: once each
+    # the shared graphs are the ones each model would build for itself
+    model, data = chosen.model, chosen.model.data
+    if tag == "lattice":
+        wanted = {m: real(data.features[m], 3, model.dtype) for m in data.modalities}
+        got = model.initial
+    else:
+        fresh = ModelData(data.n_users, data.n_items, data.pairs, dict(data.features))
+        wanted = {"merged": fm_base.item_graph(fresh, 3, None, model.dtype)}
+        got = {"merged": model.item_graph}
+    for m, want in wanted.items():
+        for attr in ("rows", "cols", "vals"):
+            have = getattr(got[m], attr)
+            assert have.dtype == getattr(want, attr).dtype
+            assert have.tobytes() == getattr(want, attr).tobytes(), (m, attr)
 
 
 def test_manifest_is_deterministic_and_timings_live_apart(single_run):

@@ -5,8 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionrec import modality as M
+
+from oracles import bind_loop, load_features_loop
 
 
 def sample_feats(n=3, dim=4, modality="visual", seed=0):
@@ -123,6 +126,80 @@ def test_text_format_requires_modality(tmp_path):
     path.write_text("i0\t1.0\n")
     with pytest.raises(ValueError, match="modality"):
         M.load_features(path, text=True)
+
+
+# ------------------------------------------- block loading against the loop
+
+def outcome(load):
+    """load()'s result, or the type and message of the error it raised."""
+    try:
+        return load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# ids of varying length, some of them not UTF-8 and some repeated
+RAW_IDS = st.one_of(st.sampled_from([b"", b"i0", b"i1", "é用".encode()]),
+                    st.binary(max_size=5))
+VALUES = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def feature_files(draw):
+    """The bytes of a binary feature file; now and then its header count is
+    off by one, its payload truncated or trailing bytes appended."""
+    dim = draw(st.integers(1, 4))
+    records = draw(st.lists(st.tuples(RAW_IDS, st.lists(VALUES, min_size=dim,
+                                                        max_size=dim)), max_size=6))
+    count = len(records) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = json.dumps({"modality": "visual", "dim": dim, "count": max(count, 0)})
+    payload = b"".join(struct.pack("<H", len(raw)) + raw + np.array(row, "<f4").tobytes()
+                       for raw, row in records)
+    cut = draw(st.sampled_from(["none", "none", "truncate", "trail"]))
+    if cut == "truncate" and payload:
+        payload = payload[:draw(st.integers(0, len(payload) - 1))]
+    elif cut == "trail":
+        payload += draw(st.binary(min_size=1, max_size=9))
+    return header.encode() + b"\n" + payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=feature_files())
+def test_load_features_matches_the_record_loop(raw, tmp_path_factory):
+    path = tmp_path_factory.mktemp("feats") / "visual.bin"
+    path.write_bytes(raw)
+    got = outcome(lambda: M.load_features(path))
+    want = outcome(lambda: M.ModalityFeatures(*load_features_loop(path)))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.modality, got.dim, got.ids) == (want.modality, want.dim, want.ids)
+    assert got.matrix.dtype == np.float32 and got.matrix.flags.c_contiguous
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(item_ids=st.lists(st.sampled_from(["i0", "i1", "i2", "i3", "i4", "é"]),
+                         unique=True, max_size=6),
+       feature_ids=st.lists(st.sampled_from(["i1", "i2", "i3", "i5", "é"]),
+                            unique=True, max_size=5),
+       missing=st.sampled_from(M.MISSING_POLICIES), seed=st.integers(0, 9))
+def test_bind_matches_the_row_loop(item_ids, feature_ids, missing, seed):
+    rng = np.random.default_rng(seed)
+    feats = M.ModalityFeatures("textual", 3, feature_ids, rng.standard_normal(
+        (len(feature_ids), 3)).astype(np.float32))
+    try:
+        matrix, mask, filled = bind_loop(item_ids, feats, missing)
+    except M.MissingFeatureError as exc:
+        with pytest.raises(M.MissingFeatureError) as got:
+            M.MultimodalStore(item_ids, [feats], missing=missing)
+        assert str(got.value) == str(exc)
+        return
+    store = M.MultimodalStore(item_ids, [feats], missing=missing)
+    bound = store.matrix("textual")
+    assert bound.dtype == np.float32 and bound.tobytes() == matrix.tobytes()
+    np.testing.assert_array_equal(store.masks["textual"], mask)
+    assert store.filled["textual"] == filled
 
 
 # ------------------------------------------------------------- store

@@ -630,7 +630,7 @@ def test_freedom_mm_weight_zero_leaves_projections_without_gradient():
 
 def test_freedom_item_graph_is_frozen_row_stochastic():
     data = small_data()
-    merged = item_graph(data.features, k=2).csr().toarray()
+    merged = item_graph(data, k=2).csr().toarray()
     sums = merged.sum(axis=1)
     assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()
 
