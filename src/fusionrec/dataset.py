@@ -201,24 +201,21 @@ def parse_interactions(path_or_lines) -> InteractionLog:
     else:
         lines = [line.rstrip("\n").rstrip("\r") for line in path_or_lines]
     try:
-        columns = _columns(list(filter(None, lines)))
+        return InteractionLog.from_lines(*_columns(list(filter(None, lines))))
     except ValueError:
-        columns = None
-    if columns is None:
-        raise _first_bad_line(lines)
-    return InteractionLog.from_lines(*columns)
+        raise _first_bad_line(lines) from None
 
 
 def _columns(rows):
-    """(users, items, ratings, stamps) of the non-blank lines, or None when a
-    line has fewer than 2 or more than 4 fields or an empty id. A rating or
-    timestamp that does not convert raises ValueError."""
+    """(users, items, ratings, stamps) of the non-blank lines. ValueError
+    when a line has fewer than 2 or more than 4 fields or an empty id, or a
+    rating or timestamp does not convert."""
     if not rows:
         return [], [], np.ones(0), np.zeros(0, dtype=np.int64)
     tabs = list(map(str.count, rows, repeat("\t")))
     low, high = min(tabs), max(tabs)
     if low < 1 or high > 3:
-        return None
+        raise ValueError("a line has too few or too many fields")
     width = high + 1
     if low < high:  # mixed widths: pad every line to four fields
         rows = [row + "\t" * (3 - n) for row, n in zip(rows, tabs)]
@@ -226,7 +223,7 @@ def _columns(rows):
     fields = "\t".join(rows).split("\t")
     users, items = fields[0::width], fields[1::width]
     if "" in users or "" in items:
-        return None
+        raise ValueError("a line has an empty id")
     absent = [""] * len(rows)
     ratings = _numbers(fields[2::width] if width > 2 else absent, float, 1.0, np.float64)
     stamps = _numbers(fields[3::width] if width > 3 else absent, int, 0, np.int64)
@@ -326,20 +323,12 @@ def k_core_filter(ds: Dataset, k: int = 5) -> Dataset:
         if not keep.any():
             raise ValueError(f"{k}-core filtering removed every interaction")
     idx = np.flatnonzero(keep)
-    new_users, old_users = _first_appearance(users[idx])
-    new_items, old_items = _first_appearance(items[idx])
-    return Dataset([ds.user_ids[u] for u in old_users.tolist()],
-                   [ds.item_ids[i] for i in old_items.tolist()],
+    old_users, new_users = _dense_ids(users[idx].tolist())
+    old_items, new_items = _dense_ids(items[idx].tolist())
+    return Dataset([ds.user_ids[u] for u in old_users],
+                   [ds.item_ids[i] for i in old_items],
                    np.stack([new_users, new_items], axis=1),
                    ds.ratings[idx], ds.timestamps[idx])
-
-
-def _first_appearance(ids):
-    """Dense ids numbered in order of first appearance, and the old id
-    behind each new one."""
-    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[inverse].astype(np.int64), old[order]
 
 
 def holdout_split(ds: Dataset, seed: int, train_ratio: float = 0.8) -> Split:
