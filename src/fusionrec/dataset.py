@@ -192,8 +192,9 @@ def parse_interactions(path_or_lines) -> InteractionLog:
 
     Duplicate (user, item) pairs collapse to the record with the latest
     timestamp (missing timestamps count as 0; on a tie the later line wins).
-    An empty rating reads 1 and an empty timestamp 0. Malformed lines raise
-    with their 1-based line number, the first such line in the file.
+    An empty rating reads 1 and an empty timestamp 0. Malformed lines, a
+    timestamp outside int64 among them, raise with their 1-based line
+    number, the first such line in the file.
     """
     if isinstance(path_or_lines, (str, os.PathLike)):
         with open(path_or_lines, "r", encoding="utf-8") as fh:
@@ -202,20 +203,23 @@ def parse_interactions(path_or_lines) -> InteractionLog:
         lines = [line.rstrip("\n").rstrip("\r") for line in path_or_lines]
     try:
         return InteractionLog.from_lines(*_columns(list(filter(None, lines))))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise _first_bad_line(lines) from None
 
 
 def _columns(rows):
     """(users, items, ratings, stamps) of the non-blank lines. ValueError
     when a line has fewer than 2 or more than 4 fields or an empty id, or a
-    rating or timestamp does not convert."""
+    rating or timestamp does not convert; OverflowError when a timestamp
+    is outside int64. The text of an error names the fault when `rows` is
+    one line."""
     if not rows:
         return [], [], np.ones(0), np.zeros(0, dtype=np.int64)
     tabs = list(map(str.count, rows, repeat("\t")))
     low, high = min(tabs), max(tabs)
+    fault = f"expected 2-4 tab-separated fields, got {high + 1}"
     if low < 1 or high > 3:
-        raise ValueError("a line has too few or too many fields")
+        raise ValueError(fault)
     width = high + 1
     if low < high:  # mixed widths: pad every line to four fields
         rows = [row + "\t" * (3 - n) for row, n in zip(rows, tabs)]
@@ -223,7 +227,7 @@ def _columns(rows):
     fields = "\t".join(rows).split("\t")
     users, items = fields[0::width], fields[1::width]
     if "" in users or "" in items:
-        raise ValueError("a line has an empty id")
+        raise ValueError(fault)
     absent = [""] * len(rows)
     ratings = _numbers(fields[2::width] if width > 2 else absent, float, 1.0, np.float64)
     stamps = _numbers(fields[3::width] if width > 3 else absent, int, 0, np.int64)
@@ -242,21 +246,11 @@ def _numbers(strings, convert, default, dtype):
 
 
 def _first_bad_line(lines):
-    """InteractionFormatError naming the first malformed line."""
+    """InteractionFormatError naming the first line that _columns rejects."""
     for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or len(parts) > 4 or not parts[0] or not parts[1]:
-            return InteractionFormatError(
-                f"line {lineno}: expected 2-4 tab-separated fields, got {len(parts)}"
-            )
         try:
-            if len(parts) >= 3 and parts[2] != "":
-                float(parts[2])
-            if len(parts) >= 4 and parts[3] != "":
-                int(parts[3])
-        except ValueError as exc:
+            _columns([line] if line else [])
+        except (ValueError, OverflowError) as exc:
             return InteractionFormatError(f"line {lineno}: {exc}")
     raise AssertionError("no malformed line")
 

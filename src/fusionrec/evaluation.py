@@ -18,8 +18,11 @@ bit-identical to per-user loops over sets, because:
   pairwise), and adding a non-hit's 0.0 is exact;
 - users are averaged in a fixed order: first appearance in the part's pairs
   for Recall, nDCG and EFD, the ranking's order for APLT.
-The metric functions also take {user: list} and {user: set} dicts: adapters
-turn them into the same arrays for the same code.
+The metric functions also take {user: list} and {user: set} dicts. A dict
+of lists becomes the same top-k array, but {user: set} relevance is judged
+by its own path, set lookups per listed item (_judged), which
+test_evaluate_lists_bitwise_equals_per_user_loops holds bit-identical to
+the index path.
 """
 
 from __future__ import annotations

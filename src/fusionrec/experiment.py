@@ -25,7 +25,8 @@ from . import __version__
 from . import dataset as ds
 from . import evaluation as ev
 from . import training as tr
-from .modality import MISSING_POLICIES, MultimodalStore, load_features
+from .modality import (MISSING_POLICIES, FeatureFormatError, MissingFeatureError,
+                       MultimodalStore, load_features)
 from .models import (
     MODEL_TAGS,
     ModelConfig,
@@ -148,29 +149,13 @@ def _field_type(f):
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render to INI text; parse_config inverts this exactly."""
+    """Render config_to_dict to INI text; parse_config inverts this exactly."""
     cp = configparser.ConfigParser()
-    cp["data"] = {"interactions": config.interactions,
-                  "missing": config.missing_policy}
-    for m in sorted(config.features):
-        cp["data"][f"feature.{m}"] = config.features[m]
-    cp["prepare"] = {
-        "kcore": str(config.kcore),
-        "train_ratio": repr(config.train_ratio),
-        "seed": str(config.split_seed),
-    }
-    cp["model"] = {
-        f.name: _format_value(getattr(config.model, f.name))
-        for f in fields(ModelConfig)
-    }
-    cp["trainer"] = {
-        f.name: _format_value(getattr(config.trainer, f.name))
-        for f in fields(tr.TrainerConfig)
-    }
-    cp["grid"] = {"lrs": _format_value(config.grid_lrs),
-                  "regs": _format_value(config.grid_regs)}
-    cp["evaluation"] = {"cutoffs": _format_value(config.cutoffs)}
-    cp["output"] = {"dir": config.out_dir}
+    for name, section in config_to_dict(config).items():
+        if name == "data":  # one key per modality: feature.<m> = path
+            section.update((f"feature.{m}", path)
+                           for m, path in section.pop("features").items())
+        cp[name] = {key: _format_value(v) for key, v in section.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -293,8 +278,9 @@ class StageClock:
 
 
 def prepare_split(config: ExperimentConfig, clock: StageClock) -> ds.Split:
-    log = clock.run("parse", ds.parse_interactions, resolve_path(config.interactions))
     try:
+        log = clock.run("parse", ds.parse_interactions,
+                        resolve_path(config.interactions))
         indexed = clock.run("index", ds.index_log, log)
         dataset = clock.run("kcore", ds.k_core_filter, indexed, config.kcore)
     except ValueError as exc:
@@ -305,19 +291,25 @@ def prepare_split(config: ExperimentConfig, clock: StageClock) -> ds.Split:
 
 def load_store(config: ExperimentConfig, split: ds.Split,
                clock: StageClock) -> MultimodalStore:
-    bound = []
+    bound, paths = [], {}
     for m, raw in sorted(config.features.items()):
-        path = resolve_path(raw)
-        feats = clock.run("load_features", load_features, path,
-                          text=path.endswith(".tsv"), modality=m)
+        paths[m] = path = resolve_path(raw)
+        try:
+            feats = clock.run("load_features", load_features, path,
+                              text=path.endswith(".tsv"), modality=m)
+        except FeatureFormatError as exc:
+            raise ConfigError(f"feature file {path!r}: {exc}") from None
         if feats.modality != m:
             raise ConfigError(
                 f"feature file {path!r} declares modality "
                 f"{feats.modality!r}, config says {m!r}"
             )
         bound.append(feats)
-    return clock.run("bind", MultimodalStore, split.dataset.item_ids, bound,
-                     missing=config.missing_policy)
+    try:
+        return clock.run("bind", MultimodalStore, split.dataset.item_ids, bound,
+                         missing=config.missing_policy)
+    except MissingFeatureError as exc:
+        raise ConfigError(f"feature files {paths}: {exc.args[0]}") from None
 
 
 def cmd_prepare(config: ExperimentConfig):

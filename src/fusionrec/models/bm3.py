@@ -52,17 +52,18 @@ class BM3(RecommenderModel):
         return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
     def _online(self, tape, rows, key, rng):
-        if self.frozen_views is not None:
-            return tape.mul(rows, constant(self.frozen_views[key + "_mask"],
-                                           dtype=self.dtype))
-        return tape.dropout(rows, self.config.dropout_p, rng)
+        if self.frozen_views is None:
+            return tape.dropout(rows, self.config.dropout_p, rng)
+        if key + "_mask" not in self.frozen_views:
+            self.frozen_views[key + "_mask"] = self._np_mask(rows.shape, rng)
+        return tape.mul(rows, constant(self.frozen_views[key + "_mask"],
+                                       dtype=self.dtype))
 
     def _target(self, rows_data, key, rng):
-        if self.frozen_views is not None:
-            return constant(self.frozen_views[key + "_target"],
-                            dtype=self.dtype)
-        mask = self._np_mask(rows_data.shape, rng)
-        return constant(rows_data * mask, dtype=self.dtype)
+        views = {} if self.frozen_views is None else self.frozen_views
+        if key + "_target" not in views:
+            views[key + "_target"] = rows_data * self._np_mask(rows_data.shape, rng)
+        return constant(views[key + "_target"], dtype=self.dtype)
 
     @staticmethod
     def _align(tape, a, b):
@@ -75,22 +76,13 @@ class BM3(RecommenderModel):
 
         Gradient checks by finite differences need loss() to be
         deterministic and the stop-gradient targets to stay constant while
-        parameters move; training never calls this.
+        parameters move; training never calls this. One loss_terms pass
+        draws each mask and target from rng, in the loss's own order, and
+        every later pass replays them.
         """
-        tape = Tape()
-        users_rep, items_rep = self._representations(tape, train=True)
-        u_rows = users_rep.data[batch.users]
-        i_rows = items_rep.data[batch.pos]
-        fv = {
-            "user_mask": self._np_mask(u_rows.shape, rng),
-            "item_target": i_rows * self._np_mask(i_rows.shape, rng),
-        }
-        for m in self.data.modalities:
-            h = self.data.features[m][batch.pos] @ self.proj[m].data
-            fv[f"{m}_mask"] = self._np_mask(h.shape, rng)
-            fv[f"{m}_target"] = h * self._np_mask(h.shape, rng)
-        self.frozen_views = fv
-        return fv
+        self.frozen_views = {}
+        self.loss_terms(Tape(), batch, rng)
+        return self.frozen_views
 
     def loss_terms(self, tape, batch, rng):
         """(reconstruction, inter_align, intra_align) scalar tensors."""

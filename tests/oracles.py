@@ -14,7 +14,7 @@ import numpy as np
 
 from fusionrec.dataset import InteractionFormatError
 from fusionrec.modality import FeatureFormatError, MissingFeatureError
-from fusionrec.tensor import constant
+from fusionrec.tensor import Tape, constant
 
 
 # ----------------------------------------------------------------- set-up
@@ -358,6 +358,29 @@ def lattice_dense_reference(tape, model, batch):
         return tape.rowsum(tape.mul(u, tape.row_gather(items, rows)))
 
     return tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
+
+
+# ----------------------------------------------------------------- BM3
+
+def bm3_frozen_views_loop(model, batch, rng):
+    """BM3's frozen dropout views, built beside the loss as first written:
+    the user mask and the item target from the propagated rows, then per
+    modality the projected rows' mask and target, drawn from rng in that
+    order. Sets and returns model.frozen_views."""
+    tape = Tape()
+    users_rep, items_rep = model._representations(tape, train=True)
+    u_rows = users_rep.data[batch.users]
+    i_rows = items_rep.data[batch.pos]
+    fv = {
+        "user_mask": model._np_mask(u_rows.shape, rng),
+        "item_target": i_rows * model._np_mask(i_rows.shape, rng),
+    }
+    for m in model.data.modalities:
+        h = model.data.features[m][batch.pos] @ model.proj[m].data
+        fv[f"{m}_mask"] = model._np_mask(h.shape, rng)
+        fv[f"{m}_target"] = h * model._np_mask(h.shape, rng)
+    model.frozen_views = fv
+    return fv
 
 
 # ----------------------------------------------------------------- ranking

@@ -128,6 +128,26 @@ def test_parse_names_the_first_bad_line_across_checks():
         D.parse_interactions(lines)
 
 
+def test_parse_timestamp_outside_int64_names_its_line():
+    with pytest.raises(D.InteractionFormatError, match="^line 2: "):
+        D.parse_interactions(["a\tx\n", "a\tx\t1\t99999999999999999999\n"])
+
+
+# beyond int64 or float64: a timestamp that does not fit is malformed, and
+# a rating that overflows float() reads +-inf
+OUT_OF_RANGE = st.sampled_from([str(10**20), str(-10**20), "1e400", "-1e400"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(IDS, IDS, st.one_of(NUMBERS, OUT_OF_RANGE),
+                          st.one_of(NUMBERS, OUT_OF_RANGE)), max_size=6))
+def test_parse_out_of_range_numbers_return_or_raise_a_format_error(rows):
+    try:
+        D.parse_interactions(["\t".join(row) + "\n" for row in rows])
+    except D.InteractionFormatError:
+        pass
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(IDS, IDS, st.sampled_from([1.0, 2.5, 0.1]),
                           st.integers(-3, 3)), max_size=12))

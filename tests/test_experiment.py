@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 import json
 import os
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -555,6 +557,34 @@ def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):
     write_config(base_config(corpus, str(tmp_path / "out")), ini)
     assert main(["--config", ini, "benchmark", "--models", "nope"]) == 1
     capsys.readouterr()
+
+
+def test_malformed_input_files_exit_1(corpus, tmp_path, capsys):
+    """A malformed log or feature file is a validation error: exit 1, and
+    stderr names the line or the file."""
+    log = tmp_path / "interactions.tsv"
+    log.write_text("u0\ti0\t5\t100\nu1\n", encoding="utf-8")
+    truncated = tmp_path / "visual.bin"
+    truncated.write_bytes((pathlib.Path(corpus) / "visual.bin").read_bytes()[:-5])
+    partial = tmp_path / "textual.tsv"
+    partial.write_text("".join((pathlib.Path(corpus) / "textual.tsv")
+                               .read_text(encoding="utf-8").splitlines(True)[:-1]),
+                       encoding="utf-8")
+    config = base_config(corpus, str(tmp_path / "out"))
+    cases = [
+        (replace(config, interactions=str(log)),
+         ["error: line 2: expected 2-4 tab-separated fields, got 1"]),
+        (replace(config, features={**config.features, "visual": str(truncated)}),
+         ["error: ", repr(str(truncated)), "truncated at record"]),
+        (replace(config, features={**config.features, "textual": str(partial)}),
+         ["error: ", repr(str(partial)), "1 items lack textual features"]),
+    ]
+    ini = str(tmp_path / "exp.ini")
+    for bad, wanted in cases:
+        write_config(bad, ini)
+        assert main(["--config", ini, "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert all(text in err for text in wanted), err
 
 
 def test_cli_runtime_failures_exit_2(corpus, tmp_path, capsys):

@@ -30,6 +30,7 @@ from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
 from oracles import (
+    bm3_frozen_views_loop,
     grcn_reference,
     knn_bruteforce,
     knn_graph_dense,
@@ -571,6 +572,30 @@ def test_bm3_loss_ignores_negative_items():
     tape = T.Tape()
     b = model.loss(tape, flipped, np.random.default_rng(0)).item()
     assert a == b
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bm3_frozen_views_match_the_former_builder(dtype):
+    """The acceptance case (float64, views seed 41) and a float32 model on
+    float32 features, as a bound store holds them: loss_terms draws the
+    views the former separate builder drew, and later passes replay them."""
+    data = small_data(n_users=5, n_items=8, seed=13)
+    data = ModelData(data.n_users, data.n_items, data.pairs,
+                     {m: f.astype(dtype) for m, f in data.features.items()})
+    cfg = ModelConfig(tag="bm3", embedding_dim=3, layers=1, dropout_p=0.25)
+    batch = fixed_batch(data, size=6, seed=31)
+    model = BM3(cfg, data, seed=21, dtype=dtype)
+    got = model.make_frozen_views(batch, np.random.default_rng(41))
+    want = bm3_frozen_views_loop(BM3(cfg, data, seed=21, dtype=dtype), batch,
+                                 np.random.default_rng(41))
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+    rng = np.random.default_rng(0)
+    model.loss(T.Tape(), batch, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    assert model.frozen_views is got and list(got) == list(want)
 
 
 # ------------------------------------------------------------------- freedom
