@@ -25,8 +25,8 @@ from . import __version__
 from . import dataset as ds
 from . import evaluation as ev
 from . import training as tr
-from .modality import (MISSING_POLICIES, FeatureFormatError, MissingFeatureError,
-                       MultimodalStore, load_features)
+from .modality import (MISSING_POLICIES, MODALITIES, FeatureFormatError,
+                       MissingFeatureError, MultimodalStore, load_features)
 from .models import (
     MODEL_TAGS,
     ModelConfig,
@@ -66,6 +66,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.features:
             raise ConfigError("at least one modality feature file required")
+        for m in sorted(self.features):
+            if m not in MODALITIES:
+                raise ConfigError(f"[data] feature.{m}: unknown modality {m!r}, "
+                                  f"expected one of {MODALITIES}")
         if self.missing_policy not in MISSING_POLICIES:
             raise ConfigError(
                 f"missing policy {self.missing_policy!r} not in {MISSING_POLICIES}"
@@ -362,7 +366,9 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
 
     `chosen` hands over the winning grid run's model and TrainResult, which
     are written as they are: retraining that configuration with the same
-    seed would repeat the run exactly, so nothing trains here.
+    seed would repeat the run exactly, so nothing trains here. timings.json
+    holds the winner's training seconds and the seconds spent building the
+    tuned models' kNN item graphs (0 for a model without one).
     """
     model, result = chosen.model, chosen.result
     # wall-clock numbers go to timings.json, so manifest bytes stay reproducible
@@ -372,7 +378,8 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
         "version": __version__, "stats": asdict(ds.stats(split.dataset)),
         "chosen": _selection(chosen)})
     _write_json(os.path.join(run_dir, "timings.json"),
-                {"train_seconds": result.seconds, "epochs": len(result.trace)})
+                {"train_seconds": result.seconds, "epochs": len(result.trace),
+                 "graph_seconds": model.data.graph_seconds})
     lines = ["epoch\tloss\tval_recall20\tseconds\n"]
     for row in result.trace:
         val = "" if row.val_metric is None else f"{row.val_metric:.6f}"

@@ -12,6 +12,7 @@ class. item_graph is the one builder of the frozen kNN item graph.
 
 import json
 import os
+import time
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -88,6 +89,8 @@ class ModelData:
     features: dict             # modality -> (n_items, dim) float matrix
     _graphs: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)  # (modality, k) -> float64 kNN graph
+    graph_seconds: float = field(default=0.0, init=False, repr=False,
+                                 compare=False)  # wall seconds of those builds
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, dtype=np.int64)
@@ -124,10 +127,12 @@ class ModelData:
         """build(features, k) over one modality's features, the float64
         kNN graph: built on the first call per (modality, k) and shared
         after, so every model built on this data (one per grid point)
-        reads the same graph."""
+        reads the same graph. graph_seconds sums the builds' wall time."""
         key = (modality, k)
         if key not in self._graphs:
+            start = time.perf_counter()
             self._graphs[key] = build(self.features[modality], k)
+            self.graph_seconds += time.perf_counter() - start
         return self._graphs[key]
 
 
@@ -156,16 +161,23 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
 
 
-def knn_graph(feats: np.ndarray, k: int, dtype=np.float64) -> SparseMatrix:
+def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     """Top-k cosine neighbor graph, self excluded, kept values row-normalized.
 
-    Built TOPK_BLOCK rows at a time, so no n x n array is held and feats'
-    float64 copy is the one n x dim array: each block of unit rows is
-    multiplied by all unit rows and topk_rows picks its k neighbors. Ties in
-    similarity pick the lower item id. Negative kept similarities are
-    clamped to zero before normalization; a row whose kept values are all
-    nonpositive has no entries. Returns a SparseMatrix of at most n * k
-    entries, computed in float64 and stored in `dtype`.
+    Cosine similarity is symmetric, so each pair of items is multiplied
+    once. Row block [lo, hi) of TOPK_BLOCK unit rows computes one strip,
+    unit[lo:hi] @ unit[lo:].T, with its diagonal at -inf. The strip offers
+    columns lo..n to rows lo:hi, and each TOPK_BLOCK-column slice of it,
+    transposed, offers columns lo:hi to the rows of that later block. A
+    running (n, k) top-k takes each offer: topk_rows picks the offer's best,
+    then the k best of the kept and the picked (strip 0 makes every row's
+    first offer, whose best are kept as they are). Offers reach every row in
+    ascending column order and topk_rows breaks ties by position, so ties in
+    similarity pick the lower item id, as a top-k of the whole row would.
+    No n x n array is held, and feats' float64 copy is the one n x dim
+    array. Negative kept similarities are clamped to zero before
+    normalization; a row whose kept values are all nonpositive has no
+    entries. Returns a float64 SparseMatrix of at most n * k entries.
     """
     unit = np.array(feats, dtype=np.float64)
     n = unit.shape[0]
@@ -174,20 +186,36 @@ def knn_graph(feats: np.ndarray, k: int, dtype=np.float64) -> SparseMatrix:
     for lo in range(0, n, TOPK_BLOCK):  # 0 rows stay 0
         norms = np.linalg.norm(unit[lo:lo + TOPK_BLOCK], axis=1, keepdims=True)
         unit[lo:lo + TOPK_BLOCK] /= np.where(norms > 0, norms, np.inf)
-    cols = np.empty((n, k), dtype=np.int64)
-    vals = np.empty((n, k))
+    vals = np.full((n, k), -np.inf)  # each row is offered n - 1 >= k finite values
+    cols = np.zeros((n, k), dtype=np.int64)
+
+    def offer(rows, sims, first_col):
+        """Merge sims, columns first_col.., into the running top-k of rows."""
+        top = topk_rows(sims, min(k, sims.shape[1]))
+        picked = np.take_along_axis(sims, top, axis=1)
+        if first_col == 0:  # nothing kept yet
+            vals[rows, :top.shape[1]], cols[rows, :top.shape[1]] = picked, top
+            return
+        cand = np.concatenate([vals[rows], picked], axis=1)
+        ids = np.concatenate([cols[rows], top + first_col], axis=1)
+        pick = topk_rows(cand, k)  # ties: the kept first, so lower ids first
+        vals[rows] = np.take_along_axis(cand, pick, axis=1)
+        cols[rows] = np.take_along_axis(ids, pick, axis=1)
+
     for lo in range(0, n, TOPK_BLOCK):
         hi = min(lo + TOPK_BLOCK, n)
-        sim = unit[lo:hi] @ unit.T
-        sim[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-        cols[lo:hi] = topk_rows(sim, k)
-        vals[lo:hi] = np.take_along_axis(sim, cols[lo:hi], axis=1)
+        strip = unit[lo:hi] @ unit[lo:].T
+        strip[np.arange(hi - lo), np.arange(hi - lo)] = -np.inf
+        offer(slice(lo, hi), strip, lo)
+        for c in range(hi, n, TOPK_BLOCK):
+            part = np.ascontiguousarray(strip[:, c - lo:c - lo + TOPK_BLOCK].T)
+            offer(slice(c, c + part.shape[0]), part, lo)
     np.maximum(vals, 0.0, out=vals)
     sums = vals.sum(axis=1, keepdims=True)
     np.divide(vals, sums, out=vals, where=sums > 0)
     kept = vals != 0
     rows = np.broadcast_to(np.arange(n)[:, None], (n, k))
-    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=dtype)
+    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=np.float64)
 
 
 def item_graph(data: ModelData, k: int, weights=None, dtype=np.float64) -> SparseMatrix:

@@ -17,6 +17,7 @@ from fusionrec.modality import ModalityFeatures, write_features
 from fusionrec.models import ModelConfig, ModelData
 from fusionrec.models import base as fm_base
 from fusionrec.models import lattice as fm_lattice
+from fusionrec.tensor import SparseMatrix
 
 N_USERS, N_ITEMS = 15, 35
 
@@ -189,6 +190,20 @@ def test_bad_grid_is_a_config_error_before_prepare(corpus, tmp_path, capsys,
     assert not (out / "prepared").exists()
 
 
+def test_unknown_feature_modality_is_a_config_error_before_prepare(corpus, tmp_path,
+                                                                   capsys):
+    # the log and every path are valid: only the modality name is wrong
+    out = tmp_path / "out"
+    config = base_config(corpus, str(out))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(ex.serialize_config(config).replace(
+        "[data]\n", f"[data]\nfeature.smell = {config.features['visual']}\n"))
+    assert "feature.smell" in ini.read_text()
+    assert main(["--config", str(ini), "prepare"]) == 1
+    assert "[data] feature.smell: unknown modality 'smell'" in capsys.readouterr().err
+    assert not (out / "prepared").exists()
+
+
 @pytest.mark.parametrize("key, text", [("kcore", "x"), ("train_ratio", "most"),
                                        ("seed", "1.5")])
 def test_malformed_prepare_number_names_its_key(key, text):
@@ -290,9 +305,9 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
                                                   tag):
     real, dims = fm_base.knn_graph, []
 
-    def counted(feats, k, *args):
+    def counted(feats, k):
         dims.append(feats.shape[1])
-        return real(feats, k, *args)
+        return real(feats, k)
 
     monkeypatch.setattr(fm_base, "knn_graph", counted)
     monkeypatch.setattr(fm_lattice, "knn_graph", counted)
@@ -304,7 +319,9 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
     # the shared graphs are the ones each model would build for itself
     model, data = chosen.model, chosen.model.data
     if tag == "lattice":
-        wanted = {m: real(data.features[m], 3, model.dtype) for m in data.modalities}
+        graphs = {m: real(data.features[m], 3) for m in data.modalities}
+        wanted = {m: SparseMatrix(g.shape, g.rows, g.cols, g.vals, dtype=model.dtype)
+                  for m, g in graphs.items()}
         got = model.initial
     else:
         fresh = ModelData(data.n_users, data.n_items, data.pairs, dict(data.features))
@@ -315,6 +332,16 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
             have = getattr(got[m], attr)
             assert have.dtype == getattr(want, attr).dtype
             assert have.tobytes() == getattr(want, attr).tobytes(), (m, attr)
+
+
+@pytest.mark.parametrize("tag", ["freedom", "vbpr"])
+def test_timings_hold_the_knn_graph_seconds(corpus, tmp_path, tag):
+    config = base_config(corpus, str(tmp_path),
+                         model=ModelConfig(tag=tag, embedding_dim=8, knn_k=3))
+    ex.run_single(config)
+    with open(tmp_path / tag / "timings.json", encoding="utf-8") as fh:
+        seconds = json.load(fh)["graph_seconds"]
+    assert seconds > 0 if tag == "freedom" else seconds == 0
 
 
 def test_manifest_is_deterministic_and_timings_live_apart(single_run):

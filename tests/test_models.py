@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fusionrec.tensor as T
 import fusionrec.training as tr
@@ -407,6 +408,45 @@ def test_knn_graph_matches_dense_across_blocks(n):
     copies = sorted(dups + [100])
     for i in copies:
         assert graph.csr()[i].indices.tolist() == [j for j in copies if j != i][:k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), k=st.integers(1, 12),
+       dim=st.integers(1, 4), zero_share=st.sampled_from([0.0, 0.1, 0.3]),
+       gauss_share=st.sampled_from([0.0, 0.1, 0.25]))
+# 4 strips, offers of 8 columns to k = 12, and a last block of 1 row
+@example(seed=0, n=25, k=12, dim=2, zero_share=0.1, gauss_share=0.1)
+def test_knn_graph_matches_dense_over_strips(seed, n, k, dim, zero_share,
+                                             gauss_share):
+    import fusionrec.models.base as base
+
+    k = min(k, n - 1)
+    rng = np.random.default_rng(seed)
+    # signed, scaled axis vectors: every cosine between two of them is
+    # exactly 1, -1 or 0, and a Gaussian row's cosine with every vector on
+    # one axis is one exact value, so ties are exact across blocks
+    feats = np.zeros((n, dim))
+    feats[np.arange(n), rng.integers(0, dim, n)] = (
+        rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-3, 4, n))
+    feats[rng.random(n) < zero_share] = 0.0
+    gauss = rng.random(n) < gauss_share
+    feats[gauss] = rng.normal(size=(gauss.sum(), dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base, "TOPK_BLOCK", 8)
+        graph = knn_graph(feats, k).csr().toarray()
+    want = knn_graph_dense(feats, k)
+    np.testing.assert_array_equal(graph != 0, want != 0)
+    np.testing.assert_allclose(graph, want, rtol=1e-12, atol=0)
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
+    sim = unit @ unit.T
+    np.fill_diagonal(sim, -np.inf)
+    for i in range(n):
+        kept = np.flatnonzero(graph[i])
+        for v in np.unique(sim[i, kept]):  # tied neighbors are the lowest ids
+            tied = np.flatnonzero(sim[i] == v)
+            chosen = kept[sim[i, kept] == v]
+            assert chosen.tolist() == tied[:len(chosen)].tolist(), (i, v)
 
 
 def test_knn_graph_never_holds_an_n_by_n_array():
