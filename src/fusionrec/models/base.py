@@ -170,8 +170,7 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     columns lo..n to rows lo:hi, and each TOPK_BLOCK-column slice of it,
     transposed, offers columns lo:hi to the rows of that later block. A
     running (n, k) top-k takes each offer: topk_rows picks the offer's best,
-    then the k best of the kept and the picked (strip 0 makes every row's
-    first offer, whose best are kept as they are). Offers reach every row in
+    then the k best of the kept and the picked. Offers reach every row in
     ascending column order and topk_rows breaks ties by position, so ties in
     similarity pick the lower item id, as a top-k of the whole row would.
     No n x n array is held, and feats' float64 copy is the one n x dim
@@ -192,11 +191,8 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     def offer(rows, sims, first_col):
         """Merge sims, columns first_col.., into the running top-k of rows."""
         top = topk_rows(sims, min(k, sims.shape[1]))
-        picked = np.take_along_axis(sims, top, axis=1)
-        if first_col == 0:  # nothing kept yet
-            vals[rows, :top.shape[1]], cols[rows, :top.shape[1]] = picked, top
-            return
-        cand = np.concatenate([vals[rows], picked], axis=1)
+        cand = np.concatenate([vals[rows], np.take_along_axis(sims, top, axis=1)],
+                              axis=1)
         ids = np.concatenate([cols[rows], top + first_col], axis=1)
         pick = topk_rows(cand, k)  # ties: the kept first, so lower ids first
         vals[rows] = np.take_along_axis(cand, pick, axis=1)
