@@ -18,7 +18,8 @@ per-channel propagations bit for bit.
 A user whose incident gates are all zero keeps only the layer-zero term
 of the propagation mean, i.e. falls back to the id embedding; this is
 logged as a warning since it usually signals degenerate features, once
-per change in the number of such users.
+per model: the count changes from batch to batch, and a warning per
+change would repeat through a whole training.
 """
 
 import logging
@@ -44,7 +45,7 @@ class GRCN(RecommenderModel):
         )
         self.base_vals = constant(self.structure.vals[:, None], dtype=self.dtype)
         self._pair_users = np.unique(self.data.pairs[:, 0]).size
-        self._dead_logged = 0  # fully gated users in the last warning
+        self._dead_logged = False  # whether the fully gated warning was logged
         self.id_emb = self._param("rho", "id_emb", rng, (n_u + n_i, d))
         self.pref = {}
         self.proj = {}
@@ -88,8 +89,8 @@ class GRCN(RecommenderModel):
         alive = np.zeros(self.data.n_users, dtype=bool)
         alive[self.data.pairs[gate_data[:, 0] > 0, 0]] = True
         dead = self._pair_users - int(alive.sum())
-        if dead and dead != self._dead_logged:
-            self._dead_logged = dead
+        if dead and not self._dead_logged:
+            self._dead_logged = True
             log.warning(
                 "%d users have all incident edges gated to zero; their "
                 "representations fall back to the id embedding", dead

@@ -4,6 +4,14 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises immediately instead of letting the value propagate.
+Subnormal gradients are flushed to zero where they enter a product: before
+the rules of matmul, matmul_nt, spmm or spmm_weighted multiply their incoming
+gradient into an operand, each entry of it smaller in magnitude than the
+dtype's smallest normal number is set to zero (flush_subnormals, the
+flush-to-zero policy of CPU deep-learning runtimes). Such an entry adds
+nothing that a normal gradient keeps, but each multiplication by it costs the
+CPU a microcode assist; a BPR pair whose margin passes about 87 has a
+subnormal float32 gradient.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -96,9 +104,11 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate_grad(self, g):
+    def _accumulate_grad(self, g, owned):
+        """Add g to grad. An `owned` g is an array no one else holds, which
+        becomes grad as it is when grad is empty."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=not owned)
         else:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
@@ -127,6 +137,18 @@ def _csr_product(indptr, indices, data, x):
     _sparsetools.csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
                              data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
     return out
+
+
+def flush_subnormals(g):
+    """g with every nonzero entry of magnitude below np.finfo(g.dtype).tiny,
+    the smallest normal number, set to 0; zeros, normal, infinite and NaN
+    entries are untouched. Returns g itself when it has no such entry, else
+    a flushed copy."""
+    magnitude = np.abs(g)
+    subnormal = (magnitude < np.finfo(g.dtype).tiny) & (magnitude > 0)
+    if not subnormal.any():
+        return g
+    return np.where(subnormal, 0, g)
 
 
 def _sigmoid(x):
@@ -257,15 +279,17 @@ def _unbroadcast(g, shape):
 
 
 class _Node:
-    """One recorded primitive: rules[i](g) is the gradient for inputs[i]."""
+    """One recorded primitive: rules[i](g) is the gradient for inputs[i];
+    `product` marks matmul, matmul_nt, spmm and spmm_weighted."""
 
-    __slots__ = ("name", "inputs", "out", "rules")
+    __slots__ = ("name", "inputs", "out", "rules", "product")
 
-    def __init__(self, name, inputs, out, rules):
+    def __init__(self, name, inputs, out, rules, product):
         self.name = name
         self.inputs = inputs
         self.out = out
         self.rules = rules
+        self.product = product
 
 
 class Tape:
@@ -290,7 +314,7 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, rules, copies=False):
+    def _record(self, name, out_arr, inputs, rules, copies=False, product=False):
         # copies of checked results or leaves (ModelData, optimizer) stay finite
         if not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
@@ -301,7 +325,7 @@ class Tape:
         out._tape = self
         out._gen = self._gen
         out._needs = any(t.needs_grad for t in inputs)
-        self._nodes.append(_Node(name, inputs, out, rules))
+        self._nodes.append(_Node(name, inputs, out, rules, product))
         return out
 
     @property
@@ -318,7 +342,8 @@ class Tape:
 
         Gradients accumulate additively across uses and across calls on
         fresh tapes; the same tape cannot be replayed twice. A node's rule
-        for an input runs only when that input needs a gradient.
+        for an input runs only when that input needs a gradient, and the
+        rules of a product get their gradient through flush_subnormals.
         """
         if self._spent:
             raise TapeError("tape already replayed; reset() before reuse")
@@ -328,25 +353,32 @@ class Tape:
         if loss.shape != (1, 1):
             raise TapeError(f"loss must be 1x1, got {loss.shape}")
         self._spent = True
-        grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype))}
+        # id -> (tensor, gradient, whether backward allocated the gradient).
+        # A tensor's second gradient is summed into a new array, and later
+        # ones into that array in place; a rule's output, which may be a
+        # view of its incoming gradient, is never written.
+        grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype), False)}
         for node in reversed(self._nodes):
             entry = grads.pop(id(node.out), None)
             if entry is None:
                 continue
+            g_out = flush_subnormals(entry[1]) if node.product else entry[1]
             for t, rule in zip(node.inputs, node.rules):
                 if not t.needs_grad:
                     continue
-                g = rule(entry[1])
+                g = rule(g_out)
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"backward of {node.name} produced non-finite values")
                 prev = grads.get(id(t))
                 if prev is None:
-                    grads[id(t)] = (t, g)
+                    grads[id(t)] = (t, g, False)
+                elif prev[2]:
+                    np.add(prev[1], g, out=prev[1])
                 else:
-                    grads[id(t)] = (t, prev[1] + g)
-        for t, g in grads.values():
+                    grads[id(t)] = (t, prev[1] + g, True)
+        for t, g, owned in grads.values():
             if t.requires_grad:
-                t._accumulate_grad(g)
+                t._accumulate_grad(g, owned)
         self._nodes.clear()
 
     # -- primitives -------------------------------------------------------
@@ -360,7 +392,7 @@ class Tape:
             out = a.data @ b.data
         ad, bd = a.data, b.data
         return self._record("matmul", out, (a, b),
-                            (lambda g: g @ bd.T, lambda g: ad.T @ g))
+                            (lambda g: g @ bd.T, lambda g: ad.T @ g), product=True)
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
@@ -406,7 +438,7 @@ class Tape:
             a_t = structure.csr_t()
             return _csr_product(a_t.indptr, a_t.indices, v[structure.t_perm()], g)
 
-        return self._record(name, out, (vals, x), (grad_vals, grad_x))
+        return self._record(name, out, (vals, x), (grad_vals, grad_x), product=True)
 
     def _binary(self, name, a, b, op, rule_a, rule_b):
         """Record op(a, b) on operands that broadcast against each other.
@@ -543,7 +575,7 @@ class Tape:
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
         return self._record("matmul_nt", out, (a, b),
-                            (lambda g: g @ bd, lambda g: g.T @ ad))
+                            (lambda g: g @ bd, lambda g: g.T @ ad), product=True)
 
     def row_concat(self, tensors) -> Tensor:
         """Stack tensors with equal column counts, top to bottom."""

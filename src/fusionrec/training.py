@@ -141,8 +141,18 @@ class SGD:
             p.zero_grad()
 
 
+# entries per block of Adam's update: each array's block stays in cache
+# through the update's elementwise operations
+ADAM_BLOCK = 32768
+
+
 class Adam:
-    """Adam with bias correction."""
+    """Adam with bias correction.
+
+    A parameter of more than ADAM_BLOCK entries is updated a block of whole
+    rows at a time, into two scratch arrays the blocks reuse; a smaller one
+    in one update over the whole array.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -155,25 +165,45 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         for k, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g, m, v = p.grad, self.m[k], self.v[k]
-            # in place, but the float operations and their order are those of
-            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            step = m / c1
-            step *= self.lr
-            step /= np.sqrt(v / c2) + self.eps
-            p.data -= step
-            if not np.isfinite(p.data).all():
+            rows = max(1, ADAM_BLOCK // p.cols)
+            if p.rows <= rows:
+                finite = self._update(p.data, g, m, v, c1, c2)
+            else:
+                step, denom = np.empty((2, rows, p.cols), dtype=p.dtype)
+                finite = True
+                for lo in range(0, p.rows, rows):
+                    hi = min(lo + rows, p.rows)
+                    finite &= self._update(p.data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                                           c1, c2, step[:hi - lo], denom[:hi - lo])
+            if not finite:
                 raise TrainingDivergedError("parameter became non-finite after Adam step")
             p.zero_grad()
+
+    def _update(self, p, g, m, v, c1, c2, step=None, denom=None):
+        """Update p, m and v in place from g, through the scratch arrays
+        `step` and `denom` when given; returns whether p stayed finite. The
+        float operations and their order are those of
+        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=step)
+        v *= b2
+        step = np.multiply(g, g, out=step)
+        step *= 1 - b2
+        v += step
+        step = np.divide(m, c1, out=step)
+        step *= self.lr
+        denom = np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        p -= step
+        return np.isfinite(p).all()
 
 
 def make_optimizer(trainer: TrainerConfig, params):

@@ -427,6 +427,56 @@ def topk_rows_partition(scores, k):
     return np.take_along_axis(cols, order, axis=1)
 
 
+# ------------------------------------------------------ gradients, updates
+
+def flush_subnormals_loop(g):
+    """A copy of g with each nonzero entry of magnitude below the dtype's
+    smallest normal number set to 0.0, entry by entry."""
+    tiny = np.finfo(g.dtype).tiny
+    out = g.copy()
+    for idx, x in np.ndenumerate(g):
+        if x != 0 and abs(x) < tiny:
+            out[idx] = 0.0
+    return out
+
+
+def backward_summing_copies(tape, loss):
+    """Leaf gradients of `loss` by replaying `tape`'s recorded rules, with
+    every further gradient of a tensor summed into a new array, prev + g.
+    Returns {id(leaf): (leaf, gradient)} for the requires_grad leaves and
+    leaves the tape and the leaves as they were."""
+    grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype))}
+    for node in reversed(tape._nodes):
+        entry = grads.pop(id(node.out), None)
+        if entry is None:
+            continue
+        for t, rule in zip(node.inputs, node.rules):
+            if t.needs_grad:
+                g = rule(entry[1])
+                prev = grads.get(id(t))
+                grads[id(t)] = (t, g if prev is None else prev[1] + g)
+    return {key: (t, g.astype(t.data.dtype)) for key, (t, g) in grads.items()
+            if t.requires_grad}
+
+
+def adam_step_whole_arrays(params, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's t-th step, each array computed whole and out of place: m and
+    v are lists whose entries are replaced, one per parameter, and a
+    parameter without a gradient is skipped. Raises RuntimeError with the
+    optimizer's message once a parameter is non-finite."""
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    for k, p in enumerate(params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        m[k] = m[k] * b1 + (1 - b1) * g
+        v[k] = v[k] * b2 + (1 - b2) * (g * g)
+        p.data -= (m[k] / c1) * lr / (np.sqrt(v[k] / c2) + eps)
+        if not np.isfinite(p.data).all():
+            raise RuntimeError("parameter became non-finite after Adam step")
+        p.grad = None
+
+
 # ----------------------------------------------------------------- metrics
 
 def recall_ref(recs, relevant, k):

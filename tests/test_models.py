@@ -192,6 +192,38 @@ def test_vbpr_scaling_one_modality_removes_its_term():
     np.testing.assert_allclose(full - reduced, term, rtol=1e-5, atol=1e-6)
 
 
+def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise(monkeypatch):
+    # every triple's margin is about 95, so its float32 BPR gradient,
+    # about e^-95 / 64, is subnormal; flushing such gradients before the
+    # products leaves every parameter of an Adam step bitwise where the
+    # unflushed tape puts it
+    data = small_data(n_users=12, n_items=16, seed=5)
+    rng = np.random.default_rng(2)
+    batch = tr.TripleBatch(rng.integers(0, 12, 64), rng.integers(0, 8, 64),
+                           rng.integers(8, 16, 64))
+    real, met = T.flush_subnormals, []
+
+    def spy(g):
+        tiny = np.finfo(g.dtype).tiny
+        met.append(bool(((np.abs(g) < tiny) & (g != 0)).any()))
+        return real(g)
+
+    def adam_step(flush):
+        monkeypatch.setattr(T, "flush_subnormals", flush)
+        model = VBPR(ModelConfig(tag="vbpr", embedding_dim=4), data, seed=1)
+        model.user_emb.data[:, 0] = 1.0
+        model.item_emb.data[:, 0] = np.where(np.arange(16) < 8, 47.5, -47.5)
+        tape = T.Tape()
+        tape.backward(tr.total_loss(tape, model, batch, None, reg=1e-5))
+        tr.Adam(model.params(), lr=0.01).step()
+        return [t.data for t in model.tensors()]
+
+    got = adam_step(spy)
+    assert any(met)
+    want = adam_step(lambda g: g)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
 def test_vbpr_bias_flag():
     data = small_data()
     model = VBPR(ModelConfig(tag="vbpr", embedding_dim=4, with_bias=True),
@@ -280,6 +312,12 @@ def test_grcn_hand_refined_adjacency(caplog):
     logged = len(caplog.records)
     with caplog.at_level(logging.WARNING):
         model.refined_edge_values(T.Tape())
+    assert len(caplog.records) == logged
+    # nor is a changed count: user 0's preference now gates its edge to zero
+    model.pref["visual"].data[0] = [-2.0, 0.0]
+    with caplog.at_level(logging.WARNING):
+        vals = model.refined_edge_values(T.Tape())
+    assert not vals.data.any()
     assert len(caplog.records) == logged
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fusionrec import tensor as T
 
 from fdcheck import assert_gradients_match
+from oracles import backward_summing_copies, flush_subnormals_loop
 
 
 def p64(arr):
@@ -463,6 +464,115 @@ def test_row_gather_skips_gradients_of_constant_leaves():
     t.backward(loss)
     assert ran == [("sum", 0), ("add", 1), ("row_gather", 0)]
     np.testing.assert_array_equal(w.grad, [[1, 1], [0, 0], [2, 2], [0, 0]])
+
+
+def _spy_on_arrays(tape):
+    """Wrap every rule on `tape`; returns the (array, copy) pairs of each
+    rule's incoming gradient and output, taken as the rule returns."""
+    seen = []
+
+    def spy(rule):
+        def spied(g):
+            grad = rule(g)
+            seen.extend([(g, g.copy()), (grad, grad.copy())])
+            return grad
+        return spied
+
+    for node in tape._nodes:
+        node.rules = tuple(spy(rule) for rule in node.rules)
+    return seen
+
+
+def _three_uses(t, x, w):
+    return t.add(t.mul(x, x), t.mul(w, x))
+
+
+def _slices(t, x, w):
+    r = t.row_concat([x, x, w])
+    return t.row_concat([t.concat([x, w, x]), t.concat([r, r, r])])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [
+    lambda t, x, w: t.add(x, x), _three_uses, _slices])
+def test_backward_sums_in_place_as_prev_plus_g(build, dtype):
+    # a tensor's later gradients are summed in place into an array backward
+    # allocated; the sums equal prev + g bit for bit, and no rule's output
+    # or incoming gradient is written
+    rng = np.random.default_rng(7)
+    x = T.parameter(rng.standard_normal((3, 2)), dtype=dtype)
+    w = T.parameter(rng.standard_normal((3, 2)), dtype=dtype)
+    t = T.Tape()
+    loss = t.sumsq(build(t, x, w))
+    want = backward_summing_copies(t, loss)
+    seen = _spy_on_arrays(t)
+    t.backward(loss)
+    assert [leaf.grad is not None for leaf in (x, w)] == [id(x) in want, id(w) in want]
+    for leaf, g in want.values():
+        assert leaf.grad.dtype == dtype
+        np.testing.assert_array_equal(leaf.grad, g)
+    for arr, before in seen:
+        np.testing.assert_array_equal(arr, before)
+        for leaf, _ in want.values():
+            assert not np.shares_memory(leaf.grad, arr)
+
+
+def test_backward_sums_across_calls_out_of_place():
+    x = p64([[1.0, 2.0]])
+    for _ in range(2):
+        t = T.Tape()
+        t.backward(t.sum(t.add(t.add(x, x), x)))
+    first = x.grad
+    t = T.Tape()
+    t.backward(t.sum(t.scale(x, 2.0)))
+    np.testing.assert_array_equal(first, [[6.0, 6.0]])
+    np.testing.assert_array_equal(x.grad, [[8.0, 8.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_subnormals_matches_loop(dtype):
+    info = np.finfo(dtype)
+    sub = np.nextafter(info.tiny, 0, dtype=dtype)  # the largest subnormal
+    least = np.nextafter(dtype(0), 1, dtype=dtype)  # the smallest
+    g = np.array([[sub, -sub, least, -least, sub / 4],
+                  [0.0, -0.0, info.tiny, -info.tiny, 1.5],
+                  [np.nan, np.inf, -np.inf, info.max, -2.0]], dtype=dtype)
+    before = g.copy()
+    got = T.flush_subnormals(g)
+    want = flush_subnormals_loop(g)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == dtype
+    assert not got[0].any()
+    # zeros, normal values, infinities and NaN keep their bits
+    assert got[1:].tobytes() == g[1:].tobytes()
+    assert g.tobytes() == before.tobytes()
+    # without a subnormal entry, g itself
+    normal, empty = g[1:], g[:0]
+    assert T.flush_subnormals(normal) is normal
+    assert T.flush_subnormals(empty) is empty
+
+
+def test_product_rules_flush_subnormal_gradients():
+    # every product's output row 0 gets a subnormal gradient, row 1 a
+    # normal one; an operand entry reached only by row 0 gets exactly 0,
+    # where the unflushed product gives a subnormal
+    sub = np.nextafter(np.finfo(np.float32).tiny, 0, dtype=np.float32)
+    a, b, c = (T.parameter(np.ones((2, 3))) for _ in range(3))
+    x, y = T.parameter(np.ones((3, 2))), T.parameter(np.ones((3, 2)))
+    vals = T.parameter(np.ones((2, 1)))
+    structure = T.SparseMatrix((2, 3), [0, 1], [2, 0], [1.0, 1.0])
+    t = T.Tape()
+    out = t.concat([t.matmul(a, T.constant(np.ones((3, 2)))), t.matmul_nt(b, c),
+                    t.spmm(structure, x), t.spmm_weighted(structure, vals, y)])
+    scale = T.constant(np.tile([[sub], [1.0]], (1, 8)))
+    t.backward(t.sum(t.mul(out, scale)))
+    rows = [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]
+    np.testing.assert_array_equal(a.grad, rows)
+    np.testing.assert_array_equal(b.grad, rows)
+    np.testing.assert_array_equal(c.grad, np.ones((2, 3)))  # 1 + sub rounds to 1
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(y.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(vals.grad, [[0.0], [2.0]])
 
 
 def test_stale_tensor_after_reset_rejected():

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from fusionrec import training as TR
 from fusionrec.tensor import Tape, parameter
 
 from fdcheck import assert_gradients_match
+from oracles import adam_step_whole_arrays
 
 
 def make_data(n_users=8, n_items=20, per_user=5, seed=0):
@@ -227,6 +229,61 @@ def test_adam_in_place_update_matches_reference_formula():
                 np.testing.assert_array_equal(p.data, ref[k])
                 np.testing.assert_array_equal(opt.m[k], m[k])
                 np.testing.assert_array_equal(opt.v[k], v[k])
+
+
+class Params:
+    def __init__(self, tensors):
+        self._tensors = tensors
+
+    def tensors(self):
+        return self._tensors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 15)), min_size=1, max_size=3),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+def test_blocked_adam_equals_whole_array_step_bitwise(shapes, dtype, seed):
+    # ADAM_BLOCK = 12 puts the drawn shapes on both sides of the block size,
+    # and gives rows wider than a block their own block
+    rng = np.random.default_rng(seed)
+    params = [parameter(rng.normal(size=shape), dtype=dtype) for shape in shapes]
+    twins = [parameter(p.data, dtype=dtype) for p in params]
+    m = [np.zeros_like(p.data) for p in params]
+    v = [np.zeros_like(p.data) for p in params]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TR, "ADAM_BLOCK", 12)
+        opt = TR.Adam(Params(params), lr=0.003)
+        for step in range(1, 5):
+            for k, (p, twin) in enumerate(zip(params, twins)):
+                if step == 3 and k == 0:
+                    continue  # a tensor without a gradient keeps its state
+                g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                p.grad, twin.grad = g.astype(dtype), g.astype(dtype)
+            opt.step()
+            adam_step_whole_arrays(twins, m, v, step, lr=0.003)
+            for k, (p, twin) in enumerate(zip(params, twins)):
+                assert p.data.dtype == dtype and p.grad is None
+                assert p.data.tobytes() == twin.data.tobytes()
+                assert opt.m[k].tobytes() == m[k].tobytes()
+                assert opt.v[k].tobytes() == v[k].tobytes()
+
+
+def test_blocked_adam_divergence_raises_after_the_whole_update(monkeypatch):
+    # an entry in the middle block overflows; every block is still updated,
+    # as in the whole-array step, and the error text is the same
+    monkeypatch.setattr(TR, "ADAM_BLOCK", 4)
+    data = np.random.default_rng(2).normal(size=(6, 2)).astype(np.float32)
+    data[3, 0] = 3e38
+    p, twin = parameter(data), parameter(data)
+    p.grad = twin.grad = -np.ones((6, 2), dtype=np.float32)
+    with np.errstate(over="ignore"), pytest.raises(TR.TrainingDivergedError) as got:
+        TR.Adam(Params([p]), lr=1e38).step()
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError) as want:
+        adam_step_whole_arrays([twin], [np.zeros_like(data)], [np.zeros_like(data)],
+                               1, lr=1e38)
+    assert str(got.value) == str(want.value)
+    assert np.isinf(p.data[3, 0])
+    assert p.data.tobytes() == twin.data.tobytes()
 
 
 def test_adam_state_persists():
