@@ -4,14 +4,18 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises immediately instead of letting the value propagate.
-Subnormal gradients are flushed to zero where they enter a product: before
-the rules of matmul, matmul_nt, spmm or spmm_weighted multiply their incoming
-gradient into an operand, each entry of it smaller in magnitude than the
-dtype's smallest normal number is set to zero (flush_subnormals, the
-flush-to-zero policy of CPU deep-learning runtimes). Such an entry adds
-nothing that a normal gradient keeps, but each multiplication by it costs the
-CPU a microcode assist; a BPR pair whose margin passes about 87 has a
-subnormal float32 gradient.
+Subnormal gradients are flushed to zero where they enter matmul: before its
+rules multiply their incoming gradient into an operand, each entry of it
+smaller in magnitude than the dtype's smallest normal number is set to zero
+(flush_subnormals, the flush-to-zero policy of CPU deep-learning runtimes),
+because each multiplication by such an entry costs the CPU a microcode
+assist. A BPR pair whose margin passes about 87 has a subnormal float32
+gradient, and matmul's projection gradient (VBPR, FREEDOM's modality branch)
+is where such gradients were measured to slow training. A flushed entry's
+term in the product is below tiny times the operand entry it multiplies; for
+an operand entry larger than 1 that term may be a normal number, so the flush
+can change a gradient, not only drop what would round away. matmul_nt, spmm,
+spmm_weighted and every other rule take their gradient unflushed.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -280,16 +284,16 @@ def _unbroadcast(g, shape):
 
 class _Node:
     """One recorded primitive: rules[i](g) is the gradient for inputs[i];
-    `product` marks matmul, matmul_nt, spmm and spmm_weighted."""
+    `flush` marks a node whose rules get g through flush_subnormals."""
 
-    __slots__ = ("name", "inputs", "out", "rules", "product")
+    __slots__ = ("name", "inputs", "out", "rules", "flush")
 
-    def __init__(self, name, inputs, out, rules, product):
+    def __init__(self, name, inputs, out, rules, flush):
         self.name = name
         self.inputs = inputs
         self.out = out
         self.rules = rules
-        self.product = product
+        self.flush = flush
 
 
 class Tape:
@@ -314,7 +318,7 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, rules, copies=False, product=False):
+    def _record(self, name, out_arr, inputs, rules, copies=False, flush=False):
         # copies of checked results or leaves (ModelData, optimizer) stay finite
         if not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
@@ -325,7 +329,7 @@ class Tape:
         out._tape = self
         out._gen = self._gen
         out._needs = any(t.needs_grad for t in inputs)
-        self._nodes.append(_Node(name, inputs, out, rules, product))
+        self._nodes.append(_Node(name, inputs, out, rules, flush))
         return out
 
     @property
@@ -343,7 +347,8 @@ class Tape:
         Gradients accumulate additively across uses and across calls on
         fresh tapes; the same tape cannot be replayed twice. A node's rule
         for an input runs only when that input needs a gradient, and the
-        rules of a product get their gradient through flush_subnormals.
+        rules of a `flush` node (matmul) get their gradient through
+        flush_subnormals.
         """
         if self._spent:
             raise TapeError("tape already replayed; reset() before reuse")
@@ -362,7 +367,7 @@ class Tape:
             entry = grads.pop(id(node.out), None)
             if entry is None:
                 continue
-            g_out = flush_subnormals(entry[1]) if node.product else entry[1]
+            g_out = flush_subnormals(entry[1]) if node.flush else entry[1]
             for t, rule in zip(node.inputs, node.rules):
                 if not t.needs_grad:
                     continue
@@ -392,7 +397,7 @@ class Tape:
             out = a.data @ b.data
         ad, bd = a.data, b.data
         return self._record("matmul", out, (a, b),
-                            (lambda g: g @ bd.T, lambda g: ad.T @ g), product=True)
+                            (lambda g: g @ bd.T, lambda g: ad.T @ g), flush=True)
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
@@ -438,7 +443,7 @@ class Tape:
             a_t = structure.csr_t()
             return _csr_product(a_t.indptr, a_t.indices, v[structure.t_perm()], g)
 
-        return self._record(name, out, (vals, x), (grad_vals, grad_x), product=True)
+        return self._record(name, out, (vals, x), (grad_vals, grad_x))
 
     def _binary(self, name, a, b, op, rule_a, rule_b):
         """Record op(a, b) on operands that broadcast against each other.
@@ -575,7 +580,7 @@ class Tape:
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
         return self._record("matmul_nt", out, (a, b),
-                            (lambda g: g @ bd, lambda g: g.T @ ad), product=True)
+                            (lambda g: g @ bd, lambda g: g.T @ ad))
 
     def row_concat(self, tensors) -> Tensor:
         """Stack tensors with equal column counts, top to bottom."""

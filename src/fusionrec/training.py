@@ -149,9 +149,9 @@ ADAM_BLOCK = 32768
 class Adam:
     """Adam with bias correction.
 
-    A parameter of more than ADAM_BLOCK entries is updated a block of whole
-    rows at a time, into two scratch arrays the blocks reuse; a smaller one
-    in one update over the whole array.
+    Each parameter is updated a block of whole rows at a time, of at most
+    ADAM_BLOCK entries or one row when a row is wider, into two scratch
+    arrays the blocks reuse.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -171,34 +171,32 @@ class Adam:
                 continue
             g, m, v = p.grad, self.m[k], self.v[k]
             rows = max(1, ADAM_BLOCK // p.cols)
-            if p.rows <= rows:
-                finite = self._update(p.data, g, m, v, c1, c2)
-            else:
-                step, denom = np.empty((2, rows, p.cols), dtype=p.dtype)
-                finite = True
-                for lo in range(0, p.rows, rows):
-                    hi = min(lo + rows, p.rows)
-                    finite &= self._update(p.data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
-                                           c1, c2, step[:hi - lo], denom[:hi - lo])
+            step = np.empty((min(rows, p.rows), p.cols), dtype=p.dtype)
+            denom = np.empty_like(step)
+            finite = True
+            for lo in range(0, p.rows, rows):
+                hi = min(lo + rows, p.rows)
+                finite &= self._update(p.data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                                       c1, c2, step[:hi - lo], denom[:hi - lo])
             if not finite:
                 raise TrainingDivergedError("parameter became non-finite after Adam step")
             p.zero_grad()
 
-    def _update(self, p, g, m, v, c1, c2, step=None, denom=None):
+    def _update(self, p, g, m, v, c1, c2, step, denom):
         """Update p, m and v in place from g, through the scratch arrays
-        `step` and `denom` when given; returns whether p stayed finite. The
-        float operations and their order are those of
+        `step` and `denom`; returns whether p stayed finite. The float
+        operations and their order are those of
         p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)."""
         b1, b2 = self.beta1, self.beta2
         m *= b1
         m += np.multiply(g, 1 - b1, out=step)
         v *= b2
-        step = np.multiply(g, g, out=step)
+        np.multiply(g, g, out=step)
         step *= 1 - b2
         v += step
-        step = np.divide(m, c1, out=step)
+        np.divide(m, c1, out=step)
         step *= self.lr
-        denom = np.divide(v, c2, out=denom)
+        np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom

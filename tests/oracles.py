@@ -459,22 +459,15 @@ def backward_summing_copies(tape, loss):
             if t.requires_grad}
 
 
-def adam_step_whole_arrays(params, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Adam's t-th step, each array computed whole and out of place: m and
-    v are lists whose entries are replaced, one per parameter, and a
-    parameter without a gradient is skipped. Raises RuntimeError with the
-    optimizer's message once a parameter is non-finite."""
-    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    for k, p in enumerate(params):
-        if p.grad is None:
-            continue
-        g = p.grad
-        m[k] = m[k] * b1 + (1 - b1) * g
-        v[k] = v[k] * b2 + (1 - b2) * (g * g)
-        p.data -= (m[k] / c1) * lr / (np.sqrt(v[k] / c2) + eps)
-        if not np.isfinite(p.data).all():
-            raise RuntimeError("parameter became non-finite after Adam step")
-        p.grad = None
+def adam_reference(m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's update at step `step`, written out of place, m = b1*m +
+    (1-b1)*g and so on: the new m and v and the amount the parameter goes
+    down by."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * (g * g)
+    m_hat = m / (1 - b1 ** step)
+    v_hat = v / (1 - b2 ** step)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ----------------------------------------------------------------- metrics

@@ -194,9 +194,9 @@ def test_vbpr_scaling_one_modality_removes_its_term():
 
 def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise(monkeypatch):
     # every triple's margin is about 95, so its float32 BPR gradient,
-    # about e^-95 / 64, is subnormal; flushing such gradients before the
-    # products leaves every parameter of an Adam step bitwise where the
-    # unflushed tape puts it
+    # about e^-95 / 64, is subnormal; flushing such gradients before matmul
+    # leaves every parameter and Adam moment of a step bitwise where the
+    # unflushed tape puts them
     data = small_data(n_users=12, n_items=16, seed=5)
     rng = np.random.default_rng(2)
     batch = tr.TripleBatch(rng.integers(0, 12, 64), rng.integers(0, 8, 64),
@@ -215,8 +215,9 @@ def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise(monkeypatch):
         model.item_emb.data[:, 0] = np.where(np.arange(16) < 8, 47.5, -47.5)
         tape = T.Tape()
         tape.backward(tr.total_loss(tape, model, batch, None, reg=1e-5))
-        tr.Adam(model.params(), lr=0.01).step()
-        return [t.data for t in model.tensors()]
+        opt = tr.Adam(model.params(), lr=0.01)
+        opt.step()
+        return [t.data for t in model.tensors()] + opt.m + opt.v
 
     got = adam_step(spy)
     assert any(met)

@@ -552,11 +552,11 @@ def test_flush_subnormals_matches_loop(dtype):
     assert T.flush_subnormals(empty) is empty
 
 
-def test_product_rules_flush_subnormal_gradients():
+def test_only_matmul_flushes_subnormal_gradients():
     # every product's output row 0 gets a subnormal gradient, row 1 a
-    # normal one; an operand entry reached only by row 0 gets exactly 0,
-    # where the unflushed product gives a subnormal
-    sub = np.nextafter(np.finfo(np.float32).tiny, 0, dtype=np.float32)
+    # normal one; matmul's operand entry reached only by row 0 gets exactly
+    # 0, while matmul_nt, spmm and spmm_weighted pass the subnormal on
+    sub = np.float32(1e-40)
     a, b, c = (T.parameter(np.ones((2, 3))) for _ in range(3))
     x, y = T.parameter(np.ones((3, 2))), T.parameter(np.ones((3, 2)))
     vals = T.parameter(np.ones((2, 1)))
@@ -566,13 +566,12 @@ def test_product_rules_flush_subnormal_gradients():
                     t.spmm(structure, x), t.spmm_weighted(structure, vals, y)])
     scale = T.constant(np.tile([[sub], [1.0]], (1, 8)))
     t.backward(t.sum(t.mul(out, scale)))
-    rows = [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]
-    np.testing.assert_array_equal(a.grad, rows)
-    np.testing.assert_array_equal(b.grad, rows)
+    np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
+    np.testing.assert_array_equal(b.grad, [[2 * sub] * 3, [2.0, 2.0, 2.0]])
     np.testing.assert_array_equal(c.grad, np.ones((2, 3)))  # 1 + sub rounds to 1
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(y.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(vals.grad, [[0.0], [2.0]])
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [sub, sub]])
+    np.testing.assert_array_equal(y.grad, [[1.0, 1.0], [0.0, 0.0], [sub, sub]])
+    np.testing.assert_array_equal(vals.grad, [[2 * sub], [2.0]])
 
 
 def test_stale_tensor_after_reset_rejected():

@@ -9,7 +9,7 @@ from fusionrec import training as TR
 from fusionrec.tensor import Tape, parameter
 
 from fdcheck import assert_gradients_match
-from oracles import adam_step_whole_arrays
+from oracles import adam_reference
 
 
 def make_data(n_users=8, n_items=20, per_user=5, seed=0):
@@ -168,15 +168,20 @@ def test_all_items_interacted_user_excluded():
 
 # ---------------------------------------------------------------- optimizers
 
+class Params:
+    """A model as the optimizers see it: its parameter tensors."""
+
+    def __init__(self, *tensors):
+        self._tensors = list(tensors)
+
+    def tensors(self):
+        return self._tensors
+
+
 def test_sgd_step():
     p = parameter([[1.0]])
     p.grad = np.array([[0.5]], dtype=np.float32)
-
-    class PS:
-        def tensors(self):
-            return [p]
-
-    TR.SGD(PS(), lr=0.1).step()
+    TR.SGD(Params(p), lr=0.1).step()
     assert p.data[0, 0] == pytest.approx(0.95)
     assert p.grad is None
 
@@ -186,114 +191,65 @@ def test_adam_first_step_magnitude():
     for g in (1.0, 100.0, 1e-4):
         p = parameter([[0.0]])
         p.grad = np.array([[g]], dtype=np.float32)
-
-        class PS:
-            def tensors(self):
-                return [p]
-
-        TR.Adam(PS(), lr=0.01).step()
+        TR.Adam(Params(p), lr=0.01).step()
         assert abs(p.data[0, 0]) == pytest.approx(0.01, rel=1e-3)
         assert np.sign(-p.data[0, 0]) == np.sign(g)
-
-
-def test_adam_in_place_update_matches_reference_formula():
-    # reference: the out-of-place update, m = b1*m + (1-b1)*g and so on
-    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
-    for dtype in (np.float32, np.float64):
-        rng = np.random.default_rng(11)
-        params = [parameter(rng.normal(size=(6, 4)), dtype=dtype),
-                  parameter(rng.normal(size=(1, 3)), dtype=dtype)]
-        ref = [p.data.copy() for p in params]
-        m = [np.zeros_like(r) for r in ref]
-        v = [np.zeros_like(r) for r in ref]
-
-        class PS:
-            def tensors(self):
-                return params
-
-        opt = TR.Adam(PS(), lr=lr)
-        for step in range(1, 9):
-            for k, p in enumerate(params):
-                if step == 4 and k == 1:
-                    continue  # a tensor without a gradient keeps its state
-                g = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
-                p.grad = g
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v[k] = b2 * v[k] + (1 - b2) * (g * g)
-                m_hat = m[k] / (1 - b1 ** step)
-                v_hat = v[k] / (1 - b2 ** step)
-                ref[k] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
-            opt.step()
-            for k, p in enumerate(params):
-                assert p.data.dtype == dtype
-                np.testing.assert_array_equal(p.data, ref[k])
-                np.testing.assert_array_equal(opt.m[k], m[k])
-                np.testing.assert_array_equal(opt.v[k], v[k])
-
-
-class Params:
-    def __init__(self, tensors):
-        self._tensors = tensors
-
-    def tensors(self):
-        return self._tensors
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 15)), min_size=1, max_size=3),
        st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
-def test_blocked_adam_equals_whole_array_step_bitwise(shapes, dtype, seed):
+def test_adam_in_place_update_matches_reference_formula(shapes, dtype, seed):
     # ADAM_BLOCK = 12 puts the drawn shapes on both sides of the block size,
     # and gives rows wider than a block their own block
+    lr = 0.003
     rng = np.random.default_rng(seed)
     params = [parameter(rng.normal(size=shape), dtype=dtype) for shape in shapes]
-    twins = [parameter(p.data, dtype=dtype) for p in params]
-    m = [np.zeros_like(p.data) for p in params]
-    v = [np.zeros_like(p.data) for p in params]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TR, "ADAM_BLOCK", 12)
-        opt = TR.Adam(Params(params), lr=0.003)
-        for step in range(1, 5):
-            for k, (p, twin) in enumerate(zip(params, twins)):
-                if step == 3 and k == 0:
+        opt = TR.Adam(Params(*params), lr=lr)
+        for step in range(1, 9):
+            for k, p in enumerate(params):
+                if step == 4 and k == 0:
                     continue  # a tensor without a gradient keeps its state
-                g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
-                p.grad, twin.grad = g.astype(dtype), g.astype(dtype)
+                g = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+                p.grad = g
+                m[k], v[k], delta = adam_reference(m[k], v[k], g, step, lr)
+                ref[k] -= delta.astype(dtype)
             opt.step()
-            adam_step_whole_arrays(twins, m, v, step, lr=0.003)
-            for k, (p, twin) in enumerate(zip(params, twins)):
+            for k, p in enumerate(params):
                 assert p.data.dtype == dtype and p.grad is None
-                assert p.data.tobytes() == twin.data.tobytes()
+                assert p.data.tobytes() == ref[k].tobytes()
                 assert opt.m[k].tobytes() == m[k].tobytes()
                 assert opt.v[k].tobytes() == v[k].tobytes()
 
 
 def test_blocked_adam_divergence_raises_after_the_whole_update(monkeypatch):
     # an entry in the middle block overflows; every block is still updated,
-    # as in the whole-array step, and the error text is the same
+    # as in the whole-array step, before the error is raised
     monkeypatch.setattr(TR, "ADAM_BLOCK", 4)
     data = np.random.default_rng(2).normal(size=(6, 2)).astype(np.float32)
     data[3, 0] = 3e38
-    p, twin = parameter(data), parameter(data)
-    p.grad = twin.grad = -np.ones((6, 2), dtype=np.float32)
-    with np.errstate(over="ignore"), pytest.raises(TR.TrainingDivergedError) as got:
-        TR.Adam(Params([p]), lr=1e38).step()
-    with np.errstate(over="ignore"), pytest.raises(RuntimeError) as want:
-        adam_step_whole_arrays([twin], [np.zeros_like(data)], [np.zeros_like(data)],
-                               1, lr=1e38)
-    assert str(got.value) == str(want.value)
+    g = -np.ones((6, 2), dtype=np.float32)
+    p = parameter(data)
+    p.grad = g
+    with np.errstate(over="ignore"), pytest.raises(
+            TR.TrainingDivergedError, match="^parameter became non-finite after Adam step$"):
+        TR.Adam(Params(p), lr=1e38).step()
+    zeros = np.zeros_like(data)
+    _, _, delta = adam_reference(zeros, zeros, g, 1, 1e38)
+    with np.errstate(over="ignore"):
+        want = data - delta
     assert np.isinf(p.data[3, 0])
-    assert p.data.tobytes() == twin.data.tobytes()
+    assert p.data.tobytes() == want.tobytes()
 
 
 def test_adam_state_persists():
     p = parameter([[0.0]])
-
-    class PS:
-        def tensors(self):
-            return [p]
-
-    opt = TR.Adam(PS(), lr=0.01)
+    opt = TR.Adam(Params(p), lr=0.01)
     for _ in range(3):
         p.grad = np.array([[1.0]], dtype=np.float32)
         opt.step()
