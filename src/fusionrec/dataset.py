@@ -27,31 +27,21 @@ class InteractionFormatError(ValueError):
     """Malformed interaction line; message names the offending line number."""
 
 
+@dataclass(eq=False)
 class InteractionLog:
-    """Interactions with string ids, held as four columns.
+    """Interactions with string ids, as parse_interactions reads them: four
+    columns with one entry per non-blank line (id lists, float64 ratings,
+    int64 timestamps).
 
-    `InteractionLog(records)` holds (user_id, item_id, rating, timestamp)
-    records as given. The log parse_interactions returns holds every line,
-    and each duplicate (user, item) pair in it counts once: as its record
-    with the latest timestamp (the later line on a tie), at the position of
-    the pair's first line. `records`, len() and index_log all read it so.
+    Each duplicate (user, item) pair counts once: as its record with the
+    latest timestamp (the later line on a tie), at the position of the
+    pair's first line. `records`, len() and index_log all read it so.
     """
 
-    def __init__(self, records):
-        users, items, ratings, stamps = list(zip(*records)) or ((),) * 4
-        self.users, self.items = list(users), list(items)
-        self.ratings = np.array(ratings, dtype=np.float64)
-        self.stamps = np.array(stamps, dtype=np.int64)
-        self.collapse = False
-
-    @classmethod
-    def from_lines(cls, users, items, ratings, stamps):
-        """The log of parsed lines: id lists, float64 ratings, int64
-        timestamps, one entry per line; duplicate pairs collapse."""
-        log = cls(())
-        log.users, log.items, log.ratings, log.stamps = users, items, ratings, stamps
-        log.collapse = True
-        return log
+    users: list
+    items: list
+    ratings: np.ndarray
+    stamps: np.ndarray
 
     @property
     def records(self):
@@ -202,7 +192,7 @@ def parse_interactions(path_or_lines) -> InteractionLog:
     else:
         lines = [line.rstrip("\n").rstrip("\r") for line in path_or_lines]
     try:
-        return InteractionLog.from_lines(*_columns(list(filter(None, lines))))
+        return InteractionLog(*_columns(list(filter(None, lines))))
     except (ValueError, OverflowError):
         raise _first_bad_line(lines) from None
 
@@ -268,9 +258,7 @@ def _indexed(log):
     the lines that stay, in order."""
     user_ids, users = _dense_ids(log.users)
     item_ids, items = _dense_ids(log.items)
-    rows = np.arange(users.size)
-    if log.collapse:
-        rows = _latest_rows(users * len(item_ids) + items, log.stamps)
+    rows = _latest_rows(users * len(item_ids) + items, log.stamps)
     return user_ids, item_ids, np.stack([users, items], axis=1), rows
 
 

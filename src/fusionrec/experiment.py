@@ -5,6 +5,11 @@ feature files live, how to preprocess them, which model to run with
 which trainer and grid, and where artifacts go. Every command is a
 function here; the CLI in cli.py is a thin argument layer over them.
 
+LAYOUT states the file's layout once, for parse_config, config_to_dict
+(so manifest.json) and serialize_config: each key belongs to one section,
+and an unknown section or key is a ConfigError. A key left out takes its
+default, which lives on the dataclasses alone.
+
 Determinism contract: with a fixed config, fixed seeds and threads=1,
 manifest, checkpoint, metrics and report bytes are identical across
 runs. Wall-clock numbers are quarantined in timings.json and trace.tsv
@@ -18,6 +23,7 @@ import os
 import resource
 import string
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -38,7 +44,6 @@ from .models import (
 # unused here; perfbench/spans.py and a test patch train_loop by this name
 from .schema import train_loop  # noqa: F401
 
-DEFAULT_CUTOFFS = (10, 20)
 METRIC_LABELS = {"recall": "Recall", "ndcg": "nDCG", "efd": "EFD",
                  "gini": "Gini", "aplt": "APLT", "icov": "iCov"}
 
@@ -59,7 +64,7 @@ class ExperimentConfig:
     split_seed: int = 0
     grid_lrs: tuple = tr.DEFAULT_GRID_LRS
     grid_regs: tuple = tr.DEFAULT_GRID_REGS
-    cutoffs: tuple = DEFAULT_CUTOFFS
+    cutoffs: tuple = (10, 20)
     out_dir: str = "runs/experiment"
     grid: tr.GridSpec = field(init=False, repr=False, compare=False)
 
@@ -122,34 +127,50 @@ def _format_value(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (tuple, list)):
+    if isinstance(v, list):
         return ", ".join(_format_value(x) for x in v)
     if v is None:
         return "none"
     return str(v)
 
 
-def _parse_typed(text, ftype):
-    text = text.strip()
-    if ftype is bool:
-        if text.lower() not in ("true", "false"):
-            raise ConfigError(f"expected true/false, got {text!r}")
-        return text.lower() == "true"
-    if ftype is int:
-        return int(text)
-    if ftype is float:
-        return float(text)
-    return text
+def _csv(cast):
+    return lambda text: tuple(cast(x) for x in text.split(","))
 
 
-_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
 
 
-def _field_type(f):
-    """Scalar type of a dataclass field, tolerant of string annotations."""
-    if isinstance(f.type, str):
-        return _SCALARS.get(f.type)
-    return f.type if f.type in (int, float, bool, str) else None
+# a dataclass field's parser by its type; the one tuple, modality_weights, may be none
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str,
+            tuple: lambda text: None if text.lower() == "none" else _csv(float)(text)}
+
+
+def _fields_of(cls):
+    """[section] keys of a dataclass: its fields, parsed by their types."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f.name, _PARSERS[hints[f.name]]) for f in fields(cls)}
+
+
+# The INI layout in file order: section -> key -> (field, parser of the
+# text), the field being ExperimentConfig's or, in a _NESTED section, its
+# dataclass's. "features" is no key: [data] holds one feature.<m> per modality.
+_NESTED = {"model": ModelConfig, "trainer": tr.TrainerConfig}
+LAYOUT = {
+    "data": {"interactions": ("interactions", str),
+             "features": ("features", None),
+             "missing": ("missing_policy", str)},
+    "prepare": {"kcore": ("kcore", int), "train_ratio": ("train_ratio", float),
+                "seed": ("split_seed", int)},
+    "model": _fields_of(ModelConfig),
+    "trainer": _fields_of(tr.TrainerConfig),
+    "grid": {"lrs": ("grid_lrs", _csv(float)), "regs": ("grid_regs", _csv(float))},
+    "evaluation": {"cutoffs": ("cutoffs", _csv(int))},
+    "output": {"dir": ("out_dir", str)},
+}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -166,71 +187,38 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The config of INI text laid out as LAYOUT says. A key that is absent
+    takes its dataclass default; an unknown section or key, or a value
+    that does not parse, is a ConfigError naming the section and the key."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config syntax: {exc}") from None
-    for section in ("data", "model"):
-        if section not in cp:
-            raise ConfigError(f"config is missing the [{section}] section")
-    data = cp["data"]
-    if "interactions" not in data:
-        raise ConfigError("[data] needs an interactions path")
-    features = {key.split(".", 1)[1]: value
-                for key, value in data.items() if key.startswith("feature.")}
-
-    def value(section, key, parse, default=None):
-        """[section] key through parse, or default when absent; a value that
-        does not parse is a ConfigError naming the section and the key."""
-        if section not in cp or key not in cp[section]:
-            return default
-        try:
-            return parse(cp[section][key])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-    def csv(cast):
-        return lambda text: tuple(cast(x) for x in text.split(","))
-
-    def weights(text):
-        return None if text.strip().lower() == "none" else csv(float)(text)
-
-    def typed_section(section, cls, **extra):
-        kwargs = dict(extra)
-        known = {f.name: f for f in fields(cls)}
-        for key in cp[section]:
-            if key not in known:
+    given = {"features": {}, **{section: {} for section in _NESTED}}
+    for section in cp.sections():
+        if section not in LAYOUT:
+            raise ConfigError(f"config has unknown section [{section}]")
+        into = given[section] if section in _NESTED else given
+        for key, value in cp[section].items():
+            if section == "data" and key.startswith("feature."):
+                given["features"][key.split(".", 1)[1]] = value
+                continue
+            name, parse = LAYOUT[section].get(key, (None, None))
+            if parse is None:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
-            ftype = _field_type(known[key])
-            kwargs[key] = value(section, key, weights if key == "modality_weights"
-                                else partial(_parse_typed, ftype=ftype) if ftype else str)
+            try:
+                into[name] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if "interactions" not in given:
+        raise ConfigError("[data] needs an interactions path")
+    for section, cls in _NESTED.items():
         try:
-            return cls(**kwargs)
+            given[section] = cls(**given[section])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}]: {exc}") from None
-
-    model = typed_section("model", ModelConfig)
-    trainer = typed_section("trainer", tr.TrainerConfig) if "trainer" in cp \
-        else tr.TrainerConfig()
-
-    try:
-        return ExperimentConfig(
-            interactions=data["interactions"],
-            features=features,
-            model=model,
-            trainer=trainer,
-            missing_policy=data.get("missing", "error"),
-            kcore=value("prepare", "kcore", int, 5),
-            train_ratio=value("prepare", "train_ratio", float, 0.8),
-            split_seed=value("prepare", "seed", int, 0),
-            grid_lrs=value("grid", "lrs", csv(float), tr.DEFAULT_GRID_LRS),
-            grid_regs=value("grid", "regs", csv(float), tr.DEFAULT_GRID_REGS),
-            cutoffs=value("evaluation", "cutoffs", csv(int), DEFAULT_CUTOFFS),
-            out_dir=cp["output"]["dir"] if "output" in cp else "runs/experiment",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**given)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -238,19 +226,21 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
+def _plain(v):
+    """A config value as JSON holds it: tuples as lists, dicts by key."""
+    if isinstance(v, dict):
+        return dict(sorted(v.items()))
+    return list(v) if isinstance(v, tuple) else v
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "data": {"interactions": config.interactions,
-                 "features": dict(sorted(config.features.items())),
-                 "missing": config.missing_policy},
-        "prepare": {"kcore": config.kcore, "train_ratio": config.train_ratio,
-                    "seed": config.split_seed},
-        "model": asdict(config.model),
-        "trainer": asdict(config.trainer),
-        "grid": {"lrs": list(config.grid_lrs), "regs": list(config.grid_regs)},
-        "evaluation": {"cutoffs": list(config.cutoffs)},
-        "output": {"dir": config.out_dir},
-    }
+    """Every LAYOUT section with every key's value, as manifest.json holds it."""
+    body = {}
+    for section, keys in LAYOUT.items():
+        owner = getattr(config, section) if section in _NESTED else config
+        body[section] = {key: _plain(getattr(owner, name))
+                         for key, (name, _) in keys.items()}
+    return body
 
 
 # ------------------------------------------------------------ artifact files

@@ -66,8 +66,8 @@ class ModelConfig:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError(f"blend must be in [0, 1], got {self.blend}")
-        if not 0.0 <= self.prune_ratio <= 1.0:
-            raise ValueError(f"prune_ratio must be in [0, 1], got {self.prune_ratio}")
+        if not 0.0 <= self.prune_ratio < 1.0:  # 1 would drop every train edge
+            raise ValueError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
         if self.mm_weight < 0 or self.inter_weight < 0 or self.intra_weight < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.activation not in ACTIVATIONS:

@@ -45,8 +45,6 @@ class FREEDOM(RecommenderModel):
 
     def _build(self, rng):
         cfg = self.config
-        if cfg.prune_ratio >= 1.0:
-            raise ValueError("prune_ratio=1 would drop every train edge")
         d = cfg.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
         self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))

@@ -171,7 +171,6 @@ class TraceRow:
 
 @dataclass
 class TrainResult:
-    params: ParameterSet
     trace: list
     evals: list  # (epoch, value) pairs, in order
     seconds: float  # wall time of the whole loop
@@ -218,4 +217,4 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
             evals.append((epoch, val))
         trace.append(TraceRow(epoch, epoch_loss / n_batches, val,
                               time.perf_counter() - t0))
-    return TrainResult(params, trace, evals, time.perf_counter() - start)
+    return TrainResult(trace, evals, time.perf_counter() - start)

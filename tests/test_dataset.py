@@ -14,8 +14,9 @@ from oracles import (holdout_loop, index_records_loop, kcore_bruteforce,
 
 
 def make_dataset(pairs):
-    log = D.InteractionLog([(f"u{u}", f"i{i}", 1.0, 0) for u, i in pairs])
-    return D.index_log(log)
+    """Dataset of the pairs as given, duplicates included."""
+    return D.Dataset(*index_records_loop([(f"u{u}", f"i{i}", 1.0, 0)
+                                          for u, i in pairs]))
 
 
 # ---------------------------------------------------------------- parsing
@@ -146,14 +147,6 @@ def test_parse_out_of_range_numbers_return_or_raise_a_format_error(rows):
         D.parse_interactions(["\t".join(row) + "\n" for row in rows])
     except D.InteractionFormatError:
         pass
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(IDS, IDS, st.sampled_from([1.0, 2.5, 0.1]),
-                          st.integers(-3, 3)), max_size=12))
-def test_index_of_given_records_keeps_duplicates(records):
-    ds = D.index_log(D.InteractionLog(records))
-    assert_same_dataset(ds, index_records_loop(records))
 
 
 # ---------------------------------------------------------------- k-core

@@ -4,7 +4,7 @@ import inspect
 import json
 import os
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -210,6 +210,46 @@ def test_malformed_prepare_number_names_its_key(key, text):
     head = "[data]\ninteractions = a\nfeature.visual = b\n[model]\ntag = vbpr\n"
     with pytest.raises(ex.ConfigError, match=rf"^\[prepare\] {key}: "):
         ex.parse_config(head + f"[prepare]\n{key} = {text}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("feature.textual =", "featur.textual =", "[data] has unknown key 'featur.textual'"),
+    ("kcore = 2", "kcores = 2", "[prepare] has unknown key 'kcores'"),
+    ("lrs = ", "lr = ", "[grid] has unknown key 'lr'"),
+    ("cutoffs = ", "cutoff = ", "[evaluation] has unknown key 'cutoff'"),
+    ("[output]\ndir = ", "[output]\ndirectory = ", "[output] has unknown key 'directory'"),
+    ("[evaluation]", "[evalution]", "config has unknown section [evalution]"),
+    ("prune_ratio = 0.8", "prune_ratio = 1.0", "[model]: prune_ratio must be in [0, 1)"),
+], ids=["data", "prepare", "grid", "evaluation", "output", "section", "prune-ratio-one"])
+def test_misspelled_key_or_section_is_a_config_error_before_prepare(
+        corpus, tmp_path, monkeypatch, capsys, old, new, message):
+    monkeypatch.chdir(tmp_path)  # a dropped [output] dir would write under runs/
+    text = ex.serialize_config(base_config(corpus, str(tmp_path / "out")))
+    assert old in text
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text.replace(old, new))
+    with pytest.raises(ex.ConfigError) as err:
+        ex.load_config(str(ini))
+    assert str(err.value).startswith(message)
+    assert main(["--config", str(ini), "prepare"]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("prepared"))
+
+
+def test_output_section_without_dir_takes_the_default(corpus):
+    config = base_config(corpus, "runs/x")
+    text = ex.serialize_config(config).replace("dir = runs/x\n", "")
+    assert "[output]\n" in text and "dir =" not in text
+    default = {f.name: f.default for f in fields(ex.ExperimentConfig)}["out_dir"]
+    assert ex.parse_config(text) == replace(config, out_dir=default)
+
+
+def test_every_config_field_has_one_ini_key():
+    # [model] and [trainer] hold their dataclasses; feature.<m> keys fill features
+    named = [name for section, keys in ex.LAYOUT.items()
+             if section not in ("model", "trainer") for name, _ in keys.values()]
+    init = [f.name for f in fields(ex.ExperimentConfig) if f.init]
+    assert sorted(named + ["model", "trainer"]) == sorted(init)
 
 
 def test_config_validation(corpus):
