@@ -206,6 +206,7 @@ def _topk_exact(scores, k):
 def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     """Top-k item lists per user, as a Ranking.
 
+    Rows may also be items ranked against items, excluding each (i, i).
     score_fn(block) returns a (len(block), n_items) matrix for each block of
     at most TOPK_BLOCK user ids, so no pass holds every user's scores. Each
     block is ranked as it arrives, on a copy in its floating dtype (float64

@@ -86,7 +86,7 @@ class ModelData:
     n_users: int
     n_items: int
     pairs: np.ndarray          # (n, 2) int64 train interactions
-    features: dict             # modality -> (n_items, dim) float matrix
+    features: dict             # modality -> (n_items, dim) finite float matrix
     _graphs: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)  # (modality, k) -> float64 kNN graph
     graph_seconds: float = field(default=0.0, init=False, repr=False,
@@ -109,8 +109,6 @@ class ModelData:
                 raise ValueError(
                     f"{m}: feature rows {f.shape[0]} != n_items {self.n_items}"
                 )
-            if not np.isfinite(f).all():
-                raise ValueError(f"{m}: non-finite feature values")
             self.features[m] = f
 
     @property

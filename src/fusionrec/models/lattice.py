@@ -12,14 +12,18 @@ n x d results with those weights instead of building the merged graph.
 Item id embeddings are propagated this way and the normalized result is
 added back onto the id embedding; users keep plain id embeddings.
 
-The top-k neighbor selection inside the learned graph is a hard,
-non-differentiable choice; `frozen_masks` pins it to a fixed support so
-gradient checks differentiate a fixed function.
+The learned graph is kNN-sparse, as LATTICE defines it: rank_topk picks
+each item's k best off-diagonal cosine neighbors among the projected unit
+rows (ties to the lower id), and only those n * k values are computed on
+the tape, clamped at zero and row-normalized. No n x n array is built.
+The pick is hard and non-differentiable; `frozen_masks` pins it to a
+fixed 0/1 mask so gradient checks differentiate a fixed function.
 """
 
 import numpy as np
 
-from ..evaluation import topk_rows
+from ..dataset import InteractionIndex
+from ..evaluation import rank_topk, topk_rows
 from ..schema import Early, weighted_sum
 from ..tensor import SparseMatrix, constant
 from .base import RecommenderModel, knn_graph
@@ -33,11 +37,10 @@ class LATTICE(RecommenderModel):
 
     def _build(self, rng):
         cfg = self.config
-        d = cfg.embedding_dim
+        d, n = cfg.embedding_dim, self.data.n_items
         self.user_emb = self._param("rho", "user_emb", rng,
                                     (self.data.n_users, d))
-        self.item_emb = self._param("rho", "item_emb", rng,
-                                    (self.data.n_items, d))
+        self.item_emb = self._param("rho", "item_emb", rng, (n, d))
         self.merge_logits = self._param(
             "gamma", "merge_logits", rng, (1, len(self.data.modalities)),
             scale=0.0,
@@ -53,10 +56,15 @@ class LATTICE(RecommenderModel):
         for m in self.data.modalities:
             dim = self.data.features[m].shape[1]
             self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+        # an item is not its own neighbor: rank_topk excludes the (i, i) pairs
+        self.itself = InteractionIndex.from_pairs(n, n, np.repeat(np.arange(n), 2))
+        self.ones = constant(np.ones((n, 1)), dtype=self.dtype)
+        self.floor = constant(np.full((n, 1), ROW_SUM_FLOOR), dtype=self.dtype)
         self.frozen_masks = None
 
     def _topk_mask(self, sims: np.ndarray) -> np.ndarray:
-        """0/1 support of the k best off-diagonal entries per row."""
+        """0/1 support of the k best off-diagonal entries per row: the dense
+        reference that the tests compute and freeze through frozen_masks."""
         scored = sims.copy()
         np.fill_diagonal(scored, -np.inf)
         mask = np.zeros_like(scored)
@@ -64,17 +72,21 @@ class LATTICE(RecommenderModel):
         return mask
 
     def _learned_graph(self, tape, m):
+        """(support, values): modality m's learned kNN support and its
+        row-normalized values, an (nnz, 1) tensor in stored entry order."""
         unit = tape.l2_normalize(tape.matmul(self.feats[m], self.proj[m]))
-        sims = tape.matmul_nt(unit, unit)
+        n, k = self.data.n_items, self.config.knn_k
         if self.frozen_masks is not None:
-            mask = self.frozen_masks[m]
+            support = SparseMatrix.from_dense(self.frozen_masks[m], dtype=self.dtype)
         else:
-            mask = self._topk_mask(sims.data)
-        kept = tape.relu(tape.mul(sims, constant(mask, dtype=self.dtype)))
-        sums = tape.rowsum(kept)
-        floor = constant(np.full((self.data.n_items, 1), ROW_SUM_FLOOR),
-                         dtype=self.dtype)
-        return tape.div(kept, tape.maximum(sums, floor))
+            u = unit.data
+            top = rank_topk(lambda b: u[b] @ u.T, range(n), k, self.itself, n).top
+            support = SparseMatrix((n, n), np.repeat(np.arange(n), k), top.ravel(),
+                                   np.ones(top.size), dtype=self.dtype)
+        kept = tape.relu(tape.rowsum(tape.mul(tape.row_gather(unit, support.rows),
+                                              tape.row_gather(unit, support.cols))))
+        sums = tape.maximum(tape.spmm_weighted(support, kept, self.ones), self.floor)
+        return support, tape.div(kept, tape.row_gather(sums, support.rows))
 
     def _representations(self, tape, train):
         blend, layers = self.config.blend, self.config.item_graph_layers
@@ -89,11 +101,11 @@ class LATTICE(RecommenderModel):
                 if blend >= 1.0:
                     parts.append(tape.spmm(self.initial[m], h))
                 elif blend <= 0.0:
-                    parts.append(tape.matmul(learned[m], h))
+                    parts.append(tape.spmm_weighted(*learned[m], h))
                 else:
                     parts.append(tape.add(
                         tape.scale(tape.spmm(self.initial[m], h), blend),
-                        tape.scale(tape.matmul(learned[m], h), 1.0 - blend),
+                        tape.scale(tape.spmm_weighted(*learned[m], h), 1.0 - blend),
                     ))
             h = weighted_sum(tape, parts, self.merge_logits)
         items = tape.add(self.item_emb, tape.l2_normalize(h))

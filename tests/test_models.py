@@ -88,8 +88,6 @@ def test_model_data_validation():
         ModelData(2, 4, np.array([[0, 5]]), dict(feats))
     with pytest.raises(ValueError, match="rows"):
         ModelData(2, 5, np.array([[0, 1]]), dict(feats))
-    with pytest.raises(ValueError, match="non-finite"):
-        ModelData(2, 4, np.array([[0, 1]]), {"visual": np.full((4, 2), np.nan)})
     with pytest.raises(ValueError, match="modality"):
         ModelData(2, 4, np.array([[0, 1]]), {})
 
@@ -488,16 +486,31 @@ def test_knn_graph_matches_dense_over_strips(seed, n, k, dim, zero_share,
             assert chosen.tolist() == tied[:len(chosen)].tolist(), (i, v)
 
 
-def test_knn_graph_never_holds_an_n_by_n_array():
-    n = 4000
-    feats = np.random.default_rng(5).normal(size=(n, 8))
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
     tracemalloc.start()
     try:
-        knn_graph(feats, 10)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8 / 2
+
+
+def test_knn_graph_never_holds_an_n_by_n_array():
+    # nor does LATTICE's learned graph, in a loss and its backward; the
+    # bound is one n x n float32 array
+    n = 4000
+    feats = np.random.default_rng(5).normal(size=(n, 8))
+    assert traced_peak(lambda: knn_graph(feats, 10)) < n * n * 8 / 2
+    data = small_data(n_users=40, n_items=n, seed=5)
+    model = LATTICE(ModelConfig(tag="lattice", embedding_dim=8), data, seed=5)
+    batch = fixed_batch(data, size=64)
+
+    def loss_and_backward():
+        tape = T.Tape()
+        tape.backward(model.loss(tape, batch, np.random.default_rng(0)))
+
+    assert traced_peak(loss_and_backward) < n * n * 8 / 2
 
 
 def test_knn_graph_holds_one_n_by_dim_array(monkeypatch):
@@ -508,13 +521,7 @@ def test_knn_graph_holds_one_n_by_dim_array(monkeypatch):
     monkeypatch.setattr(base, "TOPK_BLOCK", 64)
     n, dim = 1024, 2048
     feats = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        knn_graph(feats, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * n * dim * 8
+    assert traced_peak(lambda: knn_graph(feats, 10)) < 1.5 * n * dim * 8
 
 
 def test_knn_graph_rejects_large_k():
@@ -554,11 +561,6 @@ def test_lattice_matches_dense_merged_graph_reference(blend, layers):
                       item_graph_layers=layers)
     model = LATTICE(cfg, data, seed=7, dtype=np.float64)
     model.merge_logits.data[:] = [[0.4, -0.3]]
-    model.frozen_masks = {}
-    for m in data.modalities:
-        h = data.features[m] @ model.proj[m].data
-        unit = h / np.linalg.norm(h, axis=1, keepdims=True)
-        model.frozen_masks[m] = model._topk_mask(unit @ unit.T)
     batch = fixed_batch(data, size=16, seed=2)
 
     def first_batch(loss_fn):
@@ -570,17 +572,30 @@ def test_lattice_matches_dense_merged_graph_reference(blend, layers):
         return loss_value, [None if t.grad is None else t.grad.copy()
                             for t in model.tensors()]
 
-    got_loss, got_grads = first_batch(
-        lambda tape: model.loss(tape, batch, np.random.default_rng(0)))
+    def model_batch():
+        return first_batch(
+            lambda tape: model.loss(tape, batch, np.random.default_rng(0)))
+
+    # the support picked live, then the dense reference's mask of the same
+    # projection, frozen
+    live = model_batch()
+    tape = T.Tape()
+    model.frozen_masks = {}
+    for m in data.modalities:
+        unit = tape.l2_normalize(tape.matmul(model.feats[m], model.proj[m])).data
+        model.frozen_masks[m] = model._topk_mask(unit @ unit.T)
+    frozen = model_batch()
+    np.testing.assert_array_equal(live[0], frozen[0])
     ref_loss, ref_grads = first_batch(
         lambda tape: lattice_dense_reference(tape, model, batch))
-    np.testing.assert_allclose(got_loss, ref_loss, rtol=1e-12)
-    assert [g is None for g in got_grads] == [g is None for g in ref_grads]
-    for got, want in zip(got_grads, ref_grads):
-        if want is not None:
-            # entries that cancel to near zero get the floor rtol * largest entry
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
+    for got_loss, got_grads in (live, frozen):
+        np.testing.assert_allclose(got_loss, ref_loss, rtol=1e-12)
+        assert [g is None for g in got_grads] == [g is None for g in ref_grads]
+        for got, want in zip(got_grads, ref_grads):
+            if want is not None:
+                # entries that cancel to near zero get the floor rtol * largest
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 def test_lattice_blend_one_freezes_graph():
@@ -603,7 +618,7 @@ def test_lattice_without_item_graph_layers_builds_no_learned_graph():
     model = LATTICE(cfg, data, seed=5, dtype=np.float64)
     tape = T.Tape()
     model._representations(tape, train=False)
-    assert "matmul_nt" not in [node.name for node in tape._nodes]
+    assert "spmm_weighted" not in [node.name for node in tape._nodes]
     ref = T.Tape()
     want = ref.add(model.item_emb, ref.l2_normalize(model.item_emb)).data
     users, items = model.embed()
