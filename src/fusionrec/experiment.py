@@ -149,10 +149,11 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, str: str,
             tuple: lambda text: None if text.lower() == "none" else _csv(float)(text)}
 
 
-def _fields_of(cls):
-    """[section] keys of a dataclass: its fields, parsed by their types."""
+def _fields_of(cls, skip=()):
+    """[section] keys of a dataclass: its fields but `skip`, parsed by type."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (f.name, _PARSERS[hints[f.name]]) for f in fields(cls)}
+    return {f.name: (f.name, _PARSERS[hints[f.name]]) for f in fields(cls)
+            if f.name not in skip}
 
 
 # The INI layout in file order: section -> key -> (field, parser of the
@@ -166,7 +167,8 @@ LAYOUT = {
     "prepare": {"kcore": ("kcore", int), "train_ratio": ("train_ratio", float),
                 "seed": ("split_seed", int)},
     "model": _fields_of(ModelConfig),
-    "trainer": _fields_of(tr.TrainerConfig),
+    # grid_search sets lr and reg per grid point: [grid] alone states them
+    "trainer": _fields_of(tr.TrainerConfig, skip=("lr", "reg")),
     "grid": {"lrs": ("grid_lrs", _csv(float)), "regs": ("grid_regs", _csv(float))},
     "evaluation": {"cutoffs": ("cutoffs", _csv(int))},
     "output": {"dir": ("out_dir", str)},

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from ..evaluation import TOPK_BLOCK, topk_rows
-from ..tensor import SparseMatrix, Tape, Tensor, constant, parameter, sym_normalize
+from ..tensor import SparseMatrix, Tape, Tensor, constant, parameter
 from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
@@ -144,7 +144,8 @@ def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatr
 def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     """bipartite_adjacency plus, per stored entry, its source pair index.
 
-    Returns (adj, entry_pair); adj.vals are the base values to reweight.
+    Both entries of pair (u, i) hold its pair_weights value. Returns
+    (adj, entry_pair); adj.vals are the base values to reweight.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     m = pairs.shape[0]
@@ -154,9 +155,16 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     rows = np.concatenate([pairs[:, 0], pairs[:, 1] + n_users])
     cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
     order = np.argsort(rows * n + cols)  # SparseMatrix's stored order
-    ones = np.ones(2 * m, dtype=dtype)
-    adj = sym_normalize(SparseMatrix((n, n), rows, cols, ones, dtype=dtype))
+    w = pair_weights(n_users, n_items, pairs)
+    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]), dtype=dtype)
     return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
+
+
+def pair_weights(n_users, n_items, pairs) -> np.ndarray:
+    """Float64 1/sqrt(deg(u) * deg(i)) per int64 pair (u, i), pair degrees."""
+    deg_u = np.bincount(pairs[:, 0], minlength=n_users)
+    deg_i = np.bincount(pairs[:, 1], minlength=n_items)
+    return 1.0 / np.sqrt(deg_u[pairs[:, 0]] * deg_i[pairs[:, 1]])
 
 
 def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
@@ -327,6 +335,17 @@ class RecommenderModel:
     def _param(self, group, name, rng, shape, scale=0.1):
         t = parameter(rng.normal(0.0, scale, size=shape), dtype=self.dtype)
         return self._params.add(group, name, t)
+
+    def _id_embeddings(self, rng):
+        """(user_emb, item_emb), the rho id embeddings, drawn in that order."""
+        d = self.config.embedding_dim
+        return (self._param("rho", "user_emb", rng, (self.data.n_users, d)),
+                self._param("rho", "item_emb", rng, (self.data.n_items, d)))
+
+    def _projection(self, m, rng):
+        """proj_<m>, modality m's (feature width, embedding_dim) mu projection."""
+        shape = (self.data.features[m].shape[1], self.config.embedding_dim)
+        return self._param("mu", f"proj_{m}", rng, shape)
 
     def _split_nodes(self, tape: Tape, h: Tensor):
         """(user rows, item rows) of a stacked (n_users + n_items, d') tensor."""

@@ -27,16 +27,10 @@ class BM3(RecommenderModel):
     fusion = Late("sum")
 
     def _build(self, rng):
-        d = self.config.embedding_dim
-        n_u, n_i = self.data.n_users, self.data.n_items
-        self.adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
-                                       dtype=self.dtype)
-        self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))
-        self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
-        self.proj = {}
-        for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+        self.adj = bipartite_adjacency(self.data.n_users, self.data.n_items,
+                                       self.data.pairs, dtype=self.dtype)
+        self.user_emb, self.item_emb = self._id_embeddings(rng)
+        self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
         self.frozen_views = None
 
     def _representations(self, tape, train):

@@ -27,15 +27,13 @@ from .base import (
     bpr_on_rows,
     item_graph,
     lightgcn_propagate,
+    pair_weights,
 )
 
 
 def edge_keep_probabilities(pairs, n_users, n_items) -> np.ndarray:
     """Normalized keep probabilities, inverse sqrt of endpoint degrees."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    deg_u = np.bincount(pairs[:, 0], minlength=n_users).astype(np.float64)
-    deg_i = np.bincount(pairs[:, 1], minlength=n_items).astype(np.float64)
-    w = 1.0 / np.sqrt(deg_u[pairs[:, 0]] * deg_i[pairs[:, 1]])
+    w = pair_weights(n_users, n_items, np.asarray(pairs, dtype=np.int64))
     return w / w.sum()
 
 
@@ -45,14 +43,9 @@ class FREEDOM(RecommenderModel):
 
     def _build(self, rng):
         cfg = self.config
-        d = cfg.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
-        self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))
-        self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
-        self.proj = {}
-        for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+        self.user_emb, self.item_emb = self._id_embeddings(rng)
+        self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
         self.item_graph = item_graph(self.data, cfg.knn_k, cfg.modality_weights,
                                      self.dtype)
         self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,

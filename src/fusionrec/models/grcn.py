@@ -50,9 +50,8 @@ class GRCN(RecommenderModel):
         self.pref = {}
         self.proj = {}
         for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
             self.pref[m] = self._param("rho", f"pref_{m}", rng, (n_u, d))
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+            self.proj[m] = self._projection(m, rng)
 
     def _project(self, tape):
         """Modality -> projected item features, (n_items, d)."""

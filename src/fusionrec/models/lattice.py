@@ -36,11 +36,8 @@ class LATTICE(RecommenderModel):
     fusion = Early("weighted_sum")
 
     def _build(self, rng):
-        cfg = self.config
-        d, n = cfg.embedding_dim, self.data.n_items
-        self.user_emb = self._param("rho", "user_emb", rng,
-                                    (self.data.n_users, d))
-        self.item_emb = self._param("rho", "item_emb", rng, (n, d))
+        cfg, n = self.config, self.data.n_items
+        self.user_emb, self.item_emb = self._id_embeddings(rng)
         self.merge_logits = self._param(
             "gamma", "merge_logits", rng, (1, len(self.data.modalities)),
             scale=0.0,
@@ -52,10 +49,7 @@ class LATTICE(RecommenderModel):
             g = self.data.modality_graph(m, cfg.knn_k, knn_graph)
             self.initial[m] = SparseMatrix(g.shape, g.rows, g.cols, g.vals,
                                            dtype=self.dtype)
-        self.proj = {}
-        for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+        self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
         # an item is not its own neighbor: rank_topk excludes the (i, i) pairs
         self.itself = InteractionIndex.from_pairs(n, n, np.repeat(np.arange(n), 2))
         self.ones = constant(np.ones((n, 1)), dtype=self.dtype)

@@ -33,8 +33,7 @@ class MMGCN(RecommenderModel):
         self.w1 = {}
         self.w2 = {}
         for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+            self.proj[m] = self._projection(m, rng)
             self.user_emb[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
             if cfg.layers > 0:
                 self.id_emb[m] = self._param("rho", f"id_{m}", rng,

@@ -19,19 +19,16 @@ class VBPR(RecommenderModel):
     fusion = Late("sum")
 
     def _build(self, rng):
-        d = self.config.embedding_dim
-        n_u, n_i = self.data.n_users, self.data.n_items
-        self.user_emb = self._param("rho", "user_emb", rng, (n_u, d))
-        self.item_emb = self._param("rho", "item_emb", rng, (n_i, d))
+        user_shape = (self.data.n_users, self.config.embedding_dim)
+        self.user_emb, self.item_emb = self._id_embeddings(rng)
         self.mod_user = {}
         self.proj = {}
         for m in self.data.modalities:
-            dim = self.data.features[m].shape[1]
-            self.mod_user[m] = self._param("rho", f"user_{m}", rng, (n_u, d))
-            self.proj[m] = self._param("mu", f"proj_{m}", rng, (dim, d))
+            self.mod_user[m] = self._param("rho", f"user_{m}", rng, user_shape)
+            self.proj[m] = self._projection(m, rng)
         if self.config.with_bias:
-            self.item_bias = self._param("rho", "item_bias", rng, (n_i, 1),
-                                         scale=0.0)
+            self.item_bias = self._param("rho", "item_bias", rng,
+                                         (self.data.n_items, 1), scale=0.0)
 
     def _representations(self, tape, train):
         return self._rows(tape, None, None)

@@ -247,23 +247,6 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def sym_normalize(m: SparseMatrix) -> SparseMatrix:
-    """Scale each entry (u, v) by 1/sqrt(deg(u) * deg(v)).
-
-    Degrees are the row and column sums of the matrix. Entries must be
-    nonnegative; rows or columns with zero degree have no entries and stay
-    all-zero.
-    """
-    if m.vals.size and m.vals.min() < 0:
-        raise ValueError("sym_normalize needs nonnegative entries")
-    vals = m.vals.astype(np.float64)
-    row_deg = np.bincount(m.rows, weights=vals, minlength=m.shape[0])
-    col_deg = np.bincount(m.cols, weights=vals, minlength=m.shape[1])
-    scale = 1.0 / np.sqrt(row_deg[m.rows] * col_deg[m.cols])
-    return SparseMatrix(m.shape, m.rows, m.cols, (vals * scale).astype(m.vals.dtype),
-                        dtype=m.vals.dtype)
-
-
 def _check_binary_shapes(name, a, b):
     ra, ca = a.shape
     rb, cb = b.shape

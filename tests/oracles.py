@@ -223,6 +223,30 @@ def user_positives_loop(pairs):
     return dict(pos)
 
 
+# ------------------------------------------------------- user-item graph
+
+def bipartite_adjacency_loop(n_users, n_items, pairs, dtype):
+    """The normalized user-item adjacency entry by entry. Pair p = (u, i)
+    stores 1 at (u, n_users + i) and at (n_users + i, u); each entry (r, c)
+    is then scaled by 1/sqrt(deg(r) * deg(c)), the degrees being the row
+    and column sums. Returns (rows, cols, vals, entry_pair) in (row, col)
+    order, vals computed in float64 and stored in dtype."""
+    entries = []  # (row, col, value, source pair)
+    for p, (u, i) in enumerate(pairs):
+        entries.append((int(u), n_users + int(i), 1.0, p))
+        entries.append((n_users + int(i), int(u), 1.0, p))
+    entries.sort()
+    row_deg, col_deg = defaultdict(float), defaultdict(float)
+    for r, c, v, _ in entries:
+        row_deg[r] += v
+        col_deg[c] += v
+    vals = [v * (1.0 / math.sqrt(row_deg[r] * col_deg[c])) for r, c, v, _ in entries]
+    return (np.array([e[0] for e in entries], dtype=np.int64),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array(vals, dtype=np.float64).astype(dtype),
+            np.array([e[3] for e in entries], dtype=np.int64))
+
+
 # ----------------------------------------------------------------- kNN
 
 def knn_bruteforce(feats, k):

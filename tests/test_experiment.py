@@ -99,9 +99,8 @@ def test_config_roundtrip_is_exact(corpus):
         corpus, "runs/x",
         model=ModelConfig(tag="mmgcn", embedding_dim=16, layers=1,
                           modality_weights=(0.25, 0.75), activation="linear"),
-        trainer=tr.TrainerConfig(epochs=7, batch_size=64, lr=0.0003,
-                                 reg=0.007, optimizer="sgd", seed=3,
-                                 eval_every=2),
+        trainer=tr.TrainerConfig(epochs=7, batch_size=64, optimizer="sgd",
+                                 seed=3, eval_every=2),
         missing_policy="zero_fill",
         kcore=3,
         train_ratio=0.75,
@@ -216,11 +215,13 @@ def test_malformed_prepare_number_names_its_key(key, text):
     ("feature.textual =", "featur.textual =", "[data] has unknown key 'featur.textual'"),
     ("kcore = 2", "kcores = 2", "[prepare] has unknown key 'kcores'"),
     ("lrs = ", "lr = ", "[grid] has unknown key 'lr'"),
+    ("[trainer]\n", "[trainer]\nlr = 0.5\n", "[trainer] has unknown key 'lr'"),
     ("cutoffs = ", "cutoff = ", "[evaluation] has unknown key 'cutoff'"),
     ("[output]\ndir = ", "[output]\ndirectory = ", "[output] has unknown key 'directory'"),
     ("[evaluation]", "[evalution]", "config has unknown section [evalution]"),
     ("prune_ratio = 0.8", "prune_ratio = 1.0", "[model]: prune_ratio must be in [0, 1)"),
-], ids=["data", "prepare", "grid", "evaluation", "output", "section", "prune-ratio-one"])
+], ids=["data", "prepare", "grid", "trainer-lr", "evaluation", "output", "section",
+        "prune-ratio-one"])
 def test_misspelled_key_or_section_is_a_config_error_before_prepare(
         corpus, tmp_path, monkeypatch, capsys, old, new, message):
     monkeypatch.chdir(tmp_path)  # a dropped [output] dir would write under runs/

@@ -1,8 +1,11 @@
-"""Source hygiene checks that need no linter: the standard library's ast only."""
+"""Source hygiene checks that need no linter: the standard library's ast and
+tokenize only."""
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 import fusionrec
 
@@ -233,3 +236,57 @@ def test_partition_check_sees_a_partial_sort(tmp_path):
                     "        return np.partition(y, 1)\n"
                     "    return np.argpartition(x, 1), inner\n")
     assert partition_calls(path) == {(None, 4), ("inner", 8), ("ranked", 9)}
+
+
+# consecutive code lines that are written at most once in the package
+BLOCK_LINES = 4
+
+
+def code_lines(path):
+    """(line number, text) of each code line of a module: blank lines,
+    comments and docstrings dropped, each run of whitespace one space."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col]
+    docs = {line for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for line in range(node.lineno, node.end_lineno + 1)}
+    return [(number, " ".join(line.split()))
+            for number, line in enumerate(lines, start=1)
+            if line.strip() and number not in docs]
+
+
+def repeated_blocks(paths, root):
+    """The places ("path:line", relative to root, at the block's first
+    line) of each BLOCK_LINES consecutive code lines found more than once."""
+    places = {}
+    for path in paths:
+        lines = code_lines(path)
+        for at in range(len(lines) - BLOCK_LINES + 1):
+            block = tuple(text for _, text in lines[at:at + BLOCK_LINES])
+            places.setdefault(block, []).append(
+                f"{path.relative_to(root).as_posix()}:{lines[at][0]}")
+    return {tuple(where) for where in places.values() if len(where) > 1}
+
+
+def test_no_four_line_block_is_written_twice():
+    found = repeated_blocks(sorted(PACKAGE.rglob("*.py")), PACKAGE)
+    assert sorted(found) == []
+
+
+def test_repeated_block_check_sees_a_copy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""One\ntwo\nthree\nfour."""\n'
+        "def f(x):\n    y = x + 1\n    z = y * 2\n    return z\n"
+        "p = 1\nq = 2\nr = 3\n")
+    (tmp_path / "b.py").write_text(
+        "class C:\n    '''One\n    two\n    three\n    four.'''\n"
+        "    def f(x):\n        # a comment\n        y  =  x + 1\n\n"
+        "        z = y * 2  # trailing\n        return z\n"
+        "s = 0\np = 1\nq = 2\nr = 3\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert repeated_blocks(paths, tmp_path) == {("a.py:5", "b.py:6")}

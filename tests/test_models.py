@@ -27,10 +27,12 @@ from fusionrec.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from fusionrec.models.base import bipartite_structure
 from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
 from oracles import (
+    bipartite_adjacency_loop,
     bm3_frozen_views_loop,
     grcn_reference,
     knn_bruteforce,
@@ -146,14 +148,79 @@ def test_feature_constants_share_model_data_arrays():
     assert data.features["visual"].flags.writeable
 
 
+# each model's parameters in the order it allocates them, which is the
+# order of their random draws; small_data's modalities are textual, visual
+MMGCN_BRANCH = ("proj_{m}", "user_{m}", "id_{m}",
+                "w1_{m}_0", "w1_{m}_1", "w2_{m}_0", "w2_{m}_1")
+VBPR_ORDER = ["user_emb", "item_emb", "user_textual", "proj_textual",
+              "user_visual", "proj_visual"]
+ALLOCATION_ORDER = [
+    ({"tag": "vbpr"}, VBPR_ORDER),
+    ({"tag": "vbpr", "with_bias": True}, VBPR_ORDER + ["item_bias"]),
+    ({"tag": "mmgcn"}, [name.format(m=m) for m in ("textual", "visual")
+                        for name in MMGCN_BRANCH]),
+    ({"tag": "grcn"}, ["id_emb", "pref_textual", "proj_textual",
+                       "pref_visual", "proj_visual"]),
+    ({"tag": "lattice"}, ["user_emb", "item_emb", "merge_logits",
+                          "proj_textual", "proj_visual"]),
+    ({"tag": "bm3"}, ["user_emb", "item_emb", "proj_textual", "proj_visual"]),
+    ({"tag": "freedom"}, ["user_emb", "item_emb", "proj_textual",
+                          "proj_visual"]),
+]
+
+
 def test_census_covers_every_tensor_once():
     data = small_data()
-    for tag in CLASSIFICATION:
-        model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2),
+    assert {kw["tag"] for kw, _ in ALLOCATION_ORDER} == set(CLASSIFICATION)
+    for overrides, order in ALLOCATION_ORDER:
+        model = build_model(ModelConfig(embedding_dim=4, knn_k=2, **overrides),
                             data, seed=1)
         census = model.params().census()
         names = [n for g in census.values() for n in g]
         assert len(names) == len(set(names)) == len(model.tensors())
+        assert list(model.params().named()) == order, overrides
+
+
+# ----------------------------------------------------------- user-item graph
+
+def test_bipartite_adjacency_single_edge():
+    adj = bipartite_adjacency(1, 1, np.array([[0, 0]]))
+    assert adj.rows.tolist() == [0, 1] and adj.cols.tolist() == [1, 0]
+    np.testing.assert_allclose(adj.vals, [1.0, 1.0])
+
+
+def test_bipartite_adjacency_star():
+    # user 0 linked to 4 items, undirected
+    adj = bipartite_adjacency(1, 4, np.array([[0, i] for i in range(4)]))
+    np.testing.assert_allclose(adj.vals, np.full(8, 0.5), rtol=1e-6)
+
+
+def test_bipartite_adjacency_isolated_rows_stay_zero():
+    # user 1 and item 1 (node 3) have no pair
+    dense = bipartite_adjacency(2, 2, np.array([[0, 0]])).csr().toarray()
+    assert dense[1].sum() == dense[3].sum() == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 12),
+       n_items=st.integers(1, 12), share=st.sampled_from([0.1, 0.4, 1.0]),
+       spare_users=st.integers(0, 2), spare_items=st.integers(0, 2),
+       dtype=st.sampled_from([np.float32, np.float64]))
+# every pair linked, and unpaired ids past them on both sides
+@example(seed=0, n_users=7, n_items=5, share=1.0, spare_users=2, spare_items=1,
+         dtype=np.float32)
+def test_bipartite_structure_matches_the_oracle_bitwise(
+        seed, n_users, n_items, share, spare_users, spare_items, dtype):
+    rng = np.random.default_rng(seed)
+    linked = rng.random((n_users, n_items)) < share
+    linked.flat[rng.integers(linked.size)] = True  # at least one pair
+    pairs = np.argwhere(linked)[rng.permutation(int(linked.sum()))]
+    n_u, n_i = n_users + spare_users, n_items + spare_items
+    adj, entry_pair = bipartite_structure(n_u, n_i, pairs, dtype)
+    want = bipartite_adjacency_loop(n_u, n_i, pairs, dtype)
+    for got, ref in zip((adj.rows, adj.cols, adj.vals, entry_pair), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert adj.shape == (n_u + n_i, n_u + n_i)
 
 
 # ---------------------------------------------------------------------- vbpr

@@ -338,32 +338,6 @@ def test_spmm_runs_only_its_dense_rule():
     assert ran == [("sum", 0), ("spmm", 1)]
     np.testing.assert_array_equal(x.grad, m.csr_t() @ np.ones((4, 2)))
 
-def test_sym_normalize_single_edge():
-    m = T.SparseMatrix((2, 2), [0, 1], [1, 0], [1.0, 1.0])
-    out = T.sym_normalize(m)
-    np.testing.assert_allclose(out.vals, [1.0, 1.0])
-
-
-def test_sym_normalize_star():
-    # center node 0 linked to 4 leaves, undirected
-    rows = [0, 0, 0, 0, 1, 2, 3, 4]
-    cols = [1, 2, 3, 4, 0, 0, 0, 0]
-    m = T.SparseMatrix((5, 5), rows, cols, np.ones(8))
-    out = T.sym_normalize(m)
-    np.testing.assert_allclose(out.vals, np.full(8, 0.5), rtol=1e-6)
-
-
-def test_sym_normalize_rejects_negative():
-    m = T.SparseMatrix((2, 2), [0], [1], [-1.0])
-    with pytest.raises(ValueError):
-        T.sym_normalize(m)
-
-
-def test_sym_normalize_isolated_rows_stay_zero():
-    m = T.SparseMatrix((3, 3), [0, 1], [1, 0], [1.0, 1.0])
-    out = T.sym_normalize(m)
-    assert out.csr().toarray()[2].sum() == 0.0
-
 
 # ---------------------------------------------------------------- tape
 
