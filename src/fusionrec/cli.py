@@ -75,20 +75,18 @@ def run(args) -> int:
         return 0
     if args.command == "tune":
         split, store = ex.cmd_prepare(config)
-        run_dir = f"{config.out_dir}/{config.model.tag}"
-        best = ex.cmd_tune(config, split, store, threads=args.threads,
-                           run_dir=run_dir)
+        best = ex.cmd_tune(config, split, store, ex.run_dir(config),
+                           threads=args.threads)
         print(f"best lr={best.lr} reg={best.reg} "
               f"recall@20={best.best_value:.4f}")
         return 0
     if args.command == "train":
         ex.run_single(config, threads=args.threads)
-        print(f"run artifacts under {config.out_dir}/{config.model.tag}")
+        print(f"run artifacts under {ex.run_dir(config)}")
         return 0
     if args.command == "evaluate":
         split, store = ex.cmd_prepare(config)
-        run_dir = f"{config.out_dir}/{config.model.tag}"
-        report = ex.cmd_evaluate(config, split, store, run_dir,
+        report = ex.cmd_evaluate(config, split, store, ex.run_dir(config),
                                  threads=args.threads)
         for k in config.cutoffs:
             line = " ".join(f"{m}@{k}={report.get(m, k):.4f}"

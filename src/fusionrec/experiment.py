@@ -406,16 +406,21 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
     return report
 
 
+def run_dir(config: ExperimentConfig) -> str:
+    """The directory of config's model run: out_dir/<model tag>."""
+    return os.path.join(config.out_dir, config.model.tag)
+
+
 def _run_model(config: ExperimentConfig, split, store, threads):
     """tune -> write the winner -> evaluate, one model.
 
     The grid's winning model lives only until this returns, so the next
     model's grid never runs beside it.
     """
-    run_dir = os.path.join(config.out_dir, config.model.tag)
-    chosen = cmd_tune(config, split, store, run_dir, threads=threads)
-    model, _ = cmd_train(config, split, run_dir, chosen)
-    return cmd_evaluate(config, split, store, run_dir, model=model,
+    out = run_dir(config)
+    chosen = cmd_tune(config, split, store, out, threads=threads)
+    model, _ = cmd_train(config, split, out, chosen)
+    return cmd_evaluate(config, split, store, out, model=model,
                         threads=threads)
 
 

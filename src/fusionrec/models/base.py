@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from ..evaluation import TOPK_BLOCK, topk_rows
-from ..tensor import SparseMatrix, Tape, Tensor, constant, parameter
+from ..tensor import SparseMatrix, Tape, Tensor, constant, entry_order, parameter
 from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
@@ -154,10 +154,10 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     n = n_users + n_items
     rows = np.concatenate([pairs[:, 0], pairs[:, 1] + n_users])
     cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
-    order = np.argsort(rows * n + cols)  # SparseMatrix's stored order
+    order = entry_order((n, n), rows, cols)[1]  # SparseMatrix's stored order
     w = pair_weights(n_users, n_items, pairs)
     adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]), dtype=dtype)
-    return adj, np.concatenate([np.arange(m), np.arange(m)])[order]
+    return adj, order % m  # positions p and m + p hold pair p
 
 
 def pair_weights(n_users, n_items, pairs) -> np.ndarray:

@@ -28,9 +28,9 @@ Each family of primitives records through one private body: _binary serves
 add, sub, mul, div and maximum, and _spmm serves spmm_weighted and spmm,
 whose values are the matrix's stored ones as a constant. Every sparse
 product and every scatter is one call into scipy's compiled CSR product
-kernel: _spmm runs on a SparseMatrix's cached CSR views in both directions,
-and row_gather's backward on a CSR of its indices. Each output row adds its
-terms in CSR data order, which is the order of the stored entries.
+kernel, on layouts from one counting sort, _bucket: a SparseMatrix is its
+own CSR, and row_gather's backward buckets its indices by row. Each output
+row adds its terms in CSR data order, which is the order of the stored entries.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 # scipy's compiled sparse kernels (a private module): csr_matvecs runs
-# csr_matrix @ dense and coo_tocsr the COO to CSR conversion; calling them
-# directly skips the per-call csr_matrix build, checks and dispatch
+# csr_matrix @ dense and coo_tocsr the COO to CSR conversion's counting
+# sort; calling them directly skips the csr_matrix build, checks and dispatch
 from scipy.sparse import _sparsetools
 
 
@@ -166,23 +166,42 @@ def _sigmoid(x):
     return out
 
 
+def _bucket(keys, n_buckets):
+    """(indptr, order): order[indptr[b]:indptr[b + 1]] are the positions of
+    int64 key b in [0, n_buckets), ascending, by scipy's COO to CSR sort."""
+    m = keys.size
+    positions = np.arange(m, dtype=np.int64)
+    indptr, order = np.empty(n_buckets + 1, dtype=np.int64), np.empty_like(positions)
+    _sparsetools.coo_tocsr(n_buckets, m, m, keys, positions, positions,
+                           indptr, order, np.empty_like(positions))
+    return indptr, order
+
+
+def entry_order(shape, rows, cols):
+    """(indptr, order): int64 coordinates stably sorted by (row, col), two
+    _bucket passes; indptr is the CSR row pointer of rows[order]."""
+    if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
+                      or cols.min() < 0 or cols.max() >= shape[1]):
+        raise ValueError("sparse coordinate out of bounds")
+    by_col = _bucket(cols, shape[1])[1]
+    indptr, by_row = _bucket(rows[by_col], shape[0])
+    return indptr, by_col[by_row]
+
+
 # stored entries per block of spmm_weighted's value gradient
 VALUE_GRAD_BLOCK = 1024
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in coordinate form.
+    """Immutable sparse matrix in CSR form.
 
-    Triples are stored sorted lexicographically by (row, col) with unique
-    coordinates; values may be any finite float. Every product with the
-    matrix goes through two cached CSR views: csr() for the matrix and
-    csr_t() for its transpose. scipy's conversion keeps the given order
-    within a row, so the stored (row, col) order is the CSR data order:
-    csr().data is `vals` as stored and csr_t().data is vals[t_perm()], and
-    live per-entry values can reuse either structure.
+    Triples are stored in entry_order, by (row, col), with unique
+    coordinates; values may be any finite float. (indptr, cols, vals) is the
+    matrix's CSR, its data order the stored order, and transpose() the CSR
+    of its transpose, so live per-entry values can reuse either structure.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals", "_csr_cache", "_t_cache")
+    __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_transpose")
 
     def __init__(self, shape, rows, cols, vals, dtype=np.float32):
         n, m = int(shape[0]), int(shape[1])
@@ -193,23 +212,17 @@ class SparseMatrix:
         vals = np.asarray(vals, dtype=dtype)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, vals must be equal-length 1-D arrays")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
-                raise ValueError("sparse coordinate out of bounds")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate sparse coordinate ({rows[k]}, {cols[k]})")
+        indptr, order = entry_order((n, m), rows, cols)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if same.any():
+            k = int(np.flatnonzero(same)[0])
+            raise ValueError(f"duplicate sparse coordinate ({rows[k]}, {cols[k]})")
         if not np.isfinite(vals).all():
             raise NonFiniteError("sparse values must be finite")
         self.shape = (n, m)
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._csr_cache = None
-        self._t_cache = None
+        self.rows, self.cols, self.vals, self.indptr = rows, cols, vals, indptr
+        self._transpose = None
 
     @classmethod
     def from_dense(cls, arr, dtype=np.float32):
@@ -222,26 +235,17 @@ class SparseMatrix:
         return int(self.vals.size)
 
     def csr(self):
-        if self._csr_cache is None:
-            self._csr_cache = scipy.sparse.csr_matrix(
-                (self.vals, (self.rows, self.cols)), shape=self.shape
-            )
-        return self._csr_cache
+        """A scipy csr_matrix over the stored arrays, built on each call."""
+        return scipy.sparse.csr_matrix((self.vals, self.cols, self.indptr),
+                                       shape=self.shape)
 
-    def csr_t(self):
-        """CSR view of the transpose; its data is vals[t_perm()]."""
-        if self._t_cache is None:
-            shape_t = (self.shape[1], self.shape[0])
-            self._t_cache = (
-                scipy.sparse.csr_matrix((self.vals, (self.cols, self.rows)), shape=shape_t),
-                np.argsort(self.cols, kind="stable"),
-            )
-        return self._t_cache[0]
-
-    def t_perm(self):
-        """Order of the stored entries in csr_t()'s data."""
-        self.csr_t()
-        return self._t_cache[1]
+    def transpose(self):
+        """(indptr, indices, perm), cached: the CSR of the transpose, data
+        vals[perm]; row c holds column c's stored entries in stored order."""
+        if self._transpose is None:
+            indptr, perm = _bucket(self.cols, self.shape[1])
+            self._transpose = (indptr, self.rows[perm], perm)
+        return self._transpose
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -385,7 +389,7 @@ class Tape:
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
         spmm_weighted's product with m.vals as constant values, so forward
-        runs on m.csr() and backward on m.csr_t(), in the dense dtype."""
+        runs on m's CSR and backward on m.transpose(), in the dense dtype."""
         vals = constant(m.vals[:, None], dtype=m.vals.dtype)
         return self._spmm("spmm", m, vals, x)
 
@@ -397,10 +401,10 @@ class Tape:
 
     def _spmm(self, name, structure, vals, x):
         """structure @ x with live values. Row i of `vals` is the i-th stored
-        (row, col) entry, which is also csr()'s i-th data entry, so the product
-        runs on csr() and the dense operand's gradient on csr_t() with
-        vals[t_perm()]. The value gradient runs VALUE_GRAD_BLOCK entries at a
-        time, so it never holds an nnz x width array."""
+        (row, col) entry, which is also the CSR's i-th data entry, so the
+        product runs on (indptr, cols) and the dense operand's gradient on
+        transpose() with vals[perm]. The value gradient runs VALUE_GRAD_BLOCK
+        entries at a time, so it never holds an nnz x width array."""
         self._check_operand(vals)
         self._check_operand(x)
         if vals.shape != (structure.nnz, 1):
@@ -411,8 +415,7 @@ class Tape:
             raise ValueError(f"{name}: inner dims differ, {structure.shape} x {x.shape}")
         v = vals.data[:, 0]
         xd = x.data
-        a = structure.csr()
-        out = _csr_product(a.indptr, a.indices, v, xd)
+        out = _csr_product(structure.indptr, structure.cols, v, xd)
 
         def grad_vals(g):
             rows, cols = structure.rows, structure.cols
@@ -423,8 +426,8 @@ class Tape:
             return gv
 
         def grad_x(g):
-            a_t = structure.csr_t()
-            return _csr_product(a_t.indptr, a_t.indices, v[structure.t_perm()], g)
+            indptr, indices, perm = structure.transpose()
+            return _csr_product(indptr, indices, v[perm], g)
 
         return self._record(name, out, (vals, x), (grad_vals, grad_x))
 
@@ -579,16 +582,9 @@ class Tape:
         n = a.rows
 
         def rule(g):
-            # the scatter matrix (n, m) with a one at (idx[j], j), by scipy's
-            # counting-sort COO to CSR conversion: row r holds r's positions
-            # in idx, ascending
-            m = idx.size
-            indptr = np.empty(n + 1, dtype=np.int64)
-            positions = np.empty(m, dtype=np.int64)
-            ones = np.empty(m, dtype=g.dtype)
-            _sparsetools.coo_tocsr(n, m, m, idx, np.arange(m, dtype=np.int64),
-                                   np.ones(m, dtype=g.dtype), indptr, positions, ones)
-            return _csr_product(indptr, positions, ones, g)
+            # the (n, m) scatter matrix with a one at (idx[j], j), by row
+            indptr, positions = _bucket(idx, n)
+            return _csr_product(indptr, positions, np.ones(idx.size, dtype=g.dtype), g)
 
         return self._record("row_gather", out, (a,), (rule,), copies=True)
 

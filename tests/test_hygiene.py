@@ -191,37 +191,45 @@ def test_densifying_check_sees_a_conversion(tmp_path):
     assert densifying_calls(path) == {(2, "toarray"), (4, "todense"), (6, "toarray")}
 
 
+def calls(path, names, owners=None):
+    """(qualified name of the innermost enclosing function or None, line,
+    name) of every call to a function named in `names`, bare or as an
+    attribute. With `owners`, only attribute calls on one of those names
+    count: str.partition shares np.partition's name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, scope, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), func)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                visit(child, inner, ".".join(inner))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and f.attr in names and (
+                        owners is None
+                        or isinstance(f.value, ast.Name) and f.value.id in owners):
+                    found.add((func, child.lineno, f.attr))
+                elif isinstance(f, ast.Name) and f.id in names and owners is None:
+                    found.add((func, child.lineno, f.id))
+            visit(child, scope, func)
+
+    visit(tree, (), None)
+    return found
+
+
 # numpy's partial sorts, allowed only in the one top-k path (module, function)
 PARTITIONING = ("partition", "argpartition")
 TOPK_HELPERS = {("evaluation", "topk_rows"), ("evaluation", "_topk_exact")}
 
 
-def partition_calls(path):
-    """(innermost enclosing function or None, line) of every call to
-    np.partition, np.argpartition or their numpy.* spelling; str.partition
-    shares the name and is not counted."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = set()
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in PARTITIONING
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in ("np", "numpy")):
-                found.add((func, child.lineno))
-            visit(child, func)
-
-    visit(tree, None)
-    return found
-
-
 def test_only_the_topk_helpers_partition():
     found = {(mod, func) for mod, path in modules()
-             for func, _ in partition_calls(path)}
+             for func, _, _ in calls(path, PARTITIONING, owners=("np", "numpy"))}
     assert sorted(found - TOPK_HELPERS, key=str) == []
 
 
@@ -235,7 +243,42 @@ def test_partition_check_sees_a_partial_sort(tmp_path):
                     "    def inner(y):\n"
                     "        return np.partition(y, 1)\n"
                     "    return np.argpartition(x, 1), inner\n")
-    assert partition_calls(path) == {(None, 4), ("inner", 8), ("ranked", 9)}
+    assert calls(path, PARTITIONING, owners=("np", "numpy")) == {
+        (None, 4, "argpartition"), ("ranked.inner", 8, "partition"),
+        ("ranked", 9, "argpartition")}
+
+
+# sparse layouts: scipy's COO to CSR sort runs only in tensor._bucket, and
+# tensor.py neither lexsorts nor builds a csr_matrix outside SparseMatrix.csr
+LAYOUT_SORT = {("tensor", "_bucket")}
+TENSOR_LAYOUT = {("SparseMatrix.csr", "csr_matrix")}
+
+
+def test_every_sparse_layout_comes_from_the_bucket_helper():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in calls(path, ("coo_tocsr",))}
+    assert sorted(found - LAYOUT_SORT, key=str) == []
+    found = {(func, name) for func, _, name
+             in calls(PACKAGE / "tensor.py", ("lexsort", "csr_matrix"))}
+    assert sorted(found - TENSOR_LAYOUT, key=str) == []
+
+
+def test_layout_check_sees_a_sort_and_a_conversion(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: np.lexsort(k)."""\n'
+                    "from scipy.sparse import csr_matrix\n"
+                    "def _bucket(k):\n"
+                    "    return _sparsetools.coo_tocsr(k)\n"
+                    "class SparseMatrix:\n"
+                    "    def csr(self):\n"
+                    "        return scipy.sparse.csr_matrix(self)\n"
+                    "    def other(self):\n"
+                    "        return csr_matrix(np.lexsort(self))\n"
+                    "order = coo_tocsr(1)\n")
+    assert calls(path, ("coo_tocsr", "lexsort", "csr_matrix")) == {
+        ("_bucket", 4, "coo_tocsr"), ("SparseMatrix.csr", 7, "csr_matrix"),
+        ("SparseMatrix.other", 9, "csr_matrix"), ("SparseMatrix.other", 9, "lexsort"),
+        (None, 10, "coo_tocsr")}
 
 
 # consecutive code lines that are written at most once in the package

@@ -201,6 +201,11 @@ def test_bipartite_adjacency_isolated_rows_stay_zero():
     assert dense[1].sum() == dense[3].sum() == 0.0
 
 
+def test_bipartite_structure_rejects_an_out_of_range_item():
+    with pytest.raises(ValueError, match="out of bounds"):
+        bipartite_structure(2, 2, np.array([[0, 0], [1, 2]]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 12),
        n_items=st.integers(1, 12), share=st.sampled_from([0.1, 0.4, 1.0]),

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusionrec import tensor as T
 
 from fdcheck import assert_gradients_match
-from oracles import backward_summing_copies, flush_subnormals_loop
+from oracles import backward_summing_copies, flush_subnormals_loop, sparse_layout_lexsort
 
 
 def p64(arr):
@@ -131,6 +131,50 @@ def test_sparse_sorted_and_unique():
 def test_sparse_out_of_bounds():
     with pytest.raises(ValueError):
         T.SparseMatrix((2, 2), [2], [0], [1.0])
+    # checked before the counting sort, which would write out of bounds
+    for rows, cols in (([0, 1], [-1, 0]), ([0, 2], [1, 1]), ([0], [2])):
+        with pytest.raises(ValueError, match="out of bounds"):
+            T.entry_order((2, 2), np.array(rows), np.array(cols))
+
+
+@st.composite
+def coo_entries(draw):
+    """(shape, unique (row, col) coordinates in any order, values), zeros
+    among the values."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    coords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                           unique=True, max_size=n * m))
+    vals = draw(st.lists(st.sampled_from([0.0, -2.5]) | st.floats(-1e3, 1e3),
+                         min_size=len(coords), max_size=len(coords)))
+    return (n, m), coords, vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(coo_entries(), st.sampled_from([np.float32, np.float64]), st.booleans())
+@example(((4, 6), [(3, 5), (0, 2), (3, 0), (0, 5)], [0.0, 1.5, -2.0, 3.25]),
+         np.float32, False)  # rows 1-2 and columns 1, 3, 4 empty, a zero stored
+@example(((3, 2), [], []), np.float64, False)
+@example(((2, 5), [(1, 4), (1, 0), (0, 3)], [0.5, 0.0, -1.0]), np.float64, True)
+def test_sparse_layout_equals_lexsort_oracle(entries, dtype, dense):
+    # the counting-sort layout is np.lexsort's order and scipy's CSR
+    shape, coords, vals = entries
+    rows = np.array([r for r, _ in coords], dtype=np.int64)
+    cols = np.array([c for _, c in coords], dtype=np.int64)
+    if dense:
+        arr = np.zeros(shape)
+        arr[rows, cols] = vals
+        m = T.SparseMatrix.from_dense(arr, dtype=dtype)
+        rows, cols = np.nonzero(arr)
+        vals = arr[rows, cols]
+    else:
+        m = T.SparseMatrix(shape, rows, cols, vals, dtype=dtype)
+    want_rows, want_cols, want_vals, want_indptr, want_t = \
+        sparse_layout_lexsort(shape, rows, cols, vals, dtype)
+    assert m.vals.dtype == dtype and m.vals.tobytes() == want_vals.tobytes()
+    for got, want in zip((m.rows, m.cols, m.indptr, *m.transpose()),
+                         (want_rows, want_cols, want_indptr, *want_t)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_spmm_hand_value():
@@ -303,10 +347,15 @@ def _reordering_matrix(dtype):
                           [0.3, -1.7, 2.5, 0.9, 1.1], dtype=dtype)
 
 
+def _transpose_csr(m):
+    indptr, indices, perm = m.transpose()
+    return scipy.sparse.csr_matrix((m.vals[perm], indices, indptr), shape=m.shape[::-1])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     m = _reordering_matrix(dtype)
-    assert not np.array_equal(m.t_perm(), np.arange(m.nnz))
+    assert not np.array_equal(m.transpose()[2], np.arange(m.nnz))
     rng = np.random.default_rng(3)
     xd = rng.standard_normal((3, 4)).astype(dtype)
     g = T.constant(rng.standard_normal((4, 4)), dtype=dtype)
@@ -324,8 +373,8 @@ def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     assert not out[1].any()
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(grad, want_grad)
-    # and the transposed product on csr_t()'s own data
-    np.testing.assert_array_equal(grad, m.csr_t() @ g.data)
+    # and the transposed product on transpose()'s own CSR
+    np.testing.assert_array_equal(grad, _transpose_csr(m) @ g.data)
 
 
 def test_spmm_runs_only_its_dense_rule():
@@ -336,7 +385,7 @@ def test_spmm_runs_only_its_dense_rule():
     ran = spy_on_rules(t)
     t.backward(loss)
     assert ran == [("sum", 0), ("spmm", 1)]
-    np.testing.assert_array_equal(x.grad, m.csr_t() @ np.ones((4, 2)))
+    np.testing.assert_array_equal(x.grad, _transpose_csr(m) @ np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------- tape
