@@ -110,6 +110,24 @@ class Ranking(Mapping):
     def row_of(self):
         return dict(zip(self.users.tolist(), range(len(self.users))))
 
+    @cached_property
+    def _by_user(self):
+        order = np.argsort(self.users, kind="stable")
+        return self.users[order], order
+
+    def rows_of(self, users):
+        """The row of each of the integer array users, as row_of gives it
+        (a user listed twice has its last row); KeyError for a user not
+        ranked."""
+        keys, order = self._by_user
+        # at is the last key <= each user; -1, below every key, reads
+        # keys[-1], which is then above the user
+        at = np.searchsorted(keys, users, side="right") - 1
+        found = keys[at] == users if keys.size else np.zeros(len(users), bool)
+        if not found.all():
+            raise KeyError(users[np.flatnonzero(~found)[0]])
+        return order[at]
+
     def __getitem__(self, user):
         return self.top[self.row_of[user]].tolist()
 
@@ -209,15 +227,18 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     Rows may also be items ranked against items, excluding each (i, i).
     score_fn(block) returns a (len(block), n_items) matrix for each block of
     at most TOPK_BLOCK user ids, so no pass holds every user's scores. Each
-    block is ranked as it arrives, on a copy in its floating dtype (float64
-    for integers, so -inf fits), with the items of each user in `exclude`, an
-    InteractionIndex of train items, at -inf. Ties break by ascending item
-    id. k must not exceed the smallest candidate set. A NaN score of a
+    block is ranked as it arrives, in place: the items of each user in
+    `exclude`, an InteractionIndex of train items, are saved and set to -inf,
+    and are restored before rank_topk returns or raises, so score_fn's array
+    ends as it was handed over. Only an integer block (ranked as float64, so
+    -inf fits) or a read-only one is copied first. Ties break by ascending
+    item id. k must not exceed the smallest candidate set. A NaN score of a
     candidate is a ValueError that names its row in the block, and so is a
     -inf score that reaches a user's top-k, where it would tie with the
-    excluded items; that one names the user. threads > 1
-    scores and ranks the blocks on a thread pool. The Ranking's scores are
-    score_fn's entries, in its dtype.
+    excluded items; that one names the user. threads > 1 scores and ranks
+    the blocks on a thread pool, so score_fn must not hand two blocks views
+    of the same entries. The Ranking's scores are score_fn's entries, in its
+    dtype.
     """
     ids = np.fromiter(users, dtype=np.int64)
     if not ids.size:
@@ -233,17 +254,24 @@ def rank_topk(score_fn, users, k, exclude, n_items, threads=1):
     def rank_block(lo):
         block = ids[lo:lo + TOPK_BLOCK]
         scores = np.asarray(score_fn(block))
-        dtype = scores.dtype if np.issubdtype(scores.dtype, np.floating) else np.float64
-        masked = scores.astype(dtype)
-        masked[exclude.items_of(block)] = -np.inf
-        top = topk_rows(masked, k)
-        # rows rank best first, so a -inf in the top-k is in its last column
-        lowest = np.take_along_axis(masked, top[:, -1:], axis=1)[:, 0]
-        if np.isneginf(lowest).any():
-            user = block[np.flatnonzero(np.isneginf(lowest))[0]]
-            raise ValueError(f"user {user} has a candidate scored -inf in its "
-                             f"top-{k}, where it ties with the excluded items")
-        return top, np.take_along_axis(scores, top, axis=1)
+        floating = np.issubdtype(scores.dtype, np.floating)
+        masked = scores if floating and scores.flags.writeable else \
+            scores.astype(scores.dtype if floating else np.float64)
+        excluded = exclude.items_of(block)
+        saved = masked[excluded]
+        masked[excluded] = -np.inf
+        try:
+            top = topk_rows(masked, k)
+            # rows rank best first, so a -inf in the top-k is in its last column
+            lowest = np.take_along_axis(masked, top[:, -1:], axis=1)[:, 0]
+            if np.isneginf(lowest).any():
+                user = block[np.flatnonzero(np.isneginf(lowest))[0]]
+                raise ValueError(f"user {user} has a candidate scored -inf in its "
+                                 f"top-{k}, where it ties with the excluded items")
+            # no excluded item is in the top-k, so these are score_fn's entries
+            return top, np.take_along_axis(scores, top, axis=1)
+        finally:
+            masked[excluded] = saved
 
     starts = range(0, len(ids), TOPK_BLOCK)
     if threads > 1:
@@ -263,7 +291,7 @@ def _judged(recs, relevant, k):
         return Judged(relevant.hits[:, :k], relevant.items[:, :k], relevant.n_rel)
     if isinstance(relevant, Relevance):
         users, index = relevant.users, relevant.index
-        items = recs.top[[recs.row_of[u] for u in users.tolist()], :k]
+        items = recs.top[recs.rows_of(users), :k]
         return Judged(index.contains(users[:, None], items), items,
                       index.degrees[users])
     users = [u for u, rel in relevant.items() if rel]

@@ -305,6 +305,50 @@ def test_rank_topk_never_recommends_an_excluded_item_past_a_neg_inf_score():
     assert recs == {0: [2]}
 
 
+def own_rows(matrix):
+    """A scorer that hands over rows of its own array, as views."""
+    return lambda users: matrix[users[0]:users[-1] + 1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "scores row 1 holds NaN"),
+    (-np.inf, "user 1 has a candidate scored -inf"),
+])
+def test_rank_topk_restores_the_scorers_array_when_it_raises(bad, message):
+    # rank_topk masks the scorer's own writeable block in place; the
+    # excluded entries, distinct values and a NaN among them, come back
+    n_users, n_items = E.TOPK_BLOCK + 2, 6
+    scores = np.random.default_rng(2).standard_normal((n_users, n_items))
+    scores[:, 0] = np.nan
+    scores[1, 1:] = bad  # user 1 ranks two of these, in block 0
+    train = index(n_users, n_items, [(u, i) for u in range(n_users)
+                                     for i in (0, 4, 5)])
+    original = scores.copy()
+    with pytest.raises(ValueError, match=message):
+        E.rank_topk(own_rows(scores), range(n_users), 2, train, n_items)
+    assert scores.tobytes() == original.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["integer", "read-only"])
+def test_rank_topk_copies_integer_and_read_only_blocks(kind):
+    rng = np.random.default_rng(4)
+    n_users, n_items = 2 * E.TOPK_BLOCK + 7, 30
+    scores = rng.integers(-4, 4, size=(n_users, n_items))
+    if kind == "read-only":
+        scores = scores.astype(np.float32)
+        scores.flags.writeable = False
+    original = scores.copy()
+    pairs = np.stack([rng.integers(0, n_users, 900), rng.integers(0, n_items, 900)], 1)
+    train = index(n_users, n_items, pairs)
+    got = E.rank_topk(own_rows(scores), range(n_users), 5, train, n_items, threads=2)
+    want = E.rank_topk(lambda us: scores[us].astype(np.float64), range(n_users), 5,
+                       train, n_items)
+    np.testing.assert_array_equal(got.top, want.top)
+    assert got.scores.dtype == scores.dtype
+    np.testing.assert_array_equal(got.scores, want.scores)
+    assert scores.tobytes() == original.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 40),
        n_items=st.integers(1, 20), levels=st.integers(1, 5),
@@ -644,3 +688,19 @@ def test_rank_topk_holds_one_masked_copy_and_one_mask_per_block():
         tracemalloc.stop()
     assert ranking.top.shape == (n_users, 20)
     assert peak < 2.5 * block
+
+
+def test_rank_topk_masks_a_fresh_block_in_place():
+    # beyond the scorer's own float32 block: the boolean mask of the
+    # threshold stage (a quarter of a block) and small arrays; a masked
+    # copy would add another block
+    from test_models import traced_peak
+
+    n_users, n_items = 3 * E.TOPK_BLOCK, 4001
+    rng = np.random.default_rng(10)
+    u, i = (rng.standard_normal((n, 8)).astype(np.float32)
+            for n in (n_users, n_items))
+    train = index(n_users, n_items, [(x, 5 * x % n_items) for x in range(n_users)])
+    block = E.TOPK_BLOCK * n_items * u.itemsize
+    assert traced_peak(lambda: E.rank_topk(lambda us: u[us] @ i.T, range(n_users),
+                                           20, train, n_items)) < 1.75 * block
