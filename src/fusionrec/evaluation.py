@@ -110,16 +110,12 @@ class Ranking(Mapping):
     def row_of(self):
         return dict(zip(self.users.tolist(), range(len(self.users))))
 
-    @cached_property
-    def _by_user(self):
-        order = np.argsort(self.users, kind="stable")
-        return self.users[order], order
-
     def rows_of(self, users):
         """The row of each of the integer array users, as row_of gives it
         (a user listed twice has its last row); KeyError for a user not
         ranked."""
-        keys, order = self._by_user
+        order = np.argsort(self.users, kind="stable")
+        keys = self.users[order]
         # at is the last key <= each user; -1, below every key, reads
         # keys[-1], which is then above the user
         at = np.searchsorted(keys, users, side="right") - 1

@@ -629,6 +629,22 @@ def test_gini_property_random(seed):
     assert 0.0 <= got <= 1.0
 
 
+def test_judged_finds_each_users_row_and_rejects_an_unranked_user():
+    ranking = E.Ranking(np.array([4, 1, 7]), np.array([[0], [1], [2]]),
+                        np.zeros((3, 1)))
+    train = index(10, 3, [(1, 1), (7, 0)])
+    judged = E._judged(ranking, E.Relevance(train, np.array([7, 1])), 1)
+    assert judged.items.tolist() == [[2], [1]]
+    assert judged.hits.tolist() == [[False], [True]]
+    for missing in (0, 5, 9):  # below, between and above the ranked users
+        with pytest.raises(KeyError, match=str(missing)):
+            E._judged(ranking, E.Relevance(train, np.array([7, missing])), 1)
+    empty = E.Ranking(np.zeros(0, np.int64), np.zeros((0, 1), np.int64),
+                      np.zeros((0, 1)))
+    with pytest.raises(KeyError, match="7"):
+        E._judged(empty, E.Relevance(train, np.array([7])), 1)
+
+
 def test_evaluate_lists_covers_all_metrics():
     profile = profile_from_counts([3, 2, 1, 0])
     recs = {0: [0, 1], 1: [2, 3]}
