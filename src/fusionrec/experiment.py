@@ -311,9 +311,11 @@ def load_store(config: ExperimentConfig, split: ds.Split,
 def cmd_prepare(config: ExperimentConfig):
     """Filter, split, bind features; write split TSVs and stats JSON.
 
-    prepared/timings.json holds each stage's wall seconds and the process's
-    peak RSS so far, apart from the deterministic artifacts.
+    prepared/timings.json holds each stage's wall seconds, the process's
+    peak RSS so far and the minor page faults taken here, apart from the
+    deterministic artifacts.
     """
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     validate_paths(config)
     clock = StageClock()
     split = prepare_split(config, clock)
@@ -322,9 +324,11 @@ def cmd_prepare(config: ExperimentConfig):
     clock.run("write", ds.write_split, split, prepared)
     _write_json(os.path.join(prepared, "stats.json"),
                 asdict(ds.stats(split.dataset)))
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     _write_json(os.path.join(prepared, "timings.json"),
-                {"seconds": clock.seconds, "peak_rss_mb": peak_mb})
+                {"seconds": clock.seconds,
+                 "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
+                 "minor_faults": usage.ru_minflt - faults})
     return split, store
 
 
@@ -359,8 +363,9 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
     `chosen` hands over the winning grid run's model and TrainResult, which
     are written as they are: retraining that configuration with the same
     seed would repeat the run exactly, so nothing trains here. timings.json
-    holds the winner's training seconds and the seconds spent building the
-    tuned models' kNN item graphs (0 for a model without one).
+    holds the winner's training seconds and minor page faults, and the
+    seconds spent building the tuned models' kNN item graphs (0 for a model
+    without one).
     """
     model, result = chosen.model, chosen.result
     # wall-clock numbers go to timings.json, so manifest bytes stay reproducible
@@ -371,6 +376,7 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
         "chosen": _selection(chosen)})
     _write_json(os.path.join(run_dir, "timings.json"),
                 {"train_seconds": result.seconds, "epochs": len(result.trace),
+                 "train_minor_faults": result.minor_faults,
                  "graph_seconds": model.data.graph_seconds})
     lines = ["epoch\tloss\tval_recall20\tseconds\n"]
     for row in result.trace:

@@ -53,16 +53,19 @@ class BM3(RecommenderModel):
         return tape.mul(rows, constant(self.frozen_views[key + "_mask"],
                                        dtype=self.dtype))
 
-    def _target(self, rows_data, key, rng):
+    def _target(self, tape, rows_data, key, rng):
+        """The normalized target view: a constant, normalized once here for
+        every alignment that reads it."""
         views = {} if self.frozen_views is None else self.frozen_views
         if key + "_target" not in views:
             views[key + "_target"] = rows_data * self._np_mask(rows_data.shape, rng)
-        return constant(views[key + "_target"], dtype=self.dtype)
+        return tape.l2_normalize(constant(views[key + "_target"], dtype=self.dtype))
 
     @staticmethod
-    def _align(tape, a, b):
-        """Mean over rows of half the squared distance of normalized views."""
-        diff = tape.sub(tape.l2_normalize(a), tape.l2_normalize(b))
+    def _align(tape, a, b_unit):
+        """Mean over rows of half the squared distance of normalized a and
+        b_unit, a target view that _target has already normalized."""
+        diff = tape.sub(tape.l2_normalize(a), b_unit)
         return tape.scale(tape.mean(tape.rowsum(tape.mul(diff, diff))), 0.5)
 
     def make_frozen_views(self, batch, rng):
@@ -84,14 +87,14 @@ class BM3(RecommenderModel):
         u_rows = tape.row_gather(users_rep, batch.users)
         i_rows = tape.row_gather(items_rep, batch.pos)
         u_online = self._online(tape, u_rows, "user", rng)
-        i_target = self._target(i_rows.data, "item", rng)
+        i_target = self._target(tape, i_rows.data, "item", rng)
         rec = self._align(tape, u_online, i_target)
         inter, intra = None, None
         for m in self.data.modalities:
             h = tape.matmul(tape.row_gather(self.feats[m], batch.pos),
                             self.proj[m])
             m_online = self._online(tape, h, m, rng)
-            m_target = self._target(h.data, m, rng)
+            m_target = self._target(tape, h.data, m, rng)
             inter_m = self._align(tape, m_online, i_target)
             intra_m = self._align(tape, m_online, m_target)
             inter = inter_m if inter is None else tape.add(inter, inter_m)

@@ -19,6 +19,7 @@ weighted_sum, which merges LATTICE's item rows propagated per modality graph.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass
 
@@ -174,6 +175,7 @@ class TrainResult:
     trace: list
     evals: list  # (epoch, value) pairs, in order
     seconds: float  # wall time of the whole loop
+    minor_faults: int  # minor page faults the process took in the loop
 
 
 def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
@@ -187,6 +189,7 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     """
     validate(spec)
     start = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rng = np.random.default_rng(trainer.seed)
     params = model.params()
     opt = tr.make_optimizer(trainer, params)
@@ -217,4 +220,5 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
             evals.append((epoch, val))
         trace.append(TraceRow(epoch, epoch_loss / n_batches, val,
                               time.perf_counter() - t0))
-    return TrainResult(trace, evals, time.perf_counter() - start)
+    return TrainResult(trace, evals, time.perf_counter() - start,
+                       resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)

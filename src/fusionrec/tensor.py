@@ -31,6 +31,10 @@ product and every scatter is one call into scipy's compiled CSR product
 kernel, on layouts from one counting sort, _bucket: a SparseMatrix is its
 own CSR, and row_gather's backward buckets its indices by row. Each output
 row adds its terms in CSR data order, which is the order of the stored entries.
+
+Importing this module pins glibc malloc's mmap and trim thresholds for the
+whole process (_pin_malloc_thresholds), so a training batch reuses the heap
+the previous one freed instead of faulting it in again.
 """
 
 from __future__ import annotations
@@ -663,3 +667,26 @@ class Tape:
         bn = self.l2_normalize(b)
         return self.rowsum(self.mul(an, bn))
 
+
+def _pin_malloc_thresholds():
+    """Pin glibc malloc's mmap and trim thresholds where its adaptive rule
+    ends, 32 MiB and 64 MiB, for the whole process.
+
+    The rule learns only from the largest block freed: under 1 MB on a
+    small corpus, whose batches each free several MB, so every batch gave
+    its heap back to the kernel and faulted it in again. Returns whether
+    both were set; a C library without mallopt is left alone, and a call
+    that returns 0 stops the rest.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+                and mallopt(-1, 64 << 20))  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()

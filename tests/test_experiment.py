@@ -317,6 +317,7 @@ def test_prepare_writes_stage_timings_apart(corpus, tmp_path):
                                           "parse", "split", "write"]
     assert all(s >= 0 for s in timings["seconds"].values())
     assert timings["peak_rss_mb"] > 0
+    assert isinstance(timings["minor_faults"], int) and timings["minor_faults"] >= 0
 
 
 def test_feature_modality_mismatch_is_rejected(corpus, tmp_path):
@@ -394,6 +395,8 @@ def test_manifest_is_deterministic_and_timings_live_apart(single_run):
     timings = json.loads(open(os.path.join(run_dir, "timings.json")).read())
     assert timings["train_seconds"] > 0
     assert timings["graph_seconds"] == 0
+    assert isinstance(timings["train_minor_faults"], int)
+    assert timings["train_minor_faults"] >= 0
 
 
 def test_trace_has_one_row_per_epoch(single_run):
@@ -580,7 +583,9 @@ def test_benchmark_trains_each_grid_point_once_and_keeps_the_winner(
         assert [r[2] for r in rows] == [f"{r['value']:.6f}" for r in tuned]
         assert [r[1] for r in rows] == [f"{row.loss:.6f}" for row in result.trace]
         with open(os.path.join(run_dir, "timings.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["train_seconds"] == result.seconds
+            timings = json.load(fh)
+        assert timings["train_seconds"] == result.seconds
+        assert timings["train_minor_faults"] == result.minor_faults
 
 
 # ---------------------------------------------------------------------- cli

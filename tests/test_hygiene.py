@@ -191,34 +191,39 @@ def test_densifying_check_sees_a_conversion(tmp_path):
     assert densifying_calls(path) == {(2, "toarray"), (4, "todense"), (6, "toarray")}
 
 
+def scoped_nodes(path):
+    """(qualified name of the innermost enclosing function or None, node)
+    of every node of a module below its class and function definitions."""
+    def visit(node, scope, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, scope + (child.name,), func)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                yield from visit(child, inner, ".".join(inner))
+                continue
+            yield func, child
+            yield from visit(child, scope, func)
+
+    return visit(ast.parse(path.read_text(encoding="utf-8")), (), None)
+
+
 def calls(path, names, owners=None):
     """(qualified name of the innermost enclosing function or None, line,
     name) of every call to a function named in `names`, bare or as an
     attribute. With `owners`, only attribute calls on one of those names
     count: str.partition shares np.partition's name."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set()
-
-    def visit(node, scope, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, scope + (child.name,), func)
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = scope + (child.name,)
-                visit(child, inner, ".".join(inner))
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Attribute) and f.attr in names and (
-                        owners is None
-                        or isinstance(f.value, ast.Name) and f.value.id in owners):
-                    found.add((func, child.lineno, f.attr))
-                elif isinstance(f, ast.Name) and f.id in names and owners is None:
-                    found.add((func, child.lineno, f.id))
-            visit(child, scope, func)
-
-    visit(tree, (), None)
+    for func, node in scoped_nodes(path):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in names and (
+                    owners is None
+                    or isinstance(f.value, ast.Name) and f.value.id in owners):
+                found.add((func, node.lineno, f.attr))
+            elif isinstance(f, ast.Name) and f.id in names and owners is None:
+                found.add((func, node.lineno, f.id))
     return found
 
 
@@ -279,6 +284,60 @@ def test_layout_check_sees_a_sort_and_a_conversion(tmp_path):
         ("_bucket", 4, "coo_tocsr"), ("SparseMatrix.csr", 7, "csr_matrix"),
         ("SparseMatrix.other", 9, "csr_matrix"), ("SparseMatrix.other", 9, "lexsort"),
         (None, 10, "coo_tocsr")}
+
+
+# the C library is reached in one place: tensor's malloc policy, through ctypes
+NATIVE = ("ctypes", "mallopt")
+MALLOC_POLICY = {("tensor", "_pin_malloc_thresholds")}
+
+
+def native_uses(path):
+    """(qualified name of the innermost enclosing function or None, line,
+    name) of every import, name, attribute or string that is a name in
+    NATIVE."""
+    found = set()
+    for func, node in scoped_nodes(path):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        found.update((func, node.lineno, name) for name in names if name in NATIVE)
+    return found
+
+
+def test_only_the_malloc_policy_reaches_the_c_library():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in native_uses(path)}
+    assert sorted(found, key=str) == sorted(MALLOC_POLICY)
+
+
+def test_native_check_sees_ctypes_and_mallopt(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: ctypes.CDLL(None).mallopt."""\n'
+                    "import ctypes.util\n"
+                    "from ctypes import CDLL\n"
+                    "def _pin_malloc_thresholds():\n"
+                    "    import ctypes\n"
+                    "    return ctypes.CDLL(None).mallopt(-3, 1)\n"
+                    "class Library:\n"
+                    "    def load(self, lib):\n"
+                    "        return getattr(lib, 'mallopt')\n"
+                    "mallopt = None\n")
+    assert native_uses(path) == {
+        (None, 2, "ctypes"), (None, 3, "ctypes"),
+        ("_pin_malloc_thresholds", 5, "ctypes"),
+        ("_pin_malloc_thresholds", 6, "ctypes"),
+        ("_pin_malloc_thresholds", 6, "mallopt"),
+        ("Library.load", 9, "mallopt"), (None, 10, "mallopt")}
 
 
 # consecutive code lines that are written at most once in the package

@@ -1,6 +1,8 @@
 """Tensor engine: forward values, reverse-mode gradients, tape discipline."""
 
+import ctypes
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -884,3 +886,27 @@ def test_grad_three_layer_composite():
         return t.sum(t.l2_normalize(h))
 
     assert_gradients_match(build, [w1, w2, b])
+
+
+# ------------------------------------------------------------ malloc policy
+
+@pytest.mark.parametrize("returns", [0, 1])
+def test_malloc_policy_sets_both_thresholds_or_stops(monkeypatch, returns):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return returns
+
+    library = types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+    assert T._pin_malloc_thresholds() is bool(returns)
+    # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD 64 MiB; a refused
+    # call leaves the rest unset
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)][:1 + returns]
+
+
+def test_malloc_policy_leaves_a_library_without_mallopt_alone(monkeypatch):
+    # a C library with no mallopt, as on macOS
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert T._pin_malloc_thresholds() is False

@@ -1,10 +1,17 @@
 """BPR loss values, triple sampling, optimizers, grid search."""
 
+import ctypes
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+import fusionrec
 from fusionrec import training as TR
 from fusionrec.tensor import Tape, parameter
 
@@ -329,3 +336,63 @@ def test_grid_search_selects_max_with_tie_breaks():
     assert result.config_index == 0
     assert result.best_epoch == 2
     assert len(result.table) == 6
+
+
+# One VBPR training on a corpus of the benchmark's small shape: 250 users,
+# 125 items, 3,000 pairs, feature widths 128 and 64, batches of 1,024. It
+# prints the minor page faults per batch over BATCHES batches after WARMUP.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from fusionrec import training as TR
+from fusionrec.dataset import generate_synthetic
+from fusionrec.models import ModelConfig, ModelData, build_model
+from fusionrec.tensor import Tape
+
+WARMUP, BATCHES = 3, 10
+synth = generate_synthetic(250, 125, 3000 / (250 * 125), seed=1,
+                           dims={"visual": 128, "textual": 64})
+pairs = synth.dataset.interactions
+model = build_model(ModelConfig(tag="vbpr"),
+                    ModelData(250, 125, pairs, synth.features), seed=1)
+data = TR.TrainData.from_pairs(250, 125, pairs)
+trainer = TR.TrainerConfig(batch_size=1024, lr=0.01)
+opt = TR.make_optimizer(trainer, model.params())
+rng = np.random.default_rng(1)
+
+
+def train_batch():
+    tape = Tape()
+    model.params().zero_grads()
+    batch = TR.sample_triples(data, trainer.batch_size, rng)
+    tape.backward(TR.total_loss(tape, model, batch, rng, trainer.reg))
+    opt.step()
+
+
+for _ in range(WARMUP):
+    train_batch()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(BATCHES):
+    train_batch()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / BATCHES)
+"""
+
+
+def libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+def test_training_batches_reuse_their_memory():
+    # a fresh interpreter: glibc raises its malloc thresholds for good after
+    # a large free, which this test session may already have made
+    src = str(pathlib.Path(fusionrec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    # about 2,000 a batch when each batch hands its heap back to the kernel
+    assert float(done.stdout.split()[-1]) < 50
