@@ -72,13 +72,9 @@ class GRCN(RecommenderModel):
             gate = g if gate is None else tape.maximum(gate, g)
         return gate
 
-    def refined_edge_values(self, tape, item_proj=None):
-        """Gated sym-normalized edge values, one per stored structure entry.
-
-        `item_proj` is _project(tape)'s result, computed here when omitted.
-        """
-        if item_proj is None:
-            item_proj = self._project(tape)
+    def refined_edge_values(self, tape, item_proj):
+        """Gated sym-normalized edge values, one per stored structure entry;
+        `item_proj` is _project(tape)'s result."""
         gate = self._edge_gate(tape, item_proj)
         self._warn_fully_pruned(gate.data)
         per_entry = tape.row_gather(gate, self.entry_pair)

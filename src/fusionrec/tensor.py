@@ -3,7 +3,11 @@
 Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
-produces NaN or Inf raises immediately instead of letting the value propagate.
+produces NaN or Inf raises NonFiniteError immediately instead of letting the
+value propagate: every primitive and backward's rule loop run under
+np.errstate(all="ignore"), so numpy warns of nothing, and the finiteness
+check of each result (_record) and each rule's gradient (backward) is the
+one signal.
 Subnormal gradients are flushed to zero where they enter matmul: before its
 rules multiply their incoming gradient into an operand, each entry of it
 smaller in magnitude than the dtype's smallest normal number is set to zero
@@ -24,13 +28,15 @@ gradient rule per input, and backward alone decides which rules run: the rule
 of an input that needs no gradient never runs, so a constant operand, such as
 a gathered block of a constant feature matrix, costs nothing in backward.
 
-Each family of primitives records through one private body: _binary serves
-add, sub, mul, div and maximum, and _spmm serves spmm_weighted and spmm,
-whose values are the matrix's stored ones as a constant. Every sparse
-product and every scatter is one call into scipy's compiled CSR product
-kernel, on layouts from one counting sort, _bucket: a SparseMatrix is its
-own CSR, and row_gather's backward buckets its indices by row. Each output
-row adds its terms in CSR data order, which is the order of the stored entries.
+Each family of primitives records through one private body: _unary serves
+scale, sigmoid, softplus, log, exp, relu, sum, sumsq, mean, rowsum and
+softmax, _binary serves add, sub, mul, div and maximum, and _spmm serves
+spmm_weighted and spmm, whose values are the matrix's stored ones as a
+constant. Every sparse product and every scatter is one call into scipy's
+compiled CSR product kernel, on layouts from one counting sort, _bucket: a
+SparseMatrix is its own CSR, and row_gather's backward buckets its indices
+by row. Each output row adds its terms in CSR data order, which is the order
+of the stored entries.
 
 Importing this module pins glibc malloc's mmap and trim thresholds for the
 whole process (_pin_malloc_thresholds), so a training batch reuses the heap
@@ -255,13 +261,6 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def _check_binary_shapes(name, a, b):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if (ra != rb and 1 not in (ra, rb)) or (ca != cb and 1 not in (ca, cb)):
-        raise ValueError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 def _unbroadcast(g, shape):
     # reduce a broadcasted gradient back to the operand's shape
     if g.shape == shape:
@@ -354,24 +353,26 @@ class Tape:
         # ones into that array in place; a rule's output, which may be a
         # view of its incoming gradient, is never written.
         grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype), False)}
-        for node in reversed(self._nodes):
-            entry = grads.pop(id(node.out), None)
-            if entry is None:
-                continue
-            g_out = flush_subnormals(entry[1]) if node.flush else entry[1]
-            for t, rule in zip(node.inputs, node.rules):
-                if not t.needs_grad:
+        with np.errstate(all="ignore"):
+            for node in reversed(self._nodes):
+                entry = grads.pop(id(node.out), None)
+                if entry is None:
                     continue
-                g = rule(g_out)
-                if not np.isfinite(g).all():
-                    raise NonFiniteError(f"backward of {node.name} produced non-finite values")
-                prev = grads.get(id(t))
-                if prev is None:
-                    grads[id(t)] = (t, g, False)
-                elif prev[2]:
-                    np.add(prev[1], g, out=prev[1])
-                else:
-                    grads[id(t)] = (t, prev[1] + g, True)
+                g_out = flush_subnormals(entry[1]) if node.flush else entry[1]
+                for t, rule in zip(node.inputs, node.rules):
+                    if not t.needs_grad:
+                        continue
+                    g = rule(g_out)
+                    if not np.isfinite(g).all():
+                        raise NonFiniteError(
+                            f"backward of {node.name} produced non-finite values")
+                    prev = grads.get(id(t))
+                    if prev is None:
+                        grads[id(t)] = (t, g, False)
+                    elif prev[2]:
+                        np.add(prev[1], g, out=prev[1])
+                    else:
+                        grads[id(t)] = (t, prev[1] + g, True)
         for t, g, owned in grads.values():
             if t.requires_grad:
                 t._accumulate_grad(g, owned)
@@ -384,7 +385,7 @@ class Tape:
         self._check_operand(b)
         if a.cols != b.rows:
             raise ValueError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             out = a.data @ b.data
         ad, bd = a.data, b.data
         return self._record("matmul", out, (a, b),
@@ -442,9 +443,11 @@ class Tape:
         summed back to its operand's shape."""
         self._check_operand(a)
         self._check_operand(b)
-        _check_binary_shapes(name, a, b)
+        (ra, ca), (rb, cb) = a.shape, b.shape
+        if (ra != rb and 1 not in (ra, rb)) or (ca != cb and 1 not in (ca, cb)):
+            raise ValueError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
         ad, bd = a.data, b.data
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             out = op(ad, bd)
         sa, sb = a.shape, b.shape
         return self._record(name, out, (a, b),
@@ -467,53 +470,47 @@ class Tape:
         return self._binary("div", a, b, np.divide, lambda g, ad, bd: g / bd,
                             lambda g, ad, bd: -g * ad / (bd * bd))
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
+    def _unary(self, name, a, forward, rule):
+        """Record forward(x) on the operand's array x. rule(g, x, out) gives
+        the operand's gradient from x and the output captured here."""
         self._check_operand(a)
-        c = float(c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a.data * a.data.dtype.type(c)
+        x = a.data
+        with np.errstate(all="ignore"):
+            out = forward(x)
+        return self._record(name, out, (a,), (lambda g: rule(g, x, out),))
 
-        return self._record("scale", out, (a,), (lambda g: g * g.dtype.type(c),))
+    def scale(self, a: Tensor, c: float) -> Tensor:
+        c = float(c)
+        return self._unary("scale", a, lambda x: x * x.dtype.type(c),
+                           lambda g, x, out: g * g.dtype.type(c))
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        out = _sigmoid(a.data)
-        return self._record("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
+        return self._unary("sigmoid", a, _sigmoid,
+                           lambda g, x, out: g * out * (1.0 - out))
 
     def softplus(self, a: Tensor) -> Tensor:
         """ln(1 + exp(x)), computed stably; its derivative is sigmoid(x)."""
-        self._check_operand(a)
-        x = a.data
-        out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-        return self._record("softplus", out, (a,), (lambda g: g * _sigmoid(x),))
+        return self._unary(
+            "softplus", a, lambda x: np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))),
+            lambda g, x, out: g * _sigmoid(x))
 
     def log(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(a.data)
-        ad = a.data
-        return self._record("log", out, (a,), (lambda g: g / ad,))
+        return self._unary("log", a, np.log, lambda g, x, out: g / x)
 
     def exp(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        with np.errstate(over="ignore"):
-            out = np.exp(a.data)
-
-        return self._record("exp", out, (a,), (lambda g: g * out,))
+        return self._unary("exp", a, np.exp, lambda g, x, out: g * out)
 
     def relu(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        out = np.maximum(a.data, 0)
-        mask = (a.data > 0).astype(a.data.dtype)
-
-        return self._record("relu", out, (a,), (lambda g: g * mask,))
+        return self._unary("relu", a, lambda x: np.maximum(x, 0),
+                           lambda g, x, out: g * (x > 0).astype(x.dtype))
 
     def leaky_relu(self, a: Tensor, slope=0.2) -> Tensor:
         self._check_operand(a)
         slope = float(slope)
         # x * 1 is x, so the gradient's mask also gives the output
         mask = np.where(a.data > 0, a.data.dtype.type(1.0), a.data.dtype.type(slope))
-        out = a.data * mask
+        with np.errstate(all="ignore"):
+            out = a.data * mask
         return self._record("leaky_relu", out, (a,), (lambda g: g * mask,))
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
@@ -524,12 +521,16 @@ class Tape:
             lambda g, ad, bd: g * (1.0 - (ad >= bd).astype(ad.dtype)))
 
     def l2_normalize(self, a: Tensor) -> Tensor:
-        """Row-wise x / ||x||; all-zero rows stay zero (zero gradient there)."""
+        """Row-wise x / ||x||; all-zero rows stay zero (zero gradient there).
+        A row whose squared norm is not finite raises NonFiniteError."""
         self._check_operand(a)
-        norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
-        nonzero = norm > 0
-        safe = np.where(nonzero, norm, 1.0)
-        out = a.data / safe
+        with np.errstate(all="ignore"):
+            norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+            if not np.isfinite(norm).all():
+                raise NonFiniteError("l2_normalize: a row's squared norm is not finite")
+            nonzero = norm > 0
+            safe = np.where(nonzero, norm, 1.0)
+            out = a.data / safe
 
         def rule(g):
             dot = (g * out).sum(axis=1, keepdims=True)
@@ -566,7 +567,7 @@ class Tape:
         self._check_operand(b)
         if a.cols != b.cols:
             raise ValueError(f"matmul_nt: column dims differ, {a.shape} x {b.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             out = a.data @ b.data.T
         ad, bd = a.data, b.data
         return self._record("matmul_nt", out, (a, b),
@@ -606,51 +607,39 @@ class Tape:
         else:
             keep = rng.random(a.shape) >= p
             mask = keep.astype(a.data.dtype) / a.data.dtype.type(1.0 - p)
-        out = a.data * mask
+        with np.errstate(all="ignore"):
+            out = a.data * mask
         return self._record("dropout", out, (a,), (lambda g: g * mask,))
 
     def sum(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        out = np.array([[a.data.sum()]], dtype=a.data.dtype)
-        shape = a.shape
-        return self._record("sum", out, (a,), (lambda g: np.full(shape, g[0, 0], dtype=g.dtype),))
+        return self._unary(
+            "sum", a, lambda x: np.array([[x.sum()]], dtype=x.dtype),
+            lambda g, x, out: np.full(x.shape, g[0, 0], dtype=g.dtype))
 
     def sumsq(self, a: Tensor) -> Tensor:
         """Sum of squared entries, (n, d) -> (1, 1)."""
-        self._check_operand(a)
-        ad = a.data
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.array([[(ad * ad).sum()]], dtype=ad.dtype)
-
-        return self._record("sumsq", out, (a,), (lambda g: ad * (2 * g),))
+        return self._unary(
+            "sumsq", a, lambda x: np.array([[(x * x).sum()]], dtype=x.dtype),
+            lambda g, x, out: x * (2 * g))
 
     def mean(self, a: Tensor) -> Tensor:
-        self._check_operand(a)
-        out = np.array([[a.data.mean()]], dtype=a.data.dtype)
-        shape = a.shape
-        n = a.data.size
-        return self._record("mean", out, (a,),
-                            (lambda g: np.full(shape, g[0, 0] / n, dtype=g.dtype),))
+        return self._unary(
+            "mean", a, lambda x: np.array([[x.mean()]], dtype=x.dtype),
+            lambda g, x, out: np.full(x.shape, g[0, 0] / x.size, dtype=g.dtype))
 
     def rowsum(self, a: Tensor) -> Tensor:
         """Sum along columns, shape (n, d) -> (n, 1)."""
-        self._check_operand(a)
-        out = a.data.sum(axis=1, keepdims=True)
-        cols = a.cols
-        return self._record("rowsum", out, (a,), (lambda g: np.repeat(g, cols, axis=1),))
+        return self._unary("rowsum", a, lambda x: x.sum(axis=1, keepdims=True),
+                           lambda g, x, out: np.repeat(g, x.shape[1], axis=1))
 
     def softmax(self, a: Tensor) -> Tensor:
         """Row-wise softmax with max-shift stabilization."""
-        self._check_operand(a)
-        shifted = a.data - a.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=1, keepdims=True)
+        def forward(x):
+            e = np.exp(x - x.max(axis=1, keepdims=True))
+            return e / e.sum(axis=1, keepdims=True)
 
-        def rule(g):
-            dot = (g * out).sum(axis=1, keepdims=True)
-            return out * (g - dot)
-
-        return self._record("softmax", out, (a,), (rule,))
+        return self._unary("softmax", a, forward, lambda g, x, out: out * (
+            g - (g * out).sum(axis=1, keepdims=True)))
 
     def stop_gradient(self, a: Tensor) -> Tensor:
         """Identity forward; blocks all gradient flow: the result has no inputs."""

@@ -253,6 +253,39 @@ def test_partition_check_sees_a_partial_sort(tmp_path):
         ("ranked", 9, "argpartition")}
 
 
+# numpy's float-error policy is set only where the tape computes: each
+# primitive's forward and backward's rule loop, all under errstate(all=
+# "ignore"), so no caller hides a warning or changes what raises NonFiniteError
+FLOAT_POLICY = {("tensor", f"Tape.{func}", "errstate") for func in (
+    "_unary", "_binary", "matmul", "matmul_nt", "leaky_relu", "l2_normalize",
+    "dropout", "backward")}
+SETTING_FLOAT_POLICY = ("errstate", "seterr")
+
+
+def test_only_the_tape_sets_numpys_float_error_policy():
+    found = {(mod, func, name) for mod, path in modules()
+             for func, _, name in calls(path, SETTING_FLOAT_POLICY)}
+    # every body on the list sets it, and nothing else does
+    assert sorted(found, key=str) == sorted(FLOAT_POLICY, key=str)
+
+
+def test_float_policy_check_sees_errstate_and_seterr(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: np.errstate(all="ignore")."""\n'
+                    "import numpy as np\nfrom numpy import errstate, seterr\n"
+                    "class Tape:\n"
+                    "    def _unary(self, x):\n"
+                    "        with np.errstate(all='ignore'):\n"
+                    "            return x\n"
+                    "def caller(x):\n"
+                    "    with errstate(over='ignore'):\n"
+                    "        return np.errstate(under='raise')\n"
+                    "old = seterr(all='ignore')\n")
+    assert calls(path, SETTING_FLOAT_POLICY) == {
+        ("Tape._unary", 6, "errstate"), ("caller", 9, "errstate"),
+        ("caller", 10, "errstate"), (None, 11, "seterr")}
+
+
 # sparse layouts: scipy's COO to CSR sort runs only in tensor._bucket, and
 # tensor.py neither lexsorts nor builds a csr_matrix outside SparseMatrix.csr
 LAYOUT_SORT = {("tensor", "_bucket")}

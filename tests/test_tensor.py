@@ -3,6 +3,7 @@
 import ctypes
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_l2_normalize_zero_row_stays_zero():
     t = T.Tape()
     out = t.l2_normalize(T.constant([[0.0, 0.0], [3.0, 4.0]]))
     np.testing.assert_allclose(out.data[0], [0.0, 0.0])
+
+
+def test_l2_normalize_row_whose_squared_norm_overflows_raises():
+    # x / inf is a finite zero, so the row would silently vanish
+    t = T.Tape()
+    with pytest.raises(T.NonFiniteError, match="^l2_normalize"):
+        t.l2_normalize(T.constant([[3e38, 3e38], [3.0, 4.0]]))
 
 
 def test_dropout_p0_identity():
@@ -118,6 +126,85 @@ def test_nan_constant_through_row_gather_aborts_at_matmul():
     assert np.isnan(rows.data[1, 1])
     with pytest.raises(T.NonFiniteError, match="matmul"):
         t.matmul(rows, T.parameter(np.eye(2)))
+
+
+# ------------------------------------------------------ float-error policy
+
+def big(rows=1, cols=2):
+    """Finite float32 entries whose sums, squares and doubles overflow."""
+    return T.constant(np.full((rows, cols), 3e38))
+
+
+# every public primitive -> a case that turns finite float32 operands into
+# non-finite values, or the reason none exists
+FLOAT_ERROR_CASES = {
+    "add": lambda t: t.add(big(), big()),
+    "sub": lambda t: t.sub(big(), T.constant([[-3e38, -3e38]])),
+    "mul": lambda t: t.mul(big(), big()),
+    "div": lambda t: t.div(T.constant([[1.0, 0.0]]), T.constant([[0.0, 0.0]])),
+    "maximum": "the larger of two finite values is finite",
+    "matmul": lambda t: t.matmul(big(), T.constant([[1.0], [1.0]])),
+    "matmul_nt": lambda t: t.matmul_nt(big(), T.constant([[1.0, 1.0]])),
+    "spmm": lambda t: t.spmm(T.SparseMatrix.from_dense([[1.0, 1.0]]), big(2, 1)),
+    "spmm_weighted": lambda t: t.spmm_weighted(
+        T.SparseMatrix.from_dense([[1.0]]), T.constant([[2.0]]), big(1, 1)),
+    "scale": lambda t: t.scale(big(), 10.0),
+    "sigmoid": "every output lies in [0, 1]",
+    "softplus": "the output is at most max(x, 0) + log(2)",
+    "log": lambda t: t.log(T.constant([[0.0, -1.0]])),
+    "exp": lambda t: t.exp(T.constant([[100.0]])),
+    "relu": "max(x, 0) of a finite x is finite",
+    "leaky_relu": lambda t: t.leaky_relu(T.constant([[-3e38]]), slope=10.0),
+    "l2_normalize": lambda t: t.l2_normalize(big()),
+    "dropout": lambda t: t.dropout(big(1, 8), 0.5, np.random.default_rng(0)),
+    "sum": lambda t: t.sum(big()),
+    "sumsq": lambda t: t.sumsq(big()),
+    "mean": lambda t: t.mean(big()),
+    "rowsum": lambda t: t.rowsum(big()),
+    "softmax": "exp(x - max(x)) lies in [0, 1] and each row sums to at least 1",
+    "concat": "it copies its operands' entries",
+    "row_concat": "it copies its operands' entries",
+    "row_gather": "it copies its operand's rows",
+    "stop_gradient": "it copies its operand",
+    "cosine_similarity": "it is l2_normalize, mul and rowsum, whose cases are above",
+}
+
+
+def test_every_primitive_has_a_float_error_case():
+    # the public primitives as perfbench/spans.py enumerates them
+    primitives = sorted(attr for attr, value in vars(T.Tape).items()
+                        if not attr.startswith("_") and callable(value)
+                        and attr not in ("backward", "reset"))
+    assert primitives == sorted(FLOAT_ERROR_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, case in FLOAT_ERROR_CASES.items() if callable(case)))
+def test_non_finite_result_raises_naming_its_primitive(name):
+    # numpy warns of nothing: the tape's finiteness check is the one signal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NonFiniteError, match=rf"^{name}\b"):
+            FLOAT_ERROR_CASES[name](T.Tape())
+
+
+def test_div_backward_on_a_tiny_denominator_raises():
+    # the forward quotient 1e20 is finite; d/db = -a / b**2 overflows
+    a, b = T.parameter([[1.0]]), T.parameter([[1e-20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        loss = t.sum(t.div(a, b))
+        with pytest.raises(T.NonFiniteError, match="^backward of div "):
+            t.backward(loss)
+
+
+def test_softmax_of_a_row_spanning_the_float_range_stays_quiet():
+    # x - max(x) overflows to -inf, whose exp is an exact 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.Tape().softmax(T.constant([[-3e38, 3e38]]))
+    assert out.data.tolist() == [[0.0, 1.0]]
 
 
 # ---------------------------------------------------------------- sparse
