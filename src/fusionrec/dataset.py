@@ -429,9 +429,7 @@ def write_split(split: Split, out_dir):
         pieces = [""] * (2 * len(pairs))
         pieces[0::2] = map(heads.__getitem__, pairs[:, 0].tolist())
         pieces[1::2] = map(tails.__getitem__, pairs[:, 1].tolist())
-        with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("".join(pieces))
+        write_text(os.path.join(out_dir, f"{name}.tsv"), "".join(pieces))
     sidecar = {
         "seed": split.seed,
         "train_ratio": split.train_ratio,
@@ -442,7 +440,15 @@ def write_split(split: Split, out_dir):
         "n_validation": int(split.validation.shape[0]),
         "n_test": int(split.test.shape[0]),
     }
-    with open(os.path.join(out_dir, "split.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "split.json"), sidecar)
+
+
+def write_text(path, text):
+    """Write text in the one format of the package's artifacts: UTF-8, "\n"."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_json(path, body):
+    """write_text of JSON indented by 2, keys sorted, with a final newline."""
+    write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")

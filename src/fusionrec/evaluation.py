@@ -37,6 +37,7 @@ from itertools import chain
 
 import numpy as np
 
+from .dataset import write_text
 
 HEAD_FRACTION = 0.2  # share of the catalog in the short head
 
@@ -446,5 +447,4 @@ def write_recommendations_tsv(ranking, path):
                                          ranking.top[order].tolist(),
                                          ranking.scores[order].tolist())
              for rank, (item, s) in enumerate(zip(items, scores), start=1)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+    write_text(path, "".join(lines))

@@ -245,17 +245,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return body
 
 
-# ------------------------------------------------------------ artifact files
-
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_json(path, body):
-    _write(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
-
-
 # ------------------------------------------------------------ pipeline steps
 
 class StageClock:
@@ -322,13 +311,11 @@ def cmd_prepare(config: ExperimentConfig):
     store = load_store(config, split, clock)
     prepared = os.path.join(config.out_dir, "prepared")
     clock.run("write", ds.write_split, split, prepared)
-    _write_json(os.path.join(prepared, "stats.json"),
-                asdict(ds.stats(split.dataset)))
+    ds.write_json(os.path.join(prepared, "stats.json"), asdict(ds.stats(split.dataset)))
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    _write_json(os.path.join(prepared, "timings.json"),
-                {"seconds": clock.seconds,
-                 "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
-                 "minor_faults": usage.ru_minflt - faults})
+    ds.write_json(os.path.join(prepared, "timings.json"), {
+        "seconds": clock.seconds, "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
+        "minor_faults": usage.ru_minflt - faults})
     return split, store
 
 
@@ -341,7 +328,7 @@ def cmd_tune(config: ExperimentConfig, split: ds.Split,
     result = tr.grid_search(partial(build_model, config.model, mdata),
                             config.grid, tdata, config.trainer, eval_fn)
     os.makedirs(run_dir, exist_ok=True)
-    _write_json(os.path.join(run_dir, "tune.json"), {
+    ds.write_json(os.path.join(run_dir, "tune.json"), {
         "best": _selection(result),
         "table": [{"config_index": i, "lr": lr, "reg": reg,
                    "epoch": epoch, "value": value}
@@ -370,19 +357,19 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
     model, result = chosen.model, chosen.result
     # wall-clock numbers go to timings.json, so manifest bytes stay reproducible
     os.makedirs(run_dir, exist_ok=True)
-    _write_json(os.path.join(run_dir, "manifest.json"), {
+    ds.write_json(os.path.join(run_dir, "manifest.json"), {
         "config": config_to_dict(config), "seed": config.trainer.seed,
         "version": __version__, "stats": asdict(ds.stats(split.dataset)),
         "chosen": _selection(chosen)})
-    _write_json(os.path.join(run_dir, "timings.json"),
-                {"train_seconds": result.seconds, "epochs": len(result.trace),
-                 "train_minor_faults": result.minor_faults,
-                 "graph_seconds": model.data.graph_seconds})
+    ds.write_json(os.path.join(run_dir, "timings.json"),
+                  {"train_seconds": result.seconds, "epochs": len(result.trace),
+                   "train_minor_faults": result.minor_faults,
+                   "graph_seconds": model.data.graph_seconds})
     lines = ["epoch\tloss\tval_recall20\tseconds\n"]
     for row in result.trace:
         val = "" if row.val_metric is None else f"{row.val_metric:.6f}"
         lines.append(f"{row.epoch}\t{row.loss:.6f}\t{val}\t{row.seconds:.6f}\n")
-    _write(os.path.join(run_dir, "trace.tsv"), "".join(lines))
+    ds.write_text(os.path.join(run_dir, "trace.tsv"), "".join(lines))
     save_checkpoint(model, os.path.join(run_dir, "checkpoint"))
     return model, result
 
@@ -401,14 +388,14 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
               for k in config.cutoffs for metric in ev.METRIC_ORDER}
     body = {"tag": config.model.tag, "cutoffs": list(config.cutoffs),
             "values": values}
-    _write_json(os.path.join(run_dir, "metrics.json"), body)
-    _write(os.path.join(run_dir, "metrics.tsv"), "metric\tk\tvalue\n" + "".join(
+    ds.write_json(os.path.join(run_dir, "metrics.json"), body)
+    ds.write_text(os.path.join(run_dir, "metrics.tsv"), "metric\tk\tvalue\n" + "".join(
         f"{metric}\t{k}\t{report.get(metric, k)!r}\n"
         for k in config.cutoffs for metric in ev.METRIC_ORDER))
     ev.write_recommendations_tsv(
         ranking, os.path.join(run_dir, "recommendations.tsv"))
     md, _ = render_report([(config.model.tag, report)], config.cutoffs)
-    _write(os.path.join(run_dir, "report.md"), md)
+    ds.write_text(os.path.join(run_dir, "report.md"), md)
     return report
 
 
@@ -448,8 +435,8 @@ def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
         run_cfg = replace(config, model=replace(config.model, tag=tag))
         rows.append((tag, _run_model(run_cfg, split, store, threads)))
     md, tsv = render_report(rows, config.cutoffs)
-    _write(os.path.join(config.out_dir, "report.md"), md)
-    _write(os.path.join(config.out_dir, "report.tsv"), tsv)
+    ds.write_text(os.path.join(config.out_dir, "report.md"), md)
+    ds.write_text(os.path.join(config.out_dir, "report.tsv"), tsv)
     return rows
 
 
@@ -478,7 +465,7 @@ def cmd_report(run_dirs, out_path=None) -> str:
         rows.append((body["tag"], report))
     md, _ = render_report(rows, cutoffs)
     if out_path is not None:
-        _write(out_path, md)
+        ds.write_text(out_path, md)
     return md
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from ..dataset import write_json
 from ..evaluation import TOPK_BLOCK, topk_rows
 from ..tensor import SparseMatrix, Tape, Tensor, constant, entry_order, parameter
 from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
@@ -396,10 +397,7 @@ def save_checkpoint(model: RecommenderModel, out_dir):
             for g, names in census.items()
         },
     }
-    with open(os.path.join(out_dir, "checkpoint.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "checkpoint.json"), manifest)
     for name, t in named.items():
         blob = t.data.astype("<f4").tobytes()
         with open(os.path.join(out_dir, f"{name}.bin"), "wb") as fh:

@@ -4,22 +4,23 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises NonFiniteError immediately instead of letting the
-value propagate: every primitive and backward's rule loop run under
+value propagate: every primitive and backward run under
 np.errstate(all="ignore"), so numpy warns of nothing, and the finiteness
-check of each result (_record) and each rule's gradient (backward) is the
-one signal.
-Subnormal gradients are flushed to zero where they enter matmul: before its
-rules multiply their incoming gradient into an operand, each entry of it
-smaller in magnitude than the dtype's smallest normal number is set to zero
-(flush_subnormals, the flush-to-zero policy of CPU deep-learning runtimes),
-because each multiplication by such an entry costs the CPU a microcode
-assist. A BPR pair whose margin passes about 87 has a subnormal float32
-gradient, and matmul's projection gradient (VBPR, FREEDOM's modality branch)
-is where such gradients were measured to slow training. A flushed entry's
-term in the product is below tiny times the operand entry it multiplies; for
-an operand entry larger than 1 that term may be a normal number, so the flush
-can change a gradient, not only drop what would round away. matmul_nt, spmm,
-spmm_weighted and every other rule take their gradient unflushed.
+check of each result (_record) and of every gradient backward forms, sums
+included (backward, Tensor._accumulate_grad), is the one signal. Subnormal
+gradients are flushed to zero where they enter matmul: each of its rules
+sets each entry of its incoming gradient smaller in magnitude than the
+dtype's smallest normal number to zero (flush_subnormals, the flush-to-zero
+policy of CPU deep-learning runtimes) before it multiplies the gradient into
+an operand, because each multiplication by such an entry costs the CPU a
+microcode assist. A BPR pair whose margin passes about 87 has a subnormal
+float32 gradient, and matmul's projection gradient (VBPR, FREEDOM's modality
+branch) is where such gradients were measured to slow training. A flushed
+entry's term in the product is below tiny times the operand entry it
+multiplies; for an operand entry larger than 1 that term may be a normal
+number, so the flush can change a gradient, not only drop what would round
+away. matmul_nt, spmm, spmm_weighted and every other rule take their
+gradient unflushed.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -30,13 +31,14 @@ a gathered block of a constant feature matrix, costs nothing in backward.
 
 Each family of primitives records through one private body: _unary serves
 scale, sigmoid, softplus, log, exp, relu, sum, sumsq, mean, rowsum and
-softmax, _binary serves add, sub, mul, div and maximum, and _spmm serves
-spmm_weighted and spmm, whose values are the matrix's stored ones as a
-constant. Every sparse product and every scatter is one call into scipy's
-compiled CSR product kernel, on layouts from one counting sort, _bucket: a
-SparseMatrix is its own CSR, and row_gather's backward buckets its indices
-by row. Each output row adds its terms in CSR data order, which is the order
-of the stored entries.
+softmax, and, through _masked, which builds one mask after the operand
+check, leaky_relu and dropout; _binary serves add, sub, mul, div and
+maximum, and _spmm serves spmm_weighted and spmm, whose values are the
+matrix's stored ones as a constant. Every sparse product and every scatter
+is one call into scipy's compiled CSR product kernel, on layouts from one
+counting sort, _bucket: a SparseMatrix is its own CSR, and row_gather's
+backward buckets its indices by row. Each output row adds its terms in CSR
+data order, which is the order of the stored entries.
 
 Importing this module pins glibc malloc's mmap and trim thresholds for the
 whole process (_pin_malloc_thresholds), so a training batch reuses the heap
@@ -119,12 +121,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate_grad(self, g, owned):
-        """Add g to grad. An `owned` g is an array no one else holds, which
-        becomes grad as it is when grad is empty."""
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=not owned)
-        else:
-            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
+        """Add g to grad; the sum must be finite. An `owned` g, which no one
+        else holds, becomes grad as it is when grad is empty."""
+        if self.grad is not None:
+            g, owned = self.grad + g.astype(self.data.dtype, copy=False), True
+            if not np.isfinite(g).all():
+                raise NonFiniteError("backward: accumulated gradient is not finite")
+        self.grad = g.astype(self.data.dtype, copy=not owned)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -273,17 +276,15 @@ def _unbroadcast(g, shape):
 
 
 class _Node:
-    """One recorded primitive: rules[i](g) is the gradient for inputs[i];
-    `flush` marks a node whose rules get g through flush_subnormals."""
+    """One recorded primitive: rules[i](g) is the gradient for inputs[i]."""
 
-    __slots__ = ("name", "inputs", "out", "rules", "flush")
+    __slots__ = ("name", "inputs", "out", "rules")
 
-    def __init__(self, name, inputs, out, rules, flush):
+    def __init__(self, name, inputs, out, rules):
         self.name = name
         self.inputs = inputs
         self.out = out
         self.rules = rules
-        self.flush = flush
 
 
 class Tape:
@@ -308,7 +309,7 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, rules, copies=False, flush=False):
+    def _record(self, name, out_arr, inputs, rules, copies=False):
         # copies of checked results or leaves (ModelData, optimizer) stay finite
         if not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
@@ -319,7 +320,7 @@ class Tape:
         out._tape = self
         out._gen = self._gen
         out._needs = any(t.needs_grad for t in inputs)
-        self._nodes.append(_Node(name, inputs, out, rules, flush))
+        self._nodes.append(_Node(name, inputs, out, rules))
         return out
 
     @property
@@ -336,9 +337,9 @@ class Tape:
 
         Gradients accumulate additively across uses and across calls on
         fresh tapes; the same tape cannot be replayed twice. A node's rule
-        for an input runs only when that input needs a gradient, and the
-        rules of a `flush` node (matmul) get their gradient through
-        flush_subnormals.
+        for an input runs only when that input needs a gradient. A rule's
+        gradient, summed into its input's gradient, must stay finite, or
+        NonFiniteError names the node.
         """
         if self._spent:
             raise TapeError("tape already replayed; reset() before reuse")
@@ -358,24 +359,19 @@ class Tape:
                 entry = grads.pop(id(node.out), None)
                 if entry is None:
                     continue
-                g_out = flush_subnormals(entry[1]) if node.flush else entry[1]
                 for t, rule in zip(node.inputs, node.rules):
                     if not t.needs_grad:
                         continue
-                    g = rule(g_out)
+                    g, prev = rule(entry[1]), grads.get(id(t))
+                    if prev is not None:
+                        g = np.add(prev[1], g, out=prev[1] if prev[2] else None)
                     if not np.isfinite(g).all():
                         raise NonFiniteError(
                             f"backward of {node.name} produced non-finite values")
-                    prev = grads.get(id(t))
-                    if prev is None:
-                        grads[id(t)] = (t, g, False)
-                    elif prev[2]:
-                        np.add(prev[1], g, out=prev[1])
-                    else:
-                        grads[id(t)] = (t, prev[1] + g, True)
-        for t, g, owned in grads.values():
-            if t.requires_grad:
-                t._accumulate_grad(g, owned)
+                    grads[id(t)] = (t, g, prev is not None)
+            for t, g, owned in grads.values():
+                if t.requires_grad:
+                    t._accumulate_grad(g, owned)
         self._nodes.clear()
 
     # -- primitives -------------------------------------------------------
@@ -389,7 +385,8 @@ class Tape:
             out = a.data @ b.data
         ad, bd = a.data, b.data
         return self._record("matmul", out, (a, b),
-                            (lambda g: g @ bd.T, lambda g: ad.T @ g), flush=True)
+                            (lambda g: flush_subnormals(g) @ bd.T,
+                             lambda g: ad.T @ flush_subnormals(g)))
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
@@ -504,14 +501,18 @@ class Tape:
         return self._unary("relu", a, lambda x: np.maximum(x, 0),
                            lambda g, x, out: g * (x > 0).astype(x.dtype))
 
+    def _masked(self, name, a, make_mask):
+        """Record x * mask through _unary, with mask = make_mask(x) built
+        once, after the operand check; the operand's gradient is g * mask."""
+        self._check_operand(a)  # before make_mask reads x or draws from an rng
+        mask = make_mask(a.data)
+        return self._unary(name, a, lambda x: x * mask, lambda g, x, out: g * mask)
+
     def leaky_relu(self, a: Tensor, slope=0.2) -> Tensor:
-        self._check_operand(a)
-        slope = float(slope)
         # x * 1 is x, so the gradient's mask also gives the output
-        mask = np.where(a.data > 0, a.data.dtype.type(1.0), a.data.dtype.type(slope))
-        with np.errstate(all="ignore"):
-            out = a.data * mask
-        return self._record("leaky_relu", out, (a,), (lambda g: g * mask,))
+        slope = float(slope)
+        return self._masked("leaky_relu", a, lambda x: np.where(
+            x > 0, x.dtype.type(1.0), x.dtype.type(slope)))
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise max; on ties the gradient goes to the first operand."""
@@ -522,15 +523,22 @@ class Tape:
 
     def l2_normalize(self, a: Tensor) -> Tensor:
         """Row-wise x / ||x||; all-zero rows stay zero (zero gradient there).
-        A row whose squared norm is not finite raises NonFiniteError."""
+        A row whose squared norm is not finite raises NonFiniteError, and a
+        nonzero one whose squared norm underflows is scaled by its peak first."""
         self._check_operand(a)
+        x = a.data
         with np.errstate(all="ignore"):
-            norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+            norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
             if not np.isfinite(norm).all():
                 raise NonFiniteError("l2_normalize: a row's squared norm is not finite")
+            if not norm.all():
+                peak = np.abs(x).max(axis=1, keepdims=True, initial=0)
+                s = x / np.where(peak > 0, peak, 1.0)
+                rescaled = np.sqrt((s * s).sum(axis=1, keepdims=True)) * peak
+                norm = np.where(norm > 0, norm, rescaled)
             nonzero = norm > 0
             safe = np.where(nonzero, norm, 1.0)
-            out = a.data / safe
+            out = x / safe
 
         def rule(g):
             dot = (g * out).sum(axis=1, keepdims=True)
@@ -595,21 +603,12 @@ class Tape:
 
     def dropout(self, a: Tensor, p: float, rng) -> Tensor:
         """Inverted dropout: keep with prob 1-p, scale kept entries by 1/(1-p).
-
-        p=0 is the exact identity. p=1 is rejected.
-        """
-        self._check_operand(a)
+        p=0 is the exact identity; p=1 is rejected."""
         p = float(p)
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        if p == 0.0:
-            mask = np.ones_like(a.data)
-        else:
-            keep = rng.random(a.shape) >= p
-            mask = keep.astype(a.data.dtype) / a.data.dtype.type(1.0 - p)
-        with np.errstate(all="ignore"):
-            out = a.data * mask
-        return self._record("dropout", out, (a,), (lambda g: g * mask,))
+        return self._masked("dropout", a, lambda x: np.ones_like(x) if p == 0.0 else (
+            rng.random(x.shape) >= p).astype(x.dtype) / x.dtype.type(1.0 - p))
 
     def sum(self, a: Tensor) -> Tensor:
         return self._unary(

@@ -253,12 +253,12 @@ def test_partition_check_sees_a_partial_sort(tmp_path):
         ("ranked", 9, "argpartition")}
 
 
-# numpy's float-error policy is set only where the tape computes: each
-# primitive's forward and backward's rule loop, all under errstate(all=
-# "ignore"), so no caller hides a warning or changes what raises NonFiniteError
+# numpy's float-error policy is set only where the tape computes: the
+# recording bodies, the products, l2_normalize and backward, all under
+# errstate(all="ignore"), so no caller hides a warning or changes what raises
+# NonFiniteError
 FLOAT_POLICY = {("tensor", f"Tape.{func}", "errstate") for func in (
-    "_unary", "_binary", "matmul", "matmul_nt", "leaky_relu", "l2_normalize",
-    "dropout", "backward")}
+    "_unary", "_binary", "matmul", "matmul_nt", "l2_normalize", "backward")}
 SETTING_FLOAT_POLICY = ("errstate", "seterr")
 
 
@@ -284,6 +284,87 @@ def test_float_policy_check_sees_errstate_and_seterr(tmp_path):
     assert calls(path, SETTING_FLOAT_POLICY) == {
         ("Tape._unary", 6, "errstate"), ("caller", 9, "errstate"),
         ("caller", 10, "errstate"), (None, 11, "seterr")}
+
+
+# subnormal gradients are flushed where they enter matmul, by its own rules;
+# backward and every other primitive take their gradient as it comes
+FLUSHING = {("tensor", "Tape.matmul")}
+
+
+def test_only_matmul_flushes_its_gradient():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in calls(path, ("flush_subnormals",))}
+    assert sorted(found, key=str) == sorted(FLUSHING)
+
+
+def test_flush_check_sees_calls_in_rules_and_bodies(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: flush_subnormals(g)."""\n'
+                    "class Tape:\n"
+                    "    def matmul(self, b):\n"
+                    "        return (lambda g: flush_subnormals(g) @ b,)\n"
+                    "    def backward(self, g):\n"
+                    "        return T.flush_subnormals(g)\n"
+                    "g = flush_subnormals\n")
+    assert calls(path, ("flush_subnormals",)) == {
+        ("Tape.matmul", 4, "flush_subnormals"),
+        ("Tape.backward", 6, "flush_subnormals")}
+
+
+# deterministic text artifacts have one byte format, written by dataset's
+# two helpers; binary writes (checkpoint blobs, feature files) are free
+TEXT_WRITERS = {("dataset", "write_text")}
+
+
+def text_writes(path):
+    """(qualified name of the innermost enclosing function or None, line,
+    name) of every json.dump and every open() whose mode may write text:
+    a mode that is not a string constant, or holds no "b" and one of
+    "wax+". The mode is open's and io.open's second argument, and the first
+    of an open method (pathlib's)."""
+    found = calls(path, ("dump",), owners=("json",))
+    for func, node in scoped_nodes(path):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            at = 1
+        elif isinstance(f, ast.Attribute) and f.attr == "open":
+            at = 1 if isinstance(f.value, ast.Name) and f.value.id == "io" else 0
+        else:
+            continue
+        mode = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or (
+                "b" not in mode.value and set(mode.value) & set("wax+")):
+            found.add((func, node.lineno, "open"))
+    return found
+
+
+def test_every_text_artifact_goes_through_the_dataset_helpers():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in text_writes(path)}
+    assert sorted(found, key=str) == sorted(TEXT_WRITERS)
+
+
+def test_text_write_check_sees_open_and_json_dump(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: open(p, "w")."""\n'
+                    "import json\n"
+                    "def write_text(path, text, mode):\n"
+                    "    with open(path, 'w', encoding='utf-8') as fh:\n"
+                    "        fh.write(text)\n"
+                    "    open(path, mode)\n"
+                    "def readers(path, fh):\n"
+                    "    open(path), open(path, 'rb'), io.open(path, mode='r')\n"
+                    "    open(path, 'wb'), path.open('ab'), pickle.dump(fh, fh)\n"
+                    "    json.dump({}, fh), path.open(mode='a'), open(path, 'r+')\n"
+                    "with io.open(p, 'x', newline='\\n') as fh:\n"
+                    "    json.dumps(1), p.open('w')\n")
+    assert text_writes(path) == {
+        ("write_text", 4, "open"), ("write_text", 6, "open"),
+        ("readers", 10, "dump"), ("readers", 10, "open"), (None, 11, "open"),
+        (None, 12, "open")}
 
 
 # sparse layouts: scipy's COO to CSR sort runs only in tensor._bucket, and

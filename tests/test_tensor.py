@@ -66,6 +66,30 @@ def test_l2_normalize_row_whose_squared_norm_overflows_raises():
         t.l2_normalize(T.constant([[3e38, 3e38], [3.0, 4.0]]))
 
 
+def test_l2_normalize_row_whose_squared_norm_underflows_is_a_unit_row():
+    # 1e-30 squared underflows to 0 in float32; the norm comes from the row
+    # over its largest magnitude, [1, 1], times 1e-30
+    rows = np.array([[1e-30, 1e-30], [3.0, 4.0], [0.0, 0.0]], dtype=np.float32)
+    x = T.parameter(rows)
+    c = np.array([[1.0, -2.0], [0.5, 1.0], [1.0, 1.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        out = t.l2_normalize(x)
+        t.backward(t.sum(t.mul(out, T.constant(c))))
+    np.testing.assert_allclose(out.data[0], [np.sqrt(0.5)] * 2, rtol=1e-6)
+    # rows whose norm is normal keep the plain formula's bits
+    norm = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+    assert out.data[1:].tobytes() == (rows / np.where(norm > 0, norm, 1.0))[1:].tobytes()
+    # the gradient of x / ||x|| at s = x / 1e-30, divided by 1e-30
+    s = np.array([1.0, 1.0])
+    u = s / np.linalg.norm(s)
+    grad_s = (c[0] - (c[0] @ u) * u) / np.linalg.norm(s)
+    assert np.isfinite(x.grad).all()
+    np.testing.assert_allclose(x.grad[0], grad_s / 1e-30, rtol=1e-5)
+    np.testing.assert_array_equal(x.grad[2], [0.0, 0.0])
+
+
 def test_dropout_p0_identity():
     t = T.Tape()
     x = T.constant(rng64(0, (4, 5)))
@@ -197,6 +221,49 @@ def test_div_backward_on_a_tiny_denominator_raises():
         loss = t.sum(t.div(a, b))
         with pytest.raises(T.NonFiniteError, match="^backward of div "):
             t.backward(loss)
+
+
+def _two_scales(t, x, c=2e38):
+    """sum(c * x) + sum(c * x): x's two gradients of c sum past float32's max."""
+    return t.add(t.sum(t.scale(x, c)), t.sum(t.scale(x, c)))
+
+
+def test_overflowing_gradient_sum_into_a_leaf_raises():
+    w = T.parameter([[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        loss = _two_scales(t, w)
+        with pytest.raises(T.NonFiniteError, match="^backward of scale "):
+            t.backward(loss)
+    assert w.grad is None
+
+
+def test_overflowing_gradient_sum_raises_at_the_sum_not_its_producer():
+    # h's two gradients overflow as they are summed; row_gather, which
+    # produced h, would otherwise be the first to see the inf
+    x = T.parameter([[0.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        loss = _two_scales(t, t.row_gather(x, [0]))
+        with pytest.raises(T.NonFiniteError, match="^backward of scale "):
+            t.backward(loss)
+
+
+def test_overflowing_grad_across_backward_calls_raises():
+    w = T.parameter([[0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        t.backward(t.sum(t.scale(w, 2e38)))
+        first = w.grad
+        t = T.Tape()
+        loss = t.sum(t.scale(w, 2e38))
+        with pytest.raises(T.NonFiniteError, match="accumulated gradient is not finite"):
+            t.backward(loss)
+    assert w.grad is first
+    np.testing.assert_array_equal(first, np.full((1, 2), np.float32(2e38)))
 
 
 def test_softmax_of_a_row_spanning_the_float_range_stays_quiet():
