@@ -95,7 +95,7 @@ def run(args) -> int:
         return 0
     if args.command == "benchmark":
         models = None
-        if args.models:
+        if args.models is not None:
             models = tuple(t.strip() for t in args.models.split(",") if t.strip())
         ex.cmd_benchmark(config, models=models, threads=args.threads)
         print(f"benchmark report at {config.out_dir}/report.md")

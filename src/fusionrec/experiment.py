@@ -424,11 +424,16 @@ def run_single(config: ExperimentConfig, threads=1):
 
 
 def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
-    """Run the roster over one prepared split and emit the combined report."""
-    roster = tuple(models) if models else MODEL_TAGS
-    for tag in roster:
+    """Run the roster over one prepared split and emit the combined report.
+    models=None runs every model; a roster names each of its models once."""
+    roster = MODEL_TAGS if models is None else tuple(models)
+    if not roster:
+        raise ConfigError("model roster is empty")
+    for at, tag in enumerate(roster):
         if tag not in MODEL_TAGS:
             raise ConfigError(f"unknown model tag {tag!r} in roster")
+        if tag in roster[:at]:
+            raise ConfigError(f"model tag {tag!r} repeated in roster")
     split, store = cmd_prepare(config)
     rows = []
     for tag in roster:

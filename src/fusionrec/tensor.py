@@ -4,23 +4,23 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
 analytic gradients against central finite differences. Any operation that
 produces NaN or Inf raises NonFiniteError immediately instead of letting the
-value propagate: every primitive and backward run under
+value propagate: every primitive, casts included, and backward run under
 np.errstate(all="ignore"), so numpy warns of nothing, and the finiteness
 check of each result (_record) and of every gradient backward forms, sums
-included (backward, Tensor._accumulate_grad), is the one signal. Subnormal
-gradients are flushed to zero where they enter matmul: each of its rules
-sets each entry of its incoming gradient smaller in magnitude than the
-dtype's smallest normal number to zero (flush_subnormals, the flush-to-zero
-policy of CPU deep-learning runtimes) before it multiplies the gradient into
-an operand, because each multiplication by such an entry costs the CPU a
-microcode assist. A BPR pair whose margin passes about 87 has a subnormal
-float32 gradient, and matmul's projection gradient (VBPR, FREEDOM's modality
-branch) is where such gradients were measured to slow training. A flushed
-entry's term in the product is below tiny times the operand entry it
-multiplies; for an operand entry larger than 1 that term may be a normal
-number, so the flush can change a gradient, not only drop what would round
-away. matmul_nt, spmm, spmm_weighted and every other rule take their
-gradient unflushed.
+and a leaf's narrowing cast included (backward, Tensor._accumulate_grad), is
+the one signal. Subnormal gradients are flushed to zero where they enter
+matmul: each of its rules sets each entry of its incoming gradient smaller
+in magnitude than the dtype's smallest normal number to zero
+(flush_subnormals, the flush-to-zero policy of CPU deep-learning runtimes)
+before it multiplies the gradient into an operand, because each
+multiplication by such an entry costs the CPU a microcode assist. A BPR pair
+whose margin passes about 87 has a subnormal float32 gradient, and matmul's
+projection gradient (VBPR, FREEDOM's modality branch) is where such
+gradients were measured to slow training. A flushed entry's term in the
+product is below tiny times the operand entry it multiplies; for an operand
+entry larger than 1 that term may be a normal number, so the flush can
+change a gradient, not only drop what would round away. matmul_nt, spmm,
+spmm_weighted and every other rule take their gradient unflushed.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -32,13 +32,15 @@ a gathered block of a constant feature matrix, costs nothing in backward.
 Each family of primitives records through one private body: _unary serves
 scale, sigmoid, softplus, log, exp, relu, sum, sumsq, mean, rowsum and
 softmax, and, through _masked, which builds one mask after the operand
-check, leaky_relu and dropout; _binary serves add, sub, mul, div and
-maximum, and _spmm serves spmm_weighted and spmm, whose values are the
-matrix's stored ones as a constant. Every sparse product and every scatter
-is one call into scipy's compiled CSR product kernel, on layouts from one
-counting sort, _bucket: a SparseMatrix is its own CSR, and row_gather's
-backward buckets its indices by row. Each output row adds its terms in CSR
-data order, which is the order of the stored entries.
+check, leaky_relu and dropout; _binary, given which operand shapes meet,
+serves add, sub, mul, div, maximum, matmul and matmul_nt, and, through
+_spmm, spmm_weighted and spmm, whose values are the matrix's stored ones as
+a constant. l2_normalize, row_gather, the concatenations and stop_gradient
+record on their own. Every sparse product and every scatter is one call into
+scipy's compiled CSR product kernel, on layouts from one counting sort,
+_bucket: a SparseMatrix is its own CSR, and row_gather's backward buckets
+its indices by row. Each output row adds its terms in CSR data order, which
+is the order of the stored entries.
 
 Importing this module pins glibc malloc's mmap and trim thresholds for the
 whole process (_pin_malloc_thresholds), so a training batch reuses the heap
@@ -121,13 +123,15 @@ class Tensor:
         self.grad = None
 
     def _accumulate_grad(self, g, owned):
-        """Add g to grad; the sum must be finite. An `owned` g, which no one
+        """Add g, in the leaf's dtype, to grad; a sum or a narrowing cast must
+        stay finite, or grad is left as it was. An `owned` g, which no one
         else holds, becomes grad as it is when grad is empty."""
-        if self.grad is not None:
-            g, owned = self.grad + g.astype(self.data.dtype, copy=False), True
+        if self.grad is not None or g.dtype != self.data.dtype:
+            g, owned = g.astype(self.data.dtype, copy=False), True
+            g = g if self.grad is None else self.grad + g
             if not np.isfinite(g).all():
                 raise NonFiniteError("backward: accumulated gradient is not finite")
-        self.grad = g.astype(self.data.dtype, copy=not owned)
+        self.grad = g if owned else g.copy()
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -264,6 +268,12 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
+def _broadcast_clash(sa, sb):
+    """Why shapes sa and sb do not broadcast against each other, if they do not."""
+    if any(p != q and 1 not in (p, q) for p, q in zip(sa, sb)):
+        return f"shapes {sa} and {sb} do not broadcast"
+
+
 def _unbroadcast(g, shape):
     # reduce a broadcasted gradient back to the operand's shape
     if g.shape == shape:
@@ -377,16 +387,10 @@ class Tape:
     # -- primitives -------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_operand(a)
-        self._check_operand(b)
-        if a.cols != b.rows:
-            raise ValueError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-        with np.errstate(all="ignore"):
-            out = a.data @ b.data
-        ad, bd = a.data, b.data
-        return self._record("matmul", out, (a, b),
-                            (lambda g: flush_subnormals(g) @ bd.T,
-                             lambda g: ad.T @ flush_subnormals(g)))
+        return self._binary(
+            "matmul", a, b, np.matmul, lambda g, ad, bd: flush_subnormals(g) @ bd.T,
+            lambda g, ad, bd: ad.T @ flush_subnormals(g),
+            lambda sa, sb: sa[1] != sb[0] and f"inner dims differ, {sa} x {sb}")
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
@@ -402,24 +406,17 @@ class Tape:
         return self._spmm("spmm_weighted", structure, vals, x)
 
     def _spmm(self, name, structure, vals, x):
-        """structure @ x with live values. Row i of `vals` is the i-th stored
-        (row, col) entry, which is also the CSR's i-th data entry, so the
-        product runs on (indptr, cols) and the dense operand's gradient on
-        transpose() with vals[perm]. The value gradient runs VALUE_GRAD_BLOCK
-        entries at a time, so it never holds an nnz x width array."""
-        self._check_operand(vals)
-        self._check_operand(x)
-        if vals.shape != (structure.nnz, 1):
-            raise ValueError(
-                f"{name}: values must be ({structure.nnz}, 1), got {vals.shape}"
-            )
-        if structure.shape[1] != x.rows:
-            raise ValueError(f"{name}: inner dims differ, {structure.shape} x {x.shape}")
-        v = vals.data[:, 0]
-        xd = x.data
-        out = _csr_product(structure.indptr, structure.cols, v, xd)
+        """structure @ x with live values: row i of `vals` is the i-th stored
+        (row, col) entry, the CSR's i-th data entry, so the product runs on
+        (indptr, cols) and x's gradient on transpose() with vals[perm]. The
+        value gradient runs VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
+        def clash(sv, sx):
+            if sv != (structure.nnz, 1):
+                return f"values must be ({structure.nnz}, 1), got {sv}"
+            return sx[0] != structure.shape[1] and (
+                f"inner dims differ, {structure.shape} x {sx}")
 
-        def grad_vals(g):
+        def grad_vals(g, vd, xd):
             rows, cols = structure.rows, structure.cols
             gv = np.empty((rows.size, 1), dtype=np.result_type(g, xd))
             for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
@@ -427,26 +424,26 @@ class Tape:
                 gv[lo:hi, 0] = (g[rows[lo:hi]] * xd[cols[lo:hi]]).sum(axis=1)
             return gv
 
-        def grad_x(g):
+        def grad_x(g, vd, xd):
             indptr, indices, perm = structure.transpose()
-            return _csr_product(indptr, indices, v[perm], g)
+            return _csr_product(indptr, indices, vd[perm, 0], g)
 
-        return self._record(name, out, (vals, x), (grad_vals, grad_x))
+        return self._binary(name, vals, x, lambda vd, xd: _csr_product(
+            structure.indptr, structure.cols, vd[:, 0], xd), grad_vals, grad_x, clash)
 
-    def _binary(self, name, a, b, op, rule_a, rule_b):
-        """Record op(a, b) on operands that broadcast against each other.
-        rule_a(g, ad, bd) and rule_b(g, ad, bd) give each operand's gradient
-        at the output's shape from the operand arrays captured here; each is
-        summed back to its operand's shape."""
+    def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash):
+        """Record op(ad, bd) on the operands' arrays. clash(sa, sb) says why
+        shapes sa and sb cannot meet, or is falsy when they can. rule_a(g, ad,
+        bd) and rule_b(g, ad, bd) give each operand's gradient from the arrays
+        captured here; a broadcast one is summed back to its operand's shape."""
         self._check_operand(a)
         self._check_operand(b)
-        (ra, ca), (rb, cb) = a.shape, b.shape
-        if (ra != rb and 1 not in (ra, rb)) or (ca != cb and 1 not in (ca, cb)):
-            raise ValueError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
+        sa, sb = a.shape, b.shape
+        if why := clash(sa, sb):
+            raise ValueError(f"{name}: {why}")
         ad, bd = a.data, b.data
         with np.errstate(all="ignore"):
             out = op(ad, bd)
-        sa, sb = a.shape, b.shape
         return self._record(name, out, (a, b),
                             (lambda g: _unbroadcast(rule_a(g, ad, bd), sa),
                              lambda g: _unbroadcast(rule_b(g, ad, bd), sb)))
@@ -571,15 +568,10 @@ class Tape:
 
     def matmul_nt(self, a: Tensor, b: Tensor) -> Tensor:
         """a @ b.T without materializing a transpose, (n, d) x (m, d) -> (n, m)."""
-        self._check_operand(a)
-        self._check_operand(b)
-        if a.cols != b.cols:
-            raise ValueError(f"matmul_nt: column dims differ, {a.shape} x {b.shape}")
-        with np.errstate(all="ignore"):
-            out = a.data @ b.data.T
-        ad, bd = a.data, b.data
-        return self._record("matmul_nt", out, (a, b),
-                            (lambda g: g @ bd, lambda g: g.T @ ad))
+        return self._binary(
+            "matmul_nt", a, b, lambda ad, bd: ad @ bd.T, lambda g, ad, bd: g @ bd,
+            lambda g, ad, bd: g.T @ ad,
+            lambda sa, sb: sa[1] != sb[1] and f"column dims differ, {sa} x {sb}")
 
     def row_concat(self, tensors) -> Tensor:
         """Stack tensors with equal column counts, top to bottom."""

@@ -631,6 +631,23 @@ def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("roster, message", [
+    (",", "model roster is empty"),
+    ("vbpr,vbpr", "model tag 'vbpr' repeated in roster"),
+])
+def test_cli_empty_or_repeated_roster_exits_1_before_prepare(
+        corpus, tmp_path, capsys, monkeypatch, roster, message):
+    # only a missing --models means every model
+    called = []
+    monkeypatch.setattr(ex, "cmd_prepare", lambda *a, **k: called.append("prepare"))
+    monkeypatch.setattr(ex, "_run_model", lambda *a, **k: called.append("run"))
+    ini = str(tmp_path / "exp.ini")
+    write_config(base_config(corpus, str(tmp_path / "out")), ini)
+    assert main(["--config", ini, "benchmark", "--models", roster]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert called == []
+
+
 def test_malformed_input_files_exit_1(corpus, tmp_path, capsys):
     """A malformed log or feature file is a validation error: exit 1, and
     stderr names the line or the file."""

@@ -253,12 +253,11 @@ def test_partition_check_sees_a_partial_sort(tmp_path):
         ("ranked", 9, "argpartition")}
 
 
-# numpy's float-error policy is set only where the tape computes: the
-# recording bodies, the products, l2_normalize and backward, all under
-# errstate(all="ignore"), so no caller hides a warning or changes what raises
-# NonFiniteError
+# numpy's float-error policy is set only where the tape computes: the two
+# recording bodies, l2_normalize and backward, all under errstate(all="ignore"),
+# so no caller hides a warning or changes what raises NonFiniteError
 FLOAT_POLICY = {("tensor", f"Tape.{func}", "errstate") for func in (
-    "_unary", "_binary", "matmul", "matmul_nt", "l2_normalize", "backward")}
+    "_unary", "_binary", "l2_normalize", "backward")}
 SETTING_FLOAT_POLICY = ("errstate", "seterr")
 
 

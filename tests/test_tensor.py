@@ -35,10 +35,49 @@ def test_matmul_hand_value():
     assert out.item() == pytest.approx(11.0)
 
 
-def test_matmul_shape_mismatch():
+def ones(rows, cols):
+    return T.constant(np.ones((rows, cols)))
+
+
+def eye2():
+    return T.SparseMatrix.from_dense(np.eye(2))
+
+
+@pytest.mark.parametrize("case, message", [
+    pytest.param(lambda t: t.matmul(ones(2, 3), ones(2, 3)),
+                 "matmul: inner dims differ, (2, 3) x (2, 3)", id="matmul"),
+    pytest.param(lambda t: t.matmul_nt(ones(2, 3), ones(2, 2)),
+                 "matmul_nt: column dims differ, (2, 3) x (2, 2)", id="matmul_nt"),
+    pytest.param(lambda t: t.spmm_weighted(eye2(), ones(3, 1), ones(2, 1)),
+                 "spmm_weighted: values must be (2, 1), got (3, 1)",
+                 id="spmm_weighted-values"),
+    pytest.param(lambda t: t.spmm_weighted(eye2(), ones(2, 1), ones(3, 1)),
+                 "spmm_weighted: inner dims differ, (2, 2) x (3, 1)",
+                 id="spmm_weighted-inner"),
+    pytest.param(lambda t: t.spmm(eye2(), ones(3, 1)),
+                 "spmm: inner dims differ, (2, 2) x (3, 1)", id="spmm"),
+    pytest.param(lambda t: t.add(ones(2, 3), ones(3, 3)),
+                 "add: shapes (2, 3) and (3, 3) do not broadcast", id="add"),
+])
+def test_shape_mismatch_keeps_its_type_and_text(case, message):
     t = T.Tape()
-    with pytest.raises(ValueError):
-        t.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+    with pytest.raises(ValueError) as info:
+        case(t)
+    assert str(info.value) == message
+    assert t.op_names == []
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda t: t.matmul("a", ones(1, 1)), id="matmul"),
+    pytest.param(lambda t: t.matmul_nt(ones(1, 1), [[1.0]]), id="matmul_nt"),
+    pytest.param(lambda t: t.spmm(eye2(), np.ones((2, 1))), id="spmm"),
+    pytest.param(lambda t: t.spmm_weighted(eye2(), [[1.0], [1.0]], ones(2, 1)),
+                 id="spmm_weighted"),
+    pytest.param(lambda t: t.add(ones(1, 1), 1.0), id="add"),
+])
+def test_a_non_tensor_operand_is_a_type_error(case):
+    with pytest.raises(TypeError, match="^expected Tensor, got "):
+        case(T.Tape())
 
 
 def test_sigmoid_at_zero():
@@ -212,6 +251,24 @@ def test_non_finite_result_raises_naming_its_primitive(name):
             FLOAT_ERROR_CASES[name](T.Tape())
 
 
+BEYOND_FLOAT32 = [[1e39], [1.0]]  # finite float64 values
+
+
+@pytest.mark.parametrize("name, case", [
+    pytest.param("spmm", lambda t, x: t.spmm(T.SparseMatrix.from_dense(
+        np.diag(np.ravel(BEYOND_FLOAT32)), dtype=np.float64), x), id="spmm"),
+    pytest.param("spmm_weighted", lambda t, x: t.spmm_weighted(
+        eye2(), T.constant(BEYOND_FLOAT32, dtype=np.float64), x), id="spmm_weighted"),
+])
+def test_sparse_value_cast_past_float32_raises_naming_its_primitive(name, case):
+    # the product casts the values to the dense operand's float32 inside the
+    # float-error policy, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NonFiniteError, match=rf"^{name} produced non-finite"):
+            case(T.Tape(), ones(2, 3))
+
+
 def test_div_backward_on_a_tiny_denominator_raises():
     # the forward quotient 1e20 is finite; d/db = -a / b**2 overflows
     a, b = T.parameter([[1.0]]), T.parameter([[1e-20]])
@@ -264,6 +321,23 @@ def test_overflowing_grad_across_backward_calls_raises():
             t.backward(loss)
     assert w.grad is first
     np.testing.assert_array_equal(first, np.full((1, 2), np.float32(2e38)))
+
+
+def test_leaf_gradient_past_its_dtype_raises_and_leaves_grad():
+    # w's float64 gradient, 1e39, is finite but beyond float32's range
+    w = T.parameter([[1.0]])
+    c = T.constant([[1e39]], dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = T.Tape()
+        loss = t.sum(t.mul(w, c))
+        with pytest.raises(T.NonFiniteError, match="accumulated gradient is not finite"):
+            t.backward(loss)
+    assert w.grad is None
+    # a cast that fits is stored in the leaf's dtype
+    t = T.Tape()
+    t.backward(t.sum(t.mul(w, T.constant([[2.5]], dtype=np.float64))))
+    assert w.grad.dtype == np.float32 and w.grad.tolist() == [[2.5]]
 
 
 def test_softmax_of_a_row_spanning_the_float_range_stays_quiet():
