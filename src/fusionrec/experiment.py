@@ -92,6 +92,8 @@ class ExperimentConfig:
             self.grid = tr.GridSpec(lrs=self.grid_lrs, regs=self.grid_regs)
         except ValueError as exc:
             raise ConfigError(f"[grid]: {exc}") from None
+        if self.trainer.eval_every < 1:  # every command selects by evaluation
+            raise ConfigError(f"eval_every must be >= 1, got {self.trainer.eval_every}")
         self.features = dict(self.features)
         if "$" in self.out_dir:
             raise ConfigError(
@@ -380,7 +382,10 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
     if model is None:
         mdata = ModelData.from_split(split, store)
         model = build_model(config.model, mdata, seed=config.trainer.seed)
-        load_checkpoint(model, os.path.join(run_dir, "checkpoint"))
+        try:
+            load_checkpoint(model, os.path.join(run_dir, "checkpoint"))
+        except ValueError as exc:  # the INI no longer describes the trained model
+            raise ConfigError(f"{run_dir}: {exc}") from None
     report, ranking = ev.evaluate_model(
         model, split, part="test", cutoffs=config.cutoffs, threads=threads)
     os.makedirs(run_dir, exist_ok=True)

@@ -271,14 +271,8 @@ def batch_rows(batch):
     return users, items, user_at, item_at[:n], item_at[n:]
 
 
-def bpr_on_rows(tape: Tape, users_rep: Tensor, items_rep: Tensor,
-                users, pos, neg) -> Tensor:
-    """BPR over triples given as row indices into the representations.
-
-    A triple's score is the inner product of its user row and item row.
-    """
-    u = tape.row_gather(users_rep, users)
-
+def bpr_on_rows(tape: Tape, u: Tensor, items_rep: Tensor, pos, neg) -> Tensor:
+    """The one BPR scorer: triple t scores u[t] . items_rep[pos[t]] (and neg[t])."""
     def scores(items):
         return tape.rowsum(tape.mul(u, tape.row_gather(items_rep, items)))
 
@@ -365,8 +359,8 @@ class RecommenderModel:
 
     def loss(self, tape: Tape, batch, rng) -> Tensor:
         users_rep, items_rep = self._representations(tape, train=True)
-        return bpr_on_rows(tape, users_rep, items_rep,
-                           batch.users, batch.pos, batch.neg)
+        return bpr_on_rows(tape, tape.row_gather(users_rep, batch.users),
+                           items_rep, batch.pos, batch.neg)
 
     def embed(self):
         """(users (n_users, d'), items (n_items, d')) arrays, gradient-free.
@@ -405,23 +399,25 @@ def save_checkpoint(model: RecommenderModel, out_dir):
 
 
 def load_checkpoint(model: RecommenderModel, out_dir):
-    """Restore parameter values written by save_checkpoint, verifying shapes."""
+    """Restore save_checkpoint's values; tag, shapes, then config must match."""
     with open(os.path.join(out_dir, "checkpoint.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest["tag"] != model.tag:
         raise ValueError(f"checkpoint tag {manifest['tag']!r} != model {model.tag!r}")
     named = model.params().named()
-    stored = {name: tuple(shape)
-              for shapes in manifest["groups"].values()
-              for name, shape in shapes.items()}
-    if set(stored) != set(named):
-        missing = sorted(set(named) ^ set(stored))
-        raise ValueError(f"checkpoint parameter names differ: {missing}")
+    stored = {name: tuple(shape) for group in manifest["groups"].values()
+              for name, shape in group.items()}
+    shapes = {name: t.shape for name, t in named.items()}
+    if stored != shapes:  # a parameter one side lacks has shape None there
+        name = min(set(stored.items()) ^ set(shapes.items()))[0]
+        raise ValueError(f"{name}: checkpoint shape {stored.get(name)} "
+                         f"!= model {shapes.get(name)}")
+    config = json.loads(json.dumps(asdict(model.config)))  # tuples become lists
+    for key, value in config.items():
+        if (kept := manifest["config"].get(key)) != value:
+            raise ValueError(f"checkpoint config {key} = {kept!r} "
+                             f"!= model {key} = {value!r}")
     for name, t in named.items():
-        if stored[name] != t.shape:
-            raise ValueError(
-                f"{name}: checkpoint shape {stored[name]} != model {t.shape}"
-            )
         raw = np.fromfile(os.path.join(out_dir, f"{name}.bin"), dtype="<f4")
         if raw.size != t.data.size:
             raise ValueError(f"{name}: blob has {raw.size} values, "

@@ -19,7 +19,6 @@ through that second branch.
 import numpy as np
 
 from ..schema import Late
-from .. import training as tr
 from .base import (
     RecommenderModel,
     batch_rows,
@@ -81,8 +80,8 @@ class FREEDOM(RecommenderModel):
 
     def loss(self, tape, batch, rng):
         users_rep, items_rep = self._representations(tape, train=True)
-        total = bpr_on_rows(tape, users_rep, items_rep,
-                            batch.users, batch.pos, batch.neg)
+        total = bpr_on_rows(tape, tape.row_gather(users_rep, batch.users),
+                            items_rep, batch.pos, batch.neg)
         if self.config.mm_weight == 0.0:
             return total
         u_rows = tape.row_gather(users_rep, batch.users)
@@ -93,11 +92,7 @@ class FREEDOM(RecommenderModel):
         for m in self.data.modalities:
             item_mm = tape.matmul(tape.row_gather(self.feats[m], items),
                                   self.proj[m])
-            pos_mm = tape.rowsum(tape.mul(
-                u_rows, tape.row_gather(item_mm, pos_at)))
-            neg_mm = tape.rowsum(tape.mul(
-                u_rows, tape.row_gather(item_mm, neg_at)))
-            term = tr.bpr_loss(tape, pos_mm, neg_mm)
+            term = bpr_on_rows(tape, u_rows, item_mm, pos_at, neg_at)
             mm = term if mm is None else tape.add(mm, term)
         scale = self.config.mm_weight / len(self.data.modalities)
         return tape.add(total, tape.scale(mm, scale))

@@ -56,4 +56,5 @@ class VBPR(RecommenderModel):
     def loss(self, tape, batch, rng):
         users, items, u_at, pos_at, neg_at = batch_rows(batch)
         users_rep, items_rep = self._rows(tape, users, items)
-        return bpr_on_rows(tape, users_rep, items_rep, u_at, pos_at, neg_at)
+        return bpr_on_rows(tape, tape.row_gather(users_rep, u_at), items_rep,
+                           pos_at, neg_at)

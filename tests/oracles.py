@@ -405,6 +405,41 @@ def lattice_dense_reference(tape, model, batch):
     return tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
 
 
+# ----------------------------------------------------------------- FREEDOM
+
+def freedom_loss_reference(tape, model, batch):
+    """FREEDOM's loss with every BPR term written out, as first written.
+
+    The main term gathers the batch's user rows and scores them against
+    the positive and negative item rows; then the user rows are gathered
+    again, and per modality, in sorted order, the batch's unique items are
+    projected and scored the same way. Each term is the mean softplus of
+    negative minus positive score; the modality terms are summed, scaled
+    by mm_weight over the modality count and added to the main term. The
+    representations are the model's own _representations. Returns the loss.
+    """
+    users_rep, items_rep = model._representations(tape, train=True)
+
+    def bpr(u, rows, pos, neg):
+        pos_s = tape.rowsum(tape.mul(u, tape.row_gather(rows, pos)))
+        neg_s = tape.rowsum(tape.mul(u, tape.row_gather(rows, neg)))
+        return tape.mean(tape.softplus(tape.sub(neg_s, pos_s)))
+
+    total = bpr(tape.row_gather(users_rep, batch.users), items_rep,
+                batch.pos, batch.neg)
+    u_rows = tape.row_gather(users_rep, batch.users)
+    items, item_at = np.unique(np.concatenate([batch.pos, batch.neg]),
+                               return_inverse=True)
+    n = len(batch.users)
+    mm = None
+    for m in model.data.modalities:
+        item_mm = tape.matmul(tape.row_gather(model.feats[m], items), model.proj[m])
+        term = bpr(u_rows, item_mm, item_at[:n], item_at[n:])
+        mm = term if mm is None else tape.add(mm, term)
+    scale = model.config.mm_weight / len(model.data.modalities)
+    return tape.add(total, tape.scale(mm, scale))
+
+
 # ----------------------------------------------------------------- BM3
 
 def bm3_frozen_views_loop(model, batch, rng):

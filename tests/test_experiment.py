@@ -613,12 +613,43 @@ def test_tuning_without_evaluations_fails_before_training(corpus, tmp_path,
     trained = []
     monkeypatch.setattr(schema, "train_loop",
                         lambda *args, **kwargs: trained.append(args))
-    config = base_config(corpus, str(tmp_path / "out"),
-                         trainer=tr.TrainerConfig(epochs=1, batch_size=32,
-                                                  eval_every=0))
     with pytest.raises(ValueError, match="eval_every"):
-        ex.run_single(config)
+        ex.run_single(base_config(corpus, str(tmp_path / "out"),
+                                  trainer=tr.TrainerConfig(epochs=1, batch_size=32,
+                                                           eval_every=0)))
     assert trained == []
+
+
+@pytest.mark.parametrize("command", ["tune", "train"])
+def test_eval_every_below_one_is_a_config_error_before_prepare(corpus, tmp_path,
+                                                               capsys, command):
+    out = tmp_path / "out"
+    text = ex.serialize_config(base_config(corpus, str(out)))
+    assert "eval_every = 1\n" in text
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text.replace("eval_every = 1\n", "eval_every = 0\n"))
+    assert main(["--config", str(ini), command]) == 1
+    assert "eval_every must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "prepared").exists()
+
+
+def test_evaluate_rejects_a_checkpoint_of_another_model_config(corpus, tmp_path,
+                                                               capsys):
+    # [model] edited after training: the checkpoint's shapes still fit
+    out = tmp_path / "out"
+    config = base_config(corpus, str(out),
+                         model=ModelConfig(tag="freedom", embedding_dim=8, knn_k=3))
+    text = ex.serialize_config(config)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert main(["--config", str(ini), "train"]) == 0
+    assert main(["--config", str(ini), "evaluate"]) == 0
+    capsys.readouterr()
+    assert "knn_k = 3\n" in text and "mm_weight = 0.1\n" in text
+    ini.write_text(text.replace("knn_k = 3\n", "knn_k = 5\n")
+                   .replace("mm_weight = 0.1\n", "mm_weight = 0.7\n"))
+    assert main(["--config", str(ini), "evaluate"]) == 1
+    assert "checkpoint config knn_k = 3 != model knn_k = 5" in capsys.readouterr().err
 
 
 def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):

@@ -285,6 +285,17 @@ def test_float_policy_check_sees_errstate_and_seterr(tmp_path):
         ("caller", 10, "errstate"), (None, 11, "seterr")}
 
 
+# a BPR loss is formed in one place: the model base's scorer, which every
+# triple loss (a model's main term and FREEDOM's modality terms) calls
+BPR_SCORER = {("models.base", "bpr_on_rows")}
+
+
+def test_only_bpr_on_rows_forms_a_bpr_loss():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in calls(path, ("bpr_loss",))}
+    assert sorted(found, key=str) == sorted(BPR_SCORER)
+
+
 # subnormal gradients are flushed where they enter matmul, by its own rules;
 # backward and every other primitive take their gradient as it comes
 FLUSHING = {("tensor", "Tape.matmul")}

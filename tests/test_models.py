@@ -34,6 +34,7 @@ from fdcheck import assert_gradients_match
 from oracles import (
     bipartite_adjacency_loop,
     bm3_frozen_views_loop,
+    freedom_loss_reference,
     grcn_reference,
     knn_bruteforce,
     knn_graph_dense,
@@ -846,6 +847,37 @@ def test_freedom_item_graph_bitwise_equals_dense_merge(weights):
     assert model.item_graph.vals.tobytes() == want.vals.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_freedom_loss_bitwise_equals_written_out_bpr_terms(dtype):
+    # the main term and each modality term go through the one BPR scorer:
+    # the same primitives in the same order, so loss and gradients are equal
+    # bit for bit to the terms written out
+    data = small_data(n_users=12, n_items=10, seed=4)
+    cfg = ModelConfig(tag="freedom", embedding_dim=4, knn_k=3, mm_weight=0.3)
+    model = FREEDOM(cfg, data, seed=7, dtype=dtype)
+    model.on_epoch_start(np.random.default_rng(1), 1)
+    batch = fixed_batch(data, size=16, seed=2)
+    assert len(data.modalities) == 2
+    runs = []
+    for loss_fn in (lambda tape: model.loss(tape, batch, np.random.default_rng(0)),
+                    lambda tape: freedom_loss_reference(tape, model, batch)):
+        model.zero_grads()
+        tape = T.Tape()
+        loss = loss_fn(tape)
+        names = tape.op_names
+        tape.backward(loss)
+        runs.append((names, loss.data.copy(),
+                     {name: t.grad.copy() for name, t in model.params().named().items()}))
+    (got_ops, got_loss, got_grads), (want_ops, want_loss, want_grads) = runs
+    assert got_ops == want_ops
+    assert got_loss.dtype == dtype
+    assert got_loss.tobytes() == want_loss.tobytes()
+    assert list(got_grads) == list(want_grads)
+    for name, got in got_grads.items():
+        assert got.dtype == dtype, name
+        assert got.tobytes() == want_grads[name].tobytes(), name
+
+
 # -------------------------------------------------------- batch-local losses
 
 def full_catalog_loss(model, tape, batch, rng):
@@ -975,9 +1007,33 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     other = VBPR(ModelConfig(tag="vbpr", embedding_dim=5), data, seed=8)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(other, tmp_path / "ckpt")
+    # a parameter the checkpoint lacks has no shape there
+    biased = VBPR(ModelConfig(tag="vbpr", embedding_dim=4, with_bias=True), data)
+    with pytest.raises(ValueError, match=r"item_bias: checkpoint shape None != model \(8, 1\)"):
+        load_checkpoint(biased, tmp_path / "ckpt")
     bm3 = BM3(ModelConfig(tag="bm3", embedding_dim=4), data, seed=8)
     with pytest.raises(ValueError, match="tag"):
         load_checkpoint(bm3, tmp_path / "ckpt")
+
+
+def test_checkpoint_config_mismatch_rejected(tmp_path):
+    # equal shapes, another model: the config check names the first key
+    data = small_data()
+    cfg = ModelConfig(tag="freedom", embedding_dim=4, knn_k=3,
+                      modality_weights=(3.0, 1.0))
+    model = FREEDOM(cfg, data, seed=8)
+    save_checkpoint(model, tmp_path / "ckpt")
+    other = FREEDOM(ModelConfig(tag="freedom", embedding_dim=4, knn_k=5,
+                                mm_weight=0.7), data, seed=9)
+    before = [t.data.copy() for t in other.tensors()]
+    with pytest.raises(ValueError, match="checkpoint config knn_k = 3 != model knn_k = 5"):
+        load_checkpoint(other, tmp_path / "ckpt")
+    for t, data_before in zip(other.tensors(), before):
+        np.testing.assert_array_equal(t.data, data_before)  # nothing loaded
+    # the tuple of modality weights comes back from JSON as a list
+    fresh = load_checkpoint(FREEDOM(cfg, data, seed=9), tmp_path / "ckpt")
+    np.testing.assert_array_equal(fresh.score_users(range(data.n_users)),
+                                  model.score_users(range(data.n_users)))
 
 
 # ------------------------------------------------------------ training smoke
