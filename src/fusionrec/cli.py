@@ -85,6 +85,7 @@ def run(args) -> int:
         print(f"run artifacts under {ex.run_dir(config)}")
         return 0
     if args.command == "evaluate":
+        ex.check_trained_split(config, ex.run_dir(config))
         split, store = ex.cmd_prepare(config)
         report = ex.cmd_evaluate(config, split, store, ex.run_dir(config),
                                  threads=args.threads)

@@ -92,8 +92,6 @@ class ExperimentConfig:
             self.grid = tr.GridSpec(lrs=self.grid_lrs, regs=self.grid_regs)
         except ValueError as exc:
             raise ConfigError(f"[grid]: {exc}") from None
-        if self.trainer.eval_every < 1:  # every command selects by evaluation
-            raise ConfigError(f"eval_every must be >= 1, got {self.trainer.eval_every}")
         self.features = dict(self.features)
         if "$" in self.out_dir:
             raise ConfigError(
@@ -402,6 +400,19 @@ def cmd_evaluate(config: ExperimentConfig, split: ds.Split,
     md, _ = render_report([(config.model.tag, report)], config.cutoffs)
     ds.write_text(os.path.join(run_dir, "report.md"), md)
     return report
+
+
+def check_trained_split(config: ExperimentConfig, run_dir):
+    """ConfigError unless run_dir was trained on the split config prepares."""
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        raise ConfigError(f"{path} is missing: train the run before evaluating it")
+    with open(path, encoding="utf-8") as fh:
+        trained = json.load(fh)["config"]["prepare"]
+    for key, value in config_to_dict(config)["prepare"].items():
+        if trained.get(key) != value:
+            raise ConfigError(f"{run_dir} was trained with [prepare] {key} = "
+                              f"{trained.get(key)!r}, not {value!r}")
 
 
 def run_dir(config: ExperimentConfig) -> str:

@@ -7,7 +7,7 @@ and differ only in fusion, so a subclass declares its `fusion` stage and
 the base builds the validated spec and the per-modality feature constants.
 Subclasses allocate parameters into the four-group census and implement
 _representations(); scoring and the default BPR loss live on the base
-class. item_graph is the one builder of the frozen kNN item graph.
+class. Graph builders store float64; item_graph is the one frozen kNN item graph.
 """
 
 import json
@@ -137,12 +137,12 @@ class ModelData:
 
 # ------------------------------------------------------------ graph builders
 
-def bipartite_adjacency(n_users, n_items, pairs, dtype=np.float32) -> SparseMatrix:
+def bipartite_adjacency(n_users, n_items, pairs) -> SparseMatrix:
     """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
-    return bipartite_structure(n_users, n_items, pairs, dtype)[0]
+    return bipartite_structure(n_users, n_items, pairs)[0]
 
 
-def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
+def bipartite_structure(n_users, n_items, pairs):
     """bipartite_adjacency plus, per stored entry, its source pair index.
 
     Both entries of pair (u, i) hold its pair_weights value. Returns
@@ -157,7 +157,7 @@ def bipartite_structure(n_users, n_items, pairs, dtype=np.float32):
     cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
     order = entry_order((n, n), rows, cols)[1]  # SparseMatrix's stored order
     w = pair_weights(n_users, n_items, pairs)
-    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]), dtype=dtype)
+    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]), dtype=np.float64)
     return adj, order % m  # positions p and m + p hold pair p
 
 
@@ -221,14 +221,13 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=np.float64)
 
 
-def item_graph(data: ModelData, k: int, weights=None, dtype=np.float64) -> SparseMatrix:
+def item_graph(data: ModelData, k: int, weights=None) -> SparseMatrix:
     """Frozen multimodal item graph: the weighted sum of per-modality knn_graphs.
 
     Each modality's graph is data's shared one (ModelData.modality_graph).
     `weights` holds one weight per modality in sorted modality order and is
     normalized to sum to one; None weighs the modalities uniformly.
-    Modalities are added in sorted order onto zero, in float64, and the
-    sum is stored in `dtype`.
+    Modalities are added in sorted order onto zero, in float64.
     """
     mods = data.modalities
     if weights is None:
@@ -239,7 +238,7 @@ def item_graph(data: ModelData, k: int, weights=None, dtype=np.float64) -> Spars
     total = sum(weights)
     out = sum(w / total * data.modality_graph(m, k, knn_graph).csr()
               for m, w in zip(mods, weights)).tocoo()
-    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=dtype)
+    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=np.float64)
 
 
 # ------------------------------------------------------- tape-level helpers
@@ -379,7 +378,7 @@ class RecommenderModel:
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(model: RecommenderModel, out_dir):
-    """JSON manifest (config + group shapes) plus one raw f32 blob per tensor."""
+    """JSON manifest (config + group shapes) plus each tensor's little-endian bytes."""
     os.makedirs(out_dir, exist_ok=True)
     named = model.params().named()
     census = model.params().census()
@@ -393,7 +392,7 @@ def save_checkpoint(model: RecommenderModel, out_dir):
     }
     write_json(os.path.join(out_dir, "checkpoint.json"), manifest)
     for name, t in named.items():
-        blob = t.data.astype("<f4").tobytes()
+        blob = t.data.astype(t.data.dtype.newbyteorder("<")).tobytes()
         with open(os.path.join(out_dir, f"{name}.bin"), "wb") as fh:
             fh.write(blob)
 
@@ -418,9 +417,10 @@ def load_checkpoint(model: RecommenderModel, out_dir):
             raise ValueError(f"checkpoint config {key} = {kept!r} "
                              f"!= model {key} = {value!r}")
     for name, t in named.items():
-        raw = np.fromfile(os.path.join(out_dir, f"{name}.bin"), dtype="<f4")
-        if raw.size != t.data.size:
-            raise ValueError(f"{name}: blob has {raw.size} values, "
-                             f"expected {t.data.size}")
-        t.data[...] = raw.reshape(t.shape).astype(t.data.dtype)
+        raw = np.fromfile(os.path.join(out_dir, f"{name}.bin"),
+                          dtype=t.data.dtype.newbyteorder("<"))
+        if raw.size != t.data.size:  # also a blob of another dtype
+            raise ValueError(f"{name}: blob has {raw.size} {t.data.dtype} "
+                             f"values, expected {t.data.size}")
+        t.data[...] = raw.reshape(t.shape)
     return model

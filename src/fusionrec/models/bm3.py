@@ -28,7 +28,7 @@ class BM3(RecommenderModel):
 
     def _build(self, rng):
         self.adj = bipartite_adjacency(self.data.n_users, self.data.n_items,
-                                       self.data.pairs, dtype=self.dtype)
+                                       self.data.pairs)
         self.user_emb, self.item_emb = self._id_embeddings(rng)
         self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
         self.frozen_views = None

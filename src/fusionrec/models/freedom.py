@@ -45,10 +45,8 @@ class FREEDOM(RecommenderModel):
         n_u, n_i = self.data.n_users, self.data.n_items
         self.user_emb, self.item_emb = self._id_embeddings(rng)
         self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
-        self.item_graph = item_graph(self.data, cfg.knn_k, cfg.modality_weights,
-                                     self.dtype)
-        self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
-                                            dtype=self.dtype)
+        self.item_graph = item_graph(self.data, cfg.knn_k, cfg.modality_weights)
+        self.full_adj = bipartite_adjacency(n_u, n_i, self.data.pairs)
         self.keep_probs = edge_keep_probabilities(self.data.pairs, n_u, n_i)
         self._train_adj = None
 
@@ -61,9 +59,7 @@ class FREEDOM(RecommenderModel):
         keep_n = max(1, int(round((1.0 - self.config.prune_ratio) * m)))
         kept = rng.choice(m, size=keep_n, replace=False, p=self.keep_probs)
         self._train_adj = bipartite_adjacency(
-            self.data.n_users, self.data.n_items,
-            self.data.pairs[np.sort(kept)], dtype=self.dtype,
-        )
+            self.data.n_users, self.data.n_items, self.data.pairs[np.sort(kept)])
 
     def _representations(self, tape, train):
         adj = self._train_adj if train and self._train_adj is not None \

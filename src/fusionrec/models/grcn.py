@@ -40,9 +40,7 @@ class GRCN(RecommenderModel):
     def _build(self, rng):
         d = self.config.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
-        self.structure, self.entry_pair = bipartite_structure(
-            n_u, n_i, self.data.pairs, dtype=self.dtype
-        )
+        self.structure, self.entry_pair = bipartite_structure(n_u, n_i, self.data.pairs)
         self.base_vals = constant(self.structure.vals[:, None], dtype=self.dtype)
         self._pair_users = np.unique(self.data.pairs[:, 0]).size
         self._dead_logged = False  # whether the fully gated warning was logged

@@ -44,11 +44,8 @@ class LATTICE(RecommenderModel):
         )
         # cosine similarity is scale-invariant, so knn_graph's unit rows
         # cover the standardization the initial graphs assume
-        self.initial = {}
-        for m in self.data.modalities:
-            g = self.data.modality_graph(m, cfg.knn_k, knn_graph)
-            self.initial[m] = SparseMatrix(g.shape, g.rows, g.cols, g.vals,
-                                           dtype=self.dtype)
+        self.initial = {m: self.data.modality_graph(m, cfg.knn_k, knn_graph)
+                        for m in self.data.modalities}
         self.proj = {m: self._projection(m, rng) for m in self.data.modalities}
         # an item is not its own neighbor: rank_topk excludes the (i, i) pairs
         self.itself = InteractionIndex.from_pairs(n, n, np.repeat(np.arange(n), 2))

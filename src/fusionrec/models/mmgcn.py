@@ -25,8 +25,7 @@ class MMGCN(RecommenderModel):
         cfg = self.config
         d = cfg.embedding_dim
         n_u, n_i = self.data.n_users, self.data.n_items
-        self.adj = bipartite_adjacency(n_u, n_i, self.data.pairs,
-                                       dtype=self.dtype)
+        self.adj = bipartite_adjacency(n_u, n_i, self.data.pairs)
         self.user_emb = {}
         self.id_emb = {}
         self.proj = {}

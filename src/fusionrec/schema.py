@@ -214,8 +214,8 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
                 ) from exc
             epoch_loss += loss.item()
         val = None
-        if eval_fn is not None and trainer.eval_every > 0 and (
-                epoch % trainer.eval_every == 0 or epoch == trainer.epochs):
+        if eval_fn is not None and (epoch % trainer.eval_every == 0
+                                    or epoch == trainer.epochs):
             val = float(eval_fn(model))
             evals.append((epoch, val))
         trace.append(TraceRow(epoch, epoch_loss / n_batches, val,

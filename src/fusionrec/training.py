@@ -80,6 +80,8 @@ class TrainerConfig:
             raise ValueError(f"reg must be nonnegative, got {self.reg}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer {self.optimizer!r} not in {OPTIMIZERS}")
+        if self.eval_every < 1:  # every training evaluates at its last epoch
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 def sample_triples(data: TrainData, batch_size: int, rng) -> TripleBatch:
@@ -266,11 +268,6 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
     """
     from .schema import train_loop
 
-    if trainer.eval_every < 1:
-        raise ValueError(
-            f"grid_search selects by evaluation, so eval_every must be >= 1, "
-            f"got {trainer.eval_every}"
-        )
     best = None  # (value, idx, epoch, lr, reg)
     winner = (None, None)  # (model, result) of best's config
     table = []
@@ -282,7 +279,7 @@ def grid_search(model_factory, grid: GridSpec, data: TrainData,
             table.append((idx, lr, reg, epoch, value))
             if best is None or value > best[0]:
                 best = (value, idx, epoch, lr, reg)
-        if best is not None and best[1] == idx:
+        if best[1] == idx:
             winner = (model, result)
         del model, result
     value, idx, epoch, lr, reg = best

@@ -17,7 +17,6 @@ from fusionrec.modality import ModalityFeatures, write_features
 from fusionrec.models import ModelConfig, ModelData
 from fusionrec.models import base as fm_base
 from fusionrec.models import lattice as fm_lattice
-from fusionrec.tensor import SparseMatrix
 
 N_USERS, N_ITEMS = 15, 35
 
@@ -361,13 +360,13 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
     # the shared graphs are the ones each model would build for itself
     model, data = chosen.model, chosen.model.data
     if tag == "lattice":
-        graphs = {m: real(data.features[m], 3) for m in data.modalities}
-        wanted = {m: SparseMatrix(g.shape, g.rows, g.cols, g.vals, dtype=model.dtype)
-                  for m, g in graphs.items()}
+        for m in data.modalities:  # the shared objects themselves, not copies
+            assert model.initial[m] is data.modality_graph(m, 3, real)
+        wanted = {m: real(data.features[m], 3) for m in data.modalities}
         got = model.initial
     else:
         fresh = ModelData(data.n_users, data.n_items, data.pairs, dict(data.features))
-        wanted = {"merged": fm_base.item_graph(fresh, 3, None, model.dtype)}
+        wanted = {"merged": fm_base.item_graph(fresh, 3, None)}
         got = {"merged": model.item_graph}
     for m, want in wanted.items():
         for attr in ("rows", "cols", "vals"):
@@ -650,6 +649,24 @@ def test_evaluate_rejects_a_checkpoint_of_another_model_config(corpus, tmp_path,
                    .replace("mm_weight = 0.1\n", "mm_weight = 0.7\n"))
     assert main(["--config", str(ini), "evaluate"]) == 1
     assert "checkpoint config knn_k = 3 != model knn_k = 5" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_run_trained_on_another_split(corpus, tmp_path, capsys):
+    # another split's test items are partly the checkpoint's training items
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    write_config(base_config(corpus, str(out)), str(ini))
+    assert main(["--config", str(ini), "evaluate"]) == 1  # nothing trained yet
+    assert "manifest.json is missing" in capsys.readouterr().err
+    assert main(["--config", str(ini), "--seed", "1", "train"]) == 0
+    prepared = {p: p.read_bytes() for p in sorted((out / "prepared").rglob("*"))
+                if p.is_file()}
+    capsys.readouterr()
+    assert main(["--config", str(ini), "--seed", "7", "evaluate"]) == 1
+    assert "trained with [prepare] seed = 1, not 7" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in sorted((out / "prepared").rglob("*"))
+            if p.is_file()} == prepared
+    assert main(["--config", str(ini), "--seed", "1", "evaluate"]) == 0
 
 
 def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):

@@ -2,6 +2,7 @@
 tokenize only."""
 
 import ast
+import inspect
 import io
 import pathlib
 import re
@@ -319,6 +320,55 @@ def test_flush_check_sees_calls_in_rules_and_bodies(tmp_path):
     assert calls(path, ("flush_subnormals",)) == {
         ("Tape.matmul", 4, "flush_subnormals"),
         ("Tape.backward", 6, "flush_subnormals")}
+
+
+# every frozen graph is built in float64, and the tape's sparse products cast
+# its values to the dense operand's dtype, so no builder takes a dtype
+GRAPH_BUILDERS = ("knn_graph", "item_graph", "bipartite_adjacency",
+                  "bipartite_structure")
+
+
+def test_graph_builders_take_no_dtype():
+    from fusionrec.models import base
+
+    taking = [name for name in GRAPH_BUILDERS
+              if "dtype" in inspect.signature(getattr(base, name)).parameters]
+    assert taking == []
+
+
+# eval_every >= 1 is checked once, by TrainerConfig, and only the training
+# loop reads the value, to schedule its evaluations
+EVAL_EVERY_READERS = {("training", "TrainerConfig.__post_init__"),
+                      ("schema", "train_loop")}
+
+
+def attribute_reads(path, name):
+    """(qualified name of the innermost enclosing function or None, line) of
+    every read of an attribute called `name`."""
+    return {(func, node.lineno) for func, node in scoped_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_only_the_trainer_config_and_the_loop_read_eval_every():
+    found = {(mod, func) for mod, path in modules()
+             for func, _ in attribute_reads(path, "eval_every")}
+    assert sorted(found, key=str) == sorted(EVAL_EVERY_READERS)
+
+
+def test_attribute_read_check_sees_reads_not_stores(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: trainer.eval_every."""\n'
+                    "class TrainerConfig:\n"
+                    "    eval_every: int = 10\n"
+                    "    def __post_init__(self):\n"
+                    "        assert self.eval_every >= 1\n"
+                    "def loop(trainer):\n"
+                    "    trainer.eval_every = 2\n"
+                    "    return replace(trainer, eval_every=3).eval_every\n"
+                    "every = config.trainer.eval_every\n")
+    assert attribute_reads(path, "eval_every") == {
+        ("TrainerConfig.__post_init__", 5), ("loop", 8), (None, 9)}
 
 
 # deterministic text artifacts have one byte format, written by dataset's

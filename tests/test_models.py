@@ -210,20 +210,18 @@ def test_bipartite_structure_rejects_an_out_of_range_item():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 12),
        n_items=st.integers(1, 12), share=st.sampled_from([0.1, 0.4, 1.0]),
-       spare_users=st.integers(0, 2), spare_items=st.integers(0, 2),
-       dtype=st.sampled_from([np.float32, np.float64]))
+       spare_users=st.integers(0, 2), spare_items=st.integers(0, 2))
 # every pair linked, and unpaired ids past them on both sides
-@example(seed=0, n_users=7, n_items=5, share=1.0, spare_users=2, spare_items=1,
-         dtype=np.float32)
+@example(seed=0, n_users=7, n_items=5, share=1.0, spare_users=2, spare_items=1)
 def test_bipartite_structure_matches_the_oracle_bitwise(
-        seed, n_users, n_items, share, spare_users, spare_items, dtype):
+        seed, n_users, n_items, share, spare_users, spare_items):
     rng = np.random.default_rng(seed)
     linked = rng.random((n_users, n_items)) < share
     linked.flat[rng.integers(linked.size)] = True  # at least one pair
     pairs = np.argwhere(linked)[rng.permutation(int(linked.sum()))]
     n_u, n_i = n_users + spare_users, n_items + spare_items
-    adj, entry_pair = bipartite_structure(n_u, n_i, pairs, dtype)
-    want = bipartite_adjacency_loop(n_u, n_i, pairs, dtype)
+    adj, entry_pair = bipartite_structure(n_u, n_i, pairs)
+    want = bipartite_adjacency_loop(n_u, n_i, pairs, np.float64)
     for got, ref in zip((adj.rows, adj.cols, adj.vals, entry_pair), want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert adj.shape == (n_u + n_i, n_u + n_i)
@@ -405,8 +403,7 @@ def test_grcn_gate_of_one_matches_unrefined_propagation():
         np.ones((n_pairs, 1)), dtype=np.float64)
     got = model.score_users(range(data.n_users))
 
-    adj = bipartite_adjacency(data.n_users, data.n_items, data.pairs,
-                              dtype=np.float64).csr().toarray()
+    adj = bipartite_adjacency(data.n_users, data.n_items, data.pairs).csr().toarray()
 
     def propagate(h0):
         acc, h = h0.copy(), h0
@@ -840,10 +837,10 @@ def test_freedom_item_graph_bitwise_equals_dense_merge(weights):
     dense = np.zeros((data.n_items, data.n_items))
     for m, wm in zip(data.modalities, w):
         dense += wm / sum(w) * knn_graph_dense(data.features[m], 2)
-    want = T.SparseMatrix.from_dense(dense, dtype=np.float32)
+    want = T.SparseMatrix.from_dense(dense, dtype=np.float64)
     np.testing.assert_array_equal(model.item_graph.rows, want.rows)
     np.testing.assert_array_equal(model.item_graph.cols, want.cols)
-    assert model.item_graph.vals.dtype == np.float32
+    assert model.item_graph.vals.dtype == np.float64
     assert model.item_graph.vals.tobytes() == want.vals.tobytes()
 
 
@@ -1036,6 +1033,27 @@ def test_checkpoint_config_mismatch_rejected(tmp_path):
                                   model.score_users(range(data.n_users)))
 
 
+def test_float64_checkpoint_round_trip_is_bitwise(tmp_path):
+    # each parameter is stored in its own dtype, not narrowed to float32
+    data = small_data()
+    cfg = ModelConfig(tag="vbpr", embedding_dim=4)
+    model = VBPR(cfg, data, seed=8, dtype=np.float64)
+    want = model.score_users(range(data.n_users))
+    save_checkpoint(model, tmp_path / "ckpt")
+    fresh = load_checkpoint(VBPR(cfg, data, seed=99, dtype=np.float64),
+                            tmp_path / "ckpt")
+    got = fresh.score_users(range(data.n_users))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_checkpoint_of_another_dtype_is_rejected(tmp_path):
+    data = small_data()
+    cfg = ModelConfig(tag="vbpr", embedding_dim=4)
+    save_checkpoint(VBPR(cfg, data, seed=8, dtype=np.float64), tmp_path / "ckpt")
+    with pytest.raises(ValueError, match=r"blob has \d+ float32 values, expected"):
+        load_checkpoint(VBPR(cfg, data, seed=8), tmp_path / "ckpt")
+
+
 # ------------------------------------------------------------ training smoke
 
 def test_models_survive_short_training():
@@ -1044,7 +1062,7 @@ def test_models_survive_short_training():
     data = small_data(n_users=6, n_items=10, seed=17)
     tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
     trainer = tr.TrainerConfig(epochs=3, batch_size=8, lr=0.01, reg=1e-4,
-                               optimizer="adam", seed=0, eval_every=0)
+                               optimizer="adam", seed=0)
     for tag in CLASSIFICATION:
         model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2),
                             data, seed=9)
@@ -1075,7 +1093,7 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
     batch = fixed_batch(data)
     tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
     trainer = tr.TrainerConfig(epochs=1, batch_size=8, lr=0.01, reg=1e-4,
-                               optimizer="adam", seed=0, eval_every=0)
+                               optimizer="adam", seed=0)
     n_batches = -(-len(data.pairs) // trainer.batch_size)
     rng = np.random.default_rng(0)
     gc.disable()

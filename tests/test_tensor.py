@@ -607,6 +607,29 @@ def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     np.testing.assert_array_equal(grad, _transpose_csr(m) @ g.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spmm_of_float64_graph_values_equals_the_operand_dtype_graph(dtype):
+    # the graph builders store float64 values and the product casts them to
+    # the dense operand's dtype, forward and in the operand's gradient, so a
+    # float64 graph gives the bytes of the same graph stored in that dtype
+    wide, narrow = _reordering_matrix(np.float64), _reordering_matrix(dtype)
+    assert (narrow.vals != wide.vals).any() == (dtype == np.float32)
+    rng = np.random.default_rng(5)
+    xd = rng.standard_normal((3, 4)).astype(dtype)
+    g = T.constant(rng.standard_normal((4, 4)), dtype=dtype)
+    results = []
+    for m in (wide, narrow):
+        x = T.parameter(xd, dtype=dtype)
+        t = T.Tape()
+        out = t.spmm(m, x)
+        t.backward(t.sum(t.mul(out, g)))
+        results.append((out.data, x.grad))
+    (out, grad), (want_out, want_grad) = results
+    assert out.dtype == grad.dtype == dtype
+    assert out.tobytes() == want_out.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_spmm_runs_only_its_dense_rule():
     m = _reordering_matrix(np.float64)
     x = p64(np.ones((3, 2)))

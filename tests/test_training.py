@@ -272,6 +272,8 @@ def test_trainer_config_validation():
         TR.TrainerConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TR.TrainerConfig(reg=-1.0)
+    with pytest.raises(ValueError, match="eval_every must be >= 1, got 0"):
+        TR.TrainerConfig(eval_every=0)
 
 
 # ---------------------------------------------------------------- grid
