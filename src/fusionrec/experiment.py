@@ -280,16 +280,9 @@ def load_store(config: ExperimentConfig, split: ds.Split,
     for m, raw in sorted(config.features.items()):
         paths[m] = path = resolve_path(raw)
         try:
-            feats = clock.run("load_features", load_features, path,
-                              text=path.endswith(".tsv"), modality=m)
+            bound.append(clock.run("load_features", load_features, path, modality=m))
         except FeatureFormatError as exc:
             raise ConfigError(f"feature file {path!r}: {exc}") from None
-        if feats.modality != m:
-            raise ConfigError(
-                f"feature file {path!r} declares modality "
-                f"{feats.modality!r}, config says {m!r}"
-            )
-        bound.append(feats)
     try:
         return clock.run("bind", MultimodalStore, split.dataset.item_ids, bound,
                          missing=config.missing_policy)

@@ -3,8 +3,8 @@
 A feature file is one UTF-8 JSON header line, e.g.
 `{"modality": "visual", "dim": 4096, "count": 3}`, followed by `count`
 binary records: a little-endian uint16 id length, the UTF-8 item id, then
-`dim` little-endian float32 values. A TSV text variant
-(`item_id<TAB>v1<TAB>v2...`) exists for fixtures behind a flag.
+`dim` little-endian float32 values. A file whose name ends in `.tsv` is
+read as the headerless text variant (`item_id<TAB>v1<TAB>v2...`) instead.
 
 Loading and binding work on whole blocks: load_features copies each
 record's float block into one preallocated matrix through a memoryview
@@ -75,9 +75,10 @@ def write_features(feats: ModalityFeatures, path):
             fh.write(row.astype("<f4").tobytes())
 
 
-def load_features(path, text=False, modality=None) -> ModalityFeatures:
-    """Read a feature file; `text=True` selects the TSV fixture format."""
-    if text:
+def load_features(path, modality=None) -> ModalityFeatures:
+    """Read a feature file: TSV if its name ends in `.tsv`, else binary, whose
+    header must declare a modality in MODALITIES, and `modality` if given."""
+    if str(path).endswith(".tsv"):
         return _load_text(path, modality)
     with open(path, "rb") as fh:
         data = fh.read()  # one read: a read after readline() copies twice
@@ -90,11 +91,14 @@ def load_features(path, text=False, modality=None) -> ModalityFeatures:
     payload = memoryview(data)[end:]
     if dim <= 0 or count < 0:
         raise FeatureFormatError(f"header declares dim={dim}, count={count}")
+    if m not in MODALITIES or modality not in (None, m):
+        raise FeatureFormatError(f"header declares modality {m!r}, expected "
+                                 f"{modality or MODALITIES!r}")
     ids = []
-    matrix = np.empty((count, dim), dtype="<f4")
+    row_bytes = 4 * dim  # a record takes at least 2 + row_bytes payload bytes
+    matrix = np.empty((min(count, len(payload) // (2 + row_bytes)), dim), dtype="<f4")
     rows = memoryview(matrix.reshape(-1).view(np.uint8))
     offset = 0
-    row_bytes = 4 * dim
     for n in range(count):
         if offset + 2 > len(payload):
             raise FeatureFormatError(

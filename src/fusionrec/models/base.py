@@ -157,7 +157,7 @@ def bipartite_structure(n_users, n_items, pairs):
     cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
     order = entry_order((n, n), rows, cols)[1]  # SparseMatrix's stored order
     w = pair_weights(n_users, n_items, pairs)
-    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]), dtype=np.float64)
+    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]))
     return adj, order % m  # positions p and m + p hold pair p
 
 
@@ -218,7 +218,7 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     np.divide(vals, sums, out=vals, where=sums > 0)
     kept = vals != 0
     rows = np.broadcast_to(np.arange(n)[:, None], (n, k))
-    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept], dtype=np.float64)
+    return SparseMatrix((n, n), rows[kept], cols[kept], vals[kept])
 
 
 def item_graph(data: ModelData, k: int, weights=None) -> SparseMatrix:
@@ -238,7 +238,7 @@ def item_graph(data: ModelData, k: int, weights=None) -> SparseMatrix:
     total = sum(weights)
     out = sum(w / total * data.modality_graph(m, k, knn_graph).csr()
               for m, w in zip(mods, weights)).tocoo()
-    return SparseMatrix(out.shape, out.row, out.col, out.data, dtype=np.float64)
+    return SparseMatrix(out.shape, out.row, out.col, out.data)
 
 
 # ------------------------------------------------------- tape-level helpers
@@ -416,11 +416,13 @@ def load_checkpoint(model: RecommenderModel, out_dir):
         if (kept := manifest["config"].get(key)) != value:
             raise ValueError(f"checkpoint config {key} = {kept!r} "
                              f"!= model {key} = {value!r}")
-    for name, t in named.items():
-        raw = np.fromfile(os.path.join(out_dir, f"{name}.bin"),
-                          dtype=t.data.dtype.newbyteorder("<"))
-        if raw.size != t.data.size:  # also a blob of another dtype
-            raise ValueError(f"{name}: blob has {raw.size} {t.data.dtype} "
+    raw = {name: np.fromfile(os.path.join(out_dir, f"{name}.bin"),
+                             dtype=t.data.dtype.newbyteorder("<"))
+           for name, t in named.items()}
+    for name, t in named.items():  # every blob is checked before any is assigned
+        if raw[name].size != t.data.size:  # also a blob of another dtype
+            raise ValueError(f"{name}: blob has {raw[name].size} {t.data.dtype} "
                              f"values, expected {t.data.size}")
-        t.data[...] = raw.reshape(t.shape)
+    for name, t in named.items():
+        t.data[...] = raw[name].reshape(t.shape)
     return model

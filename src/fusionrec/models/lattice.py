@@ -68,12 +68,12 @@ class LATTICE(RecommenderModel):
         unit = tape.l2_normalize(tape.matmul(self.feats[m], self.proj[m]))
         n, k = self.data.n_items, self.config.knn_k
         if self.frozen_masks is not None:
-            support = SparseMatrix.from_dense(self.frozen_masks[m], dtype=self.dtype)
+            support = SparseMatrix.from_dense(self.frozen_masks[m])
         else:
             u = unit.data
             top = rank_topk(lambda b: u[b] @ u.T, range(n), k, self.itself, n).top
             support = SparseMatrix((n, n), np.repeat(np.arange(n), k), top.ravel(),
-                                   np.ones(top.size), dtype=self.dtype)
+                                   np.ones(top.size))
         kept = tape.relu(tape.rowsum(tape.mul(tape.row_gather(unit, support.rows),
                                               tape.row_gather(unit, support.cols))))
         sums = tape.maximum(tape.spmm_weighted(support, kept, self.ones), self.floor)

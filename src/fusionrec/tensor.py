@@ -213,20 +213,21 @@ class SparseMatrix:
     """Immutable sparse matrix in CSR form.
 
     Triples are stored in entry_order, by (row, col), with unique
-    coordinates; values may be any finite float. (indptr, cols, vals) is the
-    matrix's CSR, its data order the stored order, and transpose() the CSR
-    of its transpose, so live per-entry values can reuse either structure.
+    coordinates and finite float64 values, which the tape's sparse products
+    cast to the dense operand's dtype. (indptr, cols, vals) is the CSR, its
+    data order the stored order, and transpose() the CSR of its transpose,
+    so live per-entry values can reuse either structure.
     """
 
     __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_transpose")
 
-    def __init__(self, shape, rows, cols, vals, dtype=np.float32):
+    def __init__(self, shape, rows, cols, vals):
         n, m = int(shape[0]), int(shape[1])
         if n <= 0 or m <= 0:
             raise ValueError(f"sparse shape must be positive, got {shape}")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=dtype)
+        vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, vals must be equal-length 1-D arrays")
         indptr, order = entry_order((n, m), rows, cols)
@@ -242,10 +243,10 @@ class SparseMatrix:
         self._transpose = None
 
     @classmethod
-    def from_dense(cls, arr, dtype=np.float32):
+    def from_dense(cls, arr):
         arr = np.asarray(arr)
         r, c = np.nonzero(arr)
-        return cls(arr.shape, r, c, arr[r, c], dtype=dtype)
+        return cls(arr.shape, r, c, arr[r, c])
 
     @property
     def nnz(self):
@@ -394,9 +395,9 @@ class Tape:
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
-        spmm_weighted's product with m.vals as constant values, so forward
-        runs on m's CSR and backward on m.transpose(), in the dense dtype."""
-        vals = constant(m.vals[:, None], dtype=m.vals.dtype)
+        spmm_weighted's product with m's float64 values, cast to the dense
+        dtype, so forward runs on m's CSR and backward on m.transpose()."""
+        vals = constant(m.vals[:, None], dtype=np.float64)
         return self._spmm("spmm", m, vals, x)
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:

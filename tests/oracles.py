@@ -227,11 +227,11 @@ def user_positives_loop(pairs):
 # ---------------------------------------------------------- sparse layout
 
 def sparse_layout_lexsort(shape, rows, cols, vals, dtype):
-    """The stored layout of SparseMatrix(shape, rows, cols, vals, dtype) by
-    np.lexsort and scipy's COO to csr_matrix conversion, both ways. Returns
-    (rows, cols, vals, indptr, (indptr_t, indices_t, perm)): the entries
-    sorted by (row, col), the CSR row pointer, and the transpose's CSR
-    whose data is vals[perm]."""
+    """The stored layout of SparseMatrix(shape, rows, cols, vals), its values
+    in dtype, by np.lexsort and scipy's COO to csr_matrix conversion, both
+    ways. Returns (rows, cols, vals, indptr, (indptr_t, indices_t, perm)): the
+    entries sorted by (row, col), the CSR row pointer, and the transpose's
+    CSR whose data is vals[perm]."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=dtype)

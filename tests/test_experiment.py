@@ -202,6 +202,20 @@ def test_unknown_feature_modality_is_a_config_error_before_prepare(corpus, tmp_p
     assert not (out / "prepared").exists()
 
 
+def test_unknown_header_modality_is_a_malformed_file(corpus, tmp_path, capsys):
+    # a binary file whose header names no known modality exits 1, naming the file
+    path = tmp_path / "visual.bin"
+    raw = pathlib.Path(corpus, "visual.bin").read_bytes()
+    path.write_bytes(raw.replace(b'"visual"', b'"haptic"', 1))
+    config = base_config(corpus, str(tmp_path / "out"),
+                         features={"visual": str(path)})
+    ini = tmp_path / "exp.ini"
+    write_config(config, ini)
+    assert main(["--config", str(ini), "prepare"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "declares modality 'haptic'" in err
+
+
 @pytest.mark.parametrize("key, text", [("kcore", "x"), ("train_ratio", "most"),
                                        ("seed", "1.5")])
 def test_malformed_prepare_number_names_its_key(key, text):

@@ -322,17 +322,21 @@ def test_flush_check_sees_calls_in_rules_and_bodies(tmp_path):
         ("Tape.backward", 6, "flush_subnormals")}
 
 
-# every frozen graph is built in float64, and the tape's sparse products cast
-# its values to the dense operand's dtype, so no builder takes a dtype
+# a SparseMatrix holds float64 values, and the tape's sparse products cast
+# them to the dense operand's dtype, so neither its constructors nor any graph
+# builder takes a dtype
 GRAPH_BUILDERS = ("knn_graph", "item_graph", "bipartite_adjacency",
                   "bipartite_structure")
 
 
-def test_graph_builders_take_no_dtype():
+def test_sparse_constructors_and_graph_builders_take_no_dtype():
     from fusionrec.models import base
+    from fusionrec.tensor import SparseMatrix
 
-    taking = [name for name in GRAPH_BUILDERS
-              if "dtype" in inspect.signature(getattr(base, name)).parameters]
+    builders = [getattr(base, name) for name in GRAPH_BUILDERS]
+    taking = [f.__qualname__ for f in (SparseMatrix.__init__, SparseMatrix.from_dense,
+                                       *builders)
+              if "dtype" in inspect.signature(f).parameters]
     assert taking == []
 
 
@@ -369,6 +373,39 @@ def test_attribute_read_check_sees_reads_not_stores(tmp_path):
                     "every = config.trainer.eval_every\n")
     assert attribute_reads(path, "eval_every") == {
         ("TrainerConfig.__post_init__", 5), ("loop", 8), (None, 9)}
+
+
+# a feature file's format follows from its name, and only the reader that owns
+# the formats looks at the name
+NAME_READERS = {("modality", "load_features")}
+
+
+def name_reads(path):
+    """(qualified name of the innermost enclosing function or None, line) of
+    every endswith or splitext call and every read of a suffix attribute."""
+    return attribute_reads(path, "suffix") | {
+        (func, line) for func, line, _ in calls(path, ("endswith", "splitext"))}
+
+
+def test_only_the_feature_reader_reads_a_file_name():
+    found = {(mod, func) for mod, path in modules() for func, _ in name_reads(path)}
+    assert sorted(found, key=str) == sorted(NAME_READERS)
+
+
+def test_name_check_sees_endswith_splitext_and_suffix(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: path.endswith(".tsv")."""\n'
+                    "import os\n"
+                    "def load_features(path):\n"
+                    "    return str(path).endswith('.tsv')\n"
+                    "def load_store(path):\n"
+                    "    root, ext = os.path.splitext(path)\n"
+                    "    return path.suffix == '.tsv'\n"
+                    "def rename(path):\n"
+                    "    path.suffix = '.bin'\n"
+                    "kind = splitext(name)[1]\n")
+    assert name_reads(path) == {("load_features", 4), ("load_store", 6),
+                                ("load_store", 7), (None, 10)}
 
 
 # deterministic text artifacts have one byte format, written by dataset's

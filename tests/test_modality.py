@@ -51,6 +51,17 @@ def test_truncated_payload_names_byte_counts(tmp_path):
         M.load_features(path)
 
 
+def test_header_past_its_payload_allocates_no_rows_for_it(tmp_path):
+    # 10**9 records of 4096 floats would be 14.9 TiB; 194 payload bytes hold
+    # none, so the first record fails the truncation check
+    path = tmp_path / "visual.bin"
+    header = json.dumps({"modality": "visual", "dim": 4096, "count": 10**9})
+    path.write_bytes(header.encode() + b"\n" + struct.pack("<H", 2) + b"i0" + bytes(190))
+    with pytest.raises(M.FeatureFormatError,
+                       match=r"^truncated at record 0: expected 16386 more bytes, found 192$"):
+        M.load_features(path)
+
+
 def test_header_count_mismatch(tmp_path):
     feats = sample_feats(n=2)
     path = tmp_path / "vis.bin"
@@ -108,6 +119,17 @@ def test_non_finite_value_rejected(tmp_path):
         M.load_features(path)
 
 
+@pytest.mark.parametrize("declared, asked", [("visual", "textual"), ("haptic", None)])
+def test_binary_header_modality_is_checked(tmp_path, declared, asked):
+    path = tmp_path / "feats.bin"
+    M.write_features(sample_feats(), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"visual"', json.dumps(declared).encode(), 1))
+    with pytest.raises(M.FeatureFormatError,
+                       match=rf"^header declares modality '{declared}', expected"):
+        M.load_features(path, modality=asked)
+
+
 def test_unknown_modality_rejected():
     with pytest.raises(ValueError, match="unknown modality"):
         M.ModalityFeatures("haptic", 2, ["a"], np.zeros((1, 2), dtype=np.float32))
@@ -116,7 +138,7 @@ def test_unknown_modality_rejected():
 def test_text_format(tmp_path):
     path = tmp_path / "feat.tsv"
     path.write_text("i0\t1.0\t2.0\ni1\t3.0\t4.0\n")
-    feats = M.load_features(path, text=True, modality="textual")
+    feats = M.load_features(path, modality="textual")
     assert feats.dim == 2 and feats.ids == ["i0", "i1"]
     np.testing.assert_allclose(feats.matrix, [[1, 2], [3, 4]])
 
@@ -125,7 +147,7 @@ def test_text_format_requires_modality(tmp_path):
     path = tmp_path / "feat.tsv"
     path.write_text("i0\t1.0\n")
     with pytest.raises(ValueError, match="modality"):
-        M.load_features(path, text=True)
+        M.load_features(path)
 
 
 # ------------------------------------------- block loading against the loop

@@ -837,7 +837,7 @@ def test_freedom_item_graph_bitwise_equals_dense_merge(weights):
     dense = np.zeros((data.n_items, data.n_items))
     for m, wm in zip(data.modalities, w):
         dense += wm / sum(w) * knn_graph_dense(data.features[m], 2)
-    want = T.SparseMatrix.from_dense(dense, dtype=np.float64)
+    want = T.SparseMatrix.from_dense(dense)
     np.testing.assert_array_equal(model.item_graph.rows, want.rows)
     np.testing.assert_array_equal(model.item_graph.cols, want.cols)
     assert model.item_graph.vals.dtype == np.float64
@@ -1052,6 +1052,23 @@ def test_checkpoint_of_another_dtype_is_rejected(tmp_path):
     save_checkpoint(VBPR(cfg, data, seed=8, dtype=np.float64), tmp_path / "ckpt")
     with pytest.raises(ValueError, match=r"blob has \d+ float32 values, expected"):
         load_checkpoint(VBPR(cfg, data, seed=8), tmp_path / "ckpt")
+
+
+def test_checkpoint_with_a_cut_blob_leaves_every_parameter_unchanged(tmp_path):
+    # every blob is read and checked before any parameter is written, so a
+    # short last blob leaves the earlier parameters as they were
+    data = small_data()
+    cfg = ModelConfig(tag="vbpr", embedding_dim=4)
+    save_checkpoint(VBPR(cfg, data, seed=8), tmp_path / "ckpt")
+    fresh = VBPR(cfg, data, seed=99)
+    named = fresh.params().named()
+    last = list(named)[-1]
+    blob = tmp_path / "ckpt" / f"{last}.bin"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    before = {name: t.data.tobytes() for name, t in named.items()}
+    with pytest.raises(ValueError, match=rf"^{last}: blob has \d+ float32 values"):
+        load_checkpoint(fresh, tmp_path / "ckpt")
+    assert {name: t.data.tobytes() for name, t in named.items()} == before
 
 
 # ------------------------------------------------------------ training smoke

@@ -256,7 +256,7 @@ BEYOND_FLOAT32 = [[1e39], [1.0]]  # finite float64 values
 
 @pytest.mark.parametrize("name, case", [
     pytest.param("spmm", lambda t, x: t.spmm(T.SparseMatrix.from_dense(
-        np.diag(np.ravel(BEYOND_FLOAT32)), dtype=np.float64), x), id="spmm"),
+        np.diag(np.ravel(BEYOND_FLOAT32))), x), id="spmm"),
     pytest.param("spmm_weighted", lambda t, x: t.spmm_weighted(
         eye2(), T.constant(BEYOND_FLOAT32, dtype=np.float64), x), id="spmm_weighted"),
 ])
@@ -380,12 +380,12 @@ def coo_entries(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(coo_entries(), st.sampled_from([np.float32, np.float64]), st.booleans())
+@given(coo_entries(), st.booleans())
 @example(((4, 6), [(3, 5), (0, 2), (3, 0), (0, 5)], [0.0, 1.5, -2.0, 3.25]),
-         np.float32, False)  # rows 1-2 and columns 1, 3, 4 empty, a zero stored
-@example(((3, 2), [], []), np.float64, False)
-@example(((2, 5), [(1, 4), (1, 0), (0, 3)], [0.5, 0.0, -1.0]), np.float64, True)
-def test_sparse_layout_equals_lexsort_oracle(entries, dtype, dense):
+         False)  # rows 1-2 and columns 1, 3, 4 empty, a zero stored
+@example(((3, 2), [], []), False)
+@example(((2, 5), [(1, 4), (1, 0), (0, 3)], [0.5, 0.0, -1.0]), True)
+def test_sparse_layout_equals_lexsort_oracle(entries, dense):
     # the counting-sort layout is np.lexsort's order and scipy's CSR
     shape, coords, vals = entries
     rows = np.array([r for r, _ in coords], dtype=np.int64)
@@ -393,14 +393,14 @@ def test_sparse_layout_equals_lexsort_oracle(entries, dtype, dense):
     if dense:
         arr = np.zeros(shape)
         arr[rows, cols] = vals
-        m = T.SparseMatrix.from_dense(arr, dtype=dtype)
+        m = T.SparseMatrix.from_dense(arr)
         rows, cols = np.nonzero(arr)
         vals = arr[rows, cols]
     else:
-        m = T.SparseMatrix(shape, rows, cols, vals, dtype=dtype)
+        m = T.SparseMatrix(shape, rows, cols, vals)
     want_rows, want_cols, want_vals, want_indptr, want_t = \
-        sparse_layout_lexsort(shape, rows, cols, vals, dtype)
-    assert m.vals.dtype == dtype and m.vals.tobytes() == want_vals.tobytes()
+        sparse_layout_lexsort(shape, rows, cols, vals, np.float64)
+    assert m.vals.dtype == np.float64 and m.vals.tobytes() == want_vals.tobytes()
     for got, want in zip((m.rows, m.cols, m.indptr, *m.transpose()),
                          (want_rows, want_cols, want_indptr, *want_t)):
         assert got.dtype == np.int64
@@ -420,7 +420,7 @@ def test_spmm_hand_value():
 def test_spmm_matches_dense(n, m, d, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.3)
-    sp = T.SparseMatrix.from_dense(dense, dtype=np.float64)
+    sp = T.SparseMatrix.from_dense(dense)
     x = rng.standard_normal((m, d))
     t = T.Tape()
     out = t.spmm(sp, T.constant(x, dtype=np.float64))
@@ -570,21 +570,23 @@ def test_binary_op_equals_numpy_formulas_bitwise(name, dtype, shapes):
     np.testing.assert_array_equal(b.grad, _reduce_to(rule_b(g, ad, bd), bd.shape))
 
 
-def _reordering_matrix(dtype):
+def _reordering_matrix():
     # row 1 is empty, and the transpose's data order (by column) is not the
     # stored (row, col) order
     return T.SparseMatrix((4, 3), [0, 0, 2, 3, 3], [2, 0, 1, 0, 2],
-                          [0.3, -1.7, 2.5, 0.9, 1.1], dtype=dtype)
+                          [0.3, -1.7, 2.5, 0.9, 1.1])
 
 
-def _transpose_csr(m):
+def _transpose_csr(m, dtype=np.float64):
+    # the values cast to the dense operand's dtype, as the tape's products do
     indptr, indices, perm = m.transpose()
-    return scipy.sparse.csr_matrix((m.vals[perm], indices, indptr), shape=m.shape[::-1])
+    return scipy.sparse.csr_matrix((m.vals[perm].astype(dtype), indices, indptr),
+                                   shape=m.shape[::-1])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
-    m = _reordering_matrix(dtype)
+    m = _reordering_matrix()
     assert not np.array_equal(m.transpose()[2], np.arange(m.nnz))
     rng = np.random.default_rng(3)
     xd = rng.standard_normal((3, 4)).astype(dtype)
@@ -604,34 +606,34 @@ def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(grad, want_grad)
     # and the transposed product on transpose()'s own CSR
-    np.testing.assert_array_equal(grad, _transpose_csr(m) @ g.data)
+    np.testing.assert_array_equal(grad, _transpose_csr(m, dtype) @ g.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_spmm_of_float64_graph_values_equals_the_operand_dtype_graph(dtype):
-    # the graph builders store float64 values and the product casts them to
-    # the dense operand's dtype, forward and in the operand's gradient, so a
-    # float64 graph gives the bytes of the same graph stored in that dtype
-    wide, narrow = _reordering_matrix(np.float64), _reordering_matrix(dtype)
-    assert (narrow.vals != wide.vals).any() == (dtype == np.float32)
+    # SparseMatrix stores float64 values and the product casts them to the
+    # dense operand's dtype, forward and in the operand's gradient, so it
+    # gives the bytes of scipy's product over the values cast first
+    m = _reordering_matrix()
+    narrow = scipy.sparse.csr_matrix((m.vals.astype(dtype), m.cols, m.indptr),
+                                     shape=m.shape)
+    assert m.vals.dtype == np.float64
+    assert (narrow.data != m.vals).any() == (dtype == np.float32)
     rng = np.random.default_rng(5)
     xd = rng.standard_normal((3, 4)).astype(dtype)
     g = T.constant(rng.standard_normal((4, 4)), dtype=dtype)
-    results = []
-    for m in (wide, narrow):
-        x = T.parameter(xd, dtype=dtype)
-        t = T.Tape()
-        out = t.spmm(m, x)
-        t.backward(t.sum(t.mul(out, g)))
-        results.append((out.data, x.grad))
-    (out, grad), (want_out, want_grad) = results
-    assert out.dtype == grad.dtype == dtype
-    assert out.tobytes() == want_out.tobytes()
-    assert grad.tobytes() == want_grad.tobytes()
+    x = T.parameter(xd, dtype=dtype)
+    t = T.Tape()
+    out = t.spmm(m, x)
+    t.backward(t.sum(t.mul(out, g)))
+    want_out, want_grad = narrow @ xd, narrow.T.tocsr() @ g.data
+    assert out.data.dtype == x.grad.dtype == want_out.dtype == want_grad.dtype == dtype
+    assert out.data.tobytes() == want_out.tobytes()
+    assert x.grad.tobytes() == want_grad.tobytes()
 
 
 def test_spmm_runs_only_its_dense_rule():
-    m = _reordering_matrix(np.float64)
+    m = _reordering_matrix()
     x = p64(np.ones((3, 2)))
     t = T.Tape()
     loss = t.sum(t.spmm(m, x))
@@ -1069,7 +1071,7 @@ def test_row_concat_rejects_column_mismatch():
 
 def test_grad_spmm():
     dense = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-    sp = T.SparseMatrix.from_dense(dense, dtype=np.float64)
+    sp = T.SparseMatrix.from_dense(dense)
     x = p64(rng64(25, (3, 4)))
 
     def build():
@@ -1080,8 +1082,7 @@ def test_grad_spmm():
 
 
 def test_grad_spmm_weighted():
-    structure = T.SparseMatrix((3, 3), [0, 1, 2, 2], [1, 0, 0, 2], np.ones(4),
-                               dtype=np.float64)
+    structure = T.SparseMatrix((3, 3), [0, 1, 2, 2], [1, 0, 0, 2], np.ones(4))
     vals = p64(rng64(26, (4, 1)) + 1.5)
     x = p64(rng64(27, (3, 2)))
 
