@@ -184,8 +184,13 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
 
     Per batch: forward through the model's declared representation and fusion
     branch, BPR plus l2 through the loss, one backward pass, one optimizer
-    step. Runs exactly trainer.epochs epochs. Non-finite values abort with
-    the epoch and batch named.
+    step. Runs exactly trainer.epochs epochs. Each batch is recorded on an
+    unchecked tape, and its loss and every parameter's gradient are checked
+    once, before the step. A batch that fails the check, or raises
+    NonFiniteError, is replayed on a checked tape from the rng state its
+    sampling started from; the parameters have not stepped, so the replay is
+    exact, and it raises at the first non-finite primitive. Non-finite values
+    abort with the epoch and batch named.
     """
     validate(spec)
     start = time.perf_counter()
@@ -194,6 +199,16 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     params = model.params()
     opt = tr.make_optimizer(trainer, params)
     n_batches = max(1, int(np.ceil(data.pairs.shape[0] / trainer.batch_size)))
+
+    def batch_loss(tape):
+        """Sample a batch and record its loss on tape; its gradients are in
+        the parameters' grad."""
+        batch = tr.sample_triples(data, trainer.batch_size, rng)
+        params.zero_grads()
+        loss = tr.total_loss(tape, model, batch, rng, trainer.reg)
+        tape.backward(loss)
+        return loss
+
     trace, evals = [], []
     for epoch in range(1, trainer.epochs + 1):
         t0 = time.perf_counter()
@@ -201,12 +216,18 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
         if hasattr(model, "on_epoch_start"):
             model.on_epoch_start(rng, epoch)
         for b in range(n_batches):
-            batch = tr.sample_triples(data, trainer.batch_size, rng)
-            tape = Tape()
-            params.zero_grads()
+            state = rng.bit_generator.state
             try:
-                loss = tr.total_loss(tape, model, batch, rng, trainer.reg)
-                tape.backward(loss)
+                try:
+                    loss = batch_loss(Tape(checked=False))
+                    finite = np.isfinite(loss.data).all() and all(
+                        p.grad is None or np.isfinite(p.grad).all()
+                        for p in params.tensors())
+                except NonFiniteError:  # a check that holds on any tape
+                    finite = False
+                if not finite:
+                    rng.bit_generator.state = state
+                    loss = batch_loss(Tape())
                 opt.step()
             except (NonFiniteError, tr.TrainingDivergedError) as exc:
                 raise tr.TrainingDivergedError(

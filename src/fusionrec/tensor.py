@@ -2,25 +2,38 @@
 
 Everything is a (rows, cols) matrix; scalars are 1x1. Working precision is
 float32; the test suite runs the same graphs in float64 when it compares
-analytic gradients against central finite differences. Any operation that
-produces NaN or Inf raises NonFiniteError immediately instead of letting the
-value propagate: every primitive, casts included, and backward run under
-np.errstate(all="ignore"), so numpy warns of nothing, and the finiteness
-check of each result (_record) and of every gradient backward forms, sums
-and a leaf's narrowing cast included (backward, Tensor._accumulate_grad), is
-the one signal. Subnormal gradients are flushed to zero where they enter
-matmul: each of its rules sets each entry of its incoming gradient smaller
-in magnitude than the dtype's smallest normal number to zero
-(flush_subnormals, the flush-to-zero policy of CPU deep-learning runtimes)
-before it multiplies the gradient into an operand, because each
-multiplication by such an entry costs the CPU a microcode assist. A BPR pair
-whose margin passes about 87 has a subnormal float32 gradient, and matmul's
-projection gradient (VBPR, FREEDOM's modality branch) is where such
-gradients were measured to slow training. A flushed entry's term in the
-product is below tiny times the operand entry it multiplies; for an operand
-entry larger than 1 that term may be a normal number, so the flush can
-change a gradient, not only drop what would round away. matmul_nt, spmm,
-spmm_weighted and every other rule take their gradient unflushed.
+analytic gradients against central finite differences. Every primitive,
+casts included, and backward run under np.errstate(all="ignore"), so numpy
+warns of nothing and a finiteness check is the one float-error signal. On a
+checked tape, Tape(), the default, any operation that produces NaN or Inf
+raises NonFiniteError naming it instead of letting the value propagate: each
+result is checked (_record), and so is every gradient backward forms and
+sums. An unchecked tape, Tape(checked=False), skips those two checks;
+schema.train_loop records each training batch on one, checks the loss and
+every parameter's gradient once, and replays a batch that fails on a checked
+tape to name the primitive. So on an unchecked tape a non-finite
+intermediate that a later primitive absorbs passes, where a checked tape
+raises: sigmoid(inf) is 1, exp(-inf) is 0, relu(-inf) is 0, x / inf is 0,
+and row_gather may skip a non-finite row. Four checks hold on either tape:
+l2_normalize's check of each row's norm (x / inf would be a finite zero
+row), Tensor._accumulate_grad's check of a sum or a narrowing cast,
+SparseMatrix's check of its values, and the optimizers' post-step checks
+(training.Adam, training.SGD).
+
+Subnormal gradients are flushed to zero where they enter matmul: each of
+its rules sets each entry of its incoming gradient smaller in magnitude than
+the dtype's smallest normal number to zero (flush_subnormals, the
+flush-to-zero policy of CPU deep-learning runtimes) before it multiplies the
+gradient into an operand, once per node when both operands need one,
+because each multiplication by such an entry costs the CPU a microcode
+assist. A BPR pair whose margin passes about 87 has a subnormal float32
+gradient, and matmul's projection gradient (VBPR, FREEDOM's modality
+branch) is where such gradients were measured to slow training. A flushed
+entry's term in the product is below tiny times the operand entry it
+multiplies; for an operand entry larger than 1 that term may be a normal
+number, so the flush can change a gradient, not only drop what would round
+away. matmul_nt, spmm, spmm_weighted and every other rule take their
+gradient unflushed.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -35,8 +48,9 @@ softmax, and, through _masked, which builds one mask after the operand
 check, leaky_relu and dropout; _binary, given which operand shapes meet,
 serves add, sub, mul, div, maximum, matmul and matmul_nt, and, through
 _spmm, spmm_weighted and spmm, whose values are the matrix's stored ones as
-a constant. l2_normalize, row_gather, the concatenations and stop_gradient
-record on their own. Every sparse product and every scatter is one call into
+a constant, cast to the dense dtype once per matrix (SparseMatrix.cast).
+l2_normalize, row_gather, the concatenations and stop_gradient record on
+their own. Every sparse product and every scatter is one call into
 scipy's compiled CSR product kernel, on layouts from one counting sort,
 _bucket: a SparseMatrix is its own CSR, and row_gather's backward buckets
 its indices by row. Each output row adds its terms in CSR data order, which
@@ -219,7 +233,8 @@ class SparseMatrix:
     so live per-entry values can reuse either structure.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_transpose")
+    __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_transpose", "_cast",
+                 "_operand")
 
     def __init__(self, shape, rows, cols, vals):
         n, m = int(shape[0]), int(shape[1])
@@ -240,7 +255,7 @@ class SparseMatrix:
             raise NonFiniteError("sparse values must be finite")
         self.shape = (n, m)
         self.rows, self.cols, self.vals, self.indptr = rows, cols, vals, indptr
-        self._transpose = None
+        self._transpose, self._cast, self._operand = None, {}, None
 
     @classmethod
     def from_dense(cls, arr):
@@ -264,6 +279,23 @@ class SparseMatrix:
             indptr, perm = _bucket(self.cols, self.shape[1])
             self._transpose = (indptr, self.rows[perm], perm)
         return self._transpose
+
+    def cast(self, dtype, transposed=False):
+        """vals as dtype, in stored order or, transposed, in transpose()'s
+        data order, vals[perm]; cached per dtype and order. A first call
+        casts, so Tape.spmm makes it under the tape's float-error policy."""
+        key = (np.dtype(dtype), transposed)
+        if key not in self._cast:
+            vals = self.vals[self.transpose()[2]] if transposed else self.vals
+            self._cast[key] = vals.astype(dtype, copy=False)
+        return self._cast[key]
+
+    def operand(self):
+        """vals as an (nnz, 1) float64 constant, built once: Tape.spmm's
+        value operand."""
+        if self._operand is None:
+            self._operand = constant(self.vals[:, None], dtype=np.float64)
+        return self._operand
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -305,9 +337,17 @@ class Tape:
     a different tape) raises. Leaves (parameters, constants) are tape-free and
     may appear anywhere. backward() and reset() drop the recorded nodes, so a
     replayed or reset tape holds nothing and no cycle through it keeps arrays.
+
+    A checked tape raises NonFiniteError at the first primitive whose result,
+    or backward gradient sum, is not finite. An unchecked one (checked=False)
+    checks neither, so its caller checks what it reads: schema.train_loop
+    checks the loss and every parameter's gradient before the optimizer
+    steps, and replays a failing batch, from the same rng state, on a checked
+    tape, which names the primitive.
     """
 
-    def __init__(self):
+    def __init__(self, checked=True):
+        self.checked = bool(checked)
         self._nodes = []
         self._gen = 0
         self._spent = False
@@ -322,7 +362,7 @@ class Tape:
 
     def _record(self, name, out_arr, inputs, rules, copies=False):
         # copies of checked results or leaves (ModelData, optimizer) stay finite
-        if not copies and not np.isfinite(out_arr).all():
+        if self.checked and not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
         out = Tensor.__new__(Tensor)
         out.data = out_arr
@@ -348,9 +388,9 @@ class Tape:
 
         Gradients accumulate additively across uses and across calls on
         fresh tapes; the same tape cannot be replayed twice. A node's rule
-        for an input runs only when that input needs a gradient. A rule's
-        gradient, summed into its input's gradient, must stay finite, or
-        NonFiniteError names the node.
+        for an input runs only when that input needs a gradient. On a checked
+        tape a rule's gradient, summed into its input's gradient, must stay
+        finite, or NonFiniteError names the node.
         """
         if self._spent:
             raise TapeError("tape already replayed; reset() before reuse")
@@ -376,7 +416,7 @@ class Tape:
                     g, prev = rule(entry[1]), grads.get(id(t))
                     if prev is not None:
                         g = np.add(prev[1], g, out=prev[1] if prev[2] else None)
-                    if not np.isfinite(g).all():
+                    if self.checked and not np.isfinite(g).all():
                         raise NonFiniteError(
                             f"backward of {node.name} produced non-finite values")
                     grads[id(t)] = (t, g, prev is not None)
@@ -388,17 +428,27 @@ class Tape:
     # -- primitives -------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        # backward runs a's rule before b's; when both run, a's holds its
+        # flushed g for b's, which takes it, so g is flushed once per node
+        held = []
+
+        def hold(g):
+            if b.needs_grad:
+                held.append(g)
+            return g
+
         return self._binary(
-            "matmul", a, b, np.matmul, lambda g, ad, bd: flush_subnormals(g) @ bd.T,
-            lambda g, ad, bd: ad.T @ flush_subnormals(g),
+            "matmul", a, b, np.matmul,
+            lambda g, ad, bd: hold(flush_subnormals(g)) @ bd.T,
+            lambda g, ad, bd: ad.T @ (held.pop() if held else flush_subnormals(g)),
             lambda sa, sb: sa[1] != sb[0] and f"inner dims differ, {sa} x {sb}")
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
-        spmm_weighted's product with m's float64 values, cast to the dense
-        dtype, so forward runs on m's CSR and backward on m.transpose()."""
-        vals = constant(m.vals[:, None], dtype=np.float64)
-        return self._spmm("spmm", m, vals, x)
+        spmm_weighted's product with m's stored float64 values, which both
+        products read cast to the dense dtype once per graph (m.cast), so
+        forward runs on m's CSR and backward on m.transpose()."""
+        return self._spmm("spmm", m, m.operand(), x, stored=True)
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:
         """Like spmm but edge values come from an (nnz, 1) tensor; gradients
@@ -406,11 +456,13 @@ class Tape:
         structure itself is fixed."""
         return self._spmm("spmm_weighted", structure, vals, x)
 
-    def _spmm(self, name, structure, vals, x):
+    def _spmm(self, name, structure, vals, x, stored=False):
         """structure @ x with live values: row i of `vals` is the i-th stored
         (row, col) entry, the CSR's i-th data entry, so the product runs on
-        (indptr, cols) and x's gradient on transpose() with vals[perm]. The
-        value gradient runs VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
+        (indptr, cols) and x's gradient on transpose() with vals[perm]. With
+        `stored`, vals holds structure's own values, which both products read
+        from structure.cast instead. The value gradient runs
+        VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
         def clash(sv, sx):
             if sv != (structure.nnz, 1):
                 return f"values must be ({structure.nnz}, 1), got {sv}"
@@ -427,10 +479,14 @@ class Tape:
 
         def grad_x(g, vd, xd):
             indptr, indices, perm = structure.transpose()
-            return _csr_product(indptr, indices, vd[perm, 0], g)
+            data = structure.cast(g.dtype, transposed=True) if stored else vd[perm, 0]
+            return _csr_product(indptr, indices, data, g)
 
-        return self._binary(name, vals, x, lambda vd, xd: _csr_product(
-            structure.indptr, structure.cols, vd[:, 0], xd), grad_vals, grad_x, clash)
+        def forward(vd, xd):
+            data = structure.cast(xd.dtype) if stored else vd[:, 0]
+            return _csr_product(structure.indptr, structure.cols, data, xd)
+
+        return self._binary(name, vals, x, forward, grad_vals, grad_x, clash)
 
     def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash):
         """Record op(ad, bd) on the operands' arrays. clash(sa, sb) says why

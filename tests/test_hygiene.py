@@ -322,6 +322,45 @@ def test_flush_check_sees_calls_in_rules_and_bodies(tmp_path):
         ("Tape.backward", 6, "flush_subnormals")}
 
 
+# a tape skips its finiteness checks only in the training loop, which checks
+# the loss and every gradient itself and replays a failing batch on a checked
+# tape; scoring, tests and every other caller get a checked tape
+UNCHECKED_TAPES = {("schema", "train_loop")}
+
+
+def unchecked_tapes(path):
+    """(qualified name of the innermost enclosing function or None, line) of
+    every Tape(...) call that may pass `checked` as anything but True."""
+    found = set()
+    for func, node in scoped_nodes(path):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) != "Tape":
+            continue
+        given = node.args + [k.value for k in node.keywords if k.arg in ("checked", None)]
+        if any(not (isinstance(a, ast.Constant) and a.value is True) for a in given):
+            found.add((func, node.lineno))
+    return found
+
+
+def test_only_the_training_loop_builds_an_unchecked_tape():
+    found = {(mod, func) for mod, path in modules()
+             for func, _ in unchecked_tapes(path)}
+    assert sorted(found, key=str) == sorted(UNCHECKED_TAPES)
+
+
+def test_unchecked_tape_check_sees_every_form_of_the_argument(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: Tape(checked=False)."""\n'
+                    "a, b = Tape(), T.Tape(checked=True)\n"
+                    "def loop(flag, opts):\n"
+                    "    c = Tape(checked=False)\n"
+                    "    d = T.Tape(flag)\n"
+                    "    return Tape(**opts), Tape(True), Tape.backward(c)\n")
+    assert unchecked_tapes(path) == {("loop", 4), ("loop", 5), ("loop", 6)}
+
+
 # a SparseMatrix holds float64 values, and the tape's sparse products cast
 # them to the dense operand's dtype, so neither its constructors nor any graph
 # builder takes a dtype

@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import re
 import tracemalloc
 import weakref
 
@@ -1100,8 +1101,8 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
     refs = []
 
     class TrackedTape(T.Tape):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(base, "Tape", TrackedTape)
@@ -1134,6 +1135,56 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
             refs.clear()
     finally:
         gc.enable()
+
+
+class CheckedTape(T.Tape):
+    """A tape that checks every result, whatever its caller asks for."""
+
+    def __init__(self, checked=True):
+        super().__init__(checked=True)
+
+
+def train_small_model(tag, trainer, monkeypatch, checked):
+    """A small model of `tag`, trained by schema.train_loop on unchecked
+    tapes or, with `checked`, on tapes that always check."""
+    from fusionrec import schema
+
+    data = small_data(n_users=12, n_items=16, seed=5)
+    tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
+    model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2), data, seed=9)
+    with monkeypatch.context() as patch:
+        if checked:
+            patch.setattr(schema, "Tape", CheckedTape)
+        return model, schema.train_loop(model.spec, model, tdata, trainer)
+
+
+@pytest.mark.parametrize("tag", sorted(CLASSIFICATION))
+def test_unchecked_training_equals_checked_training_bitwise(tag, monkeypatch):
+    # the loop checks only the loss and the gradients, and no batch replays
+    sampled = []
+    sample = tr.sample_triples
+    monkeypatch.setattr(tr, "sample_triples", lambda *a: sampled.append(1) or sample(*a))
+    trainer = tr.TrainerConfig(epochs=2, batch_size=8, lr=0.01, reg=1e-4,
+                               optimizer="adam", seed=0)
+    runs = []
+    for checked in (False, True):
+        model, out = train_small_model(tag, trainer, monkeypatch, checked)
+        runs.append(([row.loss for row in out.trace],
+                     {n: t.data.tobytes() for n, t in model.params().named().items()}))
+    assert runs[0] == runs[1]
+    assert len(sampled) == 2 * 2 * -(-36 // 8)  # two runs, two epochs, no replay
+
+
+@pytest.mark.parametrize("tag", sorted(CLASSIFICATION))
+def test_diverging_training_names_what_a_checked_training_names(tag, monkeypatch):
+    trainer = tr.TrainerConfig(epochs=30, batch_size=8, lr=1e7, optimizer="sgd", seed=3)
+    messages = []
+    for checked in (False, True):
+        with pytest.raises(tr.TrainingDivergedError) as info:
+            train_small_model(tag, trainer, monkeypatch, checked)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert re.match(r"epoch \d+ batch \d+: \w+", messages[0])
 
 
 # ------------------------------------------------------------------ ranking

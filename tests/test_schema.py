@@ -154,6 +154,67 @@ def test_train_loop_divergence_diagnostic():
         S.train_loop(model.spec, model, data, cfg)
 
 
+def overflowing_forward(tape, loss, model):
+    return tape.scale(loss, 1e39)
+
+
+def overflowing_gradient(tape, loss, model):
+    """loss plus 0, formed so that backward sums two gradients of 2e38 into
+    one tensor and the first parameter's gradient becomes NaN."""
+    z = tape.scale(model.params().tensors()[0], 0.0)
+    return tape.add(loss, tape.add(tape.sum(tape.scale(z, 2e38)),
+                                   tape.sum(tape.scale(z, 2e38))))
+
+
+def overflowing_constant(tape, loss, model):
+    """loss plus exp(100), which overflows and has no gradient to give."""
+    return tape.add(loss, tape.exp(Tensor([[100.0]])))
+
+
+@pytest.mark.parametrize("overflow, message", [
+    (overflowing_forward, "scale produced non-finite values"),
+    (overflowing_gradient, "backward of scale produced non-finite values"),
+    (overflowing_constant, "exp produced non-finite values"),
+], ids=["loss", "gradient", "loss-only"])
+def test_a_failing_batch_is_replayed_exactly_on_a_checked_tape(
+        overflow, message, monkeypatch):
+    # epoch 2 batch 2 overflows; the unchecked tape records inf, the loop's
+    # check of the loss or the gradients sees it, and the checked replay of
+    # the same triples names the primitive before any parameter has stepped
+    model, data = make_model(), make_data()
+    cfg = TR.TrainerConfig(epochs=3, batch_size=8, lr=0.01, seed=5)
+    n_batches = -(-len(data.pairs) // cfg.batch_size)
+    sampled, tapes, before = [], [], []
+    sample, total_loss = TR.sample_triples, TR.total_loss
+
+    def recorded_sample(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
+
+    def overflowing_loss(tape, model, batch, rng, reg):
+        loss = total_loss(tape, model, batch, rng, reg)
+        tapes.append(tape.checked)
+        if len(sampled) < n_batches + 2:
+            return loss
+        before.append({n: t.data.copy() for n, t in model.params().named().items()})
+        return overflow(tape, loss, model)
+
+    monkeypatch.setattr(TR, "sample_triples", recorded_sample)
+    monkeypatch.setattr(TR, "total_loss", overflowing_loss)
+    with pytest.raises(TR.TrainingDivergedError) as info:
+        S.train_loop(model.spec, model, data, cfg)
+    assert str(info.value) == f"epoch 2 batch 2: {message}"
+    assert len(sampled) == n_batches + 3
+    assert tapes == [False] * (n_batches + 2) + [True]
+    failed, replay = sampled[-2:]
+    for a, b in zip((failed.users, failed.pos, failed.neg),
+                    (replay.users, replay.pos, replay.neg)):
+        np.testing.assert_array_equal(a, b)
+    for arrays in before:
+        for name, t in model.params().named().items():
+            assert t.data.tobytes() == arrays[name].tobytes(), name
+
+
 def test_train_loop_eval_cadence():
     model = make_model()
     data = make_data()

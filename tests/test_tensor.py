@@ -852,6 +852,75 @@ def test_only_matmul_flushes_subnormal_gradients():
     np.testing.assert_array_equal(vals.grad, [[2 * sub], [2.0]])
 
 
+@pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)],
+                         ids=["both", "left", "right"])
+def test_matmul_flushes_its_gradient_once_per_node(needs, monkeypatch):
+    # where both operands need a gradient the two rules share one flushed g,
+    # and the gradients are those of each rule flushing its own
+    calls = []
+    monkeypatch.setattr(T, "flush_subnormals",
+                        lambda g: calls.append(g) or flush_subnormals_loop(g))
+    sub = np.float32(1e-40)
+    ad, bd = np.full((2, 3), 3.0), np.full((3, 2), 5.0)
+    a, b = (T.Tensor(d, requires_grad=n) for d, n in zip((ad, bd), needs))
+    t = T.Tape()
+    scale = T.constant([[sub, 1.0], [1.0, 2.0]])
+    t.backward(t.sum(t.mul(t.matmul(a, b), scale)))
+    assert len(calls) == 1
+    flushed = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=np.float32)
+    if needs[0]:
+        assert a.grad.tobytes() == (flushed @ bd.T.astype(np.float32)).tobytes()
+    if needs[1]:
+        assert b.grad.tobytes() == (ad.T.astype(np.float32) @ flushed).tobytes()
+
+
+def test_spmm_casts_a_graphs_values_once_per_dtype(monkeypatch):
+    # every product of one graph reads the same cast arrays, forward and in
+    # the operand's gradient, each the values cast to the dense dtype
+    data = []
+    product = T._csr_product
+    monkeypatch.setattr(T, "_csr_product", lambda indptr, indices, vd, x: (
+        data.append(vd) or product(indptr, indices, vd, x)))
+    m = _reordering_matrix()
+    x = T.parameter(np.ones((3, 2)))
+    for _ in range(2):
+        t = T.Tape()
+        t.backward(t.sum(t.spmm(m, x)))
+    forward, backward, forward_again, backward_again = data
+    assert forward is forward_again and backward is backward_again
+    assert forward.tobytes() == m.vals.astype(np.float32).tobytes()
+    assert backward.tobytes() == m.vals[m.transpose()[2]].astype(np.float32).tobytes()
+
+
+def test_an_unchecked_tape_records_an_overflow_that_a_later_primitive_absorbs():
+    # exp(1e4) overflows and sigmoid(inf) is 1: a checked tape names exp, an
+    # unchecked one records 1.0, and l2_normalize checks its norms on both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = T.Tape()
+        with pytest.raises(T.NonFiniteError, match="^exp produced non-finite"):
+            checked.sigmoid(checked.exp(T.constant([[1e4]])))
+        t = T.Tape(checked=False)
+        assert t.sigmoid(t.exp(T.constant([[1e4]]))).data.tolist() == [[1.0]]
+        with pytest.raises(T.NonFiniteError, match="^l2_normalize: a row's squared"):
+            t.l2_normalize(T.constant([[3e38, 3e38]]))
+
+
+def test_an_unchecked_backward_leaves_a_non_finite_gradient_to_its_caller():
+    # the checked backward names the overflowing sum; the unchecked one
+    # leaves inf in grad, which the training loop checks before stepping
+    for checked in (True, False):
+        x = T.parameter([[0.0]])
+        t = T.Tape(checked=checked)
+        loss = _two_scales(t, x)
+        if checked:
+            with pytest.raises(T.NonFiniteError, match="^backward of scale "):
+                t.backward(loss)
+        else:
+            t.backward(loss)
+            assert np.isinf(x.grad).all()
+
+
 def test_stale_tensor_after_reset_rejected():
     t = T.Tape()
     x = p64([[1.0]])
