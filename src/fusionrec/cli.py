@@ -17,6 +17,12 @@ from . import experiment as ex
 from .models import MODEL_TAGS
 
 
+def positive_int(text):
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionrec",
@@ -27,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every seed in the config")
     parser.add_argument("--out", metavar="DIR",
                         help="override the configured output directory")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
+    parser.add_argument("--threads", type=positive_int, default=1, metavar="N",
                         help="threads that rank blocks of evaluated users "
                              "(default 1)")
     sub = parser.add_subparsers(dest="command", required=True)

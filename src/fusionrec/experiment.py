@@ -19,6 +19,7 @@ so the deterministic artifacts stay byte-comparable.
 import configparser
 import io
 import json
+import math
 import os
 import resource
 import string
@@ -138,6 +139,15 @@ def _csv(cast):
     return lambda text: tuple(cast(x) for x in text.split(","))
 
 
+def _parse_float(text):
+    if not math.isfinite(value := float(text)):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
+_parse_floats = _csv(_parse_float)
+
+
 def _parse_bool(text):
     if text.lower() not in ("true", "false"):
         raise ConfigError(f"expected true/false, got {text!r}")
@@ -145,8 +155,8 @@ def _parse_bool(text):
 
 
 # a dataclass field's parser by its type; the one tuple, modality_weights, may be none
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str,
-            tuple: lambda text: None if text.lower() == "none" else _csv(float)(text)}
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str,
+            tuple: lambda text: None if text.lower() == "none" else _parse_floats(text)}
 
 
 def _fields_of(cls, skip=()):
@@ -164,12 +174,12 @@ LAYOUT = {
     "data": {"interactions": ("interactions", str),
              "features": ("features", None),
              "missing": ("missing_policy", str)},
-    "prepare": {"kcore": ("kcore", int), "train_ratio": ("train_ratio", float),
+    "prepare": {"kcore": ("kcore", int), "train_ratio": ("train_ratio", _parse_float),
                 "seed": ("split_seed", int)},
     "model": _fields_of(ModelConfig),
     # grid_search sets lr and reg per grid point: [grid] alone states them
     "trainer": _fields_of(tr.TrainerConfig, skip=("lr", "reg")),
-    "grid": {"lrs": ("grid_lrs", _csv(float)), "regs": ("grid_regs", _csv(float))},
+    "grid": {"lrs": ("grid_lrs", _parse_floats), "regs": ("grid_regs", _parse_floats)},
     "evaluation": {"cutoffs": ("cutoffs", _csv(int))},
     "output": {"dir": ("out_dir", str)},
 }

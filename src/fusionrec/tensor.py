@@ -50,24 +50,24 @@ serves add, sub, mul, div, maximum, matmul and matmul_nt, and, through
 _spmm, spmm_weighted and spmm, whose values are the matrix's stored ones as
 a constant, cast to the dense dtype once per matrix (SparseMatrix.cast).
 l2_normalize, row_gather, the concatenations and stop_gradient record on
-their own. Every sparse product and every scatter is one call into
-scipy's compiled CSR product kernel, on layouts from one counting sort,
-_bucket: a SparseMatrix is its own CSR, and row_gather's backward buckets
-its indices by row. Each output row adds its terms in CSR data order, which
-is the order of the stored entries.
+their own. Every sparse product and every scatter is one call into scipy's
+CSR or CSC product kernel (_csr_product) on one layout: a SparseMatrix is
+its own CSR, from one counting sort (entry_order), and x's gradient reads
+it as the CSC of the transpose; row_gather's scatter reads its indices as
+the CSC of the scatter matrix. Each output row adds its terms in stored order.
 
-Importing this module pins glibc malloc's mmap and trim thresholds for the
-whole process (_pin_malloc_thresholds), so a training batch reuses the heap
-the previous one freed instead of faulting it in again.
+Importing this module pins glibc malloc's mmap threshold and turns heap
+trimming off for the whole process (_pin_malloc_thresholds), so a training
+batch reuses the heap the previous one freed instead of faulting it in again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
-# scipy's compiled sparse kernels (a private module): csr_matvecs runs
-# csr_matrix @ dense and coo_tocsr the COO to CSR conversion's counting
-# sort; calling them directly skips the csr_matrix build, checks and dispatch
+# scipy's compiled sparse kernels (a private module): csr_matvecs and
+# csc_matvecs run csr_matrix and csc_matrix @ dense, coo_tocsr the COO to CSR
+# sort; calling them directly skips the matrix build, checks and dispatch
 from scipy.sparse import _sparsetools
 
 
@@ -160,17 +160,16 @@ def constant(data, dtype=np.float32):
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
-def _csr_product(indptr, indices, data, x):
-    """The CSR matrix (data, indices, indptr) times x, in x's dtype.
-
-    Each output row is summed from zero in data order by scipy's csr_matvecs,
-    the kernel behind `csr_matrix @ x`, and equals that product bit for bit.
-    The matrix has len(indptr) - 1 rows and x.shape[0] columns.
-    """
+def _csr_product(shape, indptr, indices, data, x, transposed=False):
+    """A @ x, or A.T @ x when transposed, in x's dtype, for the shape CSR
+    matrix A = (data, indices, indptr). Each output row is summed from zero
+    in data order, A.T's row c in the order of A's rows, by scipy's kernel
+    behind `csr_matrix @ x` (A.T: `csc_matrix @ x`), bit for bit."""
     x = np.ascontiguousarray(x)
-    out = np.zeros((indptr.size - 1, x.shape[1]), dtype=x.dtype)
-    _sparsetools.csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
-                             data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
+    out = np.zeros((shape[1 if transposed else 0], x.shape[1]), dtype=x.dtype)
+    kernel = _sparsetools.csc_matvecs if transposed else _sparsetools.csr_matvecs
+    kernel(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
+           data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
     return out
 
 
@@ -229,12 +228,10 @@ class SparseMatrix:
     Triples are stored in entry_order, by (row, col), with unique
     coordinates and finite float64 values, which the tape's sparse products
     cast to the dense operand's dtype. (indptr, cols, vals) is the CSR, its
-    data order the stored order, and transpose() the CSR of its transpose,
-    so live per-entry values can reuse either structure.
+    data order the stored order, and the CSC of the transpose: one layout.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_transpose", "_cast",
-                 "_operand")
+    __slots__ = ("shape", "rows", "cols", "vals", "indptr", "_cast", "_operand")
 
     def __init__(self, shape, rows, cols, vals):
         n, m = int(shape[0]), int(shape[1])
@@ -255,7 +252,7 @@ class SparseMatrix:
             raise NonFiniteError("sparse values must be finite")
         self.shape = (n, m)
         self.rows, self.cols, self.vals, self.indptr = rows, cols, vals, indptr
-        self._transpose, self._cast, self._operand = None, {}, None
+        self._cast, self._operand = {}, None
 
     @classmethod
     def from_dense(cls, arr):
@@ -272,23 +269,13 @@ class SparseMatrix:
         return scipy.sparse.csr_matrix((self.vals, self.cols, self.indptr),
                                        shape=self.shape)
 
-    def transpose(self):
-        """(indptr, indices, perm), cached: the CSR of the transpose, data
-        vals[perm]; row c holds column c's stored entries in stored order."""
-        if self._transpose is None:
-            indptr, perm = _bucket(self.cols, self.shape[1])
-            self._transpose = (indptr, self.rows[perm], perm)
-        return self._transpose
-
-    def cast(self, dtype, transposed=False):
-        """vals as dtype, in stored order or, transposed, in transpose()'s
-        data order, vals[perm]; cached per dtype and order. A first call
+    def cast(self, dtype):
+        """vals as dtype, in stored order, cached per dtype. A first call
         casts, so Tape.spmm makes it under the tape's float-error policy."""
-        key = (np.dtype(dtype), transposed)
-        if key not in self._cast:
-            vals = self.vals[self.transpose()[2]] if transposed else self.vals
-            self._cast[key] = vals.astype(dtype, copy=False)
-        return self._cast[key]
+        dtype = np.dtype(dtype)
+        if dtype not in self._cast:
+            self._cast[dtype] = self.vals.astype(dtype, copy=False)
+        return self._cast[dtype]
 
     def operand(self):
         """vals as an (nnz, 1) float64 constant, built once: Tape.spmm's
@@ -445,9 +432,8 @@ class Tape:
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
         """Sparse-dense product m @ x. The sparse operand is a constant:
-        spmm_weighted's product with m's stored float64 values, which both
-        products read cast to the dense dtype once per graph (m.cast), so
-        forward runs on m's CSR and backward on m.transpose()."""
+        spmm_weighted's product with m's stored float64 values, which forward
+        and backward both read cast to the dense dtype once per graph (m.cast)."""
         return self._spmm("spmm", m, m.operand(), x, stored=True)
 
     def spmm_weighted(self, structure: SparseMatrix, vals: Tensor, x: Tensor) -> Tensor:
@@ -458,11 +444,10 @@ class Tape:
 
     def _spmm(self, name, structure, vals, x, stored=False):
         """structure @ x with live values: row i of `vals` is the i-th stored
-        (row, col) entry, the CSR's i-th data entry, so the product runs on
-        (indptr, cols) and x's gradient on transpose() with vals[perm]. With
-        `stored`, vals holds structure's own values, which both products read
-        from structure.cast instead. The value gradient runs
-        VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
+        (row, col) entry, the CSR's i-th data entry, so the product and x's
+        gradient, the transposed product, run on (indptr, cols, vals). With
+        `stored`, both read structure's own values from structure.cast. The
+        value gradient runs VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
         def clash(sv, sx):
             if sv != (structure.nnz, 1):
                 return f"values must be ({structure.nnz}, 1), got {sv}"
@@ -477,16 +462,13 @@ class Tape:
                 gv[lo:hi, 0] = (g[rows[lo:hi]] * xd[cols[lo:hi]]).sum(axis=1)
             return gv
 
-        def grad_x(g, vd, xd):
-            indptr, indices, perm = structure.transpose()
-            data = structure.cast(g.dtype, transposed=True) if stored else vd[perm, 0]
-            return _csr_product(indptr, indices, data, g)
-
-        def forward(vd, xd):
+        def product(vd, xd, transposed=False):
             data = structure.cast(xd.dtype) if stored else vd[:, 0]
-            return _csr_product(structure.indptr, structure.cols, data, xd)
+            return _csr_product(structure.shape, structure.indptr, structure.cols,
+                                data, xd, transposed)
 
-        return self._binary(name, vals, x, forward, grad_vals, grad_x, clash)
+        return self._binary(name, vals, x, product, grad_vals,
+                            lambda g, vd, xd: product(vd, g, transposed=True), clash)
 
     def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash):
         """Record op(ad, bd) on the operands' arrays. clash(sa, sb) says why
@@ -641,12 +623,13 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
-        n = a.rows
+        shape = (idx.size, a.rows)
 
         def rule(g):
-            # the (n, m) scatter matrix with a one at (idx[j], j), by row
-            indptr, positions = _bucket(idx, n)
-            return _csr_product(indptr, positions, np.ones(idx.size, dtype=g.dtype), g)
+            # a[idx] is G @ a for G with a one at (j, idx[j]), whose CSR this is
+            indptr = np.arange(idx.size + 1, dtype=np.int64)
+            return _csr_product(shape, indptr, idx, np.ones(idx.size, dtype=g.dtype),
+                                g, transposed=True)
 
         return self._record("row_gather", out, (a,), (rule,), copies=True)
 
@@ -706,12 +689,12 @@ class Tape:
 
 
 def _pin_malloc_thresholds():
-    """Pin glibc malloc's mmap and trim thresholds where its adaptive rule
-    ends, 32 MiB and 64 MiB, for the whole process.
-
-    The rule learns only from the largest block freed: under 1 MB on a
-    small corpus, whose batches each free several MB, so every batch gave
-    its heap back to the kernel and faulted it in again. Returns whether
+    """Pin glibc malloc's mmap threshold where its adaptive rule ends,
+    32 MiB, and turn heap trimming off, for the whole process, so no batch
+    gives its heap back to the kernel and faults it in again: the rule
+    learns only from the largest block freed, under 1 MB on a small corpus,
+    and an Office batch frees over 64 MiB of heap (MMGCN), 128 MiB (GRCN).
+    Blocks of 32 MiB or more are still unmapped when freed. Returns whether
     both were set; a C library without mallopt is left alone, and a call
     that returns 0 stops the rest.
     """
@@ -723,7 +706,7 @@ def _pin_malloc_thresholds():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return bool(mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-                and mallopt(-1, 64 << 20))  # M_TRIM_THRESHOLD
+                and mallopt(-1, -1))  # M_TRIM_THRESHOLD: never trim
 
 
 _pin_malloc_thresholds()

@@ -228,20 +228,17 @@ def user_positives_loop(pairs):
 
 def sparse_layout_lexsort(shape, rows, cols, vals, dtype):
     """The stored layout of SparseMatrix(shape, rows, cols, vals), its values
-    in dtype, by np.lexsort and scipy's COO to csr_matrix conversion, both
-    ways. Returns (rows, cols, vals, indptr, (indptr_t, indices_t, perm)): the
-    entries sorted by (row, col), the CSR row pointer, and the transpose's
-    CSR whose data is vals[perm]."""
+    in dtype, by np.lexsort and scipy's COO to csr_matrix conversion.
+    Returns (rows, cols, vals, indptr): the entries sorted by (row, col) and
+    the CSR row pointer."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=dtype)
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
-    a_t = scipy.sparse.csr_matrix((vals, (cols, rows)), shape=shape[::-1])
-    perm = np.argsort(cols, kind="stable")
-    assert np.array_equal(a.data, vals) and np.array_equal(a_t.data, vals[perm])
-    return rows, cols, vals, a.indptr, (a_t.indptr, a_t.indices, perm)
+    assert np.array_equal(a.data, vals)
+    return rows, cols, vals, a.indptr
 
 
 # ------------------------------------------------------- user-item graph

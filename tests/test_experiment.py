@@ -159,7 +159,13 @@ def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
     for extra, key in (("[evaluation]\ncutoffs = 10, abc\n", "cutoffs"),
                        ("[grid]\nlrs = 0.01, fast\n", "lrs"),
                        ("embedding_dim = wide\n", "embedding_dim"),
-                       ("modality_weights = 1, heavy\n", "modality_weights")):
+                       ("modality_weights = 1, heavy\n", "modality_weights"),
+                       ("[grid]\nlrs = nan\n", "lrs"),
+                       ("[grid]\nregs = 0.001, inf\n", "regs"),
+                       ("mm_weight = nan\n", "mm_weight"),
+                       ("leaky_slope = -inf\n", "leaky_slope"),
+                       ("modality_weights = 1, inf\n", "modality_weights"),
+                       ("[prepare]\ntrain_ratio = nan\n", "train_ratio")):
         with pytest.raises(ex.ConfigError, match=key):
             ex.parse_config(head + extra)
     ini = tmp_path / "exp.ini"
@@ -168,6 +174,12 @@ def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
     assert "cutoffs = 10, abc" in ini.read_text()
     assert main(["--config", str(ini), "prepare"]) == 1
     capsys.readouterr()
+    ini.write_text(ex.serialize_config(base_config(corpus, str(tmp_path / "out")))
+                   .replace("lrs = 0.01, 0.05", "lrs = 0.01, nan"))
+    assert "lrs = 0.01, nan" in ini.read_text()
+    assert main(["--config", str(ini), "train"]) == 1
+    assert "[grid] lrs: expected a finite number, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "prepared").exists()
 
 
 @pytest.mark.parametrize("lrs", [", ".join(f"0.0{n:02d}" for n in range(1, 12)),
@@ -690,6 +702,8 @@ def test_cli_validation_failures_exit_1(corpus, tmp_path, capsys):
     ini = str(tmp_path / "exp.ini")
     write_config(base_config(corpus, str(tmp_path / "out")), ini)
     assert main(["--config", ini, "benchmark", "--models", "nope"]) == 1
+    assert main(["--threads", "0", "--config", ini, "tune"]) == 1
+    assert main(["--threads", "-3", "--config", ini, "tune"]) == 1
     capsys.readouterr()
 
 

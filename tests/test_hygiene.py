@@ -536,37 +536,71 @@ def test_layout_check_sees_a_sort_and_a_conversion(tmp_path):
         (None, 10, "coo_tocsr")}
 
 
+def name_uses(path, names):
+    """(qualified name of the innermost enclosing function or None, line,
+    name) of every import, name, attribute or string that is one of
+    `names`."""
+    found = set()
+    for func, node in scoped_nodes(path):
+        if isinstance(node, ast.Import):
+            used = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            used = [(node.module or "").split(".")[0]]
+            used += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used = [node.id]
+        elif isinstance(node, ast.Attribute):
+            used = [node.attr]
+        elif isinstance(node, ast.Constant):
+            used = [node.value]
+        else:
+            continue
+        found.update((func, node.lineno, name) for name in used if name in names)
+    return found
+
+
+# one layout per sparse matrix: the counting sort orders entries only for
+# entry_order, and the product by a CSR and by its transpose, the same arrays
+# read as a CSC, reach scipy's two kernels through one helper
+ONE_LAYOUT = {("tensor", "entry_order", "_bucket"),
+              ("tensor", "_csr_product", "csr_matvecs"),
+              ("tensor", "_csr_product", "csc_matvecs")}
+
+
+def test_each_sparse_matrix_has_one_layout():
+    found = {(mod, func, name) for mod, path in modules()
+             for func, _, name in name_uses(path, {n for _, _, n in ONE_LAYOUT})}
+    assert sorted(found, key=str) == sorted(ONE_LAYOUT, key=str)
+
+
+def test_layout_use_check_sees_calls_and_references(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: _bucket(keys, n)."""\n'
+                    "def entry_order(rows, cols):\n"
+                    "    return _bucket(rows[_bucket(cols, 3)[1]], 4)\n"
+                    "class SparseMatrix:\n"
+                    "    def transpose(self):\n"
+                    "        return T._bucket(self.cols, 3)\n"
+                    "class Tape:\n"
+                    "    def row_gather(self, idx):\n"
+                    "        return lambda g: _csr_product(*_bucket(idx, 4), g)\n"
+                    "def _csr_product(transposed):\n"
+                    "    kernel = _sparsetools.csc_matvecs if transposed else csr_matvecs\n"
+                    "    return kernel(1)\n")
+    assert name_uses(path, ("_bucket", "csr_matvecs", "csc_matvecs")) == {
+        ("entry_order", 3, "_bucket"), ("SparseMatrix.transpose", 6, "_bucket"),
+        ("Tape.row_gather", 9, "_bucket"), ("_csr_product", 11, "csc_matvecs"),
+        ("_csr_product", 11, "csr_matvecs")}
+
+
 # the C library is reached in one place: tensor's malloc policy, through ctypes
 NATIVE = ("ctypes", "mallopt")
 MALLOC_POLICY = {("tensor", "_pin_malloc_thresholds")}
 
 
-def native_uses(path):
-    """(qualified name of the innermost enclosing function or None, line,
-    name) of every import, name, attribute or string that is a name in
-    NATIVE."""
-    found = set()
-    for func, node in scoped_nodes(path):
-        if isinstance(node, ast.Import):
-            names = [alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [(node.module or "").split(".")[0]]
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Constant):
-            names = [node.value]
-        else:
-            continue
-        found.update((func, node.lineno, name) for name in names if name in NATIVE)
-    return found
-
-
 def test_only_the_malloc_policy_reaches_the_c_library():
     found = {(mod, func) for mod, path in modules()
-             for func, _, _ in native_uses(path)}
+             for func, _, _ in name_uses(path, NATIVE)}
     assert sorted(found, key=str) == sorted(MALLOC_POLICY)
 
 
@@ -582,7 +616,7 @@ def test_native_check_sees_ctypes_and_mallopt(tmp_path):
                     "    def load(self, lib):\n"
                     "        return getattr(lib, 'mallopt')\n"
                     "mallopt = None\n")
-    assert native_uses(path) == {
+    assert name_uses(path, NATIVE) == {
         (None, 2, "ctypes"), (None, 3, "ctypes"),
         ("_pin_malloc_thresholds", 5, "ctypes"),
         ("_pin_malloc_thresholds", 6, "ctypes"),

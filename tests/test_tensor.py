@@ -398,11 +398,11 @@ def test_sparse_layout_equals_lexsort_oracle(entries, dense):
         vals = arr[rows, cols]
     else:
         m = T.SparseMatrix(shape, rows, cols, vals)
-    want_rows, want_cols, want_vals, want_indptr, want_t = \
+    want_rows, want_cols, want_vals, want_indptr = \
         sparse_layout_lexsort(shape, rows, cols, vals, np.float64)
     assert m.vals.dtype == np.float64 and m.vals.tobytes() == want_vals.tobytes()
-    for got, want in zip((m.rows, m.cols, m.indptr, *m.transpose()),
-                         (want_rows, want_cols, want_indptr, *want_t)):
+    for got, want in zip((m.rows, m.cols, m.indptr),
+                         (want_rows, want_cols, want_indptr)):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
@@ -449,23 +449,29 @@ def test_spmm_matches_dense(n, m, d, seed):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("width", [1, 7])
-def test_csr_product_equals_scipy_bitwise(dtype, index_dtype, width):
-    # the direct kernel call is csr_matrix @ x bit for bit, with empty rows
-    # (0 and the last three) and a non-contiguous dense operand
+@pytest.mark.parametrize("width, transposed", [(1, False), (7, False), (1, True),
+                                               (7, True)],
+                         ids=["1", "7", "transposed-1", "transposed-7"])
+def test_csr_product_equals_scipy_bitwise(dtype, index_dtype, width, transposed):
+    # the direct kernel call is a @ x, or transposed a.T @ x, bit for bit,
+    # with empty rows (0 and the last three), empty columns (2 and 5) and a
+    # non-contiguous dense operand
     rng = np.random.default_rng(width)
     dense = rng.standard_normal((12, 9)) * (rng.random((12, 9)) < 0.4)
     dense[[0, 9, 10, 11]] = 0.0
+    dense[:, [2, 5]] = 0.0
     a = scipy.sparse.csr_matrix(dense)
     indptr = a.indptr.astype(index_dtype)
     indices = a.indices.astype(index_dtype)
-    x = rng.standard_normal((9, 2 * width)).astype(dtype)[:, ::2]
+    x = rng.standard_normal((12 if transposed else 9, 2 * width)).astype(dtype)[:, ::2]
     assert not x.flags.c_contiguous
     data = a.data.astype(dtype)
-    got = T._csr_product(indptr, indices, data, x)
-    want = scipy.sparse.csr_matrix((data, indices, indptr), shape=(12, 9)) @ x
-    assert got.dtype == dtype and got.shape == (12, width)
-    assert not got[[0, 9, 10, 11]].any()
+    got = T._csr_product((12, 9), indptr, indices, data, x, transposed)
+    a = scipy.sparse.csr_matrix((data, indices, indptr), shape=(12, 9))
+    want, empty = (a.T @ x, [2, 5]) if transposed else (a @ x, [0, 9, 10, 11])
+    assert got.dtype == dtype and got.shape == want.shape == (
+        (9 if transposed else 12), width)
+    assert not got[empty].any()
     np.testing.assert_array_equal(got, want)
 
 
@@ -577,17 +583,16 @@ def _reordering_matrix():
                           [0.3, -1.7, 2.5, 0.9, 1.1])
 
 
-def _transpose_csr(m, dtype=np.float64):
+def _csr(m, dtype=np.float64):
     # the values cast to the dense operand's dtype, as the tape's products do
-    indptr, indices, perm = m.transpose()
-    return scipy.sparse.csr_matrix((m.vals[perm].astype(dtype), indices, indptr),
-                                   shape=m.shape[::-1])
+    return scipy.sparse.csr_matrix((m.vals.astype(dtype), m.cols, m.indptr),
+                                   shape=m.shape)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     m = _reordering_matrix()
-    assert not np.array_equal(m.transpose()[2], np.arange(m.nnz))
+    assert not np.array_equal(np.argsort(m.cols, kind="stable"), np.arange(m.nnz))
     rng = np.random.default_rng(3)
     xd = rng.standard_normal((3, 4)).astype(dtype)
     g = T.constant(rng.standard_normal((4, 4)), dtype=dtype)
@@ -605,8 +610,8 @@ def test_spmm_is_spmm_weighted_with_constant_values_bitwise(dtype):
     assert not out[1].any()
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(grad, want_grad)
-    # and the transposed product on transpose()'s own CSR
-    np.testing.assert_array_equal(grad, _transpose_csr(m, dtype) @ g.data)
+    # and scipy's transposed product over the cast values
+    np.testing.assert_array_equal(grad, _csr(m, dtype).T @ g.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -615,8 +620,7 @@ def test_spmm_of_float64_graph_values_equals_the_operand_dtype_graph(dtype):
     # dense operand's dtype, forward and in the operand's gradient, so it
     # gives the bytes of scipy's product over the values cast first
     m = _reordering_matrix()
-    narrow = scipy.sparse.csr_matrix((m.vals.astype(dtype), m.cols, m.indptr),
-                                     shape=m.shape)
+    narrow = _csr(m, dtype)
     assert m.vals.dtype == np.float64
     assert (narrow.data != m.vals).any() == (dtype == np.float32)
     rng = np.random.default_rng(5)
@@ -640,7 +644,7 @@ def test_spmm_runs_only_its_dense_rule():
     ran = spy_on_rules(t)
     t.backward(loss)
     assert ran == [("sum", 0), ("spmm", 1)]
-    np.testing.assert_array_equal(x.grad, _transpose_csr(m) @ np.ones((4, 2)))
+    np.testing.assert_array_equal(x.grad, _csr(m).T @ np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------- tape
@@ -875,21 +879,20 @@ def test_matmul_flushes_its_gradient_once_per_node(needs, monkeypatch):
 
 
 def test_spmm_casts_a_graphs_values_once_per_dtype(monkeypatch):
-    # every product of one graph reads the same cast arrays, forward and in
-    # the operand's gradient, each the values cast to the dense dtype
+    # every product of one graph reads the same cast array, forward and in
+    # the operand's gradient: the values cast to the dense dtype
     data = []
     product = T._csr_product
-    monkeypatch.setattr(T, "_csr_product", lambda indptr, indices, vd, x: (
-        data.append(vd) or product(indptr, indices, vd, x)))
+    monkeypatch.setattr(T, "_csr_product", lambda shape, indptr, indices, vd, *rest: (
+        data.append(vd) or product(shape, indptr, indices, vd, *rest)))
     m = _reordering_matrix()
     x = T.parameter(np.ones((3, 2)))
     for _ in range(2):
         t = T.Tape()
         t.backward(t.sum(t.spmm(m, x)))
     forward, backward, forward_again, backward_again = data
-    assert forward is forward_again and backward is backward_again
+    assert forward is backward is forward_again is backward_again
     assert forward.tobytes() == m.vals.astype(np.float32).tobytes()
-    assert backward.tobytes() == m.vals[m.transpose()[2]].astype(np.float32).tobytes()
 
 
 def test_an_unchecked_tape_records_an_overflow_that_a_later_primitive_absorbs():
@@ -1222,9 +1225,9 @@ def test_malloc_policy_sets_both_thresholds_or_stops(monkeypatch, returns):
     library = types.SimpleNamespace(mallopt=mallopt)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
     assert T._pin_malloc_thresholds() is bool(returns)
-    # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD 64 MiB; a refused
-    # call leaves the rest unset
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)][:1 + returns]
+    # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD -1, no trimming; a
+    # refused call leaves the rest unset
+    assert calls == [(-3, 32 << 20), (-1, -1)][:1 + returns]
 
 
 def test_malloc_policy_leaves_a_library_without_mallopt_alone(monkeypatch):
