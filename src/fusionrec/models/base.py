@@ -11,6 +11,7 @@ class. Graph builders store float64; item_graph is the one frozen kNN item graph
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, asdict, field
@@ -69,6 +70,12 @@ class ModelConfig:
             raise ValueError(f"blend must be in [0, 1], got {self.blend}")
         if not 0.0 <= self.prune_ratio < 1.0:  # 1 would drop every train edge
             raise ValueError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
+        # blend, dropout_p and prune_ratio are range checks that NaN fails
+        weights = (self.mm_weight, self.inter_weight, self.intra_weight,
+                   self.leaky_slope, *(self.modality_weights or ()))
+        if not all(math.isfinite(float(x)) for x in weights):
+            raise ValueError("mm_weight, inter_weight, intra_weight, leaky_slope "
+                             "and modality_weights must be finite")
         if self.mm_weight < 0 or self.inter_weight < 0 or self.intra_weight < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.activation not in ACTIVATIONS:
@@ -143,22 +150,27 @@ def bipartite_adjacency(n_users, n_items, pairs) -> SparseMatrix:
 
 
 def bipartite_structure(n_users, n_items, pairs):
-    """bipartite_adjacency plus, per stored entry, its source pair index.
+    """bipartite_adjacency, its user-item block and, per stored entry of
+    the adjacency, its entry in that block.
 
-    Both entries of pair (u, i) hold its pair_weights value. Returns
-    (adj, entry_pair); adj.vals are the base values to reweight.
+    The block is the (n_users, n_items) SparseMatrix of the pairs with their
+    pair_weights values; both adjacency entries of pair (u, i) hold its
+    value. Returns (adj, block, entry_at): adj.vals are the base values to
+    reweight, and adj's k-th stored entry is block's entry_at[k]-th.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
-    m = pairs.shape[0]
-    if m == 0:
+    if pairs.shape[0] == 0:
         raise ValueError("cannot build adjacency from zero interactions")
-    n = n_users + n_items
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1] + n_users])
-    cols = np.concatenate([pairs[:, 1] + n_users, pairs[:, 0]])
-    order = entry_order((n, n), rows, cols)[1]  # SparseMatrix's stored order
-    w = pair_weights(n_users, n_items, pairs)
-    adj = SparseMatrix((n, n), rows, cols, np.concatenate([w, w]))
-    return adj, order % m  # positions p and m + p hold pair p
+    block = SparseMatrix((n_users, n_items), pairs[:, 0], pairs[:, 1],
+                         pair_weights(n_users, n_items, pairs))
+    n, users, items = n_users + n_items, block.rows, block.cols + n_users
+    adj = SparseMatrix((n, n), np.concatenate([users, items]),
+                       np.concatenate([items, users]),
+                       np.concatenate([block.vals, block.vals]))
+    # adj stores the user rows in block's (user, item) order, then the item
+    # rows in (item, user) order, the entry order of block's transpose
+    by_item = entry_order((n_items, n_users), block.cols, block.rows)[1]
+    return adj, block, np.concatenate([np.arange(block.nnz), by_item])
 
 
 def pair_weights(n_users, n_items, pairs) -> np.ndarray:
@@ -271,9 +283,12 @@ def batch_rows(batch):
 
 
 def bpr_on_rows(tape: Tape, u: Tensor, items_rep: Tensor, pos, neg) -> Tensor:
-    """The one BPR scorer: triple t scores u[t] . items_rep[pos[t]] (and neg[t])."""
+    """The one BPR scorer: triple t scores u[t] . items_rep[pos[t]] (and
+    neg[t]), one sampled product over the pattern of entries (t, pos[t])."""
     def scores(items):
-        return tape.rowsum(tape.mul(u, tape.row_gather(items_rep, items)))
+        pattern = SparseMatrix((u.rows, items_rep.rows), np.arange(u.rows), items,
+                               np.ones(u.rows))
+        return tape.entry_dot(pattern, u, items_rep)
 
     return tr.bpr_loss(tape, scores(pos), scores(neg))
 

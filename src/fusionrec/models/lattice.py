@@ -15,7 +15,8 @@ added back onto the id embedding; users keep plain id embeddings.
 The learned graph is kNN-sparse, as LATTICE defines it: rank_topk picks
 each item's k best off-diagonal cosine neighbors among the projected unit
 rows (ties to the lower id), and only those n * k values are computed on
-the tape, clamped at zero and row-normalized. No n x n array is built.
+the tape, by one sampled product over the support (Tape.entry_dot), clamped
+at zero and row-normalized. No n x n array is built.
 The pick is hard and non-differentiable; `frozen_masks` pins it to a
 fixed 0/1 mask so gradient checks differentiate a fixed function.
 """
@@ -74,8 +75,7 @@ class LATTICE(RecommenderModel):
             top = rank_topk(lambda b: u[b] @ u.T, range(n), k, self.itself, n).top
             support = SparseMatrix((n, n), np.repeat(np.arange(n), k), top.ravel(),
                                    np.ones(top.size))
-        kept = tape.relu(tape.rowsum(tape.mul(tape.row_gather(unit, support.rows),
-                                              tape.row_gather(unit, support.cols))))
+        kept = tape.relu(tape.entry_dot(support, unit, unit))
         sums = tape.maximum(tape.spmm_weighted(support, kept, self.ones), self.floor)
         return support, tape.div(kept, tape.row_gather(sums, support.rows))
 

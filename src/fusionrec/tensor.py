@@ -46,9 +46,12 @@ Each family of primitives records through one private body: _unary serves
 scale, sigmoid, softplus, log, exp, relu, sum, sumsq, mean, rowsum and
 softmax, and, through _masked, which builds one mask after the operand
 check, leaky_relu and dropout; _binary, given which operand shapes meet,
-serves add, sub, mul, div, maximum, matmul and matmul_nt, and, through
-_spmm, spmm_weighted and spmm, whose values are the matrix's stored ones as
-a constant, cast to the dense dtype once per matrix (SparseMatrix.cast).
+serves add, sub, mul, div, maximum, matmul, matmul_nt and entry_dot, and,
+through _spmm, spmm_weighted and spmm, whose values are the matrix's stored
+ones as a constant, cast to the dense dtype once per matrix
+(SparseMatrix.cast). entry_dot, the sampled product a[row] . b[col] over a
+matrix's stored entries, and the value gradient of spmm_weighted, which is
+one, share one body (_entry_dot).
 l2_normalize, row_gather, the concatenations and stop_gradient record on
 their own. Every sparse product and every scatter is one call into scipy's
 CSR or CSC product kernel (_csr_product) on one layout: a SparseMatrix is
@@ -218,8 +221,20 @@ def entry_order(shape, rows, cols):
     return indptr, by_col[by_row]
 
 
-# stored entries per block of spmm_weighted's value gradient
+# stored entries per block of the sampled product a[row] . b[col]
 VALUE_GRAD_BLOCK = 1024
+
+
+def _entry_dot(structure, a, b):
+    """(nnz, 1): row k is a[r] . b[c] for structure's k-th stored entry
+    (r, c), in the operands' result dtype, VALUE_GRAD_BLOCK entries at a
+    time, never nnz x width."""
+    rows, cols = structure.rows, structure.cols
+    out = np.empty((rows.size, 1), dtype=np.result_type(a, b))
+    for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
+        hi = lo + VALUE_GRAD_BLOCK
+        out[lo:hi, 0] = (a[rows[lo:hi]] * b[cols[lo:hi]]).sum(axis=1)
+    return out
 
 
 class SparseMatrix:
@@ -322,8 +337,10 @@ class Tape:
 
     Results belong to the tape that made them; using one after reset() (or on
     a different tape) raises. Leaves (parameters, constants) are tape-free and
-    may appear anywhere. backward() and reset() drop the recorded nodes, so a
-    replayed or reset tape holds nothing and no cycle through it keeps arrays.
+    may appear anywhere. backward() drops each recorded node once its rules
+    have run, and reset() drops them all, so the arrays a node's rules
+    captured are freed as the pass goes on, a replayed or reset tape holds
+    nothing, and no cycle through it keeps arrays.
 
     A checked tape raises NonFiniteError at the first primitive whose result,
     or backward gradient sum, is not finite. An unchecked one (checked=False)
@@ -393,7 +410,10 @@ class Tape:
         # view of its incoming gradient, is never written.
         grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype), False)}
         with np.errstate(all="ignore"):
-            for node in reversed(self._nodes):
+            # each node is dropped as it is passed, so the arrays its rules
+            # captured are freed before the earlier nodes run
+            while self._nodes:
+                node = self._nodes.pop()
                 entry = grads.pop(id(node.out), None)
                 if entry is None:
                     continue
@@ -410,7 +430,6 @@ class Tape:
             for t, g, owned in grads.values():
                 if t.requires_grad:
                     t._accumulate_grad(g, owned)
-        self._nodes.clear()
 
     # -- primitives -------------------------------------------------------
 
@@ -447,28 +466,42 @@ class Tape:
         (row, col) entry, the CSR's i-th data entry, so the product and x's
         gradient, the transposed product, run on (indptr, cols, vals). With
         `stored`, both read structure's own values from structure.cast. The
-        value gradient runs VALUE_GRAD_BLOCK entries at a time, never nnz x width."""
+        value gradient is the sampled product g[row] . x[col] (_entry_dot)."""
         def clash(sv, sx):
             if sv != (structure.nnz, 1):
                 return f"values must be ({structure.nnz}, 1), got {sv}"
             return sx[0] != structure.shape[1] and (
                 f"inner dims differ, {structure.shape} x {sx}")
 
-        def grad_vals(g, vd, xd):
-            rows, cols = structure.rows, structure.cols
-            gv = np.empty((rows.size, 1), dtype=np.result_type(g, xd))
-            for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
-                hi = lo + VALUE_GRAD_BLOCK
-                gv[lo:hi, 0] = (g[rows[lo:hi]] * xd[cols[lo:hi]]).sum(axis=1)
-            return gv
-
         def product(vd, xd, transposed=False):
             data = structure.cast(xd.dtype) if stored else vd[:, 0]
             return _csr_product(structure.shape, structure.indptr, structure.cols,
                                 data, xd, transposed)
 
-        return self._binary(name, vals, x, product, grad_vals,
+        return self._binary(name, vals, x, product,
+                            lambda g, vd, xd: _entry_dot(structure, g, xd),
                             lambda g, vd, xd: product(vd, g, transposed=True), clash)
+
+    def entry_dot(self, structure: SparseMatrix, a: Tensor, b: Tensor) -> Tensor:
+        """Sampled dense-dense product, (nnz, 1): row k is a[r] . b[c] for
+        structure's k-th stored entry (r, c); its values are not read. a has
+        structure.shape[0] rows and b structure.shape[1], of one width; a may
+        be b. The gradients are structure's products with g as its values,
+        g @ b into a and its transpose, g.T @ a, into b, so no nnz x width
+        array is formed in either pass."""
+        def clash(sa, sb):
+            if (sa[0], sb[0]) != structure.shape:
+                return f"operand rows {sa[0]} and {sb[0]} do not match {structure.shape}"
+            return sa[1] != sb[1] and f"column dims differ, {sa} x {sb}"
+
+        def product(g, xd, transposed=False):
+            return _csr_product(structure.shape, structure.indptr, structure.cols,
+                                g[:, 0], xd, transposed)
+
+        return self._binary("entry_dot", a, b,
+                            lambda ad, bd: _entry_dot(structure, ad, bd),
+                            lambda g, ad, bd: product(g, bd),
+                            lambda g, ad, bd: product(g, ad, transposed=True), clash)
 
     def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash):
         """Record op(ad, bd) on the operands' arrays. clash(sa, sb) says why

@@ -8,6 +8,7 @@ never as decay on the update).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,8 @@ class TrainerConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and math.isfinite(self.reg)):
+            raise ValueError(f"lr and reg must be finite, got {self.lr}, {self.reg}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.reg < 0:
@@ -236,7 +239,9 @@ class GridSpec:
             raise ValueError(
                 f"grid has {n} points, the exploration budget is {MAX_GRID_POINTS}"
             )
-        if any(lr <= 0 for lr in self.lrs) or any(r < 0 for r in self.regs):
+        # written so that NaN fails them too
+        if any(not 0 < lr < math.inf for lr in self.lrs) or any(
+                not 0 <= r < math.inf for r in self.regs):
             raise ValueError("grid values out of range")
 
     def points(self):

@@ -15,7 +15,7 @@ import scipy.sparse
 
 from fusionrec.dataset import InteractionFormatError
 from fusionrec.modality import FeatureFormatError, MissingFeatureError
-from fusionrec.tensor import Tape, constant
+from fusionrec.tensor import SparseMatrix, Tape, constant
 
 
 # ----------------------------------------------------------------- set-up
@@ -330,7 +330,10 @@ def grcn_reference(tape, model, batch):
         f = tape.l2_normalize(tape.row_gather(proj[m], items))
         g = tape.relu(tape.rowsum(tape.mul(q, f)))
         gate = g if gate is None else tape.maximum(gate, g)
-    vals = tape.mul(tape.row_gather(gate, model.entry_pair), model.base_vals)
+    # the model's entry_at indexes its pattern, the pair matrix, whose stored
+    # order is the pairs sorted by (user, item)
+    pair_at = np.lexsort((items, users))[model.entry_at]
+    vals = tape.mul(tape.row_gather(gate, pair_at), model.base_vals)
 
     def propagate(h0):
         if layers == 0:
@@ -410,16 +413,22 @@ def freedom_loss_reference(tape, model, batch):
     The main term gathers the batch's user rows and scores them against
     the positive and negative item rows; then the user rows are gathered
     again, and per modality, in sorted order, the batch's unique items are
-    projected and scored the same way. Each term is the mean softplus of
-    negative minus positive score; the modality terms are summed, scaled
-    by mm_weight over the modality count and added to the main term. The
-    representations are the model's own _representations. Returns the loss.
+    projected and scored the same way. A score is one sampled product
+    (Tape.entry_dot) over the entries (t, item[t]). Each term is the mean
+    softplus of negative minus positive score; the modality terms are
+    summed, scaled by mm_weight over the modality count and added to the
+    main term. The representations are the model's own _representations.
+    Returns the loss.
     """
     users_rep, items_rep = model._representations(tape, train=True)
 
     def bpr(u, rows, pos, neg):
-        pos_s = tape.rowsum(tape.mul(u, tape.row_gather(rows, pos)))
-        neg_s = tape.rowsum(tape.mul(u, tape.row_gather(rows, neg)))
+        def score(items):
+            pattern = SparseMatrix((u.rows, rows.rows), np.arange(u.rows), items,
+                                   np.ones(u.rows))
+            return tape.entry_dot(pattern, u, rows)
+
+        pos_s, neg_s = score(pos), score(neg)
         return tape.mean(tape.softplus(tape.sub(neg_s, pos_s)))
 
     total = bpr(tape.row_gather(users_rep, batch.users), items_rep,

@@ -676,3 +676,73 @@ def test_repeated_block_check_sees_a_copy(tmp_path):
         "s = 0\np = 1\nq = 2\nr = 3\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert repeated_blocks(paths, tmp_path) == {("a.py:5", "b.py:6")}
+
+
+def _is_call(node, name):
+    """Whether node calls a function named `name`, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name
+
+
+def written_out_sampled_dots(path):
+    """(qualified name of the innermost enclosing function or None, line) of
+    every rowsum call whose operand is a mul call taking as an operand a
+    row_gather call, or a name that this function or one enclosing it
+    assigns one."""
+    nodes = list(scoped_nodes(path))
+    gathered = {(func, target.id) for func, node in nodes
+                if isinstance(node, ast.Assign) and _is_call(node.value, "row_gather")
+                for target in node.targets if isinstance(target, ast.Name)}
+
+    def reads_a_gather(func, arg):
+        if _is_call(arg, "row_gather"):
+            return True
+        return isinstance(arg, ast.Name) and any(
+            name == arg.id and (scope == func or scope is None
+                                or (func or "").startswith(scope + "."))
+            for scope, name in gathered)
+
+    return {(func, node.lineno) for func, node in nodes
+            if _is_call(node, "rowsum") and node.args and _is_call(node.args[0], "mul")
+            and any(reads_a_gather(func, arg) for arg in node.args[0].args)}
+
+
+def test_no_module_writes_out_a_sampled_dot_product():
+    # a[row] . b[col] over given pairs is Tape.entry_dot, which forms no
+    # gathered nnz x width array in either pass
+    found = {(mod, func, line) for mod, path in modules()
+             for func, line in written_out_sampled_dots(path)}
+    assert sorted(found, key=str) == []
+
+
+def test_sampled_dot_check_sees_gathers_inline_and_by_name(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: t.rowsum(t.mul(q, f))."""\n'
+                    "def score(t, u, items, idx):\n"
+                    "    q = t.row_gather(u, idx)\n"
+                    "    plain = t.rowsum(t.mul(u, items))\n"
+                    "    inline = t.rowsum(t.mul(u, t.row_gather(items, idx)))\n"
+                    "    def inner(f):\n"
+                    "        return t.rowsum(t.mul(q, f))\n"
+                    "    return t.rowsum(t.mul(q, items)), t.sum(t.mul(q, q))\n"
+                    "class Tape:\n"
+                    "    def cosine(self, a, idx):\n"
+                    "        return self.rowsum(self.mul(a, row_gather(a, idx)))\n"
+                    "f = rowsum(mul(row_gather(a, i), b))\n")
+    assert written_out_sampled_dots(path) == {
+        ("score", 5), ("score.inner", 7), ("score", 8), ("Tape.cosine", 11),
+        (None, 12)}
+
+
+# the sampled product's body, blockwise over the stored entries, runs for
+# the primitive itself and for spmm_weighted's value gradient, which is one
+SAMPLED_PRODUCT = {("tensor", "Tape.entry_dot", "_entry_dot"),
+                   ("tensor", "Tape._spmm", "_entry_dot")}
+
+
+def test_only_entry_dot_and_the_value_gradient_run_the_sampled_product():
+    found = {(mod, func, name) for mod, path in modules()
+             for func, _, name in name_uses(path, {"_entry_dot"})}
+    assert sorted(found, key=str) == sorted(SAMPLED_PRODUCT, key=str)

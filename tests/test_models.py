@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import math
 import re
 import tracemalloc
 import weakref
@@ -78,6 +79,22 @@ def test_config_rejects_bad_fields():
     ):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mm_weight", "inter_weight", "intra_weight",
+                                   "leaky_slope", "modality_weights"])
+def test_model_config_rejects_a_non_finite_float(field, value):
+    given = (1.0, value) if field == "modality_weights" else value
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelConfig(tag="freedom", **{field: given})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["blend", "dropout_p", "prune_ratio"])
+def test_model_config_range_checks_reject_a_non_finite_float(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(tag="lattice", **{field: value})
 
 
 def test_config_tag_must_match_class():
@@ -221,11 +238,15 @@ def test_bipartite_structure_matches_the_oracle_bitwise(
     linked.flat[rng.integers(linked.size)] = True  # at least one pair
     pairs = np.argwhere(linked)[rng.permutation(int(linked.sum()))]
     n_u, n_i = n_users + spare_users, n_items + spare_items
-    adj, entry_pair = bipartite_structure(n_u, n_i, pairs)
-    want = bipartite_adjacency_loop(n_u, n_i, pairs, np.float64)
-    for got, ref in zip((adj.rows, adj.cols, adj.vals, entry_pair), want):
+    adj, block, entry_at = bipartite_structure(n_u, n_i, pairs)
+    *want, entry_pair = bipartite_adjacency_loop(n_u, n_i, pairs, np.float64)
+    # each stored entry's block entry is its source pair, holding its value
+    source = np.stack([block.rows[entry_at], block.cols[entry_at]], axis=1)
+    for got, ref in zip((adj.rows, adj.cols, adj.vals, source, block.vals[entry_at]),
+                        (*want, pairs[entry_pair], want[2])):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert adj.shape == (n_u + n_i, n_u + n_i)
+    assert block.shape == (n_u, n_i) and block.nnz == len(pairs)
 
 
 # ---------------------------------------------------------------------- vbpr

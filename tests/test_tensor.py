@@ -4,6 +4,7 @@ import ctypes
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ def eye2():
                  id="spmm_weighted-inner"),
     pytest.param(lambda t: t.spmm(eye2(), ones(3, 1)),
                  "spmm: inner dims differ, (2, 2) x (3, 1)", id="spmm"),
+    pytest.param(lambda t: t.entry_dot(eye2(), ones(2, 3), ones(3, 3)),
+                 "entry_dot: operand rows 2 and 3 do not match (2, 2)",
+                 id="entry_dot-rows"),
+    pytest.param(lambda t: t.entry_dot(eye2(), ones(2, 3), ones(2, 2)),
+                 "entry_dot: column dims differ, (2, 3) x (2, 2)",
+                 id="entry_dot-columns"),
     pytest.param(lambda t: t.add(ones(2, 3), ones(3, 3)),
                  "add: shapes (2, 3) and (3, 3) do not broadcast", id="add"),
 ])
@@ -211,6 +218,8 @@ FLOAT_ERROR_CASES = {
     "spmm": lambda t: t.spmm(T.SparseMatrix.from_dense([[1.0, 1.0]]), big(2, 1)),
     "spmm_weighted": lambda t: t.spmm_weighted(
         T.SparseMatrix.from_dense([[1.0]]), T.constant([[2.0]]), big(1, 1)),
+    "entry_dot": lambda t: t.entry_dot(T.SparseMatrix.from_dense([[0.0, 1.0]]),
+                                       big(1, 2), big(2, 2)),
     "scale": lambda t: t.scale(big(), 10.0),
     "sigmoid": "every output lies in [0, 1]",
     "softplus": "the output is at most max(x, 0) + log(2)",
@@ -529,6 +538,66 @@ def test_spmm_weighted_value_grad_is_blockwise_exact():
     np.testing.assert_array_equal(vals.grad, want)
 
 
+def _sparse_with_empty_lines(n, m, nnz, rng):
+    """n x m pattern of nnz random stored entries whose first and last rows
+    and columns hold none."""
+    codes = rng.choice((n - 2) * (m - 2), size=nnz, replace=False)
+    return T.SparseMatrix((n, m), 1 + codes // (m - 2), 1 + codes % (m - 2),
+                          rng.random(nnz))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_entry_dot_equals_the_written_out_gathers_bitwise(dtype):
+    # the product and both gradients are those of rowsum(mul(row_gather,
+    # row_gather)) bit for bit, across block boundaries, with empty rows and
+    # columns, and so are the gradients of a leaf used as both operands
+    rng = np.random.default_rng(9)
+    n, m, width = 53, 61, 24
+    structure = _sparse_with_empty_lines(n, m, 2 * T.VALUE_GRAD_BLOCK + 37, rng)
+    g = rng.standard_normal((structure.nnz, 1)).astype(dtype)
+    a = T.parameter(rng.standard_normal((n, width)), dtype=dtype)
+    b = T.parameter(rng.standard_normal((m, width)), dtype=dtype)
+    square = _sparse_with_empty_lines(n, n, 2 * T.VALUE_GRAD_BLOCK + 37, rng)
+    gs = rng.standard_normal((square.nnz, 1)).astype(dtype)
+    c = T.parameter(rng.standard_normal((n, width)), dtype=dtype)
+
+    def run(dot):
+        for p in (a, b, c):
+            p.zero_grad()
+        t = T.Tape()
+        out, same = dot(t, structure, a, b), dot(t, square, c, c)
+        t.backward(t.add(t.sum(t.mul(out, T.constant(g, dtype=dtype))),
+                         t.sum(t.mul(same, T.constant(gs, dtype=dtype)))))
+        return [out.data, same.data, a.grad, b.grad, c.grad]
+
+    got = run(lambda t, s, x, y: t.entry_dot(s, x, y))
+    want = run(lambda t, s, x, y: t.rowsum(t.mul(t.row_gather(x, s.rows),
+                                                 t.row_gather(y, s.cols))))
+    for have, ref in zip(got, want):
+        assert have.dtype == dtype
+        assert have.tobytes() == ref.tobytes()
+    assert not a.grad[[0, -1]].any() and not b.grad[[0, -1]].any()
+
+
+def test_entry_dot_gradients_hold_no_nnz_by_width_array():
+    # GRCN's Office shape: 53,258 train pairs, 64-wide unit rows
+    n, m, nnz, width = 4905, 2420, 53_258, 64
+    rng = np.random.default_rng(10)
+    codes = rng.choice(n * m, size=nnz, replace=False)
+    structure = T.SparseMatrix((n, m), codes // m, codes % m, np.ones(nnz))
+    a = T.parameter(rng.standard_normal((n, width)))
+    b = T.parameter(rng.standard_normal((m, width)))
+    t = T.Tape()
+    loss = t.sum(t.entry_dot(structure, a, b))
+    tracemalloc.start()
+    try:
+        t.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nnz * width * 4 / 2
+
+
 def _reduce_to(g, shape):
     # the sums that bring a broadcast gradient back to an operand's shape
     if shape[0] == 1 and g.shape[0] > 1:
@@ -655,6 +724,27 @@ def test_backward_accumulates_across_uses():
     y = t.mul(x, x)  # x used twice -> grad 2x
     t.backward(y)
     assert x.grad[0, 0] == pytest.approx(4.0)
+
+
+def test_backward_frees_a_node_before_the_earlier_ones_run():
+    # the constant's array is held by the mul node's rule alone: once that
+    # node is passed, it is gone before the scale node's rule runs
+    t = T.Tape()
+    x = T.parameter(np.ones((2, 3)))
+    s = t.scale(x, 2.0)
+    c = T.constant(np.full((2, 3), 3.0))
+    held = weakref.ref(c.data)
+    loss = t.sum(t.mul(s, c))
+    del c
+    scale_node = t._nodes[0]
+    rule = scale_node.rules[0]
+    alive = []
+    scale_node.rules = (lambda g: alive.append(held() is not None) or rule(g),)
+    del scale_node
+    t.backward(loss)
+    assert alive == [False]
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 6.0))
+    assert t.op_names == []
 
 
 def test_double_backward_rejected():
@@ -1163,6 +1253,31 @@ def test_grad_spmm_weighted():
         return t.mean(t.sigmoid(t.spmm_weighted(structure, vals, x)))
 
     assert_gradients_match(build, [vals, x])
+
+
+def test_grad_entry_dot():
+    structure = T.SparseMatrix((3, 4), [0, 0, 2, 2, 2], [1, 3, 0, 1, 3], np.ones(5))
+    a = p64(rng64(40, (3, 2)))
+    b = p64(rng64(41, (4, 2)))
+
+    def build():
+        t = T.Tape()
+        return t.mean(t.sigmoid(t.entry_dot(structure, a, b)))
+
+    assert_gradients_match(build, [a, b])
+
+
+def test_grad_entry_dot_of_one_operand_with_itself():
+    # LATTICE's form: both sides are the same unit rows, and the diagonal
+    # entry (1, 1) differentiates a squared norm
+    structure = T.SparseMatrix((3, 3), [0, 1, 1, 2], [2, 0, 1, 1], np.ones(4))
+    x = p64(rng64(42, (3, 2)))
+
+    def build():
+        t = T.Tape()
+        return t.mean(t.sigmoid(t.entry_dot(structure, x, x)))
+
+    assert_gradients_match(build, [x])
 
 
 def test_grad_dropout_fixed_mask():

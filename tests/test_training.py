@@ -1,6 +1,7 @@
 """BPR loss values, triple sampling, optimizers, grid search."""
 
 import ctypes
+import math
 import os
 import pathlib
 import subprocess
@@ -276,7 +277,22 @@ def test_trainer_config_validation():
         TR.TrainerConfig(eval_every=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lr", "reg"])
+def test_trainer_config_rejects_a_non_finite_float(field, value):
+    with pytest.raises(ValueError, match="lr and reg must be finite"):
+        TR.TrainerConfig(**{field: value})
+
+
 # ---------------------------------------------------------------- grid
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lrs", "regs"])
+def test_grid_rejects_a_non_finite_value(field, value):
+    given = {"lrs": (1e-3,), "regs": (0.0,), field: (1e-2, value)}
+    with pytest.raises(ValueError, match="grid values out of range"):
+        TR.GridSpec(**given)
+
 
 def test_grid_cap_enforced_at_construction():
     TR.GridSpec(lrs=(1e-3,) * 5, regs=(0.0, 1.0))  # exactly 10 is fine
