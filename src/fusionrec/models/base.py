@@ -146,7 +146,7 @@ class ModelData:
 
 def bipartite_adjacency(n_users, n_items, pairs) -> SparseMatrix:
     """Symmetrically normalized user-item adjacency over n_users+n_items nodes."""
-    return bipartite_structure(n_users, n_items, pairs)[0]
+    return _adjacency_and_block(n_users, n_items, pairs)[0]
 
 
 def bipartite_structure(n_users, n_items, pairs):
@@ -158,6 +158,16 @@ def bipartite_structure(n_users, n_items, pairs):
     value. Returns (adj, block, entry_at): adj.vals are the base values to
     reweight, and adj's k-th stored entry is block's entry_at[k]-th.
     """
+    adj, block = _adjacency_and_block(n_users, n_items, pairs)
+    # adj stores the user rows in block's (user, item) order, then the item
+    # rows in (item, user) order, the entry order of block's transpose
+    by_item = entry_order((n_items, n_users), block.cols, block.rows)[1]
+    return adj, block, np.concatenate([np.arange(block.nnz), by_item])
+
+
+def _adjacency_and_block(n_users, n_items, pairs):
+    """(bipartite_adjacency, its user-item block), as bipartite_structure
+    describes them."""
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.shape[0] == 0:
         raise ValueError("cannot build adjacency from zero interactions")
@@ -167,10 +177,7 @@ def bipartite_structure(n_users, n_items, pairs):
     adj = SparseMatrix((n, n), np.concatenate([users, items]),
                        np.concatenate([items, users]),
                        np.concatenate([block.vals, block.vals]))
-    # adj stores the user rows in block's (user, item) order, then the item
-    # rows in (item, user) order, the entry order of block's transpose
-    by_item = entry_order((n_items, n_users), block.cols, block.rows)[1]
-    return adj, block, np.concatenate([np.arange(block.nnz), by_item])
+    return adj, block
 
 
 def pair_weights(n_users, n_items, pairs) -> np.ndarray:

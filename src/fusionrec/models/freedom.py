@@ -76,11 +76,10 @@ class FREEDOM(RecommenderModel):
 
     def loss(self, tape, batch, rng):
         users_rep, items_rep = self._representations(tape, train=True)
-        total = bpr_on_rows(tape, tape.row_gather(users_rep, batch.users),
-                            items_rep, batch.pos, batch.neg)
+        u_rows = tape.row_gather(users_rep, batch.users)
+        total = bpr_on_rows(tape, u_rows, items_rep, batch.pos, batch.neg)
         if self.config.mm_weight == 0.0:
             return total
-        u_rows = tape.row_gather(users_rep, batch.users)
         # a projected item row depends on that item's features alone, so
         # only the batch's items are projected
         _, items, _, pos_at, neg_at = batch_rows(batch)

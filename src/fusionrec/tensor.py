@@ -52,6 +52,13 @@ ones as a constant, cast to the dense dtype once per matrix
 (SparseMatrix.cast). entry_dot, the sampled product a[row] . b[col] over a
 matrix's stored entries, and the value gradient of spmm_weighted, which is
 one, share one body (_entry_dot).
+Every sum of an elementwise product is a row dot, row i of a with row i
+of b, through one helper (_row_dot): one BLAS dot per row (np.vecdot), with
+a strided row copied first, so its bits depend on the values alone. It serves
+_entry_dot's blocks, l2_normalize's squared norms and its rule, softmax's
+rule, and sumsq, as one row of all the entries; that row is long enough
+for a multithreaded BLAS to split, which can change only sumsq's value,
+and no gradient.
 l2_normalize, row_gather, the concatenations and stop_gradient record on
 their own. Every sparse product and every scatter is one call into scipy's
 CSR or CSC product kernel (_csr_product) on one layout: a SparseMatrix is
@@ -221,8 +228,20 @@ def entry_order(shape, rows, cols):
     return indptr, by_col[by_row]
 
 
-# stored entries per block of the sampled product a[row] . b[col]
-VALUE_GRAD_BLOCK = 1024
+def _row_dot(a, b, out=None):
+    """(n,): entry i is a[i] . b[i] for (n, d) a and b, one BLAS dot per row
+    (np.vecdot), in the operands' result dtype, into `out` when given. An
+    operand whose rows are strided is copied to C order first, since on such
+    rows np.vecdot runs numpy's own loop, which sums in another order; so the
+    bits depend on the values alone, not on layout or offset."""
+    a, b = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
+            for x in (a, b))
+    return np.vecdot(a, b, out=out)
+
+
+# stored entries per block of the sampled product a[row] . b[col]; of 256 to
+# 4,096, 512 was fastest on GRCN's 192-wide value gradient
+VALUE_GRAD_BLOCK = 512
 
 
 def _entry_dot(structure, a, b):
@@ -233,7 +252,7 @@ def _entry_dot(structure, a, b):
     out = np.empty((rows.size, 1), dtype=np.result_type(a, b))
     for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
         hi = lo + VALUE_GRAD_BLOCK
-        out[lo:hi, 0] = (a[rows[lo:hi]] * b[cols[lo:hi]]).sum(axis=1)
+        _row_dot(a[rows[lo:hi]], b[cols[lo:hi]], out=out[lo:hi, 0])
     return out
 
 
@@ -597,22 +616,22 @@ class Tape:
         self._check_operand(a)
         x = a.data
         with np.errstate(all="ignore"):
-            norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+            norm = np.sqrt(_row_dot(x, x))[:, None]
             if not np.isfinite(norm).all():
                 raise NonFiniteError("l2_normalize: a row's squared norm is not finite")
             if not norm.all():
                 peak = np.abs(x).max(axis=1, keepdims=True, initial=0)
                 s = x / np.where(peak > 0, peak, 1.0)
-                rescaled = np.sqrt((s * s).sum(axis=1, keepdims=True)) * peak
+                rescaled = np.sqrt(_row_dot(s, s))[:, None] * peak
                 norm = np.where(norm > 0, norm, rescaled)
             nonzero = norm > 0
-            safe = np.where(nonzero, norm, 1.0)
+            all_nonzero = nonzero.all()
+            safe = norm if all_nonzero else np.where(nonzero, norm, 1.0)
             out = x / safe
 
         def rule(g):
-            dot = (g * out).sum(axis=1, keepdims=True)
-            ga = (g - dot * out) / safe
-            return np.where(nonzero, ga, 0.0)
+            ga = (g - _row_dot(g, out)[:, None] * out) / safe
+            return ga if all_nonzero else np.where(nonzero, ga, 0.0)
 
         return self._record("l2_normalize", out, (a,), (rule,))
 
@@ -683,7 +702,7 @@ class Tape:
     def sumsq(self, a: Tensor) -> Tensor:
         """Sum of squared entries, (n, d) -> (1, 1)."""
         return self._unary(
-            "sumsq", a, lambda x: np.array([[(x * x).sum()]], dtype=x.dtype),
+            "sumsq", a, lambda x: _row_dot(x.reshape(1, -1), x.reshape(1, -1))[:, None],
             lambda g, x, out: x * (2 * g))
 
     def mean(self, a: Tensor) -> Tensor:
@@ -703,7 +722,7 @@ class Tape:
             return e / e.sum(axis=1, keepdims=True)
 
         return self._unary("softmax", a, forward, lambda g, x, out: out * (
-            g - (g * out).sum(axis=1, keepdims=True)))
+            g - _row_dot(g, out)[:, None]))
 
     def stop_gradient(self, a: Tensor) -> Tensor:
         """Identity forward; blocks all gradient flow: the result has no inputs."""

@@ -311,13 +311,25 @@ def knn_graph_dense(feats, k):
 
 # ----------------------------------------------------------------- GRCN
 
+def row_dots(tape, a, b):
+    """The (n, 1) column of a[i] . b[i], written out as one np.dot per row,
+    recorded on the tape with rowsum(mul(a, b))'s gradients, g * b into a
+    and g * a into b."""
+    def dots(ad, bd):
+        return np.array([[np.dot(x, y)] for x, y in zip(ad, bd)], dtype=ad.dtype)
+
+    return tape._binary("row_dots", a, b, dots,
+                        lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad)
+
+
 def grcn_reference(tape, model, batch):
     """GRCN's BPR loss and final node rows, built as first written.
 
     Per modality, the edge gate normalizes the gathered pair rows (one
-    cosine per edge), and each channel (the id embeddings, then one
+    cosine per edge, an np.dot of its two unit rows), and each channel (the id embeddings, then one
     (preference, projected feature) block per modality) runs its own
     LightGCN propagation; the channels are concatenated after propagating.
+    Each BPR score is an np.dot of a user row and an item row.
     Reads the model's parameters, feature constants and refined-graph
     structure, and nothing else of the package. Returns (loss, final).
     """
@@ -328,7 +340,7 @@ def grcn_reference(tape, model, batch):
     for m in data.modalities:
         q = tape.l2_normalize(tape.row_gather(model.pref[m], users))
         f = tape.l2_normalize(tape.row_gather(proj[m], items))
-        g = tape.relu(tape.rowsum(tape.mul(q, f)))
+        g = tape.relu(row_dots(tape, q, f))
         gate = g if gate is None else tape.maximum(gate, g)
     # the model's entry_at indexes its pattern, the pair matrix, whose stored
     # order is the pairs sorted by (user, item)
@@ -354,7 +366,7 @@ def grcn_reference(tape, model, batch):
     u = tape.row_gather(user_rows, batch.users)
 
     def scores(items):
-        return tape.rowsum(tape.mul(u, tape.row_gather(item_rows, items)))
+        return row_dots(tape, u, tape.row_gather(item_rows, items))
 
     loss = tape.mean(tape.softplus(tape.sub(scores(batch.neg), scores(batch.pos))))
     return loss, final
@@ -411,9 +423,9 @@ def freedom_loss_reference(tape, model, batch):
     """FREEDOM's loss with every BPR term written out, as first written.
 
     The main term gathers the batch's user rows and scores them against
-    the positive and negative item rows; then the user rows are gathered
-    again, and per modality, in sorted order, the batch's unique items are
-    projected and scored the same way. A score is one sampled product
+    the positive and negative item rows; then, per modality, in sorted
+    order, the batch's unique items are projected and scored against the
+    same gathered user rows. A score is one sampled product
     (Tape.entry_dot) over the entries (t, item[t]). Each term is the mean
     softplus of negative minus positive score; the modality terms are
     summed, scaled by mm_weight over the modality count and added to the
@@ -431,9 +443,8 @@ def freedom_loss_reference(tape, model, batch):
         pos_s, neg_s = score(pos), score(neg)
         return tape.mean(tape.softplus(tape.sub(neg_s, pos_s)))
 
-    total = bpr(tape.row_gather(users_rep, batch.users), items_rep,
-                batch.pos, batch.neg)
     u_rows = tape.row_gather(users_rep, batch.users)
+    total = bpr(u_rows, items_rep, batch.pos, batch.neg)
     items, item_at = np.unique(np.concatenate([batch.pos, batch.neg]),
                                return_inverse=True)
     n = len(batch.users)

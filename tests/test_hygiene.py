@@ -746,3 +746,56 @@ def test_only_entry_dot_and_the_value_gradient_run_the_sampled_product():
     found = {(mod, func, name) for mod, path in modules()
              for func, _, name in name_uses(path, {"_entry_dot"})}
     assert sorted(found, key=str) == sorted(SAMPLED_PRODUCT, key=str)
+
+
+# a row dot, a[i] . b[i], goes through one BLAS dot per row: tensor's
+# _row_dot, which copies strided rows first, is the one caller of numpy's dot
+# ufuncs, and no sum of a product is left in the tape for it to replace
+ROW_DOT = {("tensor", "_row_dot")}
+DOT_UFUNCS = {"vecdot", "vdot"}
+
+
+def test_only_the_row_dot_helper_calls_numpys_vector_dots():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in name_uses(path, DOT_UFUNCS)}
+    assert sorted(found, key=str) == sorted(ROW_DOT)
+
+
+def product_sums(path):
+    """(qualified name of the innermost enclosing function or None, line) of
+    every sum of a `*` product: its .sum() method, or sum() or np.sum() of
+    one."""
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    found = set()
+    for func, node in scoped_nodes(path):
+        if not _is_call(node, "sum"):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and is_product(f.value) or (
+                node.args and is_product(node.args[0])):
+            found.add((func, node.lineno))
+    return found
+
+
+def test_the_tape_sums_no_product():
+    assert sorted(product_sums(PACKAGE / "tensor.py"), key=str) == []
+
+
+def test_dot_checks_see_vecdot_vdot_and_product_sums(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: np.vecdot(a, b), (x * x).sum()."""\n'
+                    "import numpy as np\nfrom numpy import vdot\n"
+                    "def _row_dot(a, b):\n"
+                    "    return np.vecdot(a, b)\n"
+                    "class Tape:\n"
+                    "    def norm(self, x, w):\n"
+                    "        s = (x * x).sum(axis=1) + (x + w).sum() + x.sum()\n"
+                    "        t = np.sum(x * w) + np.sum(x) * 2\n"
+                    "        return sum(w * 2)\n"
+                    "dot = np.linalg.vecdot\n")
+    assert name_uses(path, DOT_UFUNCS) == {
+        (None, 3, "vdot"), ("_row_dot", 5, "vecdot"), (None, 11, "vecdot")}
+    assert product_sums(path) == {("Tape.norm", 8), ("Tape.norm", 9),
+                                  ("Tape.norm", 10)}

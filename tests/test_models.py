@@ -242,10 +242,12 @@ def test_bipartite_structure_matches_the_oracle_bitwise(
     *want, entry_pair = bipartite_adjacency_loop(n_u, n_i, pairs, np.float64)
     # each stored entry's block entry is its source pair, holding its value
     source = np.stack([block.rows[entry_at], block.cols[entry_at]], axis=1)
-    for got, ref in zip((adj.rows, adj.cols, adj.vals, source, block.vals[entry_at]),
-                        (*want, pairs[entry_pair], want[2])):
+    plain = bipartite_adjacency(n_u, n_i, pairs)
+    for got, ref in zip((adj.rows, adj.cols, adj.vals, source, block.vals[entry_at],
+                         plain.rows, plain.cols, plain.vals, plain.indptr),
+                        (*want, pairs[entry_pair], want[2], *want, adj.indptr)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert adj.shape == (n_u + n_i, n_u + n_i)
+    assert adj.shape == plain.shape == (n_u + n_i, n_u + n_i)
     assert block.shape == (n_u, n_i) and block.nnz == len(pairs)
 
 

@@ -521,8 +521,47 @@ def test_spmm_weighted_value_grad_holds_no_nnz_by_width_array():
     assert peak < nnz * width * 4 / 2
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_dot_bits_depend_on_the_values_alone(dtype):
+    # one np.dot per row, whatever the operands' offset in memory, the
+    # block boundaries or the layout: np.vecdot itself sums a strided row
+    # in numpy's own order
+    n, width = 2 * T.VALUE_GRAD_BLOCK + 37, 67
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((n, width)).astype(dtype)
+    b = rng.standard_normal((n, width)).astype(dtype)
+    want = np.array([np.dot(x, y) for x, y in zip(a, b)], dtype=dtype)
+    assert T._row_dot(a, b).dtype == dtype
+    assert T._row_dot(a, b).tobytes() == want.tobytes()
+    for offset in range(1, 8):
+        buf = np.empty(n * width + offset, dtype=dtype)
+        shifted = buf[offset:].reshape(n, width)
+        shifted[...] = a
+        assert T._row_dot(shifted, b).tobytes() == want.tobytes(), offset
+        assert T._row_dot(b, shifted).tobytes() == want.tobytes(), offset
+    blocks = [T._row_dot(a[lo:hi], b[lo:hi])
+              for lo, hi in ((0, 37), (37, T.VALUE_GRAD_BLOCK + 1),
+                             (T.VALUE_GRAD_BLOCK + 1, n))]
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    diagonal = T.SparseMatrix((n, n), np.arange(n), np.arange(n), np.ones(n))
+    assert T._entry_dot(diagonal, a, b)[:, 0].tobytes() == want.tobytes()
+    wide = np.zeros((n, width + 5), dtype=dtype)
+    wide[:, 3:3 + width] = a
+    for x, y in ((np.asfortranarray(a), b), (a, np.asfortranarray(b)),
+                 (np.asfortranarray(a), np.asfortranarray(b)),
+                 (wide[:, 3:3 + width], b)):
+        assert T._row_dot(x, y).tobytes() == want.tobytes()
+
+
+def _written_out_dots(structure, a, b):
+    """(nnz, 1): one np.dot per stored entry (r, c) of a[r] and b[c]."""
+    return np.array([[np.dot(a[r], b[c])] for r, c in zip(structure.rows, structure.cols)],
+                    dtype=np.result_type(a, b))
+
+
 def test_spmm_weighted_value_grad_is_blockwise_exact():
-    # across block boundaries the blocked rule is the unblocked one bit for bit
+    # across block boundaries the blocked rule is one BLAS dot per stored
+    # entry, bit for bit
     n, width = 50, 24
     nnz = 2 * T.VALUE_GRAD_BLOCK + 37
     rng = np.random.default_rng(8)
@@ -534,8 +573,7 @@ def test_spmm_weighted_value_grad_is_blockwise_exact():
     t = T.Tape()
     out = t.spmm_weighted(structure, vals, T.constant(xd))
     t.backward(t.sum(t.mul(out, T.constant(g))))
-    want = (g[structure.rows] * xd[structure.cols]).sum(axis=1, keepdims=True)
-    np.testing.assert_array_equal(vals.grad, want)
+    np.testing.assert_array_equal(vals.grad, _written_out_dots(structure, g, xd))
 
 
 def _sparse_with_empty_lines(n, m, nnz, rng):
@@ -548,9 +586,10 @@ def _sparse_with_empty_lines(n, m, nnz, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_entry_dot_equals_the_written_out_gathers_bitwise(dtype):
-    # the product and both gradients are those of rowsum(mul(row_gather,
-    # row_gather)) bit for bit, across block boundaries, with empty rows and
-    # columns, and so are the gradients of a leaf used as both operands
+    # the product is one np.dot per stored entry, and both gradients are
+    # those of rowsum(mul(row_gather, row_gather)), bit for bit, across block
+    # boundaries, with empty rows and columns, and so are the gradients of a
+    # leaf used as both operands
     rng = np.random.default_rng(9)
     n, m, width = 53, 61, 24
     structure = _sparse_with_empty_lines(n, m, 2 * T.VALUE_GRAD_BLOCK + 37, rng)
@@ -573,6 +612,8 @@ def test_entry_dot_equals_the_written_out_gathers_bitwise(dtype):
     got = run(lambda t, s, x, y: t.entry_dot(s, x, y))
     want = run(lambda t, s, x, y: t.rowsum(t.mul(t.row_gather(x, s.rows),
                                                  t.row_gather(y, s.cols))))
+    want[:2] = (_written_out_dots(structure, a.data, b.data),
+                _written_out_dots(square, c.data, c.data))
     for have, ref in zip(got, want):
         assert have.dtype == dtype
         assert have.tobytes() == ref.tobytes()
