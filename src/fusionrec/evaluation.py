@@ -158,9 +158,10 @@ def topk_rows(scores, k):
     Those k maxima are k distinct entries at or above t, so every entry of
     the row's top-k, ties at the k-th value included, is >= t. Exact: only
     the entries >= t, typically k to 1.5k per row, are packed in id order
-    into a (n_rows, width) matrix padded with -inf, and _topk_exact ranks
-    that matrix. Rows of fewer than MIN_GROUP_SPAN * c columns, where the
-    threshold stage saves less than it costs, go to _topk_exact whole.
+    into a (n_rows, width) matrix padded with -inf, and one stable argsort
+    by descending value ranks that matrix, so ties keep id order. Rows of
+    fewer than MIN_GROUP_SPAN * c columns, where the threshold stage saves
+    less than it costs, go to _topk_exact whole.
     Besides arrays of n_rows * (c + width) entries, a call holds one
     boolean mask of the scores' shape. Callers that must bound memory hand
     it one block of rows.
@@ -184,9 +185,10 @@ def topk_rows(scores, k):
     values = np.full((n, width), -np.inf, dtype=scores.dtype)
     values.reshape(-1)[rows * width + np.arange(flat.size)
                        - np.repeat(starts, counts)] = np.take(scores, flat)
-    # padding is never picked: a row whose k-th value is -inf has t = -inf
-    # and fills its whole width
-    return np.take(flat, starts[:, None] + _topk_exact(values, k)) % m
+    # padding is never picked: it sorts after every packed entry, and a row
+    # whose k-th value is -inf has t = -inf and fills its whole width
+    ranked = np.argsort(-values, axis=1, kind="stable")[:, :k]
+    return np.take(flat, starts[:, None] + ranked) % m
 
 
 def _reject_nan(scores):

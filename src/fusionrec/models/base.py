@@ -20,7 +20,8 @@ import numpy as np
 
 from ..dataset import write_json
 from ..evaluation import TOPK_BLOCK, topk_rows
-from ..tensor import SparseMatrix, Tape, Tensor, constant, entry_order, parameter
+from ..tensor import (SparseMatrix, Tape, Tensor, checked_once, constant, entry_order,
+                      parameter)
 from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
@@ -384,12 +385,18 @@ class RecommenderModel:
                            items_rep, batch.pos, batch.neg)
 
     def embed(self):
-        """(users (n_users, d'), items (n_items, d')) arrays, gradient-free.
-        LATTICE's users array is its parameter's own: read it before a step."""
-        tape = Tape()
-        users_rep, items_rep = self._representations(tape, train=False)
-        tape.reset()
-        return users_rep.data, items_rep.data
+        """(users (n_users, d'), items (n_items, d')) arrays, gradient-free,
+        recorded through checked_once: the two arrays are checked once, and
+        a pass that is not finite is replayed on a checked tape, which names
+        the primitive. LATTICE's users array is its parameter's own: read it
+        before a step."""
+        def run(tape):
+            users_rep, items_rep = self._representations(tape, train=False)
+            tape.reset()
+            return users_rep.data, items_rep.data
+
+        return checked_once(run, lambda arrays: all(np.isfinite(a).all()
+                                                    for a in arrays))
 
     def score_users(self, users) -> np.ndarray:
         """Dense score block (len(users), n_items), gradient-free."""

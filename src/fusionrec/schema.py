@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training as tr
-from .tensor import NonFiniteError, Tape, Tensor
+from .tensor import NonFiniteError, Tape, Tensor, checked_once
 
 EARLY_OPS = ("concat", "sum", "mean", "weighted_sum")
 LATE_OPS = ("sum", "mean", "max", "weighted_sum")
@@ -184,13 +184,14 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
 
     Per batch: forward through the model's declared representation and fusion
     branch, BPR plus l2 through the loss, one backward pass, one optimizer
-    step. Runs exactly trainer.epochs epochs. Each batch is recorded on an
-    unchecked tape, and its loss and every parameter's gradient are checked
-    once, before the step. A batch that fails the check, or raises
-    NonFiniteError, is replayed on a checked tape from the rng state its
-    sampling started from; the parameters have not stepped, so the replay is
-    exact, and it raises at the first non-finite primitive. Non-finite values
-    abort with the epoch and batch named.
+    step. Runs exactly trainer.epochs epochs. Each batch runs through
+    checked_once: it is recorded on an unchecked tape, and its loss and
+    every parameter's gradient are checked once, before the step. A batch
+    that fails the check, or raises NonFiniteError, is replayed on a checked
+    tape from the rng state its sampling started from; the parameters have
+    not stepped, so the replay is exact, and it raises at the first
+    non-finite primitive. Non-finite values abort with the epoch and batch
+    named.
     """
     validate(spec)
     start = time.perf_counter()
@@ -201,13 +202,18 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     n_batches = max(1, int(np.ceil(data.pairs.shape[0] / trainer.batch_size)))
 
     def batch_loss(tape):
-        """Sample a batch and record its loss on tape; its gradients are in
-        the parameters' grad."""
+        """Sample a batch from the batch's rng state and record its loss on
+        tape; its gradients are in the parameters' grad."""
+        rng.bit_generator.state = state
         batch = tr.sample_triples(data, trainer.batch_size, rng)
         params.zero_grads()
         loss = tr.total_loss(tape, model, batch, rng, trainer.reg)
         tape.backward(loss)
         return loss
+
+    def finite(loss):
+        return np.isfinite(loss.data).all() and all(
+            p.grad is None or np.isfinite(p.grad).all() for p in params.tensors())
 
     trace, evals = [], []
     for epoch in range(1, trainer.epochs + 1):
@@ -218,16 +224,7 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
         for b in range(n_batches):
             state = rng.bit_generator.state
             try:
-                try:
-                    loss = batch_loss(Tape(checked=False))
-                    finite = np.isfinite(loss.data).all() and all(
-                        p.grad is None or np.isfinite(p.grad).all()
-                        for p in params.tensors())
-                except NonFiniteError:  # a check that holds on any tape
-                    finite = False
-                if not finite:
-                    rng.bit_generator.state = state
-                    loss = batch_loss(Tape())
+                loss = checked_once(batch_loss, finite)
                 opt.step()
             except (NonFiniteError, tr.TrainingDivergedError) as exc:
                 raise tr.TrainingDivergedError(

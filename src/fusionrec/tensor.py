@@ -8,13 +8,16 @@ warns of nothing and a finiteness check is the one float-error signal. On a
 checked tape, Tape(), the default, any operation that produces NaN or Inf
 raises NonFiniteError naming it instead of letting the value propagate: each
 result is checked (_record), and so is every gradient backward forms and
-sums. An unchecked tape, Tape(checked=False), skips those two checks;
-schema.train_loop records each training batch on one, checks the loss and
-every parameter's gradient once, and replays a batch that fails on a checked
-tape to name the primitive. So on an unchecked tape a non-finite
-intermediate that a later primitive absorbs passes, where a checked tape
-raises: sigmoid(inf) is 1, exp(-inf) is 0, relu(-inf) is 0, x / inf is 0,
-and row_gather may skip a non-finite row. Four checks hold on either tape:
+sums. An unchecked tape, Tape(checked=False), skips those two checks, and
+one helper builds it: checked_once(run, finite) records run on an unchecked
+tape, checks its result once, and replays a run that fails on a checked tape
+to name the primitive. schema.train_loop runs each training batch through
+it, checking the loss and every parameter's gradient, and
+models.base.RecommenderModel.embed each scoring pass, checking its two
+arrays. So in training and scoring a non-finite intermediate that a later
+primitive absorbs passes, where a checked tape raises: sigmoid(inf) is 1,
+exp(-inf) is 0, relu(-inf) is 0, x / inf is 0, and row_gather may skip a
+non-finite row. Four checks hold on either tape:
 l2_normalize's check of each row's norm (x / inf would be a finite zero
 row), Tensor._accumulate_grad's check of a sum or a narrowing cast,
 SparseMatrix's check of its values, and the optimizers' post-step checks
@@ -197,13 +200,11 @@ def flush_subnormals(g):
 
 def _sigmoid(x):
     """Elementwise 1 / (1 + exp(-x)); exp(x) / (1 + exp(x)) where x < 0, so
-    no exp overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    no exp overflows. One exp(-|x|) serves both forms: the numerator,
+    max(x >= 0, e), is 1 where x >= 0 and e elsewhere, with no per-entry
+    branch or boolean index."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(x >= 0, e) / (1.0 + e)
 
 
 def _bucket(keys, n_buckets):
@@ -363,10 +364,9 @@ class Tape:
 
     A checked tape raises NonFiniteError at the first primitive whose result,
     or backward gradient sum, is not finite. An unchecked one (checked=False)
-    checks neither, so its caller checks what it reads: schema.train_loop
-    checks the loss and every parameter's gradient before the optimizer
-    steps, and replays a failing batch, from the same rng state, on a checked
-    tape, which names the primitive.
+    checks neither, so its caller checks what it reads: checked_once checks
+    its run's result once and replays a failing run on a checked tape, which
+    names the primitive.
     """
 
     def __init__(self, checked=True):
@@ -597,10 +597,12 @@ class Tape:
         return self._unary(name, a, lambda x: x * mask, lambda g, x, out: g * mask)
 
     def leaky_relu(self, a: Tensor, slope=0.2) -> Tensor:
-        # x * 1 is x, so the gradient's mask also gives the output
+        # x * 1 is x, so the gradient's mask also gives the output; the mask
+        # is a lookup in the table (slope, 1) by x > 0, which, unlike
+        # np.where, takes no per-entry branch on mixed-sign x
         slope = float(slope)
-        return self._masked("leaky_relu", a, lambda x: np.where(
-            x > 0, x.dtype.type(1.0), x.dtype.type(slope)))
+        return self._masked("leaky_relu", a, lambda x: np.array(
+            [slope, 1.0], dtype=x.dtype).take((x > 0).view(np.uint8)))
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise max; on ties the gradient goes to the first operand."""
@@ -738,6 +740,22 @@ class Tape:
         an = self.l2_normalize(a)
         bn = self.l2_normalize(b)
         return self.rowsum(self.mul(an, bn))
+
+
+def checked_once(run, finite):
+    """run(tape) on an unchecked tape, checked once at the end: when
+    finite(result) is false, or the run raises NonFiniteError (a check that
+    holds on any tape), run(Tape()) again on a checked tape, which raises at
+    the first non-finite primitive, and return that result. run must give
+    the same values on both tapes, so one that draws from an rng restores
+    its state first."""
+    try:
+        out = run(Tape(checked=False))
+        if finite(out):
+            return out
+    except NonFiniteError:
+        pass
+    return run(Tape())
 
 
 def _pin_malloc_thresholds():

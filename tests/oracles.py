@@ -526,6 +526,18 @@ def topk_rows_partition(scores, k):
 
 # ------------------------------------------------------ gradients, updates
 
+def sigmoid_two_branch(x):
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    each branch computed on its own entries by boolean indexing."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    with np.errstate(all="ignore"):
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def flush_subnormals_loop(g):
     """A copy of g with each nonzero entry of magnitude below the dtype's
     smallest normal number set to 0.0, entry by entry."""

@@ -262,6 +262,26 @@ def test_topk_rows_threshold_stage_matches_lexsort_oracle(seed, n_rows, k, q,
     np.testing.assert_array_equal(got, oracles.topk_rows_partition(scores, k))
 
 
+@pytest.mark.parametrize("k", [10, 20])
+def test_topk_rows_packed_ranking_matches_lexsort_oracle(k):
+    # Office-wide rows, so the threshold stage packs candidates of uneven
+    # counts (-inf padding) and one stable argsort ranks them: rows tied
+    # across the boundary, constant rows, all -inf rows, rows with fewer
+    # than k finite entries and rows of plain random values
+    rng = np.random.default_rng(k)
+    m = 2420
+    scores = rng.integers(-3, 3, size=(64, m)).astype(np.float32)  # heavy ties
+    scores[8:16] = rng.standard_normal((8, m))
+    scores[16:20] = 1.5
+    scores[20:24] = -np.inf
+    scores[24:32] = -np.inf
+    scores[24:32, rng.choice(m, size=k - 3, replace=False)] = 2.0
+    scores[32:40, rng.choice(m, size=k + 5, replace=False)] = 7.0
+    scores[40:48][rng.random((8, m)) < 0.7] = -np.inf
+    got = E.topk_rows(scores, k)
+    np.testing.assert_array_equal(got, topk_ref(scores, k))
+
+
 def test_topk_rows_equals_single_stage_partition_on_ranking_and_knn_blocks():
     rng = np.random.default_rng(17)
     block = rng.standard_normal((E.TOPK_BLOCK, 2420)).astype(np.float32)

@@ -1119,7 +1119,6 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
     reference: no reference cycle leaves them to the cyclic collector. So do
     the per-batch tapes of a train_loop epoch."""
     from fusionrec import schema
-    from fusionrec.models import base
 
     refs = []
 
@@ -1128,8 +1127,8 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
             super().__init__(*args, **kwargs)
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(base, "Tape", TrackedTape)
-    monkeypatch.setattr(schema, "Tape", TrackedTape)
+    # embed's tape and each batch's are made by tensor.checked_once
+    monkeypatch.setattr(T, "Tape", TrackedTape)
     data = small_data(n_users=6, n_items=10, seed=17)
     batch = fixed_batch(data)
     tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
@@ -1152,7 +1151,7 @@ def test_spent_tapes_are_freed_without_gc(monkeypatch):
             assert [r() for r in refs] == [None, None], tag
             refs.clear()
             schema.train_loop(model.spec, model, tdata, trainer)
-            # one tape per batch, each made through the patched schema.Tape
+            # one tape per batch, each made through the patched tensor.Tape
             assert len(refs) == n_batches > 1, tag
             assert [r() for r in refs] == [None] * n_batches, tag
             refs.clear()
@@ -1176,8 +1175,8 @@ def train_small_model(tag, trainer, monkeypatch, checked):
     tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
     model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2), data, seed=9)
     with monkeypatch.context() as patch:
-        if checked:
-            patch.setattr(schema, "Tape", CheckedTape)
+        if checked:  # the tape checked_once builds
+            patch.setattr(T, "Tape", CheckedTape)
         return model, schema.train_loop(model.spec, model, tdata, trainer)
 
 
@@ -1208,6 +1207,66 @@ def test_diverging_training_names_what_a_checked_training_names(tag, monkeypatch
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert re.match(r"epoch \d+ batch \d+: \w+", messages[0])
+
+
+def scoring_tapes(monkeypatch):
+    """The `checked` flag of every tape built from here on, in order."""
+    made = []
+
+    class RecordedTape(T.Tape):
+        def __init__(self, checked=True):
+            super().__init__(checked=checked)
+            made.append(checked)
+
+    monkeypatch.setattr(T, "Tape", RecordedTape)
+    return made
+
+
+def test_embed_equals_a_checked_pass_bitwise_on_one_unchecked_tape(monkeypatch):
+    data = small_data(n_users=12, n_items=20, seed=4)
+    for tag in CLASSIFICATION:
+        model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=3), data, seed=2)
+        want = [t.data.copy() for t in model._representations(T.Tape(), train=False)]
+        with monkeypatch.context() as patch:
+            made = scoring_tapes(patch)
+            got = model.embed()
+        assert made == [False], tag  # one pass, checked once, not replayed
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, tag
+            assert g.tobytes() == w.tobytes(), tag
+
+
+def test_a_non_finite_embed_names_what_a_checked_pass_names(monkeypatch):
+    # each parameter in turn holds one inf: a pass that is not finite is
+    # replayed on a checked tape, which raises what a checked pass raises; a
+    # parameter that reaches the output through copies alone raises on
+    # neither, and one that does not reach it leaves the pass finite
+    def outcome(run):
+        """The message raised, or the arrays' bytes and whether all are finite."""
+        try:
+            arrays = run()
+        except T.NonFiniteError as exc:
+            return str(exc)
+        return [a.tobytes() for a in arrays], all(np.isfinite(a).all() for a in arrays)
+
+    data = small_data(n_users=12, n_items=20, seed=4)
+    for tag in CLASSIFICATION:
+        model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=3), data, seed=2)
+        raised = 0
+        for name, p in model.params().named().items():
+            kept = p.data.copy()
+            p.data[0, 0] = np.inf
+            want = outcome(lambda: [t.data for t in model._representations(
+                T.Tape(), train=False)])
+            with monkeypatch.context() as patch:
+                made = scoring_tapes(patch)
+                got = outcome(model.embed)
+            p.data[...] = kept
+            assert got == want, (tag, name)
+            replayed = isinstance(want, str) or not want[1]
+            assert made == [False] + [True] * replayed, (tag, name)
+            raised += isinstance(want, str)
+        assert raised, tag
 
 
 # ------------------------------------------------------------------ ranking

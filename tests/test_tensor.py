@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from fusionrec import tensor as T
 
 from fdcheck import assert_gradients_match
-from oracles import backward_summing_copies, flush_subnormals_loop, sparse_layout_lexsort
+from oracles import (backward_summing_copies, flush_subnormals_loop, sigmoid_two_branch,
+                     sparse_layout_lexsort)
 
 
 def p64(arr):
@@ -1151,23 +1152,54 @@ def test_grad_leaky_relu():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_relu_one_mask_matches_two_where_form(dtype):
     # the output and gradient of the two-np.where form, bit for bit,
-    # signed zeros, subnormals and large magnitudes included
+    # signed zeros, subnormals and large magnitudes included, for slopes in
+    # [0, 1] and outside it, signed zero slopes included
     info = np.finfo(dtype)
     special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
                info.tiny, -info.tiny, info.max, -info.max, -1e30, 1e-40, -1e-40]
     x = np.concatenate([np.array(special, dtype=dtype),
                         np.random.default_rng(3).normal(size=200).astype(dtype)])
     x = x.reshape(-1, 1)
-    slope = 0.2
-    want = np.where(x > 0, x, x * dtype(slope))
-    want_grad = np.where(x > 0, dtype(1.0), dtype(slope))
+    for slope in (0.2, 0.0, -0.0, 1.0, 10.0, -0.5):
+        with np.errstate(over="ignore"):  # -max * 10 is -inf in both forms
+            want = np.where(x > 0, x, x * dtype(slope))
+        want_grad = np.where(x > 0, dtype(1.0), dtype(slope))
+        a = T.parameter(x, dtype=dtype)
+        # unchecked: slope 10 takes -max to -inf, and the sum may overflow,
+        # yet the sum's gradient is all ones, so a's is the mask itself
+        tape = T.Tape(checked=False)
+        out = tape.leaky_relu(a, slope)
+        assert out.data.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(out.data.view(np.uint8), want.view(np.uint8))
+        tape.backward(tape.sum(out))
+        np.testing.assert_array_equal(a.grad.view(np.uint8), want_grad.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_two_branch_form(dtype):
+    # bit for bit on every non-NaN input, through sigmoid and softplus's rule
+    # (g * sigmoid(x)), at the edges of exp's range in both dtypes: exp(88.7)
+    # is about float32's max, and exp(-103) and exp(-745) the smallest
+    # subnormals
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+               -info.smallest_subnormal, info.tiny, -info.tiny, info.max,
+               -info.max, 88.7, -88.7, 103.0, -103.0, 745.0, -745.0]
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        np.random.default_rng(5).normal(scale=40, size=400)
+                        .astype(dtype)]).reshape(-1, 1)
+    want = sigmoid_two_branch(x)
+    # unchecked: softplus(inf) and the sum are inf, yet the sum's gradient
+    # is all ones, so a's is sigmoid(x) itself
+    tape = T.Tape(checked=False)
     a = T.parameter(x, dtype=dtype)
-    tape = T.Tape()
-    out = tape.leaky_relu(a, slope)
-    assert out.data.dtype == want.dtype == dtype
+    out = tape.sigmoid(a)
+    assert out.data.dtype == dtype
     np.testing.assert_array_equal(out.data.view(np.uint8), want.view(np.uint8))
-    tape.backward(tape.sum(out))
-    np.testing.assert_array_equal(a.grad.view(np.uint8), want_grad.view(np.uint8))
+    tape.backward(tape.sum(tape.softplus(a)))
+    np.testing.assert_array_equal(a.grad.view(np.uint8), want.view(np.uint8))
+    nan = np.array([[np.nan]], dtype=dtype)
+    assert np.isnan(T.Tape(checked=False).sigmoid(T.constant(nan, dtype)).data).all()
 
 
 def test_grad_l2_normalize():
