@@ -427,7 +427,7 @@ def save_checkpoint(model: RecommenderModel, out_dir):
 
 
 def load_checkpoint(model: RecommenderModel, out_dir):
-    """Restore save_checkpoint's values; tag, shapes, then config must match."""
+    """Restore save_checkpoint's finite values; tag, shapes, then config must match."""
     with open(os.path.join(out_dir, "checkpoint.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest["tag"] != model.tag:
@@ -452,6 +452,8 @@ def load_checkpoint(model: RecommenderModel, out_dir):
         if raw[name].size != t.data.size:  # also a blob of another dtype
             raise ValueError(f"{name}: blob has {raw[name].size} {t.data.dtype} "
                              f"values, expected {t.data.size}")
+        if not np.isfinite(raw[name]).all():
+            raise ValueError(f"{name}: blob holds NaN or inf values")
     for name, t in named.items():
         t.data[...] = raw[name].reshape(t.shape)
     return model

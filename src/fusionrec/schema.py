@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training as tr
-from .tensor import NonFiniteError, Tape, Tensor, checked_once
+from .tensor import NonFiniteError, Tape, Tensor, checked_once, flush_to_zero
 
 EARLY_OPS = ("concat", "sum", "mean", "weighted_sum")
 LATE_OPS = ("sum", "mean", "max", "weighted_sum")
@@ -191,7 +191,7 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
     tape from the rng state its sampling started from; the parameters have
     not stepped, so the replay is exact, and it raises at the first
     non-finite primitive. Non-finite values abort with the epoch and batch
-    named.
+    named. Batches run in tensor.flush_to_zero, epoch hooks and eval_fn outside.
     """
     validate(spec)
     start = time.perf_counter()
@@ -221,16 +221,16 @@ def train_loop(spec: PipelineSpec, model, data: "tr.TrainData",
         epoch_loss = 0.0
         if hasattr(model, "on_epoch_start"):
             model.on_epoch_start(rng, epoch)
-        for b in range(n_batches):
-            state = rng.bit_generator.state
-            try:
-                loss = checked_once(batch_loss, finite)
-                opt.step()
-            except (NonFiniteError, tr.TrainingDivergedError) as exc:
-                raise tr.TrainingDivergedError(
-                    f"epoch {epoch} batch {b + 1}: {exc}"
-                ) from exc
-            epoch_loss += loss.item()
+        with flush_to_zero():
+            for b in range(n_batches):
+                state = rng.bit_generator.state
+                try:
+                    loss = checked_once(batch_loss, finite)
+                    opt.step()
+                except (NonFiniteError, tr.TrainingDivergedError) as exc:
+                    raise tr.TrainingDivergedError(
+                        f"epoch {epoch} batch {b + 1}: {exc}") from exc
+                epoch_loss += loss.item()
         val = None
         if eval_fn is not None and (epoch % trainer.eval_every == 0
                                     or epoch == trainer.epochs):

@@ -23,20 +23,11 @@ row), Tensor._accumulate_grad's check of a sum or a narrowing cast,
 SparseMatrix's check of its values, and the optimizers' post-step checks
 (training.Adam, training.SGD).
 
-Subnormal gradients are flushed to zero where they enter matmul: each of
-its rules sets each entry of its incoming gradient smaller in magnitude than
-the dtype's smallest normal number to zero (flush_subnormals, the
-flush-to-zero policy of CPU deep-learning runtimes) before it multiplies the
-gradient into an operand, once per node when both operands need one,
-because each multiplication by such an entry costs the CPU a microcode
-assist. A BPR pair whose margin passes about 87 has a subnormal float32
-gradient, and matmul's projection gradient (VBPR, FREEDOM's modality
-branch) is where such gradients were measured to slow training. A flushed
-entry's term in the product is below tiny times the operand entry it
-multiplies; for an operand entry larger than 1 that term may be a normal
-number, so the flush can change a gradient, not only drop what would round
-away. matmul_nt, spmm, spmm_weighted and every other rule take their
-gradient unflushed.
+schema.train_loop runs each epoch's batches inside flush_to_zero(), which
+sets the SSE flush-to-zero and denormals-are-zero bits, so every primitive
+and rule takes a subnormal as 0 and pays no microcode assist for it. The
+bits are per thread: an OpenBLAS worker or rank_topk's pool is not flushed.
+Machines other than x86-64 compute subnormals in full; no second flush path.
 
 Gradients go only where they can reach a parameter. A leaf needs a gradient
 when it has requires_grad; a tape result needs one when any of its inputs
@@ -75,6 +66,9 @@ batch reuses the heap the previous one freed instead of faulting it in again.
 """
 
 from __future__ import annotations
+
+import contextlib
+import platform
 
 import numpy as np
 import scipy.sparse
@@ -184,18 +178,6 @@ def _csr_product(shape, indptr, indices, data, x, transposed=False):
     kernel(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
            data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
     return out
-
-
-def flush_subnormals(g):
-    """g with every nonzero entry of magnitude below np.finfo(g.dtype).tiny,
-    the smallest normal number, set to 0; zeros, normal, infinite and NaN
-    entries are untouched. Returns g itself when it has no such entry, else
-    a flushed copy."""
-    magnitude = np.abs(g)
-    subnormal = (magnitude < np.finfo(g.dtype).tiny) & (magnitude > 0)
-    if not subnormal.any():
-        return g
-    return np.where(subnormal, 0, g)
 
 
 def _sigmoid(x):
@@ -453,19 +435,9 @@ class Tape:
     # -- primitives -------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        # backward runs a's rule before b's; when both run, a's holds its
-        # flushed g for b's, which takes it, so g is flushed once per node
-        held = []
-
-        def hold(g):
-            if b.needs_grad:
-                held.append(g)
-            return g
-
         return self._binary(
-            "matmul", a, b, np.matmul,
-            lambda g, ad, bd: hold(flush_subnormals(g)) @ bd.T,
-            lambda g, ad, bd: ad.T @ (held.pop() if held else flush_subnormals(g)),
+            "matmul", a, b, np.matmul, lambda g, ad, bd: g @ bd.T,
+            lambda g, ad, bd: ad.T @ g,
             lambda sa, sb: sa[1] != sb[0] and f"inner dims differ, {sa} x {sb}")
 
     def spmm(self, m: SparseMatrix, x: Tensor) -> Tensor:
@@ -780,3 +752,29 @@ def _pin_malloc_thresholds():
 
 
 _pin_malloc_thresholds()
+
+
+@contextlib.contextmanager
+def flush_to_zero():
+    """Set the calling thread's mxcsr flush-to-zero and denormals-are-zero bits
+    (|= 0x8040) for the scope and restore its float environment on any exit. A no-op
+    off x86-64, if fegetenv fails, or if mxcsr (fenv_t bytes 28-31) lacks a mask bit."""
+    import ctypes
+    saved = ctypes.create_string_buffer(32)  # sizeof(fenv_t) on x86-64 glibc
+    try:
+        libc = ctypes.CDLL(None)
+        for fn in (libc.fegetenv, libc.fesetenv):
+            fn.argtypes, fn.restype = (ctypes.c_char_p,), ctypes.c_int
+        read = platform.machine() == "x86_64" and libc.fegetenv(saved) == 0
+    except (AttributeError, OSError, TypeError):
+        read = False
+    flushed = ctypes.create_string_buffer(saved.raw, 32)
+    mxcsr = ctypes.c_uint32.from_buffer(flushed, 28)
+    if read and mxcsr.value & 0x1f80 == 0x1f80:
+        mxcsr.value |= 0x8040
+        libc.fesetenv(flushed)
+    try:
+        yield
+    finally:
+        if flushed.raw != saved.raw:
+            libc.fesetenv(saved)

@@ -538,17 +538,6 @@ def sigmoid_two_branch(x):
     return out
 
 
-def flush_subnormals_loop(g):
-    """A copy of g with each nonzero entry of magnitude below the dtype's
-    smallest normal number set to 0.0, entry by entry."""
-    tiny = np.finfo(g.dtype).tiny
-    out = g.copy()
-    for idx, x in np.ndenumerate(g):
-        if x != 0 and abs(x) < tiny:
-            out[idx] = 0.0
-    return out
-
-
 def backward_summing_copies(tape, loss):
     """Leaf gradients of `loss` by replaying `tape`'s recorded rules, with
     every further gradient of a tensor summed into a new array, prev + g.

@@ -297,31 +297,6 @@ def test_only_bpr_on_rows_forms_a_bpr_loss():
     assert sorted(found, key=str) == sorted(BPR_SCORER)
 
 
-# subnormal gradients are flushed where they enter matmul, by its own rules;
-# backward and every other primitive take their gradient as it comes
-FLUSHING = {("tensor", "Tape.matmul")}
-
-
-def test_only_matmul_flushes_its_gradient():
-    found = {(mod, func) for mod, path in modules()
-             for func, _, _ in calls(path, ("flush_subnormals",))}
-    assert sorted(found, key=str) == sorted(FLUSHING)
-
-
-def test_flush_check_sees_calls_in_rules_and_bodies(tmp_path):
-    path = tmp_path / "sample.py"
-    path.write_text('"""Docstrings name nothing: flush_subnormals(g)."""\n'
-                    "class Tape:\n"
-                    "    def matmul(self, b):\n"
-                    "        return (lambda g: flush_subnormals(g) @ b,)\n"
-                    "    def backward(self, g):\n"
-                    "        return T.flush_subnormals(g)\n"
-                    "g = flush_subnormals\n")
-    assert calls(path, ("flush_subnormals",)) == {
-        ("Tape.matmul", 4, "flush_subnormals"),
-        ("Tape.backward", 6, "flush_subnormals")}
-
-
 # a tape skips its finiteness checks only in tensor.checked_once, which
 # checks its run's result once and replays a failing run on a checked tape;
 # the training loop (per batch) and embed (per scoring pass) call it, and
@@ -363,17 +338,17 @@ def test_unchecked_tape_check_sees_every_form_of_the_argument(tmp_path):
 
 
 # the functions of tensor.py that may call np.where: l2_normalize's zero-row
-# branch and flush_subnormals
-WHERE_ALLOWED = {"flush_subnormals", "Tape.l2_normalize", "Tape.l2_normalize.rule"}
+# branch
+WHERE_ALLOWED = {"Tape.l2_normalize", "Tape.l2_normalize.rule"}
 
 
 def test_the_tape_selects_per_entry_only_where_such_entries_exist():
     """np.where selects each entry by a branch on its condition, and a
     data-dependent condition costs a branch per entry: on mixed-sign
     7,325 x 64 float32 it took 2.05 ms against 0.26 ms on a sorted one. So
-    the tape calls it only on paths that run when the entries it fixes
-    exist, l2_normalize's zero rows and flush_subnormals' subnormal entries,
-    and every other mask is arithmetic or a table lookup."""
+    the tape calls it only on a path that runs when the entries it fixes
+    exist, l2_normalize's zero rows, and every other mask is arithmetic or a
+    table lookup."""
     found = calls(PACKAGE / "tensor.py", ("where",), owners=("np", "numpy"))
     assert sorted({func for func, _, _ in found}) == sorted(WHERE_ALLOWED)
 
@@ -628,15 +603,16 @@ def test_layout_use_check_sees_calls_and_references(tmp_path):
         ("_csr_product", 11, "csr_matvecs")}
 
 
-# the C library is reached in one place: tensor's malloc policy, through ctypes
+# the C library is reached in two places, both in tensor and through ctypes:
+# the malloc policy and the scoped flush-to-zero mode
 NATIVE = ("ctypes", "mallopt")
-MALLOC_POLICY = {("tensor", "_pin_malloc_thresholds")}
+NATIVE_HELPERS = {("tensor", "_pin_malloc_thresholds"), ("tensor", "flush_to_zero")}
 
 
 def test_only_the_malloc_policy_reaches_the_c_library():
     found = {(mod, func) for mod, path in modules()
              for func, _, _ in name_uses(path, NATIVE)}
-    assert sorted(found, key=str) == sorted(MALLOC_POLICY)
+    assert sorted(found, key=str) == sorted(NATIVE_HELPERS)
 
 
 def test_native_check_sees_ctypes_and_mallopt(tmp_path):
@@ -650,13 +626,48 @@ def test_native_check_sees_ctypes_and_mallopt(tmp_path):
                     "class Library:\n"
                     "    def load(self, lib):\n"
                     "        return getattr(lib, 'mallopt')\n"
-                    "mallopt = None\n")
+                    "mallopt = None\n"
+                    "@contextlib.contextmanager\n"
+                    "def flush_to_zero():\n"
+                    "    import ctypes\n"
+                    "    yield ctypes.CDLL(None).fegetenv(ctypes.c_int(0))\n")
     assert name_uses(path, NATIVE) == {
         (None, 2, "ctypes"), (None, 3, "ctypes"),
         ("_pin_malloc_thresholds", 5, "ctypes"),
         ("_pin_malloc_thresholds", 6, "ctypes"),
         ("_pin_malloc_thresholds", 6, "mallopt"),
-        ("Library.load", 9, "mallopt"), (None, 10, "mallopt")}
+        ("Library.load", 9, "mallopt"), (None, 10, "mallopt"),
+        ("flush_to_zero", 13, "ctypes"), ("flush_to_zero", 14, "ctypes")}
+
+
+# a thread's float environment is read and written in one place: the scoped
+# flush-to-zero mode that schema.train_loop runs each epoch's batches in
+FLOAT_ENVIRONMENT = ("fegetenv", "fesetenv")
+FLOAT_MODE = {("tensor", "flush_to_zero")}
+
+
+def test_only_flush_to_zero_touches_the_float_environment():
+    found = {(mod, func) for mod, path in modules()
+             for func, _, _ in name_uses(path, FLOAT_ENVIRONMENT)}
+    assert sorted(found, key=str) == sorted(FLOAT_MODE)
+
+
+def test_float_environment_check_sees_names_and_strings(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: libc.fesetenv(env)."""\n'
+                    "import ctypes\n"
+                    "def flush_to_zero():\n"
+                    "    libc = ctypes.CDLL(None)\n"
+                    "    return libc.fegetenv, getattr(libc, 'fesetenv')\n"
+                    "class Trainer:\n"
+                    "    def step(self, libc):\n"
+                    "        libc.fesetenv(self.env)\n"
+                    "from fenv import fegetenv\n"
+                    "fesetenv = None\n")
+    assert name_uses(path, FLOAT_ENVIRONMENT) == {
+        ("flush_to_zero", 5, "fegetenv"), ("flush_to_zero", 5, "fesetenv"),
+        ("Trainer.step", 8, "fesetenv"), (None, 9, "fegetenv"),
+        (None, 10, "fesetenv")}
 
 
 # consecutive code lines that are written at most once in the package

@@ -1,5 +1,6 @@
 """Model tests: hand-computed cases, structural collapses, gradient checks."""
 
+import contextlib
 import gc
 import logging
 import math
@@ -285,36 +286,44 @@ def test_vbpr_scaling_one_modality_removes_its_term():
     np.testing.assert_allclose(full - reduced, term, rtol=1e-5, atol=1e-6)
 
 
-def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise(monkeypatch):
+def holds_subnormal(g):
+    """Whether float32 g has an entry with a zero exponent and a nonzero
+    fraction, read from its bits, so the answer holds in any float mode."""
+    bits = g.astype(np.float32).view(np.uint32) & 0x7fffffff
+    return bool(((bits > 0) & (bits < 0x00800000)).any())
+
+
+def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise():
     # every triple's margin is about 95, so its float32 BPR gradient,
-    # about e^-95 / 64, is subnormal; flushing such gradients before matmul
-    # leaves every parameter and Adam moment of a step bitwise where the
-    # unflushed tape puts them
+    # about e^-95 / 64, is subnormal: outside flush_to_zero backward carries
+    # such gradients, and a step inside it, where they count as 0, leaves
+    # every parameter and Adam moment bitwise where the unflushed step does
     data = small_data(n_users=12, n_items=16, seed=5)
     rng = np.random.default_rng(2)
     batch = tr.TripleBatch(rng.integers(0, 12, 64), rng.integers(0, 8, 64),
                            rng.integers(8, 16, 64))
-    real, met = T.flush_subnormals, []
+    met = []
 
-    def spy(g):
-        tiny = np.finfo(g.dtype).tiny
-        met.append(bool(((np.abs(g) < tiny) & (g != 0)).any()))
-        return real(g)
+    def spied(rule):
+        return lambda g: met.append(holds_subnormal(g)) or rule(g)
 
-    def adam_step(flush):
-        monkeypatch.setattr(T, "flush_subnormals", flush)
+    def adam_step(scope):
         model = VBPR(ModelConfig(tag="vbpr", embedding_dim=4), data, seed=1)
         model.user_emb.data[:, 0] = 1.0
         model.item_emb.data[:, 0] = np.where(np.arange(16) < 8, 47.5, -47.5)
-        tape = T.Tape()
-        tape.backward(tr.total_loss(tape, model, batch, None, reg=1e-5))
         opt = tr.Adam(model.params(), lr=0.01)
-        opt.step()
+        with scope:
+            tape = T.Tape()
+            loss = tr.total_loss(tape, model, batch, None, reg=1e-5)
+            for node in tape._nodes:
+                node.rules = tuple(spied(rule) for rule in node.rules)
+            tape.backward(loss)
+            opt.step()
         return [t.data for t in model.tensors()] + opt.m + opt.v
 
-    got = adam_step(spy)
+    want = adam_step(contextlib.nullcontext())
     assert any(met)
-    want = adam_step(lambda g: g)
+    got = adam_step(T.flush_to_zero())
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
@@ -1091,6 +1100,23 @@ def test_checkpoint_with_a_cut_blob_leaves_every_parameter_unchanged(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-4])
     before = {name: t.data.tobytes() for name, t in named.items()}
     with pytest.raises(ValueError, match=rf"^{last}: blob has \d+ float32 values"):
+        load_checkpoint(fresh, tmp_path / "ckpt")
+    assert {name: t.data.tobytes() for name, t in named.items()} == before
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_checkpoint_with_a_non_finite_value_is_rejected(tmp_path, bad):
+    # a non-finite embedding reaches scores through copies alone, which no
+    # tape checks, so the blob is refused before any parameter is assigned
+    data = small_data(n_users=12, n_items=20, seed=4)
+    cfg = ModelConfig(tag="vbpr", embedding_dim=4)
+    model = VBPR(cfg, data, seed=8)
+    model.user_emb.data[0, 0] = bad
+    save_checkpoint(model, tmp_path / "ckpt")
+    fresh = VBPR(cfg, data, seed=99)
+    named = fresh.params().named()
+    before = {name: t.data.tobytes() for name, t in named.items()}
+    with pytest.raises(ValueError, match="^user_emb: blob holds NaN or inf values"):
         load_checkpoint(fresh, tmp_path / "ckpt")
     assert {name: t.data.tobytes() for name, t in named.items()} == before
 

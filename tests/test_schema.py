@@ -1,5 +1,7 @@
 """Pipeline legality, the weighted-sum fusion, parameter census, training loop."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,57 @@ def test_train_loop_eval_cadence():
     out = S.train_loop(model.spec, model, data, cfg, eval_fn=fake_eval)
     # epochs 10, 20 and the final epoch 25
     assert [e for e, _ in out.evals] == [10, 20, 25]
+
+
+TINY = np.array([np.finfo(np.float32).tiny], dtype=np.float32)
+
+
+def flushing():
+    """Whether the calling thread writes a subnormal float32 product as 0."""
+    return bool((TINY * 0.5)[0] == 0)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="flush_to_zero is a no-op off x86-64")
+def test_train_loop_flushes_its_batches_and_nothing_else(monkeypatch):
+    # a spy model notes the float mode wherever the loop calls into it: the
+    # sampling, both tapes of a replayed batch and the optimizer step run
+    # inside flush_to_zero, on_epoch_start and the validation pass outside
+    model, data = make_model(), make_data()
+    seen = []
+    real_loss, real_sample, real_step = model.loss, TR.sample_triples, TR.Adam.step
+
+    def loss(tape, batch, rng):
+        seen.append(("checked" if tape.checked else "unchecked", flushing()))
+        out = real_loss(tape, batch, rng)
+        # the first batch fails its check once, so it is replayed checked
+        first = [name for name, _ in seen] == ["on_epoch_start", "sample", "unchecked"]
+        return tape.scale(out, np.inf) if first else out
+
+    def sample(*args):
+        seen.append(("sample", flushing()))
+        return real_sample(*args)
+
+    def step(opt):
+        seen.append(("step", flushing()))
+        return real_step(opt)
+
+    def on_epoch_start(rng, epoch):
+        seen.append(("on_epoch_start", flushing()))
+
+    def evaluate(m):
+        seen.append(("eval_fn", flushing()))
+        return 0.0
+
+    model.loss, model.on_epoch_start = loss, on_epoch_start
+    monkeypatch.setattr(TR, "sample_triples", sample)
+    monkeypatch.setattr(TR.Adam, "step", step)
+    cfg = TR.TrainerConfig(epochs=2, batch_size=16, lr=0.01, seed=4, eval_every=1)
+    S.train_loop(model.spec, model, data, cfg, eval_fn=evaluate)
+    assert not flushing()
+    modes = {}
+    for name, flag in seen:
+        modes.setdefault(name, set()).add(flag)
+    assert modes == {"on_epoch_start": {False}, "sample": {True},
+                     "unchecked": {True}, "checked": {True}, "step": {True},
+                     "eval_fn": {False}}

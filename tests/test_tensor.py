@@ -1,6 +1,7 @@
 """Tensor engine: forward values, reverse-mode gradients, tape discipline."""
 
 import ctypes
+import platform
 import tracemalloc
 import types
 import warnings
@@ -14,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from fusionrec import tensor as T
 
 from fdcheck import assert_gradients_match
-from oracles import (backward_summing_copies, flush_subnormals_loop, sigmoid_two_branch,
-                     sparse_layout_lexsort)
+from oracles import backward_summing_copies, sigmoid_two_branch, sparse_layout_lexsort
 
 
 def p64(arr):
@@ -25,6 +25,11 @@ def p64(arr):
 def rng64(seed, shape, rng_scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) * rng_scale
+
+
+# flush_to_zero sets the SSE control register, which only x86-64 has
+X86_64 = pytest.mark.skipif(platform.machine() != "x86_64",
+                            reason="flush_to_zero is a no-op off x86-64")
 
 
 # ---------------------------------------------------------------- forward
@@ -943,66 +948,57 @@ def test_backward_sums_across_calls_out_of_place():
     np.testing.assert_array_equal(x.grad, [[8.0, 8.0]])
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_flush_subnormals_matches_loop(dtype):
-    info = np.finfo(dtype)
-    sub = np.nextafter(info.tiny, 0, dtype=dtype)  # the largest subnormal
-    least = np.nextafter(dtype(0), 1, dtype=dtype)  # the smallest
-    g = np.array([[sub, -sub, least, -least, sub / 4],
-                  [0.0, -0.0, info.tiny, -info.tiny, 1.5],
-                  [np.nan, np.inf, -np.inf, info.max, -2.0]], dtype=dtype)
-    before = g.copy()
-    got = T.flush_subnormals(g)
-    want = flush_subnormals_loop(g)
-    np.testing.assert_array_equal(got, want)
-    assert got.dtype == dtype
-    assert not got[0].any()
-    # zeros, normal values, infinities and NaN keep their bits
-    assert got[1:].tobytes() == g[1:].tobytes()
-    assert g.tobytes() == before.tobytes()
-    # without a subnormal entry, g itself
-    normal, empty = g[1:], g[:0]
-    assert T.flush_subnormals(normal) is normal
-    assert T.flush_subnormals(empty) is empty
-
-
-def test_only_matmul_flushes_subnormal_gradients():
-    # every product's output row 0 gets a subnormal gradient, row 1 a
-    # normal one; matmul's operand entry reached only by row 0 gets exactly
-    # 0, while matmul_nt, spmm and spmm_weighted pass the subnormal on
-    sub = np.float32(1e-40)
+def product_gradients(scale):
+    """The leaf gradients of every product whose output row r gets the
+    gradient scale[r]: matmul, matmul_nt, spmm and spmm_weighted, in that
+    order of (a, b, c, x, y, vals)."""
     a, b, c = (T.parameter(np.ones((2, 3))) for _ in range(3))
     x, y = T.parameter(np.ones((3, 2))), T.parameter(np.ones((3, 2)))
     vals = T.parameter(np.ones((2, 1)))
     structure = T.SparseMatrix((2, 3), [0, 1], [2, 0], [1.0, 1.0])
+    ones = T.constant(np.ones((3, 2)))
     t = T.Tape()
-    out = t.concat([t.matmul(a, T.constant(np.ones((3, 2)))), t.matmul_nt(b, c),
+    out = t.concat([t.matmul(a, ones), t.matmul_nt(b, c),
                     t.spmm(structure, x), t.spmm_weighted(structure, vals, y)])
-    scale = T.constant(np.tile([[sub], [1.0]], (1, 8)))
     t.backward(t.sum(t.mul(out, scale)))
-    np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
-    np.testing.assert_array_equal(b.grad, [[2 * sub] * 3, [2.0, 2.0, 2.0]])
-    np.testing.assert_array_equal(c.grad, np.ones((2, 3)))  # 1 + sub rounds to 1
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [sub, sub]])
-    np.testing.assert_array_equal(y.grad, [[1.0, 1.0], [0.0, 0.0], [sub, sub]])
-    np.testing.assert_array_equal(vals.grad, [[2 * sub], [2.0]])
+    return [p.grad for p in (a, b, c, x, y, vals)]
 
 
+@X86_64
+def test_every_product_takes_a_subnormal_gradient_as_zero_in_the_scope():
+    # outside flush_to_zero every product passes a subnormal gradient on;
+    # inside it every one reads it as 0, matmul no more than the others. The
+    # constant is made outside: a conversion inside would already flush it
+    sub = np.float32(1e-40)
+    scale = T.constant(np.tile([[sub], [1.0]], (1, 8)))
+    full = [[[2 * sub] * 3, [2.0] * 3], [[2 * sub] * 3, [2.0] * 3],
+            np.ones((2, 3)),  # 1 + sub rounds to 1
+            [[1.0, 1.0], [0.0, 0.0], [sub, sub]], [[1.0, 1.0], [0.0, 0.0], [sub, sub]],
+            [[2 * sub], [2.0]]]
+    flushed = [[[0.0] * 3, [2.0] * 3], [[0.0] * 3, [2.0] * 3], np.ones((2, 3)),
+               [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+               [[0.0], [2.0]]]
+    for got, want in zip(product_gradients(scale), full):
+        np.testing.assert_array_equal(got, want)
+    with T.flush_to_zero():
+        grads = product_gradients(scale)
+    for got, want in zip(grads, flushed):
+        np.testing.assert_array_equal(got, want)
+
+
+@X86_64
 @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)],
                          ids=["both", "left", "right"])
-def test_matmul_flushes_its_gradient_once_per_node(needs, monkeypatch):
-    # where both operands need a gradient the two rules share one flushed g,
-    # and the gradients are those of each rule flushing its own
-    calls = []
-    monkeypatch.setattr(T, "flush_subnormals",
-                        lambda g: calls.append(g) or flush_subnormals_loop(g))
+def test_matmul_takes_a_subnormal_gradient_as_zero_in_the_scope(needs):
+    # each rule reads its own incoming gradient, whichever operands need one:
+    # inside flush_to_zero the subnormal entry of g counts as 0
     sub = np.float32(1e-40)
     ad, bd = np.full((2, 3), 3.0), np.full((3, 2), 5.0)
     a, b = (T.Tensor(d, requires_grad=n) for d, n in zip((ad, bd), needs))
-    t = T.Tape()
     scale = T.constant([[sub, 1.0], [1.0, 2.0]])
-    t.backward(t.sum(t.mul(t.matmul(a, b), scale)))
-    assert len(calls) == 1
+    with T.flush_to_zero():
+        t = T.Tape()
+        t.backward(t.sum(t.mul(t.matmul(a, b), scale)))
     flushed = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=np.float32)
     if needs[0]:
         assert a.grad.tobytes() == (flushed @ bd.T.astype(np.float32)).tobytes()
@@ -1422,3 +1418,80 @@ def test_malloc_policy_leaves_a_library_without_mallopt_alone(monkeypatch):
     # a C library with no mallopt, as on macOS
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     assert T._pin_malloc_thresholds() is False
+
+
+# ------------------------------------------------------------- float mode
+
+def float_controls():
+    """The calling thread's float control words, status flags aside: the
+    x87 control word and mxcsr's control bits, from fegetenv."""
+    env = ctypes.create_string_buffer(32)
+    assert ctypes.CDLL(None).fegetenv(env) == 0
+    return env.raw[:2], int.from_bytes(env.raw[28:32], "little") & ~0x3f
+
+
+# per dtype, the smallest normal number and the largest subnormal, made at
+# import, outside any flush_to_zero scope
+EDGES = [(np.array([np.finfo(d).tiny], dtype=d),
+          np.array([np.nextafter(np.finfo(d).tiny, 0, dtype=d)], dtype=d))
+         for d in (np.float32, np.float64)]
+
+
+def flushes():
+    """Whether a subnormal product is 0 and a subnormal operand reads as 0,
+    in float32 and in float64, as four flags."""
+    return [flag for tiny, sub in EDGES
+            for flag in ((tiny * 0.5)[0] == 0, (tiny + sub)[0] == tiny[0])]
+
+
+@X86_64
+def test_flush_to_zero_flushes_in_the_scope_and_restores_every_exit():
+    before = float_controls()
+    assert flushes() == [False] * 4
+    with T.flush_to_zero():
+        assert flushes() == [True] * 4
+        assert float_controls()[1] == before[1] | 0x8040
+    assert float_controls() == before and flushes() == [False] * 4
+    with pytest.raises(KeyError):
+        with T.flush_to_zero():
+            raise KeyError("inside")
+    assert float_controls() == before
+    with T.flush_to_zero():
+        with T.flush_to_zero():
+            assert flushes() == [True] * 4
+        # the inner exit restores the outer scope's mode
+        assert flushes() == [True] * 4
+    assert float_controls() == before and flushes() == [False] * 4
+
+
+@pytest.mark.parametrize("machine, status, mxcsr", [
+    ("x86_64", 0, 0x1fa0), ("aarch64", 0, 0x1f80), ("x86_64", -1, 0x1f80),
+    ("x86_64", 0, 0x1f00)], ids=["sets", "other-machine", "fegetenv-fails",
+                                 "other-layout"])
+def test_flush_to_zero_writes_only_a_register_it_read(monkeypatch, machine,
+                                                      status, mxcsr):
+    # a stand-in C library: the scope sets both bits in the field it read and
+    # restores the saved environment, or, on another machine, where fegetenv
+    # fails or an exception-mask bit is clear, writes nothing
+    written = []
+
+    def fegetenv(env):
+        env[28:32] = mxcsr.to_bytes(4, "little")
+        return status
+
+    library = types.SimpleNamespace(fegetenv=fegetenv,
+                                    fesetenv=lambda env: written.append(env.raw))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+    monkeypatch.setattr(platform, "machine", lambda: machine)
+    with T.flush_to_zero():
+        pass
+    saved = bytes(28) + mxcsr.to_bytes(4, "little")
+    flushed = bytes(28) + (mxcsr | 0x8040).to_bytes(4, "little")
+    assert written == ([flushed, saved] if machine == "x86_64" and status == 0
+                       and mxcsr & 0x1f80 == 0x1f80 else [])
+
+
+def test_flush_to_zero_leaves_a_library_without_fegetenv_alone(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    with T.flush_to_zero():
+        pass
