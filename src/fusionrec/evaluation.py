@@ -314,6 +314,9 @@ def _exposure_counts(recs, k, n_items):
     """How many of the top-k lists hold each catalog item."""
     items = recs.top[:, :k].ravel() if isinstance(recs, Ranking) else np.fromiter(
         chain.from_iterable(recs[u][:k] for u in recs), dtype=np.int64)
+    outside = items[(items < 0) | (items >= n_items)]
+    if outside.size:
+        raise ValueError(f"item id {outside[0]} outside [0, {n_items})")
     return np.bincount(items, minlength=n_items)
 
 

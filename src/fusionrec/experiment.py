@@ -124,8 +124,6 @@ def validate_paths(config: ExperimentConfig):
 # ------------------------------------------------------------ serialization
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, list):
@@ -148,14 +146,8 @@ def _parse_float(text):
 _parse_floats = _csv(_parse_float)
 
 
-def _parse_bool(text):
-    if text.lower() not in ("true", "false"):
-        raise ConfigError(f"expected true/false, got {text!r}")
-    return text.lower() == "true"
-
-
 # a dataclass field's parser by its type; the one tuple, modality_weights, may be none
-_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str,
+_PARSERS = {int: int, float: _parse_float, str: str,
             tuple: lambda text: None if text.lower() == "none" else _parse_floats(text)}
 
 

@@ -26,7 +26,6 @@ from ..schema import Coordinate, ParameterSet, PipelineSpec, validate
 from .. import training as tr
 
 REGISTRY = {}  # tag -> RecommenderModel subclass, in order of definition
-ACTIVATIONS = ("leaky_relu", "linear")
 
 
 @dataclass
@@ -50,8 +49,6 @@ class ModelConfig:
     inter_weight: float = 1.0
     intra_weight: float = 1.0
     modality_weights: tuple = None  # fixed merge weights; None = uniform
-    with_bias: bool = False
-    activation: str = "leaky_relu"
     leaky_slope: float = 0.2
 
     def __post_init__(self):
@@ -79,8 +76,6 @@ class ModelConfig:
                              "and modality_weights must be finite")
         if self.mm_weight < 0 or self.inter_weight < 0 or self.intra_weight < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation {self.activation!r} not in {ACTIVATIONS}")
         if self.modality_weights is not None:
             w = tuple(float(x) for x in self.modality_weights)
             if any(x < 0 for x in w) or sum(w) <= 0:

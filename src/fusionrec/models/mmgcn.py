@@ -2,9 +2,9 @@
 
 Each modality owns its own propagation stack. A layer aggregates
 neighbor representations through the sym-normalized adjacency, mixes in
-the node id embedding, adds the residual, and applies the nonlinearity:
+the node id embedding, adds the residual, and applies LeakyReLU:
 
-    h_{l+1} = act(aggregate @ W1 + X @ W2 + h_l),  aggregate = A_hat @ h_l
+    h_{l+1} = LeakyReLU(aggregate @ W1 + X @ W2 + h_l),  aggregate = A_hat @ h_l
 
 Layer zero starts from the per-modality user embedding stacked on the
 projected item features. Final per-modality vectors are summed across
@@ -46,18 +46,13 @@ class MMGCN(RecommenderModel):
                 for l in range(cfg.layers)
             ]
 
-    def _activate(self, tape, h):
-        if self.config.activation == "linear":
-            return h
-        return tape.leaky_relu(h, self.config.leaky_slope)
-
     def _modality_forward(self, tape, m):
         items0 = tape.matmul(self.feats[m], self.proj[m])
         h = tape.row_concat([self.user_emb[m], items0])
         for l in range(self.config.layers):
             agg = tape.matmul(tape.spmm(self.adj, h), self.w1[m][l])
             agg = tape.add(agg, tape.matmul(self.id_emb[m], self.w2[m][l]))
-            h = self._activate(tape, tape.add(agg, h))
+            h = tape.leaky_relu(tape.add(agg, h), self.config.leaky_slope)
         return h
 
     def _representations(self, tape, train):

@@ -3,14 +3,10 @@
 Score is the id-embedding inner product plus, per modality, the inner
 product of a modality-specific user embedding with the projected item
 feature. Modality scores are summed after the per-modality products, so
-the pipeline reads Coordinate representation with Late(sum) fusion. An
-optional learned item bias (ModelConfig.with_bias) is off by default.
+the pipeline reads Coordinate representation with Late(sum) fusion.
 """
 
-import numpy as np
-
 from ..schema import Late
-from ..tensor import constant
 from .base import RecommenderModel, batch_rows, bpr_on_rows
 
 
@@ -26,9 +22,6 @@ class VBPR(RecommenderModel):
         for m in self.data.modalities:
             self.mod_user[m] = self._param("rho", f"user_{m}", rng, user_shape)
             self.proj[m] = self._projection(m, rng)
-        if self.config.with_bias:
-            self.item_bias = self._param("rho", "item_bias", rng,
-                                         (self.data.n_items, 1), scale=0.0)
 
     def _representations(self, tape, train):
         return self._rows(tape, None, None)
@@ -47,10 +40,6 @@ class VBPR(RecommenderModel):
         for m in self.data.modalities:
             u_parts.append(pick(self.mod_user[m], users))
             i_parts.append(tape.matmul(pick(self.feats[m], items), self.proj[m]))
-        if self.config.with_bias:
-            n = self.data.n_users if users is None else len(users)
-            u_parts.append(constant(np.ones((n, 1)), dtype=self.dtype))
-            i_parts.append(pick(self.item_bias, items))
         return tape.concat(u_parts), tape.concat(i_parts)
 
     def loss(self, tape, batch, rng):

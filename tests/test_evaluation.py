@@ -90,6 +90,19 @@ def test_icov_percent():
     assert E.item_coverage(recs, 2, 10) == pytest.approx(30.0)
 
 
+@pytest.mark.parametrize("metric,recs,k,n_items,bad", [
+    (E.item_coverage, {0: [10, 11, 12]}, 3, 2, 10),
+    (E.gini_at_k, {0: [12]}, 1, 10, 12),
+    (E.gini_at_k, {0: [1], 1: [10]}, 1, 10, 10),
+    (E.item_coverage, {0: [0, -1]}, 2, 5, -1),
+    (E.gini_at_k, {0: [-3, 1]}, 2, 5, -3),
+])
+def test_exposure_metrics_reject_an_id_outside_the_catalog(metric, recs, k,
+                                                           n_items, bad):
+    with pytest.raises(ValueError, match=rf"item id {bad} outside \[0, {n_items}\)"):
+        metric(recs, k, n_items)
+
+
 def test_short_head_ties_by_ascending_id():
     # items 0..4 all count 2: head = ceil(1) = 1 item, the lowest id
     profile = profile_from_counts([2, 2, 2, 2, 2])

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pathlib
+import typing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_config_roundtrip_is_exact(corpus):
     config = base_config(
         corpus, "runs/x",
         model=ModelConfig(tag="mmgcn", embedding_dim=16, layers=1,
-                          modality_weights=(0.25, 0.75), activation="linear"),
+                          modality_weights=(0.25, 0.75)),
         trainer=tr.TrainerConfig(epochs=7, batch_size=64, optimizer="sgd",
                                  seed=3, eval_every=2),
         missing_policy="zero_fill",
@@ -142,16 +143,14 @@ def test_parse_rejects_malformed_input():
         ex.parse_config("not an ini file at all [")
     with pytest.raises(ex.ConfigError, match=r"\[data\]"):
         ex.parse_config("[model]\ntag = vbpr\n")
-    # the second key is MMGCN's former id-embedding switch: it always learns them
-    for key in ("not_a_field", "use_id_embeddings"):
+    # the others are former switches: MMGCN always learns its id embeddings
+    # and applies LeakyReLU, and VBPR has no item bias
+    for key, value in (("not_a_field", "true"), ("use_id_embeddings", "true"),
+                       ("with_bias", "false"), ("activation", "linear")):
         with pytest.raises(ex.ConfigError, match=rf"^\[model\] has unknown key '{key}'$"):
             ex.parse_config(
                 "[data]\ninteractions = a\nfeature.visual = b\n"
-                f"[model]\ntag = mmgcn\n{key} = true\n")
-    with pytest.raises(ex.ConfigError, match="true/false"):
-        ex.parse_config(
-            "[data]\ninteractions = a\nfeature.visual = b\n"
-            "[model]\ntag = vbpr\nwith_bias = maybe\n")
+                f"[model]\ntag = mmgcn\n{key} = {value}\n")
 
 
 def test_malformed_numbers_are_config_errors(corpus, tmp_path, capsys):
@@ -276,6 +275,13 @@ def test_every_config_field_has_one_ini_key():
              if section not in ("model", "trainer") for name, _ in keys.values()]
     init = [f.name for f in fields(ex.ExperimentConfig) if f.init]
     assert sorted(named + ["model", "trainer"]) == sorted(init)
+
+
+def test_parsers_cover_exactly_the_nested_field_types():
+    # a type no [model] or [trainer] field has would be a parser nothing reads
+    annotated = {t for cls in (ModelConfig, tr.TrainerConfig)
+                 for t in typing.get_type_hints(cls).values()}
+    assert set(ex._PARSERS) == annotated
 
 
 def test_config_validation(corpus):
