@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import experiment as ex
-from .models import MODEL_TAGS
+from .models import MODEL_TAGS, ModelData
 
 
 def positive_int(text):
@@ -81,8 +81,8 @@ def run(args) -> int:
         return 0
     if args.command == "tune":
         split, store = ex.cmd_prepare(config)
-        best = ex.cmd_tune(config, split, store, ex.run_dir(config),
-                           threads=args.threads)
+        best = ex.cmd_tune(config, split, ModelData.from_split(split, store),
+                           ex.run_dir(config), threads=args.threads)
         print(f"best lr={best.lr} reg={best.reg} "
               f"recall@20={best.best_value:.4f}")
         return 0

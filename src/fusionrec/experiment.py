@@ -315,9 +315,12 @@ def cmd_prepare(config: ExperimentConfig):
 
 
 def cmd_tune(config: ExperimentConfig, split: ds.Split,
-             store: MultimodalStore, run_dir, threads=1) -> tr.GridResult:
-    """Grid-search lr x reg, selecting by validation Recall@20; writes tune.json."""
-    mdata = ModelData.from_split(split, store)
+             mdata: ModelData, run_dir, threads=1) -> tr.GridResult:
+    """Grid-search lr x reg, selecting by validation Recall@20; writes tune.json.
+
+    Every grid point's model is built on `mdata`, so the kNN item graphs
+    it holds from an earlier tuning are reused, not built again.
+    """
     tdata = tr.TrainData.from_split(split)
     eval_fn = ev.recall_eval_fn(split, "validation", k=20, threads=threads)
     result = tr.grid_search(partial(build_model, config.model, mdata),
@@ -339,15 +342,16 @@ def _selection(chosen: tr.GridResult) -> dict:
 
 
 def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
-              chosen: tr.GridResult):
+              chosen: tr.GridResult, graph_seconds):
     """Write manifest, trace, timings and checkpoint of the grid's winner.
 
     `chosen` hands over the winning grid run's model and TrainResult, which
     are written as they are: retraining that configuration with the same
     seed would repeat the run exactly, so nothing trains here. timings.json
-    holds the winner's training seconds and minor page faults, and the
-    seconds spent building the tuned models' kNN item graphs (0 for a model
-    without one).
+    holds the winner's training seconds and minor page faults, and
+    `graph_seconds`, the seconds this model's tuning spent building kNN
+    item graphs (0 for a model without one, or whose graphs an earlier
+    model on the same ModelData built).
     """
     model, result = chosen.model, chosen.result
     # wall-clock numbers go to timings.json, so manifest bytes stay reproducible
@@ -359,7 +363,7 @@ def cmd_train(config: ExperimentConfig, split: ds.Split, run_dir,
     ds.write_json(os.path.join(run_dir, "timings.json"),
                   {"train_seconds": result.seconds, "epochs": len(result.trace),
                    "train_minor_faults": result.minor_faults,
-                   "graph_seconds": model.data.graph_seconds})
+                   "graph_seconds": graph_seconds})
     lines = ["epoch\tloss\tval_recall20\tseconds\n"]
     for row in result.trace:
         val = "" if row.val_metric is None else f"{row.val_metric:.6f}"
@@ -415,15 +419,16 @@ def run_dir(config: ExperimentConfig) -> str:
     return os.path.join(config.out_dir, config.model.tag)
 
 
-def _run_model(config: ExperimentConfig, split, store, threads):
-    """tune -> write the winner -> evaluate, one model.
+def _run_model(config: ExperimentConfig, split, store, mdata, threads):
+    """tune -> write the winner -> evaluate, one model on mdata.
 
     The grid's winning model lives only until this returns, so the next
     model's grid never runs beside it.
     """
     out = run_dir(config)
-    chosen = cmd_tune(config, split, store, out, threads=threads)
-    model, _ = cmd_train(config, split, out, chosen)
+    built = mdata.graph_seconds
+    chosen = cmd_tune(config, split, mdata, out, threads=threads)
+    model, _ = cmd_train(config, split, out, chosen, mdata.graph_seconds - built)
     return cmd_evaluate(config, split, store, out, model=model,
                         threads=threads)
 
@@ -431,7 +436,8 @@ def _run_model(config: ExperimentConfig, split, store, threads):
 def run_single(config: ExperimentConfig, threads=1):
     """prepare -> tune -> checkpoint the winner -> evaluate, one model."""
     split, store = cmd_prepare(config)
-    return _run_model(config, split, store, threads)
+    return _run_model(config, split, store, ModelData.from_split(split, store),
+                      threads)
 
 
 def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
@@ -446,10 +452,11 @@ def cmd_benchmark(config: ExperimentConfig, models=None, threads=1):
         if tag in roster[:at]:
             raise ConfigError(f"model tag {tag!r} repeated in roster")
     split, store = cmd_prepare(config)
+    mdata = ModelData.from_split(split, store)  # each kNN graph built once
     rows = []
     for tag in roster:
         run_cfg = replace(config, model=replace(config.model, tag=tag))
-        rows.append((tag, _run_model(run_cfg, split, store, threads)))
+        rows.append((tag, _run_model(run_cfg, split, store, mdata, threads)))
     md, tsv = render_report(rows, config.cutoffs)
     ds.write_text(os.path.join(config.out_dir, "report.md"), md)
     ds.write_text(os.path.join(config.out_dir, "report.tsv"), tsv)

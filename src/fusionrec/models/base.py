@@ -128,8 +128,9 @@ class ModelData:
     def modality_graph(self, modality, k, build):
         """build(features, k) over one modality's features, the float64
         kNN graph: built on the first call per (modality, k) and shared
-        after, so every model built on this data (one per grid point)
-        reads the same graph. graph_seconds sums the builds' wall time."""
+        after, so every model built on this data (one per grid point, and
+        one per roster model in a benchmark) reads the same graph.
+        graph_seconds sums the builds' wall time."""
         key = (modality, k)
         if key not in self._graphs:
             start = time.perf_counter()
@@ -195,19 +196,25 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
     then the k best of the kept and the picked. Offers reach every row in
     ascending column order and topk_rows breaks ties by position, so ties in
     similarity pick the lower item id, as a top-k of the whole row would.
-    No n x n array is held, and feats' float64 copy is the one n x dim
-    array. Negative kept similarities are clamped to zero before
-    normalization; a row whose kept values are all nonpositive has no
-    entries. Returns a float64 SparseMatrix of at most n * k entries.
+    No n x n array is held, and the float32 unit rows are the one n x dim
+    array: each block of rows is divided by its float64 norm, so no finite
+    row's scale overflows or underflows its norm, and stored as float32, the
+    precision every model reads the graph in. Strips and the running top-k
+    are float32. Negative kept similarities are clamped to zero and the kept
+    values row-normalized in float64; a row whose kept values are all
+    nonpositive has no entries. Returns a float64 SparseMatrix of at most
+    n * k entries.
     """
-    unit = np.array(feats, dtype=np.float64)
-    n = unit.shape[0]
+    feats = np.asarray(feats)
+    n = feats.shape[0]
     if k >= n:
         raise ValueError(f"knn_k={k} must be < n_items={n}")
+    unit = np.empty(feats.shape, dtype=np.float32)
     for lo in range(0, n, TOPK_BLOCK):  # 0 rows stay 0
-        norms = np.linalg.norm(unit[lo:lo + TOPK_BLOCK], axis=1, keepdims=True)
-        unit[lo:lo + TOPK_BLOCK] /= np.where(norms > 0, norms, np.inf)
-    vals = np.full((n, k), -np.inf)  # each row is offered n - 1 >= k finite values
+        block = np.asarray(feats[lo:lo + TOPK_BLOCK], dtype=np.float64)
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        unit[lo:lo + TOPK_BLOCK] = block / np.where(norms > 0, norms, np.inf)
+    vals = np.full((n, k), -np.inf, dtype=np.float32)  # n - 1 >= k finite offers
     cols = np.zeros((n, k), dtype=np.int64)
 
     def offer(rows, sims, first_col):
@@ -228,7 +235,7 @@ def knn_graph(feats: np.ndarray, k: int) -> SparseMatrix:
         for c in range(hi, n, TOPK_BLOCK):
             part = np.ascontiguousarray(strip[:, c - lo:c - lo + TOPK_BLOCK].T)
             offer(slice(c, c + part.shape[0]), part, lo)
-    np.maximum(vals, 0.0, out=vals)
+    vals = np.maximum(vals, 0.0, dtype=np.float64)
     sums = vals.sum(axis=1, keepdims=True)
     np.divide(vals, sums, out=vals, where=sums > 0)
     kept = vals != 0

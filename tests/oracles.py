@@ -309,6 +309,32 @@ def knn_graph_dense(feats, k):
     return graph
 
 
+def assert_knn_float32_close(got, want, feats, k):
+    """Assert |got - want| <= a bound derived from float32 rounding, per row.
+
+    want is the float64 oracle of knn_graph(feats, k), got the dense graph
+    it returned. knn_graph rounds each unit coordinate to float32, a relative
+    error of at most u = 2**-24, and takes each cosine as a float32 dot of
+    length dim, off by at most about dim * u * sum|x_i y_i| <= dim * u for
+    unit rows (Cauchy-Schwarz). With both inputs rounded, each cosine is off
+    by at most e = (dim + 3) * u; clamping at zero does not grow that. A row
+    whose kept clamped cosines sum to S sums to at least S - k * e, so each
+    normalized value s_j / S moves by at most e * (1 + k) / (S - k * e).
+    The bound needs S > k * e, which is asserted; an empty row gets 0.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    e = (feats.shape[1] + 3) * 2.0 ** -24
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
+    sums = (np.maximum(unit @ unit.T, 0.0) * (want != 0)).sum(axis=1, keepdims=True)
+    assert ((sums == 0) | (sums > 2 * k * e)).all()
+    bound = np.divide(e * (1 + k), sums - k * e, out=np.zeros_like(sums),
+                      where=sums > 0)
+    err = np.abs(np.asarray(got) - want)
+    worst = np.unravel_index(np.argmax(err - bound), err.shape)
+    assert (err <= bound).all(), (worst, err[worst], bound[worst[0], 0])
+
+
 # ----------------------------------------------------------------- GRCN
 
 def row_dots(tape, a, b):

@@ -386,7 +386,8 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
     monkeypatch.setattr(fm_lattice, "knn_graph", counted)
     config = base_config(corpus, tmp_path, model=ModelConfig(tag=tag, knn_k=3))
     split, store = ex.cmd_prepare(config)
-    chosen = ex.cmd_tune(config, split, store, str(tmp_path / tag))
+    chosen = ex.cmd_tune(config, split, ModelData.from_split(split, store),
+                         str(tmp_path / tag))
     assert len(config.grid_lrs) * len(config.grid_regs) == 2
     assert sorted(dims) == [3, 4]  # textual, visual: once each
     # the shared graphs are the ones each model would build for itself
@@ -405,6 +406,29 @@ def test_tune_builds_each_modality_knn_graph_once(corpus, tmp_path, monkeypatch,
             have = getattr(got[m], attr)
             assert have.dtype == getattr(want, attr).dtype
             assert have.tobytes() == getattr(want, attr).tobytes(), (m, attr)
+
+
+def test_benchmark_builds_each_modality_knn_graph_once(corpus, tmp_path,
+                                                       monkeypatch):
+    # LATTICE and FREEDOM read the same (modality, k) graphs: the roster
+    # shares one ModelData, so FREEDOM's tuning builds none of them
+    real, dims = fm_base.knn_graph, []
+
+    def counted(feats, k):
+        dims.append(feats.shape[1])
+        return real(feats, k)
+
+    monkeypatch.setattr(fm_base, "knn_graph", counted)
+    monkeypatch.setattr(fm_lattice, "knn_graph", counted)
+    config = base_config(corpus, tmp_path)
+    ex.cmd_benchmark(config, models=("lattice", "freedom"))
+    assert sorted(dims) == [3, 4]  # textual, visual: once each
+    seconds = {}
+    for tag in ("lattice", "freedom"):
+        with open(tmp_path / tag / "timings.json", encoding="utf-8") as fh:
+            seconds[tag] = json.load(fh)["graph_seconds"]
+    assert seconds["lattice"] > 0
+    assert seconds["freedom"] == 0
 
 
 def test_timings_hold_the_knn_graph_seconds(corpus, tmp_path):

@@ -36,6 +36,7 @@ from fusionrec.models.freedom import edge_keep_probabilities
 from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
 from oracles import (
+    assert_knn_float32_close,
     bipartite_adjacency_loop,
     bm3_frozen_views_loop,
     freedom_loss_reference,
@@ -508,7 +509,10 @@ def test_knn_graph_matches_bruteforce():
                 want[i, j] = max(cos, 0.0)
         sums = want.sum(axis=1, keepdims=True)
         np.divide(want, sums, out=want, where=sums > 0)
-        np.testing.assert_allclose(graph, want, atol=1e-9)
+        # knn_graph's cosines are float32: each is off by at most
+        # (dim + 3) * 2**-24, from the rounded unit rows and the float32 dot,
+        # and the row normalization spreads that over the kept sum
+        assert_knn_float32_close(graph, want, feats, k)
 
 
 @pytest.mark.parametrize("n", [513, 1031])
@@ -530,7 +534,9 @@ def test_knn_graph_matches_dense_across_blocks(n):
     want = knn_graph_dense(feats, k)
     got = graph.csr().toarray()
     np.testing.assert_array_equal(got != 0, want != 0)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # float32 cosines: at most (dim + 3) * 2**-24 each, from the rounded unit
+    # rows and the float32 dot, spread over each row's kept sum
+    assert_knn_float32_close(got, want, feats, k)
     assert graph.vals.dtype == np.float64
     assert not (graph.rows == graph.cols).any()
     assert graph.nnz == np.count_nonzero(want)
@@ -567,7 +573,9 @@ def test_knn_graph_matches_dense_over_strips(seed, n, k, dim, zero_share,
         graph = knn_graph(feats, k).csr().toarray()
     want = knn_graph_dense(feats, k)
     np.testing.assert_array_equal(graph != 0, want != 0)
-    np.testing.assert_allclose(graph, want, rtol=1e-12, atol=0)
+    # float32 cosines: at most (dim + 3) * 2**-24 each, from the rounded unit
+    # rows and the float32 dot, spread over each row's kept sum
+    assert_knn_float32_close(graph, want, feats, k)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     unit = np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
     sim = unit @ unit.T
@@ -608,14 +616,26 @@ def test_knn_graph_never_holds_an_n_by_n_array():
 
 
 def test_knn_graph_holds_one_n_by_dim_array(monkeypatch):
-    # rows are normalized a block at a time beside the one float64 copy;
-    # a smaller block keeps the arrays small, and the bound scales with it
+    # rows are normalized a block at a time into the one float32 array of
+    # unit rows; a smaller block keeps the arrays small, and the bound
+    # scales with it
     import fusionrec.models.base as base
 
     monkeypatch.setattr(base, "TOPK_BLOCK", 64)
     n, dim = 1024, 2048
     feats = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
-    assert traced_peak(lambda: knn_graph(feats, 10)) < 1.5 * n * dim * 8
+    assert traced_peak(lambda: knn_graph(feats, 10)) < 1.5 * n * dim * 4
+
+
+@pytest.mark.parametrize("scale", [np.float32(1e30), np.float32(1e-30)])
+def test_knn_graph_support_does_not_depend_on_scale(scale):
+    # a float32 norm would overflow at 1e30 (its square is past float32's
+    # range) and underflow to 0 at 1e-30, dropping every row's neighbors
+    feats = np.random.default_rng(8).normal(size=(60, 7)).astype(np.float32)
+    want = knn_graph(feats, 5)
+    got = knn_graph(feats * scale, 5)
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
 
 
 def test_knn_graph_rejects_large_k():
@@ -856,8 +876,8 @@ def test_freedom_item_graph_bitwise_equals_dense_merge(weights):
     model = FREEDOM(cfg, data, seed=0)
     w = weights or (1.0, 1.0)
     dense = np.zeros((data.n_items, data.n_items))
-    for m, wm in zip(data.modalities, w):
-        dense += wm / sum(w) * knn_graph_dense(data.features[m], 2)
+    for m, wm in zip(data.modalities, w):  # the merge of knn_graph's own graphs
+        dense += wm / sum(w) * knn_graph(data.features[m], 2).csr().toarray()
     want = T.SparseMatrix.from_dense(dense)
     np.testing.assert_array_equal(model.item_graph.rows, want.rows)
     np.testing.assert_array_equal(model.item_graph.cols, want.cols)
