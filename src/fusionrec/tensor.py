@@ -60,6 +60,18 @@ its own CSR, from one counting sort (entry_order), and x's gradient reads
 it as the CSC of the transpose; row_gather's scatter reads its indices as
 the CSC of the scatter matrix. Each output row adds its terms in stored order.
 
+Backward owns the gradients it allocates and the new arrays returned by
+sumsq's rule and the rules that call _csr_product, and sums a tensor's later
+gradients into an owned one in place. A product that puts at most one term
+in each of its input's rows (row_gather over strictly increasing indices,
+such as np.unique's or an arange; entry_dot's first operand over a structure
+with at most one entry per row, such as bpr_on_rows' patterns) adds straight
+into the owned gradient its input holds, through _csr_product's out=, not
+into zeros that backward then adds. Each entry is still one rounding of
+held + term, so gradients are bitwise those of summing every contribution
+into a new array, but for one case: a -0 the held gradient carries stays -0
+in a row the product leaves alone or adds -0 to, where that sum gives +0.
+
 Importing this module pins glibc malloc's mmap threshold and turns heap
 trimming off for the whole process (_pin_malloc_thresholds), so a training
 batch reuses the heap the previous one freed instead of faulting it in again.
@@ -167,13 +179,23 @@ def constant(data, dtype=np.float32):
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
-def _csr_product(shape, indptr, indices, data, x, transposed=False):
+def _csr_product(shape, indptr, indices, data, x, transposed=False, out=None):
     """A @ x, or A.T @ x when transposed, in x's dtype, for the shape CSR
-    matrix A = (data, indices, indptr). Each output row is summed from zero
-    in data order, A.T's row c in the order of A's rows, by scipy's kernel
-    behind `csr_matrix @ x` (A.T: `csc_matrix @ x`), bit for bit."""
+    matrix A = (data, indices, indptr). Each output row is summed in data
+    order, A.T's row c in the order of A's rows, by scipy's kernel behind
+    `csr_matrix @ x` (A.T: `csc_matrix @ x`), bit for bit: from zero into a
+    new array, or, given `out`, onto out's row in place, term by term, and
+    out is returned. out must be C-contiguous and of x's dtype and the
+    product's shape, since the kernel writes through out.ravel(), which for
+    any other layout is a copy that would drop the sum."""
     x = np.ascontiguousarray(x)
-    out = np.zeros((shape[1 if transposed else 0], x.shape[1]), dtype=x.dtype)
+    rows = shape[1 if transposed else 0]
+    if out is None:
+        out = np.zeros((rows, x.shape[1]), dtype=x.dtype)
+    elif (out.shape != (rows, x.shape[1]) or out.dtype != x.dtype
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {x.dtype} array of shape "
+                         f"{(rows, x.shape[1])}, got {out.dtype} {out.shape}")
     kernel = _sparsetools.csc_matvecs if transposed else _sparsetools.csr_matvecs
     kernel(out.shape[0], x.shape[0], x.shape[1], indptr, indices,
            data.astype(x.dtype, copy=False), x.ravel(), out.ravel())
@@ -322,16 +344,26 @@ def _unbroadcast(g, shape):
     return g
 
 
+# what a rule returns (_Node.kinds): VIEW, an array that may share memory with
+# its incoming gradient g, which backward never writes; FRESH, a new array;
+# INTO, a new array from a product with at most one term per row, or, when
+# backward calls rule(g, held=h) with an owned C-contiguous gradient h of g's
+# dtype that the input holds, h with that product added in
+VIEW, FRESH, INTO = 0, 1, 2
+
+
 class _Node:
-    """One recorded primitive: rules[i](g) is the gradient for inputs[i]."""
+    """One recorded primitive: rules[i](g) is the gradient for inputs[i],
+    an array of kind kinds[i]."""
 
-    __slots__ = ("name", "inputs", "out", "rules")
+    __slots__ = ("name", "inputs", "out", "rules", "kinds")
 
-    def __init__(self, name, inputs, out, rules):
+    def __init__(self, name, inputs, out, rules, kinds):
         self.name = name
         self.inputs = inputs
         self.out = out
         self.rules = rules
+        self.kinds = kinds
 
 
 class Tape:
@@ -365,8 +397,9 @@ class Tape:
         if t._tape is not None and (t._tape is not self or t._gen != self._gen):
             raise TapeError("operand belongs to a reset or foreign tape")
 
-    def _record(self, name, out_arr, inputs, rules, copies=False):
-        # copies of checked results or leaves (ModelData, optimizer) stay finite
+    def _record(self, name, out_arr, inputs, rules, copies=False, kinds=None):
+        # copies of checked results or leaves (ModelData, optimizer) stay
+        # finite; a rule's gradient is a VIEW unless `kinds` says otherwise
         if self.checked and not copies and not np.isfinite(out_arr).all():
             raise NonFiniteError(f"{name} produced non-finite values")
         out = Tensor.__new__(Tensor)
@@ -376,7 +409,8 @@ class Tape:
         out._tape = self
         out._gen = self._gen
         out._needs = any(t.needs_grad for t in inputs)
-        self._nodes.append(_Node(name, inputs, out, rules))
+        self._nodes.append(_Node(name, inputs, out, rules,
+                                 kinds or (VIEW,) * len(inputs)))
         return out
 
     @property
@@ -405,10 +439,10 @@ class Tape:
         if loss.shape != (1, 1):
             raise TapeError(f"loss must be 1x1, got {loss.shape}")
         self._spent = True
-        # id -> (tensor, gradient, whether backward allocated the gradient).
-        # A tensor's second gradient is summed into a new array, and later
-        # ones into that array in place; a rule's output, which may be a
-        # view of its incoming gradient, is never written.
+        # id -> (tensor, gradient, whether backward owns it: an array it
+        # allocated or a FRESH or INTO result). A second gradient is summed
+        # in place: an INTO rule adds into the owned gradient it is handed,
+        # any other into whichever array backward owns, or a new one.
         grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype), False)}
         with np.errstate(all="ignore"):
             # each node is dropped as it is passed, so the arrays its rules
@@ -418,16 +452,26 @@ class Tape:
                 entry = grads.pop(id(node.out), None)
                 if entry is None:
                     continue
-                for t, rule in zip(node.inputs, node.rules):
+                for t, rule, kind in zip(node.inputs, node.rules, node.kinds):
                     if not t.needs_grad:
                         continue
-                    g, prev = rule(entry[1]), grads.get(id(t))
-                    if prev is not None:
-                        g = np.add(prev[1], g, out=prev[1] if prev[2] else None)
+                    g, prev = entry[1], grads.get(id(t))
+                    held = prev[1] if prev is not None and prev[2] else None
+                    if (kind == INTO and held is not None and held.dtype == g.dtype
+                            and held.flags.c_contiguous):
+                        g = rule(g, held=held)
+                    else:
+                        g = rule(g)
+                    if prev is not None and g is not held:
+                        # in place only where both are of one dtype, so no sum is cast
+                        into = None
+                        if g.dtype == prev[1].dtype:
+                            into = held if held is not None else (g if kind else None)
+                        g = np.add(prev[1], g, out=into)
                     if self.checked and not np.isfinite(g).all():
                         raise NonFiniteError(
                             f"backward of {node.name} produced non-finite values")
-                    grads[id(t)] = (t, g, prev is not None)
+                    grads[id(t)] = (t, g, kind != VIEW or prev is not None)
             for t, g, owned in grads.values():
                 if t.requires_grad:
                     t._accumulate_grad(g, owned)
@@ -471,7 +515,8 @@ class Tape:
 
         return self._binary(name, vals, x, product,
                             lambda g, vd, xd: _entry_dot(structure, g, xd),
-                            lambda g, vd, xd: product(vd, g, transposed=True), clash)
+                            lambda g, vd, xd: product(vd, g, transposed=True), clash,
+                            kinds=(VIEW, FRESH))
 
     def entry_dot(self, structure: SparseMatrix, a: Tensor, b: Tensor) -> Tensor:
         """Sampled dense-dense product, (nnz, 1): row k is a[r] . b[c] for
@@ -479,26 +524,30 @@ class Tape:
         structure.shape[0] rows and b structure.shape[1], of one width; a may
         be b. The gradients are structure's products with g as its values,
         g @ b into a and its transpose, g.T @ a, into b, so no nnz x width
-        array is formed in either pass."""
+        array is formed in either pass. Over a structure with at most one
+        entry per row, such as bpr_on_rows' patterns, a's product puts one
+        term in each row, so it can add into a gradient a already holds."""
         def clash(sa, sb):
             if (sa[0], sb[0]) != structure.shape:
                 return f"operand rows {sa[0]} and {sb[0]} do not match {structure.shape}"
             return sa[1] != sb[1] and f"column dims differ, {sa} x {sb}"
 
-        def product(g, xd, transposed=False):
-            return _csr_product(structure.shape, structure.indptr, structure.cols,
-                                g[:, 0], xd, transposed)
+        csr = (structure.shape, structure.indptr, structure.cols)
+        one_per_row = bool((np.diff(structure.indptr) <= 1).all())
+        return self._binary(
+            "entry_dot", a, b, lambda ad, bd: _entry_dot(structure, ad, bd),
+            lambda g, ad, bd, held=None: _csr_product(
+                *csr, g[:, 0], bd, out=held if bd.dtype == g.dtype else None),
+            lambda g, ad, bd: _csr_product(*csr, g[:, 0], ad, transposed=True),
+            clash, kinds=(INTO if one_per_row else FRESH, FRESH))
 
-        return self._binary("entry_dot", a, b,
-                            lambda ad, bd: _entry_dot(structure, ad, bd),
-                            lambda g, ad, bd: product(g, bd),
-                            lambda g, ad, bd: product(g, ad, transposed=True), clash)
-
-    def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash):
+    def _binary(self, name, a, b, op, rule_a, rule_b, clash=_broadcast_clash,
+                kinds=None):
         """Record op(ad, bd) on the operands' arrays. clash(sa, sb) says why
         shapes sa and sb cannot meet, or is falsy when they can. rule_a(g, ad,
-        bd) and rule_b(g, ad, bd) give each operand's gradient from the arrays
-        captured here; a broadcast one is summed back to its operand's shape."""
+        bd) and rule_b(g, ad, bd) give each operand's gradient, of kinds[i],
+        from the arrays captured here; a broadcast one is summed back to its
+        operand's shape. An INTO rule also takes backward's held=."""
         self._check_operand(a)
         self._check_operand(b)
         sa, sb = a.shape, b.shape
@@ -508,8 +557,9 @@ class Tape:
         with np.errstate(all="ignore"):
             out = op(ad, bd)
         return self._record(name, out, (a, b),
-                            (lambda g: _unbroadcast(rule_a(g, ad, bd), sa),
-                             lambda g: _unbroadcast(rule_b(g, ad, bd), sb)))
+                            (lambda g, **into: _unbroadcast(rule_a(g, ad, bd, **into), sa),
+                             lambda g, **into: _unbroadcast(rule_b(g, ad, bd, **into), sb)),
+                            kinds=kinds)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         return self._binary("add", a, b, np.add,
@@ -527,14 +577,15 @@ class Tape:
         return self._binary("div", a, b, np.divide, lambda g, ad, bd: g / bd,
                             lambda g, ad, bd: -g * ad / (bd * bd))
 
-    def _unary(self, name, a, forward, rule):
+    def _unary(self, name, a, forward, rule, kind=VIEW):
         """Record forward(x) on the operand's array x. rule(g, x, out) gives
-        the operand's gradient from x and the output captured here."""
+        the operand's gradient, of `kind`, from x and the output captured here."""
         self._check_operand(a)
         x = a.data
         with np.errstate(all="ignore"):
             out = forward(x)
-        return self._record(name, out, (a,), (lambda g: rule(g, x, out),))
+        return self._record(name, out, (a,), (lambda g: rule(g, x, out),),
+                            kinds=(kind,))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -643,21 +694,26 @@ class Tape:
         return self._concat("row_concat", tensors, axis=0)
 
     def row_gather(self, a: Tensor, idx) -> Tensor:
-        """Select rows by index; repeated indices accumulate gradient."""
+        """Select rows by index; repeated indices accumulate gradient. With
+        strictly increasing indices, such as np.unique's or an arange, each
+        of a's rows gets at most one term, so the scatter can add into a
+        gradient a already holds."""
         self._check_operand(a)
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
             raise IndexError(f"row_gather index out of range for {a.rows} rows")
         out = a.data[idx]
         shape = (idx.size, a.rows)
+        increasing = bool((idx[1:] > idx[:-1]).all())
 
-        def rule(g):
+        def rule(g, held=None):
             # a[idx] is G @ a for G with a one at (j, idx[j]), whose CSR this is
             indptr = np.arange(idx.size + 1, dtype=np.int64)
             return _csr_product(shape, indptr, idx, np.ones(idx.size, dtype=g.dtype),
-                                g, transposed=True)
+                                g, transposed=True, out=held)
 
-        return self._record("row_gather", out, (a,), (rule,), copies=True)
+        return self._record("row_gather", out, (a,), (rule,), copies=True,
+                            kinds=(INTO if increasing else FRESH,))
 
     def dropout(self, a: Tensor, p: float, rng) -> Tensor:
         """Inverted dropout: keep with prob 1-p, scale kept entries by 1/(1-p).
@@ -677,7 +733,7 @@ class Tape:
         """Sum of squared entries, (n, d) -> (1, 1)."""
         return self._unary(
             "sumsq", a, lambda x: _row_dot(x.reshape(1, -1), x.reshape(1, -1))[:, None],
-            lambda g, x, out: x * (2 * g))
+            lambda g, x, out: x * (2 * g), kind=FRESH)
 
     def mean(self, a: Tensor) -> Tensor:
         return self._unary(

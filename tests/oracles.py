@@ -241,6 +241,18 @@ def sparse_layout_lexsort(shape, rows, cols, vals, dtype):
     return rows, cols, vals, a.indptr
 
 
+def csr_product_onto(out, shape, indptr, indices, data, x, transposed=False):
+    """out with A @ x (A.T @ x when transposed) added onto it term by term,
+    out[i] = out[i] + data[k] * x[j] for each stored entry k = (i, j) of A
+    (of A.T: (j, i)) in stored order, one entry at a time; a new array."""
+    out = np.array(out, copy=True)
+    for i in range(shape[0]):
+        for k in range(indptr[i], indptr[i + 1]):
+            row, col = (indices[k], i) if transposed else (i, indices[k])
+            out[row] = out[row] + data[k] * x[col]
+    return out
+
+
 # ------------------------------------------------------- user-item graph
 
 def bipartite_adjacency_loop(n_users, n_items, pairs, dtype):
@@ -565,10 +577,12 @@ def sigmoid_two_branch(x):
 
 
 def backward_summing_copies(tape, loss):
-    """Leaf gradients of `loss` by replaying `tape`'s recorded rules, with
-    every further gradient of a tensor summed into a new array, prev + g.
-    Returns {id(leaf): (leaf, gradient)} for the requires_grad leaves and
-    leaves the tape and the leaves as they were."""
+    """Leaf gradients of `loss` by replaying `tape`'s recorded rules, each
+    called with g alone, so a scatter or product forms its own zero-filled
+    array, and every further gradient of a tensor summed into a new array,
+    prev + g: no gradient is added into in place. Returns {id(leaf): (leaf,
+    gradient)} for the requires_grad leaves and leaves the tape and the
+    leaves as they were."""
     grads = {id(loss): (loss, np.ones((1, 1), dtype=loss.data.dtype))}
     for node in reversed(tape._nodes):
         entry = grads.pop(id(node.out), None)

@@ -845,3 +845,53 @@ def test_dot_checks_see_vecdot_vdot_and_product_sums(tmp_path):
         (None, 3, "vdot"), ("_row_dot", 5, "vecdot"), (None, 11, "vecdot")}
     assert product_sums(path) == {("Tape.norm", 8), ("Tape.norm", 9),
                                   ("Tape.norm", 10)}
+
+
+# backward alone decides which gradients it owns: it is the one caller that
+# hands a rule a gradient its input already holds (held=), and a rule uses
+# that array only as the out= of _csr_product, the one helper that adds into
+# a caller's array
+HELD_OWNER = ("tensor", "Tape.backward")
+
+
+def held_gradient_uses(path):
+    """(qualified name of the innermost enclosing function or None, line,
+    use) of every call that passes `held=` ("hands"), and of every name
+    `held` other than one inside the out= of a _csr_product call ("uses")."""
+    nodes = list(scoped_nodes(path))
+    into = {id(n) for _, node in nodes if _is_call(node, "_csr_product")
+            for kw in node.keywords if kw.arg == "out" for n in ast.walk(kw.value)}
+    found = set()
+    for func, node in nodes:
+        if isinstance(node, ast.keyword) and node.arg == "held":
+            found.add((func, node.lineno, "hands"))
+        elif isinstance(node, ast.Name) and node.id == "held" and id(node) not in into:
+            found.add((func, node.lineno, "uses"))
+    return found
+
+
+def test_only_backward_hands_a_rule_the_gradient_it_holds():
+    found = {(mod, func, use) for mod, path in modules()
+             for func, _, use in held_gradient_uses(path)}
+    assert sorted(found, key=str) == sorted({HELD_OWNER + ("hands",),
+                                             HELD_OWNER + ("uses",)}, key=str)
+
+
+def test_held_gradient_check_sees_hands_and_uses(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Docstrings name nothing: rule(g, held=held)."""\n'
+                    "class Tape:\n"
+                    "    def backward(self, rule, g, held):\n"
+                    "        return rule(g, held=held) if held is not None else rule(g)\n"
+                    "    def row_gather(self, idx):\n"
+                    "        def rule(g, held=None):\n"
+                    "            return _csr_product(idx, g, out=held if g.ndim else None)\n"
+                    "        def other(g, held=None):\n"
+                    "            held += g\n"
+                    "            return np.add(held, g, out=held)\n"
+                    "        return lambda g, **kw: rule(g, held=kw)\n"
+                    "step = helper(held=1)\n")
+    assert held_gradient_uses(path) == {
+        ("Tape.backward", 4, "hands"), ("Tape.backward", 4, "uses"),
+        ("Tape.row_gather.other", 9, "uses"), ("Tape.row_gather.other", 10, "uses"),
+        ("Tape.row_gather", 11, "hands"), (None, 12, "hands")}

@@ -37,6 +37,7 @@ from fusionrec.schema import Coordinate, Early, Late
 from fdcheck import assert_gradients_match
 from oracles import (
     assert_knn_float32_close,
+    backward_summing_copies,
     bipartite_adjacency_loop,
     bm3_frozen_views_loop,
     freedom_loss_reference,
@@ -305,7 +306,7 @@ def test_vbpr_step_past_subnormal_margins_equals_unflushed_bitwise():
     met = []
 
     def spied(rule):
-        return lambda g: met.append(holds_subnormal(g)) or rule(g)
+        return lambda g, **held: met.append(holds_subnormal(g)) or rule(g, **held)
 
     def adam_step(scope):
         model = VBPR(ModelConfig(tag="vbpr", embedding_dim=4), data, seed=1)
@@ -1017,6 +1018,84 @@ def test_model_loss_gradient_matches_fd(tag):
                              reg=1e-3)
 
     assert_gradients_match(build_loss, model.tensors())
+
+
+def assert_gradients_equal_the_summing_reference(model, batch, reg):
+    """One batch's backward, which adds into the gradients it owns, gives
+    every parameter the gradient of the reference that sums each
+    contribution into a new array, bit for bit."""
+    rng = np.random.default_rng(0)
+    if hasattr(model, "on_epoch_start"):
+        model.on_epoch_start(rng, 1)
+    tape = T.Tape()
+    loss = tr.total_loss(tape, model, batch, rng, reg=reg)
+    want = backward_summing_copies(tape, loss)
+    tape.backward(loss)
+    got = {id(t): t.grad for t in model.tensors() if t.grad is not None}
+    assert got.keys() == want.keys() and want
+    for key, (leaf, g) in want.items():
+        assert got[key].dtype == leaf.dtype == g.dtype
+        assert got[key].tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tag", ["vbpr", "mmgcn", "grcn", "lattice", "bm3", "freedom"])
+def test_gradients_equal_the_summing_reference_bitwise(tag, dtype):
+    data = small_data(n_users=12, n_items=16, seed=5)
+    model = build_model(ModelConfig(tag=tag, embedding_dim=4, knn_k=2), data, seed=9,
+                        dtype=dtype)
+    assert_gradients_equal_the_summing_reference(model, fixed_batch(data, size=24), 1e-3)
+
+
+@pytest.mark.parametrize("tag", ["vbpr", "freedom"])
+def test_office_shaped_gradients_equal_the_summing_reference_bitwise(tag):
+    # the benchmark's Office shape: 4,905 users, 2,420 items, 53,258 pairs,
+    # 2048-d and 768-d features, a 1,024-triple batch, float32
+    rng = np.random.default_rng(12)
+    n_users, n_items = 4905, 2420
+    flat = rng.choice(n_users * n_items, size=53258, replace=False)
+    feats = {"visual": rng.standard_normal((n_items, 2048), dtype=np.float32),
+             "textual": rng.standard_normal((n_items, 768), dtype=np.float32)}
+    data = ModelData(n_users, n_items, np.stack([flat // n_items, flat % n_items], 1),
+                     feats)
+    tdata = tr.TrainData.from_pairs(n_users, n_items, data.pairs)
+    batch = tr.sample_triples(tdata, 1024, rng)
+    model = build_model(ModelConfig(tag=tag), data, seed=1)
+    assert_gradients_equal_the_summing_reference(model, batch, 1e-5)
+
+
+def test_vbpr_hands_its_table_gathers_and_user_side_products_the_held_gradient():
+    # the L2 penalty's gradient of each table is backward's own array, and
+    # so is the negative scores' product into the user rows: the gathers of
+    # the batch's unique users and items, and the positive scores' user-side
+    # product over the one-entry-per-row pattern, each add into the array
+    # they are handed; the item side and the gather by the batch's users,
+    # with repeats, form their own
+    data = small_data(n_users=12, n_items=16, seed=5)
+    model = VBPR(ModelConfig(tag="vbpr", embedding_dim=4), data, seed=9)
+    tape = T.Tape()
+    loss = tr.total_loss(tape, model, fixed_batch(data, size=24), None, reg=1e-3)
+    names = {id(t): name for name, t in model.params().named().items()}
+    handed = []
+
+    def spy(rule, name, i, t):
+        def spied(g, **held):
+            grad = rule(g, **held)
+            if held:
+                assert grad is held["held"]
+                handed.append((name, i, names.get(id(t), "tape result")))
+            return grad
+        return spied
+
+    for node in tape._nodes:
+        node.rules = tuple(spy(rule, node.name, i, t)
+                           for i, (rule, t) in enumerate(zip(node.rules, node.inputs)))
+    tape.backward(loss)
+    assert sorted(handed) == [("entry_dot", 0, "tape result"),
+                              ("row_gather", 0, "item_emb"),
+                              ("row_gather", 0, "user_emb"),
+                              ("row_gather", 0, "user_textual"),
+                              ("row_gather", 0, "user_visual")]
 
 
 # ------------------------------------------------------------- checkpoints

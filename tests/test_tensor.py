@@ -15,7 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from fusionrec import tensor as T
 
 from fdcheck import assert_gradients_match
-from oracles import backward_summing_copies, sigmoid_two_branch, sparse_layout_lexsort
+from oracles import (
+    backward_summing_copies,
+    csr_product_onto,
+    sigmoid_two_branch,
+    sparse_layout_lexsort,
+)
 
 
 def p64(arr):
@@ -488,6 +493,143 @@ def test_csr_product_equals_scipy_bitwise(dtype, index_dtype, width, transposed)
         (9 if transposed else 12), width)
     assert not got[empty].any()
     np.testing.assert_array_equal(got, want)
+
+
+def _one_term_csr(rng):
+    """A 12 x 9 CSR with several entries in some rows, none in others, and
+    at most one in each column: its rows and its columns are both products'
+    output rows, of several terms and of at most one."""
+    dense = np.zeros((12, 9))
+    cols = rng.permutation(9)[:7]
+    dense[[1, 1, 1, 4, 4, 7, 11], cols] = rng.standard_normal(7)
+    return scipy.sparse.csr_matrix(dense)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+def test_csr_product_adds_onto_out_term_by_term(dtype, transposed):
+    # given out, the kernel adds each output row's terms onto it in stored
+    # order and returns it; where a row gets at most one term, that is one
+    # rounding of out + term, the sum of out and the zero-filled product
+    rng = np.random.default_rng(3)
+    a = _one_term_csr(rng)
+    data = a.data.astype(dtype)
+    x = rng.standard_normal((12 if transposed else 9, 5)).astype(dtype)
+    base = rng.standard_normal((9 if transposed else 12, 5)).astype(dtype)
+    out = base.copy()
+    got = T._csr_product((12, 9), a.indptr, a.indices, data, x, transposed, out=out)
+    assert got is out
+    want = csr_product_onto(base, (12, 9), a.indptr, a.indices, data, x, transposed)
+    assert got.tobytes() == want.tobytes()
+    if transposed:  # A's columns hold at most one entry each
+        fresh = T._csr_product((12, 9), a.indptr, a.indices, data, x, transposed)
+        assert got.tobytes() == (base + fresh).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["fortran", "strided", "dtype", "shape"])
+def test_csr_product_rejects_an_out_it_cannot_add_into(bad):
+    # the kernel writes through out.ravel(), a copy for any array that is not
+    # C-contiguous, so such an out, or one of another dtype or shape, is
+    # refused before anything is written
+    a = _one_term_csr(np.random.default_rng(4))
+    x = np.ones((9, 4), dtype=np.float32)
+    out = {"fortran": np.zeros((4, 12), dtype=np.float32).T,
+           "strided": np.zeros((12, 8), dtype=np.float32)[:, ::2],
+           "dtype": np.zeros((12, 4)),
+           "shape": np.zeros((12, 3), dtype=np.float32)}[bad]
+    with pytest.raises(ValueError, match="^out must be a C-contiguous float32 array"):
+        T._csr_product((12, 9), a.indptr, a.indices, a.data, x, out=out)
+    assert not out.any()
+
+
+def _spy_on_held(tape):
+    """Wrap every rule on `tape`; returns (node name, input, whether the
+    rule was handed a held gradient, whether it returned that array) per
+    call, in backward's order."""
+    calls = []
+
+    def spy(rule, name, t):
+        def spied(g, **held):
+            grad = rule(g, **held)
+            calls.append((name, t, bool(held), grad is held.get("held")))
+            return grad
+        return spied
+
+    for node in tape._nodes:
+        node.rules = tuple(spy(rule, node.name, t) for rule, t in zip(node.rules, node.inputs))
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.lists(st.integers(0, 7), max_size=12),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@example(4, [0, 2, 2, 3], np.float32, 0)
+@example(4, [3, 1], np.float64, 0)
+@example(4, [0, 1, 3], np.float32, 0)
+def test_row_gather_adds_in_place_only_over_strictly_increasing_indices(n, idx, dtype, seed):
+    # sumsq's gradient of w is backward's own array; a gather over strictly
+    # increasing indices is handed it and adds its one term per row in
+    # place, and any other gather, with a repeated or a decreasing index,
+    # forms its own sum; either way w's gradient is the summing reference's
+    # bit for bit
+    idx = [i % n for i in idx]
+    rng = np.random.default_rng(seed)
+    w = T.parameter(rng.standard_normal((n, 3)), dtype=dtype)
+    c = T.constant(rng.standard_normal((len(idx), 3)), dtype=dtype)
+    t = T.Tape()
+    gathered = t.row_gather(w, idx)
+    loss = t.add(t.sum(t.mul(gathered, c)), t.sumsq(w))
+    want = backward_summing_copies(t, loss)
+    calls = _spy_on_held(t)
+    t.backward(loss)
+    increasing = all(p < q for p, q in zip(idx, idx[1:]))
+    assert [(held, same) for name, _, held, same in calls if name == "row_gather"] == [
+        (increasing, increasing)]
+    assert w.grad.tobytes() == want[id(w)][1].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=10, unique=True),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@example([(0, 1), (2, 0), (5, 4)], np.float32, 0)
+@example([(1, 1), (1, 3), (4, 0)], np.float64, 0)
+def test_entry_dot_adds_in_place_only_over_one_entry_per_row(entries, dtype, seed):
+    # sumsq's gradient of a is backward's own array; entry_dot's product
+    # into a is handed it only when each of a's rows has at most one entry,
+    # so one term; with two entries in a row it forms its own sum; either
+    # way both gradients are the summing reference's bit for bit
+    rng = np.random.default_rng(seed)
+    rows, cols = [r for r, _ in entries], [c for _, c in entries]
+    structure = T.SparseMatrix((6, 5), rows, cols, np.ones(len(entries)))
+    a = T.parameter(rng.standard_normal((6, 3)), dtype=dtype)
+    b = T.parameter(rng.standard_normal((5, 3)), dtype=dtype)
+    c = T.constant(rng.standard_normal((len(entries), 1)), dtype=dtype)
+    t = T.Tape()
+    loss = t.add(t.sum(t.mul(t.entry_dot(structure, a, b), c)), t.sumsq(a))
+    want = backward_summing_copies(t, loss)
+    calls = _spy_on_held(t)
+    t.backward(loss)
+    one_per_row = len(set(rows)) == len(rows)
+    assert [(held, same) for name, inp, held, same in calls
+            if name == "entry_dot" and inp is a] == [(one_per_row, one_per_row)]
+    assert a.grad.tobytes() == want[id(a)][1].tobytes()
+    assert b.grad.tobytes() == want[id(b)][1].tobytes()
+
+
+def test_row_gather_keeps_a_held_negative_zero_that_the_summing_reference_drops():
+    # the one stated difference: sumsq's gradient of w is -0 where w is -0;
+    # the in-place gather adds a -0 term onto row 0's -0 and leaves row 1,
+    # which it does not gather, as it was, so both stay -0, where the
+    # reference's zero-filled scatter, +0 there, makes both +0
+    w = T.parameter([[-0.0, 1.0], [-0.0, 2.0]], dtype=np.float64)
+    t = T.Tape()
+    c = T.constant([[-0.0, 1.0]], dtype=np.float64)
+    loss = t.add(t.sum(t.mul(t.row_gather(w, [0]), c)), t.sumsq(w))
+    want = backward_summing_copies(t, loss)[id(w)][1]
+    t.backward(loss)
+    np.testing.assert_array_equal(w.grad, [[0.0, 3.0], [0.0, 4.0]])
+    np.testing.assert_array_equal(want, w.grad)
+    assert np.signbit(w.grad[:, 0]).all() and not np.signbit(want[:, 0]).any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -235,6 +235,30 @@ def test_adam_in_place_update_matches_reference_formula(shapes, dtype, seed):
                 assert opt.v[k].tobytes() == v[k].tobytes()
 
 
+def test_adam_steps_parameters_of_two_dtypes_through_one_scratch_pair(monkeypatch):
+    # the pair is allocated once, as bytes for the largest block, and each
+    # parameter reads it in its own dtype: the widest row, 7 float64 entries,
+    # sets its size; every step is the reference formula's, bit for bit
+    monkeypatch.setattr(TR, "ADAM_BLOCK", 6)
+    rng = np.random.default_rng(5)
+    params = [parameter(rng.normal(size=(5, 2))),
+              parameter(rng.normal(size=(3, 7)), dtype=np.float64),
+              parameter(rng.normal(size=(4, 1)), dtype=np.float64)]
+    ref = [p.data.copy() for p in params]
+    m, v = [np.zeros_like(r) for r in ref], [np.zeros_like(r) for r in ref]
+    opt = TR.Adam(Params(*params), lr=0.01)
+    scratch = opt._scratch
+    assert [s.nbytes for s in scratch] == [7 * 8, 7 * 8]
+    for step in range(1, 4):
+        for k, p in enumerate(params):
+            p.grad = rng.normal(size=p.shape).astype(p.dtype)
+            m[k], v[k], delta = adam_reference(m[k], v[k], p.grad, step, 0.01)
+            ref[k] -= delta.astype(p.dtype)
+        opt.step()
+        assert opt._scratch is scratch
+        assert [p.data.tobytes() for p in params] == [r.tobytes() for r in ref]
+
+
 def test_blocked_adam_divergence_raises_after_the_whole_update(monkeypatch):
     # an entry in the middle block overflows; every block is still updated,
     # as in the whole-array step, before the error is raised
