@@ -244,19 +244,28 @@ def _row_dot(a, b, out=None):
     return np.vecdot(a, b, out=out)
 
 
-# stored entries per block of the sampled product a[row] . b[col]; of 256 to
-# 4,096, 512 was fastest on GRCN's 192-wide value gradient
-VALUE_GRAD_BLOCK = 512
+# bytes of one operand's gathered rows per block of the sampled product
+# a[row] . b[col]: 2^18 / (width * itemsize) entries, which sits in the
+# fastest range swept at width 192 (256-512 entries) and at width 64 (1,024)
+ENTRY_DOT_BYTES = 1 << 18
+
+
+def _entry_dot_rows(width, itemsize):
+    """Stored entries per block of _entry_dot, for rows of width entries
+    of itemsize bytes; at least one."""
+    return max(1, ENTRY_DOT_BYTES // max(1, width * itemsize))
 
 
 def _entry_dot(structure, a, b):
     """(nnz, 1): row k is a[r] . b[c] for structure's k-th stored entry
-    (r, c), in the operands' result dtype, VALUE_GRAD_BLOCK entries at a
-    time, never nnz x width."""
+    (r, c), in the operands' result dtype, ENTRY_DOT_BYTES of gathered rows
+    at a time, never nnz x width. Each row is its own dot, so the block
+    size changes no bit."""
     rows, cols = structure.rows, structure.cols
     out = np.empty((rows.size, 1), dtype=np.result_type(a, b))
-    for lo in range(0, rows.size, VALUE_GRAD_BLOCK):
-        hi = lo + VALUE_GRAD_BLOCK
+    step = _entry_dot_rows(a.shape[1], out.itemsize)
+    for lo in range(0, rows.size, step):
+        hi = lo + step
         _row_dot(a[rows[lo:hi]], b[cols[lo:hi]], out=out[lo:hi, 0])
     return out
 

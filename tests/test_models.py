@@ -741,6 +741,149 @@ def test_lattice_without_item_graph_layers_builds_no_learned_graph():
     np.testing.assert_array_equal(users, model.user_emb.data)
 
 
+def lattice_training_case(**cfg_kwargs):
+    """A small LATTICE model, its TrainData, and a trainer of 5 batches an epoch."""
+    data = small_data(n_users=12, n_items=16, seed=5)
+    model = LATTICE(ModelConfig(tag="lattice", embedding_dim=4, knn_k=2, **cfg_kwargs),
+                    data, seed=9)
+    tdata = tr.TrainData.from_pairs(data.n_users, data.n_items, data.pairs)
+    trainer = tr.TrainerConfig(epochs=3, batch_size=8, lr=0.01, reg=1e-4,
+                               optimizer="adam", seed=0, eval_every=1)
+    return model, tdata, trainer
+
+
+def test_lattice_builds_its_learned_graph_once_per_epoch_and_per_embed(monkeypatch):
+    from fusionrec import schema
+
+    model, tdata, trainer = lattice_training_case()
+    built = []
+    learned_graph = LATTICE._learned_graph
+    monkeypatch.setattr(LATTICE, "_learned_graph", lambda self, tape, m: (
+        built.append(m) or learned_graph(self, tape, m)))
+    out = schema.train_loop(model.spec, model, tdata, trainer,
+                            eval_fn=lambda model: model.embed() and 0.0)
+    assert len(out.trace) == trainer.epochs
+    assert -(-len(tdata.pairs) // trainer.batch_size) > 1
+    # per epoch: the first batch's build, then validation's embed
+    assert built == 2 * trainer.epochs * list(model.data.modalities)
+
+
+def test_lattice_on_epoch_start_draws_nothing():
+    model, _, _ = lattice_training_case()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    model.on_epoch_start(rng, 1)
+    assert rng.bit_generator.state == state
+
+
+def test_lattice_frozen_batch_equals_a_loss_over_the_building_graphs_as_constants():
+    # the epoch's second batch, after the first one's step, reads the
+    # supports and values the first batch built, as constants
+    model, tdata, trainer = lattice_training_case(blend=0.5)
+    opt = tr.make_optimizer(trainer, model.params())
+    rng = np.random.default_rng(0)
+
+    def run(loss_fn):
+        model.zero_grads()
+        tape = T.Tape()
+        loss = loss_fn(tape)
+        tape.backward(loss)
+        return [loss.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                        for t in model.tensors()]
+
+    model.on_epoch_start(rng, 1)
+    building = {m: model._learned_graph(T.Tape(), m) for m in model.data.modalities}
+    graphs = {m: (support, T.constant(values.data)) for m, (support, values)
+              in building.items()}
+    first = tr.sample_triples(tdata, trainer.batch_size, rng)
+    run(lambda tape: tr.total_loss(tape, model, first, rng, trainer.reg))
+    opt.step()
+    second = tr.sample_triples(tdata, trainer.batch_size, rng)
+    got = run(lambda tape: tr.total_loss(tape, model, second, rng, trainer.reg))
+    fresh = {m: model._learned_graph(T.Tape(), m)[1].data
+             for m in model.data.modalities}
+    assert all(fresh[m].tobytes() != graphs[m][1].data.tobytes() for m in fresh)
+    model._learned_graph = lambda tape, m: graphs[m]
+    want = run(lambda tape: tr.total_loss(tape, model, second,
+                                          np.random.default_rng(0), trainer.reg))
+    assert got == want
+    assert [name for name, t in model.params().named().items()
+            if t.grad is None] == []  # l2 reaches the projections every batch
+
+
+def test_lattice_non_finite_building_batch_names_the_matmul(monkeypatch):
+    # the building batch's replay builds the graph again, so it names the
+    # projection's matmul, as a checked run does
+    from fusionrec import schema
+
+    messages = []
+    for checked in (False, True):
+        model, tdata, trainer = lattice_training_case()
+        model.proj["visual"].data[0, 0] = np.inf
+        with monkeypatch.context() as patch, pytest.raises(tr.TrainingDivergedError) as info:
+            if checked:
+                patch.setattr(T, "Tape", CheckedTape)
+            schema.train_loop(model.spec, model, tdata, trainer)
+        messages.append(str(info.value))
+    assert messages == ["epoch 1 batch 1: matmul produced non-finite values"] * 2
+
+
+def test_lattice_replayed_batches_build_what_their_first_runs_built(monkeypatch):
+    # every batch replayed on a checked tape, as a failing one is: the
+    # building batch's replay builds again and a frozen batch's reads the
+    # same constants, so training is bitwise that of unreplayed batches
+    from fusionrec import schema
+
+    def always_replayed(run, finite):
+        run(T.Tape(checked=False))
+        return run(T.Tape())
+
+    runs = []
+    for replayed in (False, True):
+        model, tdata, trainer = lattice_training_case()
+        built = []
+        learned_graph = LATTICE._learned_graph
+        with monkeypatch.context() as patch:
+            patch.setattr(LATTICE, "_learned_graph", lambda self, tape, m: (
+                built.append(m) or learned_graph(self, tape, m)))
+            if replayed:
+                patch.setattr(schema, "checked_once", always_replayed)
+            out = schema.train_loop(model.spec, model, tdata, trainer)
+        assert len(built) == (1 + replayed) * trainer.epochs * len(model.data.modalities)
+        runs.append(([row.loss for row in out.trace],
+                     {n: t.data.tobytes() for n, t in model.params().named().items()}))
+    assert runs[0] == runs[1]
+
+
+def test_lattice_non_finite_frozen_batch_replays_over_the_same_constants(monkeypatch):
+    # a projection turned infinite after the building batch reaches a frozen
+    # batch only through l2; the replay reads the same constants, so it
+    # names what a checked run names, not the projection's matmul
+    from fusionrec import schema
+
+    messages = []
+    for checked in (False, True):
+        model, tdata, trainer = lattice_training_case()
+        sampled = []
+        sample = tr.sample_triples
+
+        def sample_then_break(*args):
+            sampled.append(1)
+            if len(sampled) == 2:
+                model.proj["visual"].data[0, 0] = np.inf
+            return sample(*args)
+
+        with monkeypatch.context() as patch, pytest.raises(tr.TrainingDivergedError) as info:
+            patch.setattr(tr, "sample_triples", sample_then_break)
+            if checked:
+                patch.setattr(T, "Tape", CheckedTape)
+            schema.train_loop(model.spec, model, tdata, trainer)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("epoch 1 batch 2: ")
+    assert "matmul" not in messages[0]
+
+
 # ----------------------------------------------------------------------- bm3
 
 def test_bm3_zero_dropout_intra_loss_exactly_zero():

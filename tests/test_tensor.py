@@ -674,7 +674,9 @@ def test_row_dot_bits_depend_on_the_values_alone(dtype):
     # one np.dot per row, whatever the operands' offset in memory, the
     # block boundaries or the layout: np.vecdot itself sums a strided row
     # in numpy's own order
-    n, width = 2 * T.VALUE_GRAD_BLOCK + 37, 67
+    width = 67
+    block = T._entry_dot_rows(width, np.dtype(dtype).itemsize)
+    n = 2 * block + 37
     rng = np.random.default_rng(11)
     a = rng.standard_normal((n, width)).astype(dtype)
     b = rng.standard_normal((n, width)).astype(dtype)
@@ -688,8 +690,7 @@ def test_row_dot_bits_depend_on_the_values_alone(dtype):
         assert T._row_dot(shifted, b).tobytes() == want.tobytes(), offset
         assert T._row_dot(b, shifted).tobytes() == want.tobytes(), offset
     blocks = [T._row_dot(a[lo:hi], b[lo:hi])
-              for lo, hi in ((0, 37), (37, T.VALUE_GRAD_BLOCK + 1),
-                             (T.VALUE_GRAD_BLOCK + 1, n))]
+              for lo, hi in ((0, 37), (37, block + 1), (block + 1, n))]
     assert np.concatenate(blocks).tobytes() == want.tobytes()
     diagonal = T.SparseMatrix((n, n), np.arange(n), np.arange(n), np.ones(n))
     assert T._entry_dot(diagonal, a, b)[:, 0].tobytes() == want.tobytes()
@@ -710,8 +711,8 @@ def _written_out_dots(structure, a, b):
 def test_spmm_weighted_value_grad_is_blockwise_exact():
     # across block boundaries the blocked rule is one BLAS dot per stored
     # entry, bit for bit
-    n, width = 50, 24
-    nnz = 2 * T.VALUE_GRAD_BLOCK + 37
+    n, width = 100, 24
+    nnz = 2 * T._entry_dot_rows(width, 4) + 37
     rng = np.random.default_rng(8)
     codes = rng.choice(n * n, size=nnz, replace=False)
     structure = T.SparseMatrix((n, n), codes // n, codes % n, np.ones(nnz))
@@ -739,12 +740,13 @@ def test_entry_dot_equals_the_written_out_gathers_bitwise(dtype):
     # boundaries, with empty rows and columns, and so are the gradients of a
     # leaf used as both operands
     rng = np.random.default_rng(9)
-    n, m, width = 53, 61, 24
-    structure = _sparse_with_empty_lines(n, m, 2 * T.VALUE_GRAD_BLOCK + 37, rng)
+    n, m, width = 83, 91, 24
+    nnz = 2 * T._entry_dot_rows(width, np.dtype(dtype).itemsize) + 37
+    structure = _sparse_with_empty_lines(n, m, nnz, rng)
     g = rng.standard_normal((structure.nnz, 1)).astype(dtype)
     a = T.parameter(rng.standard_normal((n, width)), dtype=dtype)
     b = T.parameter(rng.standard_normal((m, width)), dtype=dtype)
-    square = _sparse_with_empty_lines(n, n, 2 * T.VALUE_GRAD_BLOCK + 37, rng)
+    square = _sparse_with_empty_lines(n, n, nnz, rng)
     gs = rng.standard_normal((square.nnz, 1)).astype(dtype)
     c = T.parameter(rng.standard_normal((n, width)), dtype=dtype)
 
